@@ -117,28 +117,17 @@ let () =
           List.mem w.Workload.name [ "gzip"; "mcf"; "ammp"; "twolf" ])
         workloads
     in
-    section "Ablation A: invala.e strategy (Figure 2) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_invala subset);
-    section "Ablation B: software run-time disambiguation vs ALAT";
-    Fmt.pr "%s@." (Experiments.ablation_software subset);
-    section "Ablation C: conservative PRE vs software checks";
-    Fmt.pr "%s@." (Experiments.ablation_conservative subset);
-    section "Ablation D: heuristic speculation vs alias profile";
-    Fmt.pr "%s@." (Experiments.ablation_heuristic subset);
-    section "Ablation E: control speculation (ld.sa) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_control_spec subset);
-    section "Ablation F: cascade promotion (section 2.4) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_cascade subset);
+    List.iter
+      (fun ((title, _, _, _, _) as ablation) ->
+        section title;
+        Fmt.pr "%s@." (Experiments.run_ablation ~cache ablation subset))
+      Experiments.ablations;
     Fmt.pr
-      "The kernels contain no cascade patterns (promoted data behind a
-       speculatively promoted pointer), mirroring the paper's section 4 note
-       that its implementation kept cascades disabled.  The mechanism itself
-       (chk.a + recovery routines, Figure 4) is exercised by the dedicated
-       tests in test/test_core.ml.@.";
-    section "Ablation G: pre-bundle list scheduling on/off";
-    Fmt.pr "%s@." (Experiments.ablation_sched subset);
-    section "Ablation H: probabilistic expected-value speculation gate on/off";
-    Fmt.pr "%s@." (Experiments.ablation_prob subset);
+      "Ablation F: the kernels contain no cascade patterns (promoted data
+       behind a speculatively promoted pointer), mirroring the paper's
+       section 4 note that its implementation kept cascades disabled.  The
+       mechanism itself (chk.a + recovery routines, Figure 4) is exercised
+       by the dedicated tests in test/test_core.ml.@.";
     section "Threshold sweep: cycles at ALAT as spec_threshold varies";
     Fmt.pr "%s@."
       (Experiments.threshold_sweep

@@ -23,7 +23,6 @@ type t = {
   control_spec : bool; (* allow ld.sa hoisting into loop preheaders *)
   use_invala : bool; (* invala.e on cold paths instead of load insertion *)
   max_rounds : int; (* 1 = direct refs only; 3 covers *p and **q chains *)
-  cold_ratio : float; (* edge colder than this fraction => invala strategy *)
   (* promote across checks of the address temp itself (paper section 2.4):
      the data check becomes chk.a with a recovery routine reloading both
      the pointer and the data.  Off by default, matching the paper's
@@ -31,43 +30,31 @@ type t = {
   cascade : bool;
   (* pressure-aware candidate selection: promote only while the projected
      register demand stays under the RSE pool, or when a candidate's saved
-     load latency still beats its marginal spill cost above it. *)
+     load latency still beats its marginal spill cost above it (both
+     priced from Srp_ir.Machine_model). *)
   pressure : bool;
-  pressure_threshold : int; (* RSE physical pool: stacks beyond this spill *)
   (* expected-value speculation gating over the probabilistic profile: a
      kill is speculated past while its observed conflict rate stays at or
      under [spec_threshold], and each check the candidate would plant is
      debited from its benefit before the pressure gate sees it — an
      issue-slot tax per expected execution plus P(conflict) x the real
-     recovery price (one reload for ld.c, recovery_penalty + reload for a
-     cascade chk.a).  The default threshold of 1.0 leaves admission
-     entirely to that ledger: the candidate is also priced at the binary
-     scope (threshold 0) and the cheaper shape is committed, so a
-     crossing that does not pay for itself falls back to a hard kill.
+     recovery price (one reload for ld.c, the machine's
+     check_recovery_penalty + reload for a cascade chk.a).  The default
+     threshold of 1.0 leaves admission entirely to that ledger: the
+     candidate is also priced at the binary scope (threshold 0) and the
+     cheaper shape is committed, so a crossing that does not pay for
+     itself falls back to a hard kill.
      [prob = false] reproduces the binary-verdict pipeline bit for bit
      (the --no-prob ablation): only P = 0 kills speculate and no check
      cost is charged. *)
   prob : bool;
   spec_threshold : float; (* max tolerated P(conflict) per crossed kill *)
-  recovery_penalty : int;
-      (* cycles one failed check costs beyond the reload itself: the
-         machine's branch-to-recovery flush (Machine.check_recovery_penalty,
-         mispredict flush + redirect = 16 on the modeled pipeline) *)
-  lat_l1 : int; (* saved cycles per eliminated integer (L1) load *)
-  lat_fp : int; (* saved cycles per eliminated floating-point load *)
-  spill_cost : int;
-      (* integer class: RSE spill+fill cycles one claimed register costs
-         per overflowing call (the machine's rate: one cycle out, one
-         back).  Float class: memory spill round-trip per occurrence. *)
-  estimator : int; (* pressure-estimator version, fingerprinted *)
 }
 
 let conservative =
   { check_style = No_speculation; policy = Spec_never; control_spec = false;
-    use_invala = false; max_rounds = 3; cold_ratio = 0.05; cascade = false;
-    pressure = true; pressure_threshold = 24; lat_l1 = 2; lat_fp = 9;
-    spill_cost = 2; estimator = 2;
-    prob = true; spec_threshold = 1.0; recovery_penalty = 16 }
+    use_invala = false; max_rounds = 3; cascade = false; pressure = true;
+    prob = true; spec_threshold = 1.0 }
 
 (* The ORC -O3 baseline: conservative PRE plus software run-time
    disambiguation on scalars. *)
@@ -89,19 +76,3 @@ let pp_style ppf = function
   | No_speculation -> Fmt.string ppf "none"
   | Software -> Fmt.string ppf "software"
   | Alat -> Fmt.string ppf "alat"
-
-(* Knobs of the post-regalloc, pre-bundle list scheduler
-   (lib/target/sched.ml).  [lat_l1]/[lat_fp] are the machine's L1-hit
-   load latencies — the same figures the promotion cost model above
-   prices eliminated loads with — used as dependence-edge weights.
-   [hoist_bonus] is added to the critical-path priority of ld.a/ld.sa
-   so advanced loads issue as early as their block allows: the
-   speculative hoist-distance tuning.  The scheduler on/off bit is
-   fingerprinted into the bundle stage key and serve job key; these
-   weights are compile-time constants shared by every level, so they
-   ride the key version instead of being fingerprinted per job. *)
-module Sched = struct
-  type t = { lat_l1 : int; lat_fp : int; hoist_bonus : int }
-
-  let default = { lat_l1 = 2; lat_fp = 9; hoist_bonus = 4 }
-end

@@ -1,5 +1,11 @@
 (** Configuration of the register-promotion pass — the experiment matrix of
-    the paper maps onto these knobs. *)
+    the paper maps onto these knobs.
+
+    Only decisions live here.  The machine the promoter prices against —
+    load latencies, the chk.a recovery penalty, the RSE pool and its
+    spill/fill rate — is {!Srp_ir.Machine_model}, the same numbers the
+    simulator charges, so no config can price a different machine than
+    the one that runs the code. *)
 
 (** How possibly-aliased promotions are protected at run time. *)
 type check_style =
@@ -32,7 +38,6 @@ type t = {
   max_rounds : int;
       (** bottom-up promotion rounds: 1 covers direct references only,
           3 covers [*p] and [**q] chains (section 3.2) *)
-  cold_ratio : float;  (** reserved tuning knob for edge coldness *)
   cascade : bool;
       (** promote across checks of the address temp itself: the pointer's
           check becomes chk.a with a recovery routine reloading pointer and
@@ -40,19 +45,19 @@ type t = {
           paper's implementation note in section 4. *)
   pressure : bool;
       (** rank candidates by saved latency and stop promoting once the
-          projected register demand exceeds [pressure_threshold], unless
-          the candidate still pays for its marginal spill.  [false]
-          reproduces promote-everything exactly (the --no-pressure
-          ablation). *)
-  pressure_threshold : int;
-      (** the RSE physical pool (24 stacked registers): co-resident
-          frames growing past it turn promotions into spill/fill cycles *)
+          projected register demand exceeds the RSE pool
+          ({!Srp_ir.Machine_model.rse_pool}), unless the candidate still
+          pays for its marginal spill (a spill plus a fill at the RSE's
+          per-register rate).  [false] reproduces promote-everything
+          exactly (the --no-pressure ablation). *)
   prob : bool;
       (** expected-value speculation gating over the probabilistic
           profile: kills speculate while their observed conflict rate
           stays at or under [spec_threshold], every check a candidate
           would plant is debited from its benefit (issue-slot tax plus
-          P(conflict) x recovery price), and each candidate commits the
+          P(conflict) x recovery price, the price including
+          {!Srp_ir.Machine_model.check_recovery_penalty} for a cascade
+          chk.a), and each candidate commits the
           cheaper of the threshold scope and the binary scope.  [false]
           reproduces the binary-verdict pipeline bit for bit (the
           --no-prob ablation). *)
@@ -60,18 +65,6 @@ type t = {
       (** maximum tolerated per-execution conflict probability for a
           speculated kill; 1.0 (the default) delegates admission wholly
           to the expected-value ledger (swept in EXPERIMENTS.md) *)
-  recovery_penalty : int;
-      (** cycles one failed check costs beyond the reload itself — the
-          machine's branch-to-recovery flush, 16 on the modeled
-          pipeline *)
-  lat_l1 : int;  (** saved cycles per eliminated integer (L1-hit) load *)
-  lat_fp : int;  (** saved cycles per eliminated floating-point load *)
-  spill_cost : int;
-      (** over the threshold, the cycles one claimed register costs: per
-          overflowing call for the RSE-stacked integer class, per
-          occurrence (memory spill round-trip) for floats *)
-  estimator : int;
-      (** version tag of the pressure estimator, part of the content key *)
 }
 
 (** PRE register promotion with no speculation of any kind. *)
@@ -91,21 +84,3 @@ val alat_cascade : profile:Srp_profile.Alias_profile.t -> t
 val alat_heuristic : t
 
 val pp_style : Format.formatter -> check_style -> unit
-
-(** Knobs of the post-regalloc, pre-bundle list scheduler
-    (lib/target/sched.ml): dependence-edge latencies — the same L1-hit
-    figures the promotion cost model prices eliminated loads with — and
-    the critical-path priority bonus that hoists ld.a/ld.sa.  Constant
-    across levels; the scheduler's on/off bit is what the stage and
-    serve keys fingerprint. *)
-module Sched : sig
-  type t = {
-    lat_l1 : int;  (** integer L1-hit load latency, cycles *)
-    lat_fp : int;  (** floating-point L1-hit load latency, cycles *)
-    hoist_bonus : int;
-        (** added to the critical-path height of ld.a/ld.sa so advanced
-            loads issue as early as their block allows *)
-  }
-
-  val default : t
-end

@@ -103,7 +103,13 @@ let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
 let ev_rejected (a : Ssapre.assessment) =
   a.Ssapre.as_conflict > 0 && a.Ssapre.as_benefit <= 0
 
-let select_gated (config : Config.t) cm_ctx collect f keys ~(est : pressure)
+(* The marginal price of one claimed register over the pool: a spill plus
+   a fill at the RSE's per-register rate.  The float class is not
+   RSE-stacked but keeps the same threshold and price (a memory spill
+   round-trip per occurrence). *)
+let spill_cost = 2 * Machine_model.rse_cycles_per_reg
+
+let select_gated cm_ctx collect f keys ~(est : pressure)
     ~(overflow_calls : int) ~(claimed : int ref * int ref) stats : unit =
   let assessed =
     List.mapi
@@ -124,9 +130,9 @@ let select_gated (config : Config.t) cm_ctx collect f keys ~(est : pressure)
     (fun (i, key, _, asmt) ->
       if asmt.Ssapre.as_work then begin
         let counter, base, spill_occ =
-          match Srp_ssa.Spec_policy.latency_class key.Expr.mty with
-          | Srp_ssa.Spec_policy.Lat_l1 -> (ci, est.peak_int, overflow_calls)
-          | Srp_ssa.Spec_policy.Lat_fp -> (cf, est.peak_fp, asmt.Ssapre.as_occ)
+          match key.Expr.mty with
+          | Mem_ty.I64 -> (ci, est.peak_int, overflow_calls)
+          | Mem_ty.F64 -> (cf, est.peak_fp, asmt.Ssapre.as_occ)
         in
         let projected = base + !counter + 1 in
         (* Expected-value gate: [as_benefit] is already net of the
@@ -139,8 +145,8 @@ let select_gated (config : Config.t) cm_ctx collect f keys ~(est : pressure)
            verdict the debit is always 0 and this branch never fires. *)
         if ev_rejected asmt then ()
         else if
-          projected <= config.Config.pressure_threshold
-          || asmt.Ssapre.as_benefit > config.Config.spill_cost * spill_occ
+          projected <= Machine_model.rse_pool
+          || asmt.Ssapre.as_benefit > spill_cost * spill_occ
         then begin
           incr counter;
           Hashtbl.replace accepted i ()
@@ -248,7 +254,7 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
               let before = (func_stats f).Ssapre.exprs_promoted in
               (match Option.bind estimator (fun e -> e (Func.name f)) with
               | Some est ->
-                select_gated config cm_ctx collect f keys ~est
+                select_gated cm_ctx collect f keys ~est
                   ~overflow_calls:(overflow_calls f) ~claimed:(claimed_for f)
                   (func_stats f)
               | None ->

@@ -33,8 +33,8 @@ type pressure = {
     [pressure] maps a function name to its register-pressure estimate;
     when supplied and [config.pressure] is set, candidates are ranked by
     weighted saved load latency and promoted only while the projected
-    class pressure stays within [config.pressure_threshold] — above it a
-    candidate must still out-pay its spill round-trip.  Without the
+    class pressure stays within {!Srp_ir.Machine_model.rse_pool} — above
+    it a candidate must still out-pay its spill round-trip.  Without the
     callback (or with [config.pressure = false], the --no-pressure
     ablation) promotion is bit-identical to promote-everything. *)
 val run :

@@ -642,9 +642,10 @@ let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     p_any_work = any_work }
 
 (* Weighted promotion benefit of a prepared candidate: per eliminable use,
-   the load latency its class saves (2-cycle L1 for integers, 9 cycles for
-   floats), scaled by the training execution count of the use's block when
-   a profile is available, minus the candidate's expected speculation bill
+   the load latency its class saves (Machine_model.load_latency: the L1
+   hit for integers, the L1-bypassing FP load for floats), scaled by the
+   training execution count of the use's block when a profile is
+   available, minus the candidate's expected speculation bill
    [as_conflict] — per check the rewriter would plant, (issue slot +
    P(conflict) x recovery price) x the check block's training count,
    rounded up so a nonzero expectation is never priced free.  The recovery
@@ -679,11 +680,7 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     ctx.profile_hot ~func:fname ~label_id:(Label.id (Cfg.label a.cfg node))
   in
   let policy = collect.Expr.policy in
-  let lat =
-    match Srp_ssa.Spec_policy.latency_class key.Expr.mty with
-    | Srp_ssa.Spec_policy.Lat_l1 -> ctx.config.Config.lat_l1
-    | Srp_ssa.Spec_policy.Lat_fp -> ctx.config.Config.lat_fp
-  in
+  let lat = Machine_model.load_latency key.Expr.mty in
   let benefit = ref 0 in
   let occ = ref 0 in
   let conflict = ref 0.0 in
@@ -746,7 +743,7 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
             in
             let recover =
               match cascade with
-              | Some _ -> ctx.config.Config.recovery_penalty + lat
+              | Some _ -> Machine_model.check_recovery_penalty + lat
               | None -> lat
             in
             conflict :=

@@ -151,35 +151,40 @@ let figure11 (rs : bench_result list) : string =
 
 (* --- ablations --- *)
 
-(* Generic comparison of two configs over a workload list; rows of
-   (name, cycles_a, cycles_b, reduction%). *)
-let compare_configs ?fuel ~(mk_a : Srp_profile.Alias_profile.t -> Srp_core.Config.t option)
-    ~(mk_b : Srp_profile.Alias_profile.t -> Srp_core.Config.t option)
-    (workloads : Workload.t list) : (string * int * int * float) list =
-  List.map
-    (fun w ->
-      let profile = Pipeline.train_profile w in
-      let run mk =
-        let ir = Srp_frontend.Lower.compile_source w.Workload.source in
-        Workload.apply_input ir w.Workload.ref_;
-        (match mk profile with
-        | Some config ->
-          ignore
-            (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn ir)
-               ir)
-        | None -> ());
-        let target = Srp_target.Codegen.gen_program ir in
-        Srp_machine.Machine.run_program ?fuel target
-      in
-      let _, out_a, ca = run mk_a in
-      let _, out_b, cb = run mk_b in
-      if out_a <> out_b then
-        raise (Output_mismatch (Fmt.str "%s: ablation outputs differ!" w.Workload.name));
-      let red =
-        100.0 *. float_of_int (ca.C.cycles - cb.C.cycles) /. float_of_int (max 1 ca.C.cycles)
-      in
-      (w.Workload.name, ca.C.cycles, cb.C.cycles, red))
-    workloads
+(* One side of an ablation: a build of the staged pipeline, profiled on
+   train and run on ref by [Pipeline.profile_compile_run]. *)
+type build = {
+  level : Pipeline.level;
+  ablations : Pipeline.ablation list;
+  sched : bool;
+  prob : bool;
+}
+
+let alat = { level = Pipeline.Alat; ablations = []; sched = true; prob = true }
+let at level = { alat with level }
+let alat_with a = { alat with ablations = [ a ] }
+
+(* The ablation suite DESIGN.md commits to, as (title, label, build,
+   label, build) rows; the gain column is the second build's cycle
+   reduction over the first. *)
+let ablations : (string * string * build * string * build) list =
+  [ ( "Ablation A: invala.e strategy (Figure 2) on/off",
+      "no-invala", alat_with Pipeline.No_invala, "invala", alat );
+    ( "Ablation B: software run-time disambiguation vs ALAT",
+      "software", at Pipeline.Baseline, "alat", alat );
+    ( "Ablation C: conservative PRE vs software checks",
+      "conservative", at Pipeline.Conservative,
+      "software", at Pipeline.Baseline );
+    ( "Ablation D: heuristic speculation vs alias profile",
+      "heuristic", at Pipeline.Alat_heuristic, "profile", alat );
+    ( "Ablation E: control speculation (ld.sa) on/off",
+      "no-ld.sa", alat_with Pipeline.No_control_spec, "ld.sa", alat );
+    ( "Ablation F: cascade promotion (section 2.4) on/off",
+      "no-cascade", alat, "cascade", alat_with Pipeline.Cascade );
+    ( "Ablation G: pre-bundle list scheduling on/off",
+      "no-sched", { alat with sched = false }, "sched", alat );
+    ( "Ablation H: probabilistic expected-value speculation gate on/off",
+      "no-prob", { alat with prob = false }, "prob", alat ) ]
 
 let render_compare ~label_a ~label_b rows =
   Srp_support.Pp_util.render_table
@@ -190,105 +195,32 @@ let render_compare ~label_a ~label_b rows =
            [ n; string_of_int a; string_of_int b; Fmt.str "%.2f" red ])
          rows)
 
-(* Ablation A: invala.e strategy on/off. *)
-let ablation_invala ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some { (Srp_core.Config.alat ~profile:p) with Srp_core.Config.use_invala = false })
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-invala" ~label_b:"invala"
-
-(* Ablation B: software run-time disambiguation vs ALAT speculation. *)
-let ablation_software ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.baseline)
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"software" ~label_b:"alat"
-
-(* Ablation C: value of the software checks themselves (conservative PRE vs
-   baseline). *)
-let ablation_conservative ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.conservative)
-    ~mk_b:(fun _ -> Some Srp_core.Config.baseline)
-    workloads
-  |> render_compare ~label_a:"conservative" ~label_b:"software"
-
-(* Ablation D: heuristic speculation (no profile) vs profile-driven. *)
-let ablation_heuristic ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.alat_heuristic)
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"heuristic" ~label_b:"profile"
-
-(* Ablation E: control speculation (ld.sa hoisting) on/off. *)
-let ablation_control_spec ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some { (Srp_core.Config.alat ~profile:p) with Srp_core.Config.control_spec = false })
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-ld.sa" ~label_b:"ld.sa"
-
-(* Ablation F: cascade promotion (section 2.4) on/off. *)
-let ablation_cascade ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat_cascade ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-cascade" ~label_b:"cascade"
-
-(* Ablation G: the pre-bundle list scheduler on/off.  Unlike A-F this is
-   a backend knob, not a promotion config — both runs are the full ALAT
-   pipeline, differing only in whether sched.ml reorders each block
-   before bundling.  The differential tests pin the two builds to the
-   same outputs and non-cycle counters, so the delta here is pure
-   latency hiding plus tighter packing. *)
-let ablation_sched ?fuel workloads =
+(* Run one ablation row over [workloads], checking that both builds print
+   the same output, and render its cycle table. *)
+let run_ablation ?fuel ?cache (_title, label_a, a, label_b, b) workloads =
+  let run w (bld : build) =
+    Pipeline.profile_compile_run ?fuel ?cache ~ablations:bld.ablations
+      ~sched:bld.sched ~prob:bld.prob w bld.level
+  in
   List.map
     (fun w ->
-      let off = Pipeline.profile_compile_run ?fuel ~sched:false w Pipeline.Alat in
-      let on = Pipeline.profile_compile_run ?fuel ~sched:true w Pipeline.Alat in
-      if off.Pipeline.output <> on.Pipeline.output then
+      let ra = run w a and rb = run w b in
+      if ra.Pipeline.output <> rb.Pipeline.output then
         raise
           (Output_mismatch
-             (Fmt.str "%s: sched ablation outputs differ!" w.Workload.name));
-      let ca = off.Pipeline.counters.C.cycles
-      and cb = on.Pipeline.counters.C.cycles in
-      let red =
-        100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca)
-      in
-      (w.Workload.name, ca, cb, red))
-    workloads
-  |> render_compare ~label_a:"no-sched" ~label_b:"sched"
-
-(* Ablation H: the probabilistic expected-value speculation gate on/off.
-   Both runs are the full ALAT pipeline; off is the binary may-touch
-   verdict (the pre-frequency behavior, [--no-prob]), on folds per-site
-   conflict rates into the speculation decision and the promotion
-   ledger. *)
-let ablation_prob ?fuel workloads =
-  List.map
-    (fun w ->
-      let off = Pipeline.profile_compile_run ?fuel ~prob:false w Pipeline.Alat in
-      let on = Pipeline.profile_compile_run ?fuel ~prob:true w Pipeline.Alat in
-      if off.Pipeline.output <> on.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: prob ablation outputs differ!" w.Workload.name));
-      let ca = off.Pipeline.counters.C.cycles
-      and cb = on.Pipeline.counters.C.cycles in
+             (Fmt.str "%s: ablation outputs differ!" w.Workload.name));
+      let ca = ra.Pipeline.counters.C.cycles
+      and cb = rb.Pipeline.counters.C.cycles in
       let red = 100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca) in
       (w.Workload.name, ca, cb, red))
     workloads
-  |> render_compare ~label_a:"no-prob" ~label_b:"prob"
+  |> render_compare ~label_a ~label_b
 
 (* Threshold sweep: cycles at ALAT as [spec_threshold] varies, against
    the binary-verdict column (no-prob), one row per workload.  The sweep
-   drives {!Srp_core.Promote.run} directly (like ablations A-F) so each
-   cell differs only in the promotion decision, and checks program
-   output equality across every cell. *)
+   drives {!Srp_core.Promote.run} directly, since [spec_threshold] has no
+   pipeline route, and checks program output equality across every
+   cell. *)
 let threshold_sweep ?fuel ~(thresholds : float list)
     (workloads : Workload.t list) : string =
   let rows =

@@ -147,7 +147,7 @@ let pressure_fn (prog : Program.t) :
              { Srp_core.Promote.webs = e.Regalloc.est_webs;
                peak_int = stacked;
                peak_fp = e.Regalloc.est_frame_fp;
-               spill_traffic = max 0 (stacked - 24) }))
+               spill_traffic = max 0 (stacked - Machine_model.rse_pool) }))
       ests
   in
   fun name ->

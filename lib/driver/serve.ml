@@ -39,12 +39,10 @@ type job = {
 
 (* The job's content key: everything that determines its result.  Two
    jobs with equal keys are the same compile-and-run, whatever their ids
-   say — the second is answered from the first's result.  "v4": the
-   prob gating flag joined the key; "v3" added the sched backend flag
-   (PR 9). *)
+   say — the second is answered from the first's result. *)
 let job_key (j : job) : string =
   Stage.Key.digest
-    ([ "serve-job"; "v4"; j.j_w.Workload.source;
+    ([ "serve-job"; j.j_w.Workload.source;
        Marshal.to_string j.j_w.Workload.train [];
        Marshal.to_string j.j_w.Workload.ref_ [];
        Pipeline.level_name j.j_level ]

@@ -7,13 +7,14 @@
            -> regalloc -> layout -> bundle
 
    and each stage's output is an immutable artifact addressed by the hash
-   of everything that determines it: the stage name, a per-stage version
-   tag (bump it to invalidate old artifacts when a pass changes), the
-   upstream stage keys, and the stage's own inputs (source text, input
-   set, promotion config, backend flags).  Two jobs that share a prefix of
-   that graph share the artifacts — the bench sweep compiles ten kernels
-   at two levels but lowers each source once, and `srp serve` shares the
-   train-input alias profile across every build of a workload.
+   of everything that determines it: the stage name, the upstream stage
+   keys, and the stage's own inputs (source text, input set, promotion
+   config, backend flags).  The store lives in memory for one process, so
+   no artifact can outlive the code that built it and keys carry no
+   version tags.  Two jobs that share a prefix of that graph share the
+   artifacts — the bench sweep compiles ten kernels at two levels but
+   lowers each source once, and `srp serve` shares the train-input alias
+   profile across every build of a workload.
 
    Artifacts are immutable by contract: stages that need to mutate their
    input (input application, promotion) clone it first (Program.clone).
@@ -58,70 +59,42 @@ module Key = struct
       parts;
     Digest.to_hex (Digest.string (Buffer.contents buf))
 
-  let lower ~(source : string) = digest [ "lower"; "v1"; source ]
+  let lower ~(source : string) = digest [ "lower"; source ]
 
   let apply ~(lower_key : string) (input : Workload.input) =
-    digest [ "apply"; "v1"; lower_key; Marshal.to_string input [] ]
+    digest [ "apply"; lower_key; Marshal.to_string input [] ]
 
-  let profile ~(applied_key : string) =
-    digest [ "profile"; "v1"; applied_key ]
+  let profile ~(applied_key : string) = digest [ "profile"; applied_key ]
 
-  (* The promotion config's content fingerprint.  A profile-driven policy
-     embeds the profile's serialized form, so retraining (or a different
-     train input) changes every downstream key. *)
+  (* The promotion config's content fingerprint: the whole record,
+     marshalled, so a field added to Config.t reaches the key by
+     construction.  A profile-driven policy is blanked out of the record
+     and keyed by the profile's serialized form instead, so retraining (or
+     a different train input) changes every downstream key. *)
   let config_fingerprint (c : Srp_core.Config.t) : string =
-    let style =
-      match c.Srp_core.Config.check_style with
-      | Srp_core.Config.No_speculation -> "none"
-      | Srp_core.Config.Software -> "software"
-      | Srp_core.Config.Alat -> "alat"
-    in
-    let policy =
+    let c, profile =
       match c.Srp_core.Config.policy with
-      | Srp_core.Config.Spec_never -> "never"
-      | Srp_core.Config.Spec_heuristic -> "heuristic"
       | Srp_core.Config.Spec_profile p ->
-        "profile:" ^ Digest.to_hex (Digest.string (Alias_profile.save p))
+        ( { c with Srp_core.Config.policy = Srp_core.Config.Spec_never },
+          "profile:" ^ Digest.to_hex (Digest.string (Alias_profile.save p)) )
+      | Srp_core.Config.Spec_never | Srp_core.Config.Spec_heuristic -> (c, "")
     in
-    (* "v3": the probabilistic expected-value gate knobs joined the
-       config (prob / spec_threshold / recovery_penalty); "v2" added the
-       pressure-gate parameters.  Every knob that can change the
-       promoter's output must be here, or a tuned threshold could be
-       served a stale cached promote artifact. *)
-    digest
-      [ "config"; "v3"; style; policy;
-        string_of_bool c.Srp_core.Config.control_spec;
-        string_of_bool c.Srp_core.Config.use_invala;
-        string_of_int c.Srp_core.Config.max_rounds;
-        Printf.sprintf "%h" c.Srp_core.Config.cold_ratio;
-        string_of_bool c.Srp_core.Config.cascade;
-        string_of_bool c.Srp_core.Config.pressure;
-        string_of_int c.Srp_core.Config.pressure_threshold;
-        string_of_int c.Srp_core.Config.lat_l1;
-        string_of_int c.Srp_core.Config.lat_fp;
-        string_of_int c.Srp_core.Config.spill_cost;
-        string_of_int c.Srp_core.Config.estimator;
-        string_of_bool c.Srp_core.Config.prob;
-        Printf.sprintf "%h" c.Srp_core.Config.spec_threshold;
-        string_of_int c.Srp_core.Config.recovery_penalty ]
+    digest [ "config"; profile; Marshal.to_string c [ Marshal.No_sharing ] ]
 
   let promote ~(applied_key : string) ~(config : string) =
-    digest [ "promote"; "v1"; applied_key; config ]
+    digest [ "promote"; applied_key; config ]
 
-  let select ~(promote_key : string) = digest [ "select"; "v1"; promote_key ]
+  let select ~(promote_key : string) = digest [ "select"; promote_key ]
 
   let regalloc ~(select_key : string) ~(split : bool) =
-    digest [ "regalloc"; "v1"; select_key; string_of_bool split ]
+    digest [ "regalloc"; select_key; string_of_bool split ]
 
   let layout ~(regalloc_key : string) ~(layout : bool) =
-    digest [ "layout"; "v1"; regalloc_key; string_of_bool layout ]
+    digest [ "layout"; regalloc_key; string_of_bool layout ]
 
-  (* "v2": the pre-bundle list scheduler joined the stage (PR 9); its
-     on/off bit determines the emitted stream, so it is part of the key. *)
   let bundle ~(layout_key : string) ~(sched : bool) ~(bundle : bool) =
     digest
-      [ "bundle"; "v2"; layout_key; string_of_bool sched;
-        string_of_bool bundle ]
+      [ "bundle"; layout_key; string_of_bool sched; string_of_bool bundle ]
 end
 
 (* --- the bounded store --- *)

@@ -1,10 +1,11 @@
-(* Two-level data cache with an Itanium-like latency profile:
-   - integer L1D hit: 2 cycles (the number the paper quotes in section 4);
-   - floating-point loads bypass L1 and are served from L2 at 9 cycles
+(* Two-level data cache with an Itanium-like latency profile, charged
+   from Srp_ir.Machine_model:
+   - integer L1D hit: [lat_l1] (the number the paper quotes in section 4);
+   - floating-point loads bypass L1 and are served from L2 at [lat_fp]
      (also straight from section 4: "the latency of a floating point load
      on Itanium is 9 cycles");
-   - L2 hit: 13 cycles for integer L1 misses;
-   - memory: 150 cycles.
+   - L2 hit: [lat_l2] for integer L1 misses;
+   - memory: [lat_mem].
    Write-allocate, LRU within set.  Stores update both levels; store
    latency itself is hidden (store buffers), only the line-fill state
    matters. *)
@@ -56,26 +57,23 @@ let create () =
   { l1 = mk_level ~size_bytes:16_384 ~ways:4 ~line:64;
     l2 = mk_level ~size_bytes:262_144 ~ways:8 ~line:64 }
 
-let lat_l1 = 2
-let lat_fp = 9
-let lat_l2 = 13
-let lat_mem = 150
+module Model = Srp_ir.Machine_model
 
 (* Latency of a load; updates both levels and the counters. *)
 let load_latency t (c : Counters.t) ~(fp : bool) (addr : int64) : int =
   let l1_hit = access_level t.l1 addr in
   if l1_hit && not fp then begin
     c.Counters.l1_hits <- c.Counters.l1_hits + 1;
-    lat_l1
+    Model.lat_l1
   end
   else begin
     if not l1_hit then c.Counters.l1_misses <- c.Counters.l1_misses + 1
     else c.Counters.l1_hits <- c.Counters.l1_hits + 1;
     let l2_hit = access_level t.l2 addr in
-    if l2_hit then if fp then lat_fp else lat_l2
+    if l2_hit then if fp then Model.lat_fp else Model.lat_l2
     else begin
       c.Counters.l2_misses <- c.Counters.l2_misses + 1;
-      lat_mem
+      Model.lat_mem
     end
   end
 

@@ -1,22 +1,14 @@
 (** Two-level data cache with an Itanium-like latency profile.
 
-    Integer L1D hits cost {!lat_l1} = 2 cycles and floating-point loads
-    bypass L1 at {!lat_fp} = 9 cycles — both numbers straight from section
-    4 of the paper, and the reason its FP benchmarks gain the most from
-    eliminating loads. *)
+    Integer L1D hits cost {!Srp_ir.Machine_model.lat_l1} = 2 cycles and
+    floating-point loads bypass L1 at {!Srp_ir.Machine_model.lat_fp} = 9
+    cycles — both numbers straight from section 4 of the paper, and the
+    reason its FP benchmarks gain the most from eliminating loads. *)
 
 type t
 
 (** 16 KiB 4-way L1, 256 KiB 8-way L2, 64-byte lines, LRU. *)
 val create : unit -> t
-
-val lat_l1 : int  (** integer L1 hit: 2 cycles *)
-
-val lat_fp : int  (** FP load (L1 bypass): 9 cycles *)
-
-val lat_l2 : int  (** integer L1 miss, L2 hit *)
-
-val lat_mem : int  (** L2 miss *)
 
 (** Latency of a load at an address; allocates lines and updates the hit
     and miss counters. *)

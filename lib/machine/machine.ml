@@ -1,13 +1,16 @@
 (* The machine: functional execution of target code interleaved with an
-   in-order, 6-issue pipeline timing model (a 733 MHz Itanium in spirit).
+   in-order pipeline timing model (a 733 MHz Itanium in spirit).  Every
+   number it charges comes from Srp_ir.Machine_model (widths, ports,
+   penalties) and Insn (per-opcode latencies and issue classes).
 
-   Timing model: instructions issue in order; an issue group holds up to 6
-   instructions with at most 2 memory ops and 2 FP ops per cycle.  A
-   scoreboard of per-register ready times stalls issue until operands are
-   ready; stall cycles whose critical operand was produced by a memory
-   operation count as data-access cycles (the paper's second metric in
-   Figure 8).  Taken-branch redirects cost one bubble; mispredictions
-   (static backward-taken/forward-not-taken) cost a 6-cycle flush.
+   Timing model: instructions issue in order; an issue group holds up to
+   [issue_width] instructions with at most [mem_ports] memory ops and
+   [fp_ports] FP ops per cycle.  A scoreboard of per-register ready times
+   stalls issue until operands are ready; stall cycles whose critical
+   operand was produced by a memory operation count as data-access cycles
+   (the paper's second metric in Figure 8).  Taken-branch redirects cost
+   one bubble; mispredictions (static backward-taken/forward-not-taken)
+   cost a [mispredict_penalty] flush.
 
    Functional model: memory is the same region-tracked store the IR
    interpreter uses, so outputs are bit-comparable for differential
@@ -22,6 +25,7 @@ module Location = Srp_alias.Location
 module Site_hist = Srp_obs.Site_hist
 module Trace = Srp_obs.Trace
 module J = Srp_obs.Json
+module Model = Srp_ir.Machine_model
 
 exception Machine_error of string
 
@@ -72,36 +76,21 @@ type t = {
   mutable sp : int64;
 }
 
-let issue_width = 6
-let mem_per_cycle = 2
-let fp_per_cycle = 2
-
-(* Dispersal ports for bundle-wise fetch: up to two bundles per cycle, and
-   across the window the templates may reserve at most 2 M, 2 F and 3 B
-   units (pads reserve their slot's unit too — dispersal routes by
-   template, not by what the syllable turns out to do). *)
-let bundles_per_cycle = 2
-let m_ports_per_cycle = 2
-let f_ports_per_cycle = 2
-let b_ports_per_cycle = 3
-
-let template_ports : Insn.template -> int * int * int = function
-  | Insn.MII -> (1, 0, 0)
-  | Insn.MMI -> (2, 0, 0)
-  | Insn.MIB -> (1, 0, 1)
-  | Insn.MMB -> (2, 0, 1)
-  | Insn.MFI -> (1, 1, 0)
-  | Insn.MMF -> (2, 1, 0)
-  | Insn.MBB -> (1, 0, 2)
-  | Insn.BBB -> (0, 0, 3)
-
-let mispredict_penalty = 6
-
-(* chk.a failure: the front end flushes like a mispredicted branch, then the
-   hardware raises a light trap that vectors into the recovery code — the
-   trap dispatch costs an extra fixed latency on top of the flush (see the
-   timing table in DESIGN.md). *)
-let check_recovery_penalty = mispredict_penalty + 10
+(* The (M, F, B) dispersal ports each template reserves — pads reserve
+   their slot's unit too: dispersal routes by template, not by what the
+   syllable turns out to do.  Counted once from Bundle.slots. *)
+let template_ports : Insn.template -> int * int * int =
+  let ports t =
+    let s = Bundle.slots t in
+    let n u = Array.fold_left (fun k x -> if x = u then k + 1 else k) 0 s in
+    (n Bundle.M, n Bundle.F, n Bundle.B)
+  in
+  let mii = ports Insn.MII and mmi = ports Insn.MMI and mib = ports Insn.MIB
+  and mmb = ports Insn.MMB and mfi = ports Insn.MFI and mmf = ports Insn.MMF
+  and mbb = ports Insn.MBB and bbb = ports Insn.BBB in
+  function
+  | Insn.MII -> mii | Insn.MMI -> mmi | Insn.MIB -> mib | Insn.MMB -> mmb
+  | Insn.MFI -> mfi | Insn.MMF -> mmf | Insn.MBB -> mbb | Insn.BBB -> bbb
 
 let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
   let mem = Memory.create () in
@@ -244,13 +233,13 @@ let bundle_site (code : Insn.insn array) pc =
    flat-stream model never paid. *)
 let enter_bundle m code pc (b : Insn.bundle) =
   let pm, pf, pb = template_ports b.Insn.tmpl in
-  if m.group_bundles >= bundles_per_cycle then new_group m
+  if m.group_bundles >= Model.bundles_per_cycle then new_group m
   else if
     m.group_bundles = 1
     && (m.pending_stop
-       || m.group_m_ports + pm > m_ports_per_cycle
-       || m.group_f_ports + pf > f_ports_per_cycle
-       || m.group_b_ports + pb > b_ports_per_cycle)
+       || m.group_m_ports + pm > Model.m_ports
+       || m.group_f_ports + pf > Model.f_ports
+       || m.group_b_ports + pb > Model.b_ports)
   then begin
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
@@ -265,12 +254,13 @@ let enter_bundle m code pc (b : Insn.bundle) =
   m.pending_stop <- b.Insn.stop;
   m.c.Counters.bundles_retired <- m.c.Counters.bundles_retired + 1
 
-(* Issue one instruction consuming [mem]/[fp] unit slots. *)
-let issue_slot m ~mem ~fp =
+(* Issue one instruction, taking a memory and/or FP port by its class. *)
+let issue_slot m (ins : Insn.insn) =
+  let mem = Insn.takes_mem ins and fp = Insn.takes_fp ins in
   if
-    m.group_slots >= issue_width
-    || (mem && m.group_mem >= mem_per_cycle)
-    || (fp && m.group_fp >= fp_per_cycle)
+    m.group_slots >= Model.issue_width
+    || (mem && m.group_mem >= Model.mem_ports)
+    || (fp && m.group_fp >= Model.fp_ports)
   then new_group m;
   m.group_slots <- m.group_slots + 1;
   if mem then m.group_mem <- m.group_mem + 1;
@@ -314,8 +304,6 @@ let write_dest fr (d : Insn.dest) v ~ready ~mem =
   match d with
   | Insn.DInt r -> write_int fr r v ~ready ~mem
   | Insn.DFlt f -> write_fp fr f v ~ready ~mem
-
-let src_is_fp = function Insn.SFrg _ | Insn.SFim _ -> true | Insn.SReg _ | Insn.SImm _ -> false
 
 (* --- ALU semantics --- *)
 
@@ -430,11 +418,11 @@ and exec_from m fr pc : Value.t option =
         ("op", J.String (op_name ins)) ]);
   match ins with
   | Insn.Movl { dst; imm } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     write_int fr dst (Value.Vint imm) ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Gaddr { dst; sym } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     let addr =
       match Hashtbl.find_opt m.globals sym with
       | Some a -> a
@@ -444,41 +432,44 @@ and exec_from m fr pc : Value.t option =
     exec_from m fr (pc + 1)
   | Insn.Mov { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:(src_is_fp src);
+    issue_slot m ins;
     write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Alu { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:false;
-    let lat = match op with Insn.Amul -> 3 | Insn.Adiv | Insn.Arem -> 20 | _ -> 1 in
-    write_int fr dst (ialu_eval op va vb) ~ready:(m.cycle + lat) ~mem:false;
+    issue_slot m ins;
+    write_int fr dst (ialu_eval op va vb)
+      ~ready:(m.cycle + Insn.ialu_latency op) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Falu { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:true;
-    let lat = match op with Insn.FAdiv -> 30 | _ -> 4 in
-    write_fp fr dst (falu_eval op va vb) ~ready:(m.cycle + lat) ~mem:false;
+    issue_slot m ins;
+    write_fp fr dst (falu_eval op va vb)
+      ~ready:(m.cycle + Insn.falu_latency op) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Fcmp { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:true;
-    write_int fr dst (fcmp_eval op va vb) ~ready:(m.cycle + 2) ~mem:false;
+    issue_slot m ins;
+    write_int fr dst (fcmp_eval op va vb)
+      ~ready:(m.cycle + Insn.fcmp_latency) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Itof { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:true;
-    write_fp fr dst (Value.Vflt (Int64.to_float (Value.to_int v))) ~ready:(m.cycle + 4) ~mem:false;
+    issue_slot m ins;
+    write_fp fr dst (Value.Vflt (Int64.to_float (Value.to_int v)))
+      ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Ftoi { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:true;
-    write_int fr dst (Value.Vint (Int64.of_float (Value.to_flt v))) ~ready:(m.cycle + 4) ~mem:false;
+    issue_slot m ins;
+    write_int fr dst (Value.Vint (Int64.of_float (Value.to_flt v)))
+      ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
     exec_from m fr (pc + 1)
-  | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc kind dst base site
+  | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc ins kind dst base site
   | Insn.St { src; base; site } ->
     let v = read_src fr m src in
     let a = Value.to_int (read_int fr m base) in
-    issue_slot m ~mem:true ~fp:false;
+    issue_slot m ins;
     Memory.store m.mem a v;
     Cache.store_touch m.cache a;
     m.c.Counters.stores_retired <- m.c.Counters.stores_retired + 1;
@@ -495,7 +486,7 @@ and exec_from m fr pc : Value.t option =
           ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ];
     exec_from m fr (pc + 1)
   | Insn.Chk_a { tag; recovery; site } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
     ev m ~site Site_hist.Checks_retired;
     if Alat.check m.alat (alat_tag fr tag) ~clear:false then exec_from m fr (pc + 1)
@@ -504,28 +495,28 @@ and exec_from m fr pc : Value.t option =
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
       tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
-      advance_cycles m check_recovery_penalty;
+      advance_cycles m Model.check_recovery_penalty;
       exec_from m fr recovery
     end
   | Insn.Invala_e { tag } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     m.c.Counters.invala_retired <- m.c.Counters.invala_retired + 1;
     Alat.remove m.alat (alat_tag fr tag);
     exec_from m fr (pc + 1)
   | Insn.Sel { dst; cond; if_true; if_false } ->
     let vc = read_int fr m cond in
     let vt = read_src fr m if_true and vf = read_src fr m if_false in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     let v = if Value.truthy vc then vt else vf in
     write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Br { target } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     new_group m; (* taken-branch redirect *)
     exec_from m fr target
   | Insn.Brc { cond; ifso; ifnot; site } ->
     let vc = read_int fr m cond in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     let taken = Value.truthy vc in
     let target = if taken then ifso else ifnot in
     (* Static prediction: backward taken, forward not taken, decided by the
@@ -538,13 +529,13 @@ and exec_from m fr pc : Value.t option =
       ev m ~site Site_hist.Branch_mispredicts;
       tr m "br.mispredict"
         [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
-      advance_cycles m mispredict_penalty
+      advance_cycles m Model.mispredict_penalty
     end
     else if target <> pc + 1 then new_group m;
     exec_from m fr target
   | Insn.Call { callee; args; ret } -> (
     let vargs = List.map (read_src fr m) args in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     new_group m;
     let g =
       match Hashtbl.find_opt m.prog.Insn.funcs callee with
@@ -560,36 +551,32 @@ and exec_from m fr pc : Value.t option =
     exec_from m fr (pc + 1))
   | Insn.Ret { value } ->
     let v = Option.map (read_src fr m) value in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     new_group m;
     v
   | Insn.Alloc { dst; nbytes; site } ->
     let n = Int64.to_int (Value.to_int (read_src fr m nbytes)) in
-    issue_slot m ~mem:false ~fp:false;
-    advance_cycles m 20; (* allocator runtime cost *)
+    issue_slot m ins;
+    advance_cycles m Model.alloc_cycles;
     let base = Memory.alloc m.mem ~size:(max 8 n) ~loc:(Location.Heap site) in
     write_int fr dst (Value.Vint base) ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Print { what; as_float } ->
     let v = read_src fr m what in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     if as_float then Buffer.add_string m.output (Fmt.str "%.6f\n" (Value.to_flt v))
     else Buffer.add_string m.output (Fmt.str "%Ld\n" (Value.to_int v));
     exec_from m fr (pc + 1)
   | Insn.Nop ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m ins;
     m.c.Counters.nops_emitted <- m.c.Counters.nops_emitted + 1;
     exec_from m fr (pc + 1)
 
-and exec_load m fr pc (kind : Insn.ld_kind) (dst : Insn.dest) base site :
+and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     Value.t option =
   let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
   let a = Value.to_int (read_int fr m base) in
-  (* a check load is "processed like a no-op when the check is successful"
-     (paper section 1): it takes an issue slot but no memory unit; real
-     loads occupy one of the two memory slots *)
-  let is_check = match kind with Insn.K_ld_c _ -> true | _ -> false in
-  issue_slot m ~mem:(not is_check) ~fp:(fp && not is_check);
+  issue_slot m ins;
   let tag = alat_tag fr dst in
   let do_load () =
     let lat = Cache.load_latency m.cache m.c ~fp a in

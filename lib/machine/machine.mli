@@ -1,5 +1,7 @@
 (** The machine: functional execution of target code interleaved with an
-    in-order, 6-issue pipeline timing model (a 733 MHz Itanium in spirit).
+    in-order pipeline timing model (a 733 MHz Itanium in spirit) that
+    charges exactly the numbers of {!Srp_ir.Machine_model} and the
+    per-opcode tables of {!Srp_target.Insn}.
 
     - Issue groups hold up to 6 instructions with at most 2 memory ops and
       2 FP ops per cycle; a register scoreboard stalls issue until operands

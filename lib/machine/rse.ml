@@ -3,18 +3,18 @@
    Each function allocates its integer register frame at the prologue; a
    fixed pool of physical stacked registers backs the frames of the whole
    call stack.  When an allocation overflows the physical file, the RSE
-   spills the oldest frames' registers to the backing store at one
-   register per cycle; when a return re-exposes a spilled frame, the RSE
-   fills it back.  rse_cycles is the spill+fill traffic — the paper's
-   observation is that promotion grows frames slightly, so rse_cycles can
-   rise by tens of percent while remaining a vanishing fraction of total
-   cycles.
+   spills the oldest frames' registers to the backing store; when a return
+   re-exposes a spilled frame, the RSE fills it back, each register
+   costing Machine_model.rse_cycles_per_reg either way.  rse_cycles is
+   the spill+fill traffic — the paper's observation is that promotion
+   grows frames slightly, so rse_cycles can rise by tens of percent while
+   remaining a vanishing fraction of total cycles.
 
-   The default pool is 24, a scaled-down stand-in for Itanium's 96
-   stacked registers: our kernels are similarly scaled-down extracts, and
-   at 96 no kernel's call stack ever overflows the file, which would make
-   the RSE columns of the experiment tables identically zero.  Tests that
-   model the real machine pass ~phys_total:96 explicitly. *)
+   The default pool is Machine_model.rse_pool (24, a scaled-down stand-in
+   for Itanium's 96); tests that model the real machine pass
+   ~phys_total:96 explicitly. *)
+
+module Model = Srp_ir.Machine_model
 
 type frame = { nregs : int; mutable spilled : int (* regs currently in backing store *) }
 
@@ -24,7 +24,8 @@ type t = {
   phys_total : int;
 }
 
-let create ?(phys_total = 24) () = { stack = []; phys_used = 0; phys_total }
+let create ?(phys_total = Model.rse_pool) () =
+  { stack = []; phys_used = 0; phys_total }
 
 (* Occupancy views for the timeline sampler: dirty = stacked registers
    resident in the physical file (the RSE would have to spill them),
@@ -39,7 +40,7 @@ let call t (c : Counters.t) ~nregs : int =
   t.phys_used <- t.phys_used + nregs;
   if c.Counters.max_stacked_regs < t.phys_used then
     c.Counters.max_stacked_regs <- t.phys_used;
-  let spill_cost = ref 0 in
+  let spilled = ref 0 in
   if t.phys_used > t.phys_total then begin
     (* spill oldest frames until the new frame fits *)
     let rec spill_oldest = function
@@ -56,7 +57,7 @@ let call t (c : Counters.t) ~nregs : int =
             let n = min resident need in
             oldest.spilled <- oldest.spilled + n;
             t.phys_used <- t.phys_used - n;
-            spill_cost := !spill_cost + n;
+            spilled := !spilled + n;
             c.Counters.rse_spilled_regs <- c.Counters.rse_spilled_regs + n;
             if t.phys_used > t.phys_total then
               spill_oldest (List.filteri (fun i _ -> i < List.length fs - 1) fs)
@@ -65,8 +66,9 @@ let call t (c : Counters.t) ~nregs : int =
     in
     spill_oldest t.stack
   end;
-  c.Counters.rse_cycles <- c.Counters.rse_cycles + !spill_cost;
-  !spill_cost
+  let cycles = !spilled * Model.rse_cycles_per_reg in
+  c.Counters.rse_cycles <- c.Counters.rse_cycles + cycles;
+  cycles
 
 (* Return from the innermost frame; returns cycles spent filling the
    caller's spilled registers. *)
@@ -83,7 +85,7 @@ let ret t (c : Counters.t) : int =
         caller.spilled <- 0;
         t.phys_used <- t.phys_used + n;
         c.Counters.rse_filled_regs <- c.Counters.rse_filled_regs + n;
-        n
+        n * Model.rse_cycles_per_reg
       | _ -> 0
     in
     c.Counters.rse_cycles <- c.Counters.rse_cycles + fill_cost;

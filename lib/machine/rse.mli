@@ -1,11 +1,11 @@
 (** Register Stack Engine model (paper Figure 11).
 
     Every function allocates its integer register frame at the prologue;
-    a fixed pool of physical stacked registers (default 24, a
-    scaled-down stand-in for Itanium's 96 to match our scaled-down
-    kernels) backs the frames of the whole call stack.  Overflow spills
-    the oldest frames to the backing store at one register per cycle; a
-    return that re-exposes a spilled frame fills it back.
+    a fixed pool of physical stacked registers (default
+    {!Srp_ir.Machine_model.rse_pool}) backs the frames of the whole call
+    stack.  Overflow spills the oldest frames to the backing store, a
+    return that re-exposes a spilled frame fills it back, each at
+    {!Srp_ir.Machine_model.rse_cycles_per_reg} per register.
     The paper's observation — promotion widens frames slightly, so RSE
     traffic can rise by tens of percent while remaining a vanishing
     fraction of execution — reproduces through this model. *)

@@ -29,8 +29,6 @@ type t = {
   mutable last_l2_misses : int;
 }
 
-let issue_width = 6
-
 let create ?(interval = 1000) (sink : Srp_obs.Trace.sink) : t =
   if interval < 1 then
     Fmt.invalid_arg "Timeline.create: interval %d" interval;
@@ -48,7 +46,7 @@ let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
     if dcycles <= 0 then 0.0
     else
       float_of_int (instrs - t.last_instrs)
-      /. float_of_int (issue_width * dcycles)
+      /. float_of_int (Srp_ir.Machine_model.issue_width * dcycles)
   in
   Srp_obs.Trace.emit t.sink ~cycle "timeline"
     [ ("alat_live", J.Int alat_live);

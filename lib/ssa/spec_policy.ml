@@ -156,13 +156,6 @@ let is_profiled t = match t.mode with Profile _ -> true | Never | Heuristic -> f
 
 (* --- cost-model inputs threaded to the promoter --- *)
 
-type latency_class =
-  | Lat_l1 (* integer loads: L1 hit, 2 cycles on the modeled machine *)
-  | Lat_fp (* floating-point loads bypass L1, 9 cycles *)
-
-let latency_class (mty : Mem_ty.t) : latency_class =
-  match mty with Mem_ty.I64 -> Lat_l1 | Mem_ty.F64 -> Lat_fp
-
 (* How many dynamic executions one static occurrence stands for.  With a
    profile the training block count is the estimate (a never-executed
    block contributes nothing); without one every occurrence counts once. *)

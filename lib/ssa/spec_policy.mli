@@ -43,15 +43,6 @@ val call_may_touch : t -> callee:string -> site:Site.t -> Srp_alias.Location.t -
 
 val is_profiled : t -> bool
 
-(** Latency class of a promoted load, the benefit side of the pressure
-    cost model: integer loads are L1 hits (2 cycles on the modeled
-    machine), floating-point loads bypass L1 (9 cycles). *)
-type latency_class =
-  | Lat_l1
-  | Lat_fp
-
-val latency_class : Mem_ty.t -> latency_class
-
 (** How many dynamic executions one static occurrence stands for: the
     training block count under a profile (0 for a never-executed block),
     1 per occurrence otherwise. *)

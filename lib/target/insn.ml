@@ -98,6 +98,33 @@ let is_advanced_load = function
   | Ld { kind = K_ld_a | K_ld_sa; _ } -> true
   | _ -> false
 
+(* --- per-opcode timing: what the machine charges and the scheduler
+   schedules against (machine-wide facts: Srp_ir.Machine_model) ---
+
+   Result latency: cycles from issue until a dependent may issue.  Every
+   opcode not listed here produces in one cycle, except loads, whose
+   latency the cache decides. *)
+let[@inline] ialu_latency = function Amul -> 3 | Adiv | Arem -> 20 | _ -> 1
+let[@inline] falu_latency = function FAdiv -> 30 | _ -> 4
+let fcmp_latency = 2
+let cvt_latency = 4 (* itof / ftoi *)
+
+(* Issue classes: loads and stores take a memory port, except check loads
+   (an ALAT hit is processed like a no-op and never touches memory, paper
+   section 1); the FP ports serve FP arithmetic, conversions, FP-sourced
+   movs and FP loads. *)
+let[@inline] takes_mem = function
+  | Ld { kind = K_ld_c _; _ } -> false
+  | Ld _ | St _ -> true
+  | _ -> false
+
+let[@inline] takes_fp = function
+  | Falu _ | Fcmp _ | Itof _ | Ftoi _ -> true
+  | Mov { src = SFrg _ | SFim _; _ } -> true
+  | Ld { kind = K_ld_c _; _ } -> false
+  | Ld { dst = DFlt _; _ } -> true
+  | _ -> false
+
 (* --- IA-64 bundles ---
 
    A bundle holds three syllables dispensed to M (memory), I (integer),

@@ -20,8 +20,8 @@
       order.  Only pure register compute (movl/mov/alu/falu/fcmp/
       itof/ftoi/sel/nop) moves across them.
    2. Register dependences are edges.  RAW edges are weighted with the
-      producer's result latency (the machine's table: L1-hit loads
-      [Config.Sched.lat_l1]/[lat_fp], fdiv 30, mul 3, …); WAR and WAW
+      producer's result latency (the machine's: L1-hit loads
+      [Machine_model.lat_l1]/[lat_fp], the opcode table in Insn); WAR and WAW
       edges are order-only.  The ALAT arm→check contract needs no extra
       machinery: a check load or chk.a *uses* its tag register
       (Regalloc.uses_defs), so the RAW edge from the arming ld.a — plus
@@ -33,15 +33,15 @@
       layout.ml) are never entered mid-stream.
 
    Within those constraints a greedy cycle-driven list scheduler issues
-   by critical-path height over a mirror of the machine's issue
-   resources (6 slots/cycle, 2 memory, 2 FP; ld.c occupies neither,
-   matching machine.ml's hit-path dispensation), with
-   [Config.Sched.hoist_bonus] added to advanced loads so ld.a/ld.sa win
+   by critical-path height over the machine's issue resources
+   (Machine_model's issue width and memory/FP ports, Insn's issue
+   classes: ld.c occupies neither port), with
+   [hoist_bonus] added to advanced loads so ld.a/ld.sa win
    ties against equally-critical compute and issue as early as their
    block allows.  Ties break on original index: the pass is a pure,
    deterministic function of the instruction stream. *)
 
-module W = Srp_core.Config.Sched
+module Model = Srp_ir.Machine_model
 
 type stats = {
   mutable blocks : int; (* blocks considered (>= 2 movable insns) *)
@@ -49,43 +49,25 @@ type stats = {
   mutable hoist : int; (* slots of upward motion summed over ld.a/ld.sa *)
 }
 
-let issue_width = 6
-let mem_per_cycle = 2
-let fp_per_cycle = 2
+(* Critical-path priority bonus for ld.a/ld.sa, so advanced loads issue
+   as early as their block allows: the speculative hoist-distance tuning. *)
+let hoist_bonus = 4
 
-(* Result latency in cycles before a dependent may issue: machine.ml's
-   execution table, with loads priced at their L1-hit latency (the
-   scheduler cannot know about misses; the common case is what the
-   stream should be shaped for).  A check load is priced as a hit — the
-   whole point of promotion is that it usually is one. *)
-let latency (w : W.t) (ins : Insn.insn) : int =
+(* Result latency in cycles before a dependent may issue: the machine's
+   charges, with loads priced at their L1-hit latency (the scheduler
+   cannot know about misses; the common case is what the stream should
+   be shaped for).  A check load is priced as a hit — the whole point of
+   promotion is that it usually is one. *)
+let latency (ins : Insn.insn) : int =
   match ins with
-  | Insn.Alu { op = Insn.Amul; _ } -> 3
-  | Insn.Alu { op = Insn.Adiv | Insn.Arem; _ } -> 20
-  | Insn.Falu { op = Insn.FAdiv; _ } -> 30
-  | Insn.Falu _ -> 4
-  | Insn.Fcmp _ -> 2
-  | Insn.Itof _ | Insn.Ftoi _ -> 4
+  | Insn.Alu { op; _ } -> Insn.ialu_latency op
+  | Insn.Falu { op; _ } -> Insn.falu_latency op
+  | Insn.Fcmp _ -> Insn.fcmp_latency
+  | Insn.Itof _ | Insn.Ftoi _ -> Insn.cvt_latency
   | Insn.Ld { kind = Insn.K_ld_c _; _ } -> 1
-  | Insn.Ld { dst = Insn.DFlt _; _ } -> w.W.lat_fp
-  | Insn.Ld _ -> w.W.lat_l1
+  | Insn.Ld { dst = Insn.DFlt _; _ } -> Model.lat_fp
+  | Insn.Ld _ -> Model.lat_l1
   | _ -> 1
-
-(* Issue-resource classes, mirroring machine.ml's [issue_slot]: loads and
-   stores take a memory port except check loads (an ALAT hit never
-   touches memory); the FP ports serve FP arithmetic, conversions,
-   FP-sourced movs and FP loads. *)
-let takes_mem = function
-  | Insn.Ld { kind = Insn.K_ld_c _; _ } -> false
-  | Insn.Ld _ | Insn.St _ -> true
-  | _ -> false
-
-let takes_fp = function
-  | Insn.Falu _ | Insn.Fcmp _ | Insn.Itof _ | Insn.Ftoi _ -> true
-  | Insn.Mov { src = Insn.SFrg _ | Insn.SFim _; _ } -> true
-  | Insn.Ld { kind = Insn.K_ld_c _; _ } -> false
-  | Insn.Ld { dst = Insn.DFlt _; _ } -> true
-  | _ -> false
 
 (* Exact packing cost (pad nops, stops) of one candidate block order, by
    running the bundler itself over an isolated copy.  Every leader starts
@@ -112,13 +94,13 @@ let pack_cost (block : Insn.insn array) : int * int =
 
 (* Schedule [code[lo, hi)] in place into [out[lo, hi)].  Returns unit;
    [out] must already hold a copy of [code]. *)
-let schedule_block (w : W.t) stats (code : Insn.insn array)
+let schedule_block stats (code : Insn.insn array)
     (out : Insn.insn array) lo hi =
   let n = hi - lo in
   let has_term = n > 0 && Insn.is_terminal code.(hi - 1) in
   let nsched = if has_term then n - 1 else n in
   let ins k = code.(lo + k) in
-  let lat = Array.init n (fun k -> latency w (ins k)) in
+  let lat = Array.init n (fun k -> latency (ins k)) in
   (* A block of nothing but 1-cycle producers has no latency to hide:
      reordering it can only churn the bundler's packing (more pad nops,
      different stop placement) for zero stall savings, so leave it in
@@ -184,7 +166,7 @@ let schedule_block (w : W.t) stats (code : Insn.insn array)
           (fun acc (j, wt) -> max acc (wt + height.(j)))
           lat.(k) succs.(k)
       in
-      height.(k) <- (if Insn.is_advanced_load (ins k) then h + w.W.hoist_bonus
+      height.(k) <- (if Insn.is_advanced_load (ins k) then h + hoist_bonus
                      else h)
     done;
     (* --- greedy cycle-driven issue over the machine's resource mirror --- *)
@@ -202,9 +184,9 @@ let schedule_block (w : W.t) stats (code : Insn.insn array)
           (not done_.(k))
           && indeg.(k) = 0
           && earliest.(k) <= !time
-          && !slots < issue_width
-          && ((not (takes_mem (ins k))) || !mems < mem_per_cycle)
-          && ((not (takes_fp (ins k))) || !fps < fp_per_cycle)
+          && !slots < Model.issue_width
+          && ((not (Insn.takes_mem (ins k))) || !mems < Model.mem_ports)
+          && ((not (Insn.takes_fp (ins k))) || !fps < Model.fp_ports)
           && (!best < 0 || height.(k) >= height.(!best))
         then best := k
       done;
@@ -228,8 +210,8 @@ let schedule_block (w : W.t) stats (code : Insn.insn array)
         order.(!placed) <- k;
         incr placed;
         incr slots;
-        if takes_mem (ins k) then incr mems;
-        if takes_fp (ins k) then incr fps;
+        if Insn.takes_mem (ins k) then incr mems;
+        if Insn.takes_fp (ins k) then incr fps;
         List.iter
           (fun (j, wt) ->
             indeg.(j) <- indeg.(j) - 1;
@@ -268,7 +250,7 @@ let schedule_block (w : W.t) stats (code : Insn.insn array)
     end
   end
 
-let run ?stats ?(weights = W.default) (code : Insn.insn array) :
+let run ?stats (code : Insn.insn array) :
     Insn.insn array =
   let n = Array.length code in
   if n = 0 then code
@@ -303,7 +285,7 @@ let run ?stats ?(weights = W.default) (code : Insn.insn array) :
     let lo = ref 0 in
     for i = 1 to n do
       if i = n || is_leader.(i) then begin
-        schedule_block weights st code out !lo i;
+        schedule_block st code out !lo i;
         lo := i
       end
     done;

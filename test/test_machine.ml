@@ -5,6 +5,7 @@ module Alat = Srp_machine.Alat
 module Cache = Srp_machine.Cache
 module Rse = Srp_machine.Rse
 module Counters = Srp_machine.Counters
+module Model = Srp_ir.Machine_model
 
 (* --- ALAT unit tests --- *)
 
@@ -89,19 +90,19 @@ let test_cache_hit_miss () =
   let c = Cache.create () in
   let ctr = Counters.create () in
   let lat1 = Cache.load_latency c ctr ~fp:false 0x4000L in
-  Alcotest.(check bool) "cold miss is slow" true (lat1 > Cache.lat_l1);
+  Alcotest.(check bool) "cold miss is slow" true (lat1 > Model.lat_l1);
   let lat2 = Cache.load_latency c ctr ~fp:false 0x4000L in
-  Alcotest.(check int) "warm hit is 2 cycles" Cache.lat_l1 lat2;
+  Alcotest.(check int) "warm hit is 2 cycles" Model.lat_l1 lat2;
   (* same line, different word: still a hit *)
   let lat3 = Cache.load_latency c ctr ~fp:false 0x4008L in
-  Alcotest.(check int) "same line hits" Cache.lat_l1 lat3
+  Alcotest.(check int) "same line hits" Model.lat_l1 lat3
 
 let test_cache_fp_latency () =
   let c = Cache.create () in
   let ctr = Counters.create () in
   ignore (Cache.load_latency c ctr ~fp:true 0x8000L);
   let lat = Cache.load_latency c ctr ~fp:true 0x8000L in
-  Alcotest.(check int) "fp loads cost 9 cycles even when resident" Cache.lat_fp lat
+  Alcotest.(check int) "fp loads cost 9 cycles even when resident" Model.lat_fp lat
 
 let test_cache_capacity () =
   let c = Cache.create () in
@@ -111,7 +112,7 @@ let test_cache_capacity () =
     ignore (Cache.load_latency c ctr ~fp:false (Int64.of_int (i * 64)))
   done;
   let lat = Cache.load_latency c ctr ~fp:false 0x0L in
-  Alcotest.(check bool) "evicted line misses L1" true (lat > Cache.lat_l1)
+  Alcotest.(check bool) "evicted line misses L1" true (lat > Model.lat_l1)
 
 (* --- RSE tests --- *)
 
@@ -158,12 +159,16 @@ let test_rse_deep_recursion () =
 
 module Insn = Srp_target.Insn
 
-let raw_main code ~nregs =
-  let funcs = Hashtbl.create 1 in
-  Hashtbl.replace funcs "main"
-    { Insn.name = "main"; formals = []; code; bundles = None; nregs;
-      nfregs = 0; frame_bytes = 0; slot_of_sym = Hashtbl.create 1 };
-  { Insn.funcs; func_order = [ "main" ]; globals = [] }
+let raw_func ?(nfregs = 0) ?(frame_bytes = 0) name code ~nregs =
+  { Insn.name; formals = []; code; bundles = None; nregs; nfregs;
+    frame_bytes; slot_of_sym = Hashtbl.create 1 }
+
+let raw_program fs =
+  let funcs = Hashtbl.create 2 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Insn.name f) fs;
+  { Insn.funcs; func_order = List.map (fun f -> f.Insn.name) fs; globals = [] }
+
+let raw_main code ~nregs = raw_program [ raw_func "main" code ~nregs ]
 
 let run_raw code ~nregs =
   let exit_code, _, c = Srp_machine.Machine.run_program (raw_main code ~nregs) in
@@ -234,6 +239,121 @@ let test_predict_taken_to_next_pc () =
   Alcotest.(check int64) "lands on next pc" 0L exit_code;
   Alcotest.(check int) "taken-to-next-pc still mispredicts" 1
     c.Counters.branch_mispredicts
+
+(* --- measured charges ---
+
+   Small hand-assembled programs that each isolate one charge, pinned to
+   Srp_ir.Machine_model: a private copy of a latency, penalty or RSE rate
+   that disagreed with the model (in the machine or in the promoter's
+   pricing) fails here. *)
+
+(* A load of a line the preceding store just brought in hits; its
+   consumer opens the next issue group and stalls for the rest of the
+   load latency, all of it data access. *)
+let load_use_stall ~fp =
+  let dst, use =
+    if fp then
+      ( Insn.DFlt 0,
+        Insn.Falu { op = Insn.FAadd; dst = 1; a = Insn.SFrg 0; b = Insn.SFrg 0 } )
+    else
+      ( Insn.DInt 1,
+        Insn.Alu { op = Insn.Aadd; dst = 2; a = Insn.SReg 1; b = Insn.SReg 1 } )
+  in
+  let code =
+    [| Insn.St { src = Insn.SImm 0L; base = Insn.sp; site = 1 };
+       Insn.Ld { kind = Insn.K_ld; dst; base = Insn.sp; site = 2 };
+       use;
+       Insn.Ret { value = None } |]
+  in
+  let main = raw_func ~nfregs:2 ~frame_bytes:8 "main" code ~nregs:3 in
+  let _, _, c = Srp_machine.Machine.run_program (raw_program [ main ]) in
+  c.Counters.data_access_cycles
+
+let test_charge_load_latency () =
+  Alcotest.(check int) "integer L1 hit ready after lat_l1"
+    (Model.lat_l1 - 1) (load_use_stall ~fp:false);
+  Alcotest.(check int) "fp load ready after lat_fp" (Model.lat_fp - 1)
+    (load_use_stall ~fp:true)
+
+(* A chk.a whose entry a store killed, against the same program with an
+   unconditional branch into the recovery code in its place: both run the
+   same reload, so the difference is the recovery penalty alone. *)
+let test_charge_check_recovery () =
+  let run at3 =
+    let code =
+      [| Insn.St { src = Insn.SImm 0L; base = Insn.sp; site = 1 };
+         Insn.Ld { kind = Insn.K_ld_a; dst = Insn.DInt 1; base = Insn.sp; site = 2 };
+         Insn.St { src = Insn.SImm 5L; base = Insn.sp; site = 3 };
+         at3;
+         Insn.Ret { value = Some (Insn.SReg 1) };
+         Insn.Ld { kind = Insn.K_ld; dst = Insn.DInt 1; base = Insn.sp; site = 2 };
+         Insn.Br { target = 4 } |]
+    in
+    let main = raw_func ~frame_bytes:8 "main" code ~nregs:2 in
+    let exit_code, _, c = Srp_machine.Machine.run_program (raw_program [ main ]) in
+    Alcotest.(check int64) "recovery reloads the stored value" 5L exit_code;
+    c
+  in
+  let failed = run (Insn.Chk_a { tag = Insn.DInt 1; recovery = 5; site = 2 }) in
+  let branched = run (Insn.Br { target = 5 }) in
+  Alcotest.(check int) "the check failed" 1 failed.Counters.check_failures;
+  Alcotest.(check int) "failure costs check_recovery_penalty on top"
+    Model.check_recovery_penalty
+    (failed.Counters.cycles - branched.Counters.cycles)
+
+(* main fills the RSE pool and calls a k-register leaf: the call spills k
+   registers and the return fills them back. *)
+let test_charge_rse_overflow () =
+  let k = 5 in
+  let run ~main_regs =
+    let main =
+      raw_func "main"
+        [| Insn.Call { callee = "leaf"; args = []; ret = None };
+           Insn.Ret { value = None } |]
+        ~nregs:main_regs
+    in
+    let leaf = raw_func "leaf" [| Insn.Ret { value = None } |] ~nregs:k in
+    let _, _, c = Srp_machine.Machine.run_program (raw_program [ main; leaf ]) in
+    c
+  in
+  let over = run ~main_regs:Model.rse_pool in
+  let fits = run ~main_regs:(Model.rse_pool - k) in
+  let charge = 2 * k * Model.rse_cycles_per_reg in
+  Alcotest.(check int) "k registers out" k over.Counters.rse_spilled_regs;
+  Alcotest.(check int) "k registers back" k over.Counters.rse_filled_regs;
+  Alcotest.(check int) "rse cycles" charge over.Counters.rse_cycles;
+  Alcotest.(check int) "no traffic within the pool" 0 fits.Counters.rse_cycles;
+  Alcotest.(check int) "overflow costs one cycle per register each way"
+    charge
+    (over.Counters.cycles - fits.Counters.cycles)
+
+(* The promoter's benefit side: g + g has one redundant integer load,
+   weight 1 without a profile, credited with the machine's L1 hit. *)
+let test_charge_assess_l1 () =
+  let prog =
+    Srp_frontend.Lower.compile_source
+      "int g; int main() { print_int(g + g); return 0; }"
+  in
+  let f = Srp_ir.Program.find_func prog "main" in
+  let config = Srp_core.Config.conservative in
+  let mgr = Srp_alias.Manager.build prog in
+  let collect =
+    { Srp_core.Expr.mgr; modref = Srp_alias.Modref.compute mgr prog;
+      policy = Srp_core.Promote.policy_of_config prog config;
+      style = config.Srp_core.Config.check_style; cascade = false;
+      prob_gate = None; cfg = Srp_ir.Cfg.build f }
+  in
+  let ctx =
+    { Srp_core.Ssapre.config; profile_hot = (fun ~func:_ ~label_id:_ -> 0);
+      site_gen = prog.Srp_ir.Program.site_gen }
+  in
+  match Srp_core.Expr.candidates ~indirect:false f with
+  | [ key ] ->
+    let a = Srp_core.Ssapre.assess ctx collect f key in
+    Alcotest.(check int) "one eliminated use" 1 a.Srp_core.Ssapre.as_occ;
+    Alcotest.(check int) "credited lat_l1" Model.lat_l1
+      a.Srp_core.Ssapre.as_benefit
+  | keys -> Alcotest.failf "expected one candidate, got %d" (List.length keys)
 
 (* --- machine vs interpreter differential on hand-written programs --- *)
 
@@ -334,9 +454,8 @@ int main() {
   Alcotest.(check bool) "cycles positive" true (c.Counters.cycles > 0);
   Alcotest.(check bool) "instrs >= loads + stores" true
     (c.Counters.instrs_retired >= c.Counters.loads_retired + c.Counters.stores_retired);
-  (* 6-wide machine: cycles >= instrs / 6 *)
   Alcotest.(check bool) "ipc bounded by width" true
-    (c.Counters.cycles * 6 >= c.Counters.instrs_retired)
+    (c.Counters.cycles * Model.issue_width >= c.Counters.instrs_retired)
 
 let test_machine_fuel () =
   let src = "int main() { while (1) { } return 0; }" in
@@ -365,6 +484,10 @@ let suite =
     Alcotest.test_case "predict not-taken forward" `Quick test_predict_not_taken_forward;
     Alcotest.test_case "predict not-taken backward" `Quick test_predict_not_taken_backward;
     Alcotest.test_case "predict taken to next pc" `Quick test_predict_taken_to_next_pc;
+    Alcotest.test_case "charge: load latency" `Quick test_charge_load_latency;
+    Alcotest.test_case "charge: chk.a recovery" `Quick test_charge_check_recovery;
+    Alcotest.test_case "charge: rse overflow" `Quick test_charge_rse_overflow;
+    Alcotest.test_case "charge: promoter prices lat_l1" `Quick test_charge_assess_l1;
     Alcotest.test_case "machine arith (vs interp)" `Quick test_machine_arith;
     Alcotest.test_case "machine control flow (vs interp)" `Quick test_machine_control;
     Alcotest.test_case "machine heap/structs (vs interp)" `Quick test_machine_heap_structs;

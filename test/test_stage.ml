@@ -174,23 +174,31 @@ let test_stage_keys () =
        :: List.map Stage.Key.config_fingerprint
             [ Srp_core.Config.conservative; Srp_core.Config.baseline;
               Srp_core.Config.alat_heuristic;
-              { Srp_core.Config.baseline with Srp_core.Config.max_rounds = 1 };
-              (* every pressure-gate parameter must reach the fingerprint:
-                 a tuned knob served a stale cached promote artifact would
-                 silently undo the tuning *)
-              { Srp_core.Config.baseline with Srp_core.Config.pressure = false };
+              (* one case per Config field: a knob that did not reach the
+                 fingerprint would be served a stale cached promote
+                 artifact, silently undoing the setting *)
               { Srp_core.Config.baseline with
-                Srp_core.Config.pressure_threshold = 16 };
-              { Srp_core.Config.baseline with Srp_core.Config.lat_l1 = 3 };
-              { Srp_core.Config.baseline with Srp_core.Config.lat_fp = 12 };
-              { Srp_core.Config.baseline with Srp_core.Config.spill_cost = 6 };
-              { Srp_core.Config.baseline with Srp_core.Config.estimator = 3 };
-              (* the probabilistic-gate knobs likewise *)
+                Srp_core.Config.policy = Srp_core.Config.Spec_heuristic };
+              (* a profile policy is keyed by the profile's content *)
+              { Srp_core.Config.baseline with
+                Srp_core.Config.policy =
+                  Srp_core.Config.Spec_profile
+                    (Srp_profile.Alias_profile.create ()) };
+              { Srp_core.Config.baseline with
+                Srp_core.Config.policy =
+                  Srp_core.Config.Spec_profile
+                    (let p = Srp_profile.Alias_profile.create () in
+                     Srp_profile.Alias_profile.record_block p ~func:"main"
+                       ~label_id:0;
+                     p) };
+              { Srp_core.Config.baseline with Srp_core.Config.control_spec = true };
+              { Srp_core.Config.baseline with Srp_core.Config.use_invala = true };
+              { Srp_core.Config.baseline with Srp_core.Config.max_rounds = 1 };
+              { Srp_core.Config.baseline with Srp_core.Config.cascade = true };
+              { Srp_core.Config.baseline with Srp_core.Config.pressure = false };
               { Srp_core.Config.baseline with Srp_core.Config.prob = false };
               { Srp_core.Config.baseline with
-                Srp_core.Config.spec_threshold = 0.25 };
-              { Srp_core.Config.baseline with
-                Srp_core.Config.recovery_penalty = 7 }
+                Srp_core.Config.spec_threshold = 0.25 }
             ]));
   let pk = Stage.Key.promote ~applied_key:ak ~config:"none" in
   let sk = Stage.Key.select ~promote_key:pk in
