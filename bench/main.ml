@@ -1,6 +1,7 @@
 (* The benchmark harness: regenerates every figure of the paper's
    evaluation (section 4) plus the ablations from DESIGN.md, then runs a
-   Bechamel micro-benchmark group over the compiler phases.
+   Bechamel micro-benchmark group over the compiler phases and the
+   simulator's memory and per-site histogram.
 
    Usage: dune exec bench/main.exe [-- --quick] *)
 
@@ -194,23 +195,70 @@ let () =
              ignore (Srp_machine.Alat.store_probe alat (Int64.of_int ((i * 24) land 0xffff)))
            done))
   in
+  (* the simulator's memory and per-site histogram, the two structures
+     every simulated load and store goes through *)
+  let module Memory = Srp_profile.Memory in
+  let heap = Srp_alias.Location.Heap 0 in
+  (* addresses and values are built outside the timed loop, so the
+     words/run column is what Memory itself allocates *)
+  let test_mem_stream =
+    Test.make ~name:"memory: 4k load/store streaming one region"
+      (Staged.stage
+         (let m = Memory.create () in
+          let base = Memory.alloc m ~size:(8 * 4096) ~loc:heap in
+          let addrs = Array.init 4096 (fun i -> Int64.add base (Int64.of_int (8 * i))) in
+          let vals = Array.init 4096 (fun i -> Srp_profile.Value.Vint (Int64.of_int i)) in
+          fun () ->
+            for i = 0 to 4095 do
+              Memory.store m addrs.(i) vals.(i);
+              ignore (Memory.load m addrs.(i))
+            done))
+  in
+  let test_mem_hop =
+    Test.make ~name:"memory: 4k loads hopping 64 heap regions"
+      (Staged.stage
+         (let m = Memory.create () in
+          let bases = Array.init 64 (fun _ -> Memory.alloc m ~size:64 ~loc:heap) in
+          let addrs =
+            Array.init 4096 (fun i ->
+                Int64.add bases.(i land 63) (Int64.of_int (8 * ((i lsr 6) land 7))))
+          in
+          fun () -> Array.iter (fun a -> ignore (Memory.load m a)) addrs))
+  in
+  let test_site_hist =
+    Test.make ~name:"obs: 10k Site_hist.record"
+      (Staged.stage
+         (let h = Srp_obs.Site_hist.create () in
+          fun () ->
+            for i = 0 to 9_999 do
+              Srp_obs.Site_hist.record h ~site:((i land 255) - 1)
+                (if i land 1 = 0 then Srp_obs.Site_hist.Loads_retired
+                 else Srp_obs.Site_hist.Stores_retired)
+            done))
+  in
+  (* time and minor-heap allocation per run, so an allocation regression
+     shows next to a slowdown *)
   let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
+    let clock = Toolkit.Instance.monotonic_clock
+    and alloc = Toolkit.Instance.minor_allocated in
     let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock raw
+    let raw = Benchmark.all cfg [ clock; alloc ] test in
+    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+    let times = Analyze.all ols clock raw and words = Analyze.all ols alloc raw in
+    let estimate results name =
+      match Analyze.OLS.estimates (Hashtbl.find results name) with
+      | Some [ est ] -> Some est
+      | Some _ | None -> None
     in
     Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Fmt.pr "%-45s %12.0f ns/run@." name est
-        | Some _ | None -> Fmt.pr "%-45s (no estimate)@." name)
-      results
+      (fun name _ ->
+        match estimate times name, estimate words name with
+        | Some ns, Some w -> Fmt.pr "%-45s %12.0f ns/run %12.0f words/run@." name ns w
+        | _ -> Fmt.pr "%-45s (no estimate)@." name)
+      times
   in
   List.iter
     (fun t -> benchmark t)
-    [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat ];
+    [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat;
+      test_mem_stream; test_mem_hop; test_site_hist ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -23,7 +23,12 @@
    wraparound can never cause a stale cross-frame hit.  DESIGN.md records
    this. *)
 
-type tag = { frame : int; reg : int (* int regs 2r, fp regs 2r+1 *) }
+(* A tag packs (frame uid, register) into one immediate int: the frame in
+   the high bits, the register in the low [reg_bits] as 2r for an integer
+   register and 2r+1 for a floating-point one. *)
+type tag = int
+
+let reg_bits = 20
 
 type entry = {
   mutable valid : bool;
@@ -47,24 +52,27 @@ let create ?(size = 32) ?ways ?(paddr_bits = 12) () =
   let n_sets = max 1 (size / ways) in
   { entries =
       Array.init (n_sets * ways) (fun _ ->
-          { valid = false; tag = { frame = 0; reg = 0 }; paddr = 0; site = -1 });
+          { valid = false; tag = 0; paddr = 0; site = -1 });
     n_sets; ways; victim = 0; paddr_bits }
 
-let int_tag ~frame r = { frame; reg = 2 * r }
-let fp_tag ~frame r = { frame; reg = (2 * r) + 1 }
+let make_tag ~frame reg =
+  if reg < 0 || reg >= 1 lsl reg_bits then invalid_arg "Alat: register index out of range";
+  (frame lsl reg_bits) lor reg
+
+let int_tag ~frame r = make_tag ~frame (2 * r)
+let fp_tag ~frame r = make_tag ~frame ((2 * r) + 1)
 
 let partial t (addr : int64) : int =
   Int64.to_int (Int64.shift_right_logical addr 3) land ((1 lsl t.paddr_bits) - 1)
 
 let set_of t paddr = paddr mod t.n_sets
 
-let same_tag a b = a.frame = b.frame && a.reg = b.reg
-
 (* Remove any entry for [tag] (a register can have at most one). *)
 let remove t tag =
-  Array.iter
-    (fun e -> if e.valid && same_tag e.tag tag then e.valid <- false)
-    t.entries
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) in
+    if e.valid && e.tag = tag then e.valid <- false
+  done
 
 (* Allocate an entry for an advanced load.  Returns the arming site of the
    valid entry that had to be evicted for capacity, if any. *)
@@ -97,13 +105,13 @@ let insert ?(site = -1) t tag (addr : int64) : int option =
 (* Does a valid entry exist for [tag]?  [clear] removes it on a hit. *)
 let check t tag ~clear : bool =
   let hit = ref false in
-  Array.iter
-    (fun e ->
-      if e.valid && same_tag e.tag tag then begin
-        hit := true;
-        if clear then e.valid <- false
-      end)
-    t.entries;
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) in
+    if e.valid && e.tag = tag then begin
+      hit := true;
+      if clear then e.valid <- false
+    end
+  done;
   !hit
 
 (* A retired store: invalidate every entry whose partial address matches.
@@ -113,13 +121,13 @@ let check t tag ~clear : bool =
 let store_probe_sites t (addr : int64) : int list =
   let paddr = partial t addr in
   let victims = ref [] in
-  Array.iter
-    (fun e ->
-      if e.valid && e.paddr = paddr then begin
-        e.valid <- false;
-        victims := e.site :: !victims
-      end)
-    t.entries;
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) in
+    if e.valid && e.paddr = paddr then begin
+      e.valid <- false;
+      victims := e.site :: !victims
+    end
+  done;
   !victims
 
 let store_probe t (addr : int64) : int = List.length (store_probe_sites t addr)
@@ -132,9 +140,10 @@ let invala_all t = Array.iter (fun e -> e.valid <- false) t.entries
    return is the frame-uid-tagged equivalent (without it, dead entries
    would squat in the table and evict live ones). *)
 let purge_frame t ~frame =
-  Array.iter
-    (fun e -> if e.valid && e.tag.frame = frame then e.valid <- false)
-    t.entries
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) in
+    if e.valid && e.tag lsr reg_bits = frame then e.valid <- false
+  done
 
 let occupancy t =
   Array.fold_left (fun acc e -> if e.valid then acc + 1 else acc) 0 t.entries

@@ -33,9 +33,15 @@ let merror fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 exception Out_of_fuel
 
+(* A function with each call site's callee resolved once per program:
+   [callees.(pc)] is the target of the [Call] at [pc], [None] elsewhere and
+   for a call to an unknown function (an error only if it executes). *)
+type rfunc = { func : Insn.func; callees : rfunc option array }
+
 type frame = {
   uid : int;
   func : Insn.func;
+  callees : rfunc option array; (* of [func] *)
   iregs : Value.t array;
   fregs : Value.t array;
   inat : bool array;
@@ -47,9 +53,9 @@ type frame = {
 }
 
 type t = {
-  prog : Insn.program;
   mem : Memory.t;
-  globals : (int, int64) Hashtbl.t; (* symbol id -> address *)
+  globals : Value.t option array; (* symbol id -> address, as a value *)
+  funcs : (string, rfunc) Hashtbl.t;
   alat : Alat.t;
   cache : Cache.t;
   rse : Rse.t;
@@ -92,15 +98,35 @@ let template_ports : Insn.template -> int * int * int =
   | Insn.MII -> mii | Insn.MMI -> mmi | Insn.MIB -> mib | Insn.MMB -> mmb
   | Insn.MFI -> mfi | Insn.MMF -> mmf | Insn.MBB -> mbb | Insn.BBB -> bbb
 
+let resolve_funcs (prog : Insn.program) : (string, rfunc) Hashtbl.t =
+  let funcs = Hashtbl.create (Hashtbl.length prog.Insn.funcs) in
+  Hashtbl.iter
+    (fun name (func : Insn.func) ->
+      Hashtbl.replace funcs name
+        { func; callees = Array.make (Array.length func.Insn.code) None })
+    prog.Insn.funcs;
+  Hashtbl.iter
+    (fun _ (rf : rfunc) ->
+      Array.iteri
+        (fun pc -> function
+          | Insn.Call { callee; _ } -> rf.callees.(pc) <- Hashtbl.find_opt funcs callee
+          | _ -> ())
+        rf.func.Insn.code)
+    funcs;
+  funcs
+
 let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
   let mem = Memory.create () in
-  let globals = Hashtbl.create 16 in
+  let n_ids =
+    List.fold_left (fun n (s, _) -> max n (Srp_ir.Symbol.id s + 1)) 0 prog.Insn.globals
+  in
+  let globals = Array.make n_ids None in
   List.iter
     (fun (s, init) ->
       let base =
         Memory.alloc mem ~size:(Srp_ir.Symbol.size_bytes s) ~loc:(Location.Sym s)
       in
-      Hashtbl.replace globals (Srp_ir.Symbol.id s) base;
+      globals.(Srp_ir.Symbol.id s) <- Some (Value.Vint base);
       (match init with
       | Srp_ir.Program.Init_zero -> ()
       | Srp_ir.Program.Init_ints vs ->
@@ -114,8 +140,8 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
             Memory.store mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vflt v))
           vs))
     prog.Insn.globals;
-  { prog; mem; globals; alat = Alat.create (); cache = Cache.create ();
-    rse = Rse.create (); c = Counters.create ();
+  { mem; globals; funcs = resolve_funcs prog; alat = Alat.create ();
+    cache = Cache.create (); rse = Rse.create (); c = Counters.create ();
     site_stats = Site_hist.create (); trace; timeline;
     output = Buffer.create 256;
     cycle = 0; group_slots = 0; group_mem = 0; group_fp = 0;
@@ -129,11 +155,16 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
    is charged to the IR site that caused it. *)
 let ev m ~site e = Site_hist.record m.site_stats ~site e
 
-(* Trace emission is free when no sink is attached. *)
+(* Every call site tests [traced] before building its field list, so an
+   unobserved run builds no trace records at all. *)
+let traced m = m.trace != None
+
 let tr m kind fields =
   match m.trace with
   | None -> ()
   | Some sink -> Trace.emit sink ~cycle:m.cycle kind fields
+
+let hex a = Printf.sprintf "0x%Lx" a
 
 let op_name : Insn.insn -> string = function
   | Insn.Movl _ -> "movl"
@@ -206,7 +237,7 @@ let wait_until m ~ready ~mem_src =
       m.cycle <- ready;
       if mem_src then
         m.c.Counters.data_access_cycles <- m.c.Counters.data_access_cycles + stall;
-      tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
+      if traced m then tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
       sample m
     end
   end
@@ -244,7 +275,7 @@ let enter_bundle m code pc (b : Insn.bundle) =
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
     ev m ~site:(bundle_site code pc) Srp_obs.Site_hist.Split_stalls;
-    tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
+    if traced m then tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
     new_group m
   end;
   m.group_bundles <- m.group_bundles + 1;
@@ -351,12 +382,40 @@ let alat_tag fr (d : Insn.dest) : Alat.tag =
   | Insn.DInt r -> Alat.int_tag ~frame:fr.uid r
   | Insn.DFlt f -> Alat.fp_tag ~frame:fr.uid f
 
+(* The data access of every load kind: cache timing, the value, and the
+   retired-load counts. *)
+let do_load m fr (dst : Insn.dest) a site =
+  let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
+  let lat = Cache.load_latency m.cache m.c ~fp a in
+  let v = coerce_loaded dst (Memory.load m.mem a) in
+  m.c.Counters.loads_retired <- m.c.Counters.loads_retired + 1;
+  ev m ~site Site_hist.Loads_retired;
+  if fp then begin
+    m.c.Counters.fp_loads_retired <- m.c.Counters.fp_loads_retired + 1;
+    ev m ~site Site_hist.Fp_loads_retired
+  end;
+  write_dest fr dst v ~ready:(m.cycle + lat) ~mem:true
+
+(* Arm an ALAT entry and attribute the insert (and any capacity eviction,
+   charged to the evicted entry's arming site). *)
+let arm m tag a site =
+  m.c.Counters.alat_inserts <- m.c.Counters.alat_inserts + 1;
+  ev m ~site Site_hist.Alat_inserts;
+  match Alat.insert ~site m.alat tag a with
+  | None -> ()
+  | Some victim_site ->
+    m.c.Counters.alat_evictions <- m.c.Counters.alat_evictions + 1;
+    ev m ~site:victim_site Site_hist.Alat_evictions;
+    if traced m then
+      tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
+
 (* --- execution --- *)
 
-let rec exec_function m (func : Insn.func) (args : Value.t list) : Value.t option =
+let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
+  let func = rf.func in
   m.frame_uid <- m.frame_uid + 1;
   let fr =
-    { uid = m.frame_uid; func;
+    { uid = m.frame_uid; func; callees = rf.callees;
       iregs = Array.make (max 1 func.Insn.nregs) (Value.Vint 0L);
       fregs = Array.make (max 1 func.Insn.nfregs) (Value.Vflt 0.0);
       inat = Array.make (max 1 func.Insn.nregs) false;
@@ -387,12 +446,12 @@ let rec exec_function m (func : Insn.func) (args : Value.t list) : Value.t optio
     args;
   (* RSE charge for the new register frame *)
   let spill = Rse.call m.rse m.c ~nregs:func.Insn.nregs in
-  if spill > 0 then
+  if spill > 0 && traced m then
     tr m "rse.spill" [ ("regs", J.Int spill); ("f", J.String func.Insn.name) ];
   advance_cycles m spill;
   let result = exec_from m fr 0 in
   let fill = Rse.ret m.rse m.c in
-  if fill > 0 then tr m "rse.fill" [ ("regs", J.Int fill) ];
+  if fill > 0 && traced m then tr m "rse.fill" [ ("regs", J.Int fill) ];
   advance_cycles m fill;
   Alat.purge_frame m.alat ~frame:fr.uid;
   Memory.free m.mem frame_base;
@@ -408,14 +467,11 @@ and exec_from m fr pc : Value.t option =
     enter_bundle m fr.func.Insn.code pc bs.(pc / 3)
   | _ -> ());
   let ins = fr.func.Insn.code.(pc) in
-  (* per-instruction retire record; the field list is only built when a
-     sink is attached *)
-  (match m.trace with
-  | None -> ()
-  | Some _ ->
+  (* per-instruction retire record *)
+  if traced m then
     tr m "i"
       [ ("f", J.String fr.func.Insn.name); ("pc", J.Int pc);
-        ("op", J.String (op_name ins)) ]);
+        ("op", J.String (op_name ins)) ];
   match ins with
   | Insn.Movl { dst; imm } ->
     issue_slot m ins;
@@ -423,12 +479,13 @@ and exec_from m fr pc : Value.t option =
     exec_from m fr (pc + 1)
   | Insn.Gaddr { dst; sym } ->
     issue_slot m ins;
+    let known = sym >= 0 && sym < Array.length m.globals in
     let addr =
-      match Hashtbl.find_opt m.globals sym with
+      match if known then m.globals.(sym) else None with
       | Some a -> a
       | None -> merror "unknown global symbol id %d" sym
     in
-    write_int fr dst (Value.Vint addr) ~ready:(m.cycle + 1) ~mem:false;
+    write_int fr dst addr ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Mov { dst; src } ->
     let v = read_src fr m src in
@@ -480,9 +537,9 @@ and exec_from m fr pc : Value.t option =
       m.c.Counters.alat_store_invalidations + inv;
     (* the invalidation is charged to the load site whose entry died *)
     List.iter (fun vs -> ev m ~site:vs Site_hist.Alat_store_invalidations) victims;
-    if inv > 0 then
+    if inv > 0 && traced m then
       tr m "alat.inval"
-        [ ("site", J.Int site); ("addr", J.String (Fmt.str "0x%Lx" a));
+        [ ("site", J.Int site); ("addr", J.String (hex a));
           ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ];
     exec_from m fr (pc + 1)
   | Insn.Chk_a { tag; recovery; site } ->
@@ -494,7 +551,8 @@ and exec_from m fr pc : Value.t option =
       (* branch to recovery: a light trap plus pipeline redirect *)
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
-      tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
+      if traced m then
+        tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
       advance_cycles m Model.check_recovery_penalty;
       exec_from m fr recovery
     end
@@ -527,8 +585,9 @@ and exec_from m fr pc : Value.t option =
     if taken <> predicted_taken then begin
       m.c.Counters.branch_mispredicts <- m.c.Counters.branch_mispredicts + 1;
       ev m ~site Site_hist.Branch_mispredicts;
-      tr m "br.mispredict"
-        [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
+      if traced m then
+        tr m "br.mispredict"
+          [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
       advance_cycles m Model.mispredict_penalty
     end
     else if target <> pc + 1 then new_group m;
@@ -538,7 +597,7 @@ and exec_from m fr pc : Value.t option =
     issue_slot m ins;
     new_group m;
     let g =
-      match Hashtbl.find_opt m.prog.Insn.funcs callee with
+      match fr.callees.(pc) with
       | Some g -> g
       | None -> merror "call to unknown function %s" callee
     in
@@ -574,47 +633,22 @@ and exec_from m fr pc : Value.t option =
 
 and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     Value.t option =
-  let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
   let a = Value.to_int (read_int fr m base) in
   issue_slot m ins;
-  let tag = alat_tag fr dst in
-  let do_load () =
-    let lat = Cache.load_latency m.cache m.c ~fp a in
-    let v = coerce_loaded dst (Memory.load m.mem a) in
-    m.c.Counters.loads_retired <- m.c.Counters.loads_retired + 1;
-    ev m ~site Site_hist.Loads_retired;
-    if fp then begin
-      m.c.Counters.fp_loads_retired <- m.c.Counters.fp_loads_retired + 1;
-      ev m ~site Site_hist.Fp_loads_retired
-    end;
-    write_dest fr dst v ~ready:(m.cycle + lat) ~mem:true
-  in
-  (* arm an ALAT entry and attribute the insert (and any capacity
-     eviction, charged to the evicted entry's arming site) *)
-  let arm () =
-    m.c.Counters.alat_inserts <- m.c.Counters.alat_inserts + 1;
-    ev m ~site Site_hist.Alat_inserts;
-    match Alat.insert ~site m.alat tag a with
-    | None -> ()
-    | Some victim_site ->
-      m.c.Counters.alat_evictions <- m.c.Counters.alat_evictions + 1;
-      ev m ~site:victim_site Site_hist.Alat_evictions;
-      tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
-  in
   (match kind with
-  | Insn.K_ld -> do_load ()
+  | Insn.K_ld -> do_load m fr dst a site
   | Insn.K_ld_a ->
-    do_load ();
-    tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (Fmt.str "0x%Lx" a)) ];
-    arm ()
+    do_load m fr dst a site;
+    if traced m then tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+    arm m (alat_tag fr dst) a site
   | Insn.K_ld_sa -> (
     (* control-speculative: defer faults with NaT, no ALAT entry on fault *)
     match Memory.location_of_addr m.mem a with
     | Some _ ->
-      do_load ();
-      arm ()
+      do_load m fr dst a site;
+      arm m (alat_tag fr dst) a site
     | None -> (
-      tr m "ld.sa.nat" [ ("site", J.Int site) ];
+      if traced m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
       (* IA-64: a deferred fault also invalidates any matching ALAT entry,
          so a later ld.c on this register misses and reloads instead of
          validating a stale entry left by a previous occupant of the
@@ -626,6 +660,7 @@ and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
   | Insn.K_ld_c { clear } ->
     m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
     ev m ~site Site_hist.Checks_retired;
+    let tag = alat_tag fr dst in
     if Alat.check m.alat tag ~clear then begin
       (* hit: the register already holds valid data; zero-latency *)
       (match dst with
@@ -635,10 +670,10 @@ and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     else begin
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
-      tr m "ld.c.miss"
-        [ ("site", J.Int site); ("addr", J.String (Fmt.str "0x%Lx" a)) ];
-      do_load ();
-      if not clear then arm ()
+      if traced m then
+        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+      do_load m fr dst a site;
+      if not clear then arm m tag a site
     end);
   exec_from m fr (pc + 1)
 
@@ -647,7 +682,7 @@ and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
 let run (m : t) : int64 =
   Srp_obs.Stats.time ~pass:"machine" "simulate" @@ fun () ->
   let main =
-    match Hashtbl.find_opt m.prog.Insn.funcs "main" with
+    match Hashtbl.find_opt m.funcs "main" with
     | Some f -> f
     | None -> merror "no main function"
   in

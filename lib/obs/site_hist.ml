@@ -53,39 +53,59 @@ let event_name = function
   | Branch_mispredicts -> "branch_mispredicts"
   | Split_stalls -> "split_stalls"
 
-(* site id -> event count vector.  Site -1 is the synthetic site codegen
-   uses for spill traffic it manufactures itself. *)
-type t = (int, int array) Hashtbl.t
+(* site id -> event count vector, densely: row [site + 1] counts [site].
+   Site ids come densely from [Site.Gen]; site -1 is the synthetic site
+   codegen uses for spill traffic it manufactures itself.  A site never
+   recorded shares the [empty] row, which is never written. *)
+type t = { mutable rows : int array array }
 
-let create () : t = Hashtbl.create 64
+let empty : int array = Array.make n_events 0
+
+let create () : t = { rows = Array.make 64 empty }
 
 let record (t : t) ~site ev =
+  let k = site + 1 in
+  if k < 0 then invalid_arg "Site_hist.record: site below -1";
+  if k >= Array.length t.rows then begin
+    let rows = Array.make (max (k + 1) (2 * Array.length t.rows)) empty in
+    Array.blit t.rows 0 rows 0 (Array.length t.rows);
+    t.rows <- rows
+  end;
   let row =
-    match Hashtbl.find_opt t site with
-    | Some r -> r
-    | None ->
+    let r = t.rows.(k) in
+    if r != empty then r
+    else begin
       let r = Array.make n_events 0 in
-      Hashtbl.replace t site r;
+      t.rows.(k) <- r;
       r
+    end
   in
   let i = event_index ev in
   row.(i) <- row.(i) + 1
 
 let count (t : t) ~site ev =
-  match Hashtbl.find_opt t site with
-  | Some r -> r.(event_index ev)
-  | None -> 0
+  let k = site + 1 in
+  if k < 0 || k >= Array.length t.rows then 0 else t.rows.(k).(event_index ev)
+
+(* Recorded sites with their rows, ascending by site. *)
+let recorded (t : t) =
+  let acc = ref [] in
+  for k = Array.length t.rows - 1 downto 0 do
+    let r = t.rows.(k) in
+    if r != empty then acc := (k - 1, r) :: !acc
+  done;
+  !acc
 
 let total (t : t) ev =
   let i = event_index ev in
-  Hashtbl.fold (fun _ r acc -> acc + r.(i)) t 0
+  Array.fold_left (fun acc r -> acc + r.(i)) 0 t.rows
 
-let sites (t : t) = Hashtbl.fold (fun s _ acc -> s :: acc) t [] |> List.sort compare
+let sites (t : t) = List.map fst (recorded t)
 
 (* Sites ranked by [ev], descending; ties by site id for determinism. *)
 let top (t : t) ev ~n =
   let i = event_index ev in
-  Hashtbl.fold (fun s r acc -> if r.(i) > 0 then (s, r.(i)) :: acc else acc) t []
+  List.filter_map (fun (s, r) -> if r.(i) > 0 then Some (s, r.(i)) else None) (recorded t)
   |> List.sort (fun (s1, c1) (s2, c2) ->
          if c1 <> c2 then compare c2 c1 else compare s1 s2)
   |> List.filteri (fun k _ -> k < n)
@@ -93,8 +113,7 @@ let top (t : t) ev ~n =
 let to_json (t : t) : Json.t =
   Json.Arr
     (List.map
-       (fun s ->
-         let r = Hashtbl.find t s in
+       (fun (s, r) ->
          Json.Obj
            (("site", Json.Int s)
            :: List.concat_map
@@ -102,7 +121,7 @@ let to_json (t : t) : Json.t =
                   let c = r.(event_index ev) in
                   if c = 0 then [] else [ (event_name ev, Json.Int c) ])
                 all_events))
-       (sites t))
+       (recorded t))
 
 (* The "top mis-speculating sites" report: sites whose checks failed, with
    their check volume and failure rate — what pfmon event sampling would

@@ -259,6 +259,63 @@ let test_site_hist_basics () =
         (List.mem (Site_hist.event_name e) counter_names))
     Site_hist.all_events
 
+(* Dense rows against a hashtable reference: random record streams over
+   a sparse spread of sites, the synthetic site -1 included, must give the
+   same sites, ranking, counts and JSON. *)
+let prop_site_hist_dense =
+  let events = Array.of_list Site_hist.all_events in
+  let arb =
+    QCheck.(
+      list_of_size (Gen.int_range 0 200)
+        (pair
+           (oneofl [ -1; 0; 1; 2; 5; 17; 63; 64; 65; 200; 1000 ])
+           (int_range 0 (Array.length events - 1))))
+  in
+  QCheck.Test.make ~count:300 ~name:"site_hist: dense rows = hashtable reference"
+    arb (fun stream ->
+      let h = Site_hist.create () in
+      let r : (int * Site_hist.event, int) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun (site, e) ->
+          let ev = events.(e) in
+          Site_hist.record h ~site ev;
+          Hashtbl.replace r (site, ev)
+            (1 + Option.value ~default:0 (Hashtbl.find_opt r (site, ev))))
+        stream;
+      let ref_count site ev = Option.value ~default:0 (Hashtbl.find_opt r (site, ev)) in
+      let ref_sites = List.sort_uniq compare (List.map fst stream) in
+      let ref_top ev n =
+        List.filter_map
+          (fun s -> let c = ref_count s ev in if c > 0 then Some (s, c) else None)
+          ref_sites
+        |> List.sort (fun (s1, c1) (s2, c2) ->
+               if c1 <> c2 then compare c2 c1 else compare s1 s2)
+        |> List.filteri (fun k _ -> k < n)
+      in
+      let ref_json =
+        J.Arr
+          (List.map
+             (fun s ->
+               J.Obj
+                 (("site", J.Int s)
+                 :: List.filter_map
+                      (fun ev ->
+                        let c = ref_count s ev in
+                        if c = 0 then None else Some (Site_hist.event_name ev, J.Int c))
+                      Site_hist.all_events))
+             ref_sites)
+      in
+      Site_hist.sites h = ref_sites
+      && J.to_string (Site_hist.to_json h) = J.to_string ref_json
+      && List.for_all
+           (fun ev ->
+             Site_hist.top h ev ~n:3 = ref_top ev 3
+             && Site_hist.top h ev ~n:100 = ref_top ev 100
+             && List.for_all
+                  (fun s -> Site_hist.count h ~site:s ev = ref_count s ev)
+                  (7 :: 5000 :: ref_sites))
+           Site_hist.all_events)
+
 (* --- per-site attribution vs global counters (the by-construction
    invariant the emitter documents) --- *)
 
@@ -414,6 +471,75 @@ let test_trace_untruncated () =
     (Option.bind (J.member "ev" doc) J.to_string_opt);
   Alcotest.(check (option int)) "payload" (Some 3)
     (Option.bind (J.member "site" doc) J.to_int_opt)
+
+(* --- the unobserved hot path --- *)
+
+let gzip_alat_train () =
+  let w = Srp_workloads.Registry.find "gzip" in
+  let small = { w with Workload.ref_ = w.Workload.train } in
+  (Pipeline.compile ~profile:(Pipeline.train_profile small)
+     ~input:small.Workload.train small Pipeline.Alat)
+    .Pipeline.target
+
+(* With no sink attached the machine builds no trace records, hashes
+   nothing and keeps no per-access tables.  What it still allocates per
+   instruction is its boxed values: every ALU, compare and conversion
+   result is a fresh [Value.Vint]/[Vflt] with a boxed int64 or float
+   inside, and so is every immediate operand read.  That is 10-16 words
+   per instruction with the trace lists, memory hashing and tag records
+   still in place, and under 7 without them. *)
+let test_unobserved_allocation () =
+  let target = gzip_alat_train () in
+  let m = Srp_machine.Machine.create target in
+  let before = Gc.minor_words () in
+  let _ = Srp_machine.Machine.run m in
+  let words = Gc.minor_words () -. before in
+  let instrs = (Srp_machine.Machine.counters m).C.instrs_retired in
+  let per_instr = words /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f minor words per retired instruction <= 7" per_instr)
+    true (per_instr <= 7.0)
+
+(* Guarding every trace call site must lose no emission: with an
+   unbounded sink, the event kinds that mirror a counter appear exactly
+   as often as the counter counts. *)
+let test_trace_complete () =
+  let target = gzip_alat_train () in
+  let path = Filename.temp_file "srp_obs_trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let sink = Trace.create ~limit:max_int oc in
+  let m = Srp_machine.Machine.create ~trace:sink target in
+  let _ = Srp_machine.Machine.run m in
+  Trace.close sink;
+  close_out oc;
+  let kinds = Hashtbl.create 16 in
+  let ic = open_in path in
+  (try
+     while true do
+       let line = input_line ic in
+       (* every record starts {"c":N,"ev":"KIND", *)
+       let k = String.index line ',' + 7 in
+       let kind = String.sub line k (String.index_from line k '"' - k) in
+       Hashtbl.replace kinds kind
+         (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
+     done
+   with End_of_file -> ());
+  close_in ic;
+  let n kind = Option.value ~default:0 (Hashtbl.find_opt kinds kind) in
+  let c = Srp_machine.Machine.counters m in
+  Alcotest.(check bool) "the trace was not truncated" false (Trace.truncated sink);
+  Alcotest.(check int) "one i record per retired instruction" c.C.instrs_retired (n "i");
+  Alcotest.(check int) "split = split_stalls" c.C.split_stalls (n "split");
+  Alcotest.(check int) "br.mispredict = branch_mispredicts" c.C.branch_mispredicts
+    (n "br.mispredict");
+  Alcotest.(check int) "alat.evict = alat_evictions" c.C.alat_evictions
+    (n "alat.evict");
+  Alcotest.(check int) "chk.a.fail + ld.c.miss = check_failures"
+    c.C.check_failures
+    (n "chk.a.fail" + n "ld.c.miss");
+  Alcotest.(check bool) "the run exercised splits, mispredicts and checks" true
+    (c.C.split_stalls > 0 && c.C.branch_mispredicts > 0 && c.C.checks_retired > 0)
 
 (* --- ablation wiring (satellite b) --- *)
 
@@ -590,6 +716,7 @@ let suite =
     Alcotest.test_case "stats: parallel scopes use wall clock" `Quick
       test_stats_parallel_no_double_count;
     Alcotest.test_case "site_hist: basics" `Quick test_site_hist_basics;
+    QCheck_alcotest.to_alcotest prop_site_hist_dense;
     Alcotest.test_case "attribution: gzip sums = counters" `Quick
       (test_attribution_sums "gzip");
     Alcotest.test_case "attribution: mcf sums = counters" `Quick
@@ -600,6 +727,10 @@ let suite =
     Alcotest.test_case "trace: exact truncation record" `Quick
       test_trace_truncation_exact;
     Alcotest.test_case "trace: under limit" `Quick test_trace_untruncated;
+    Alcotest.test_case "hot path: unobserved allocation bound" `Quick
+      test_unobserved_allocation;
+    Alcotest.test_case "trace: guarded emission is complete" `Quick
+      test_trace_complete;
     Alcotest.test_case "ablation: names round-trip" `Quick
       test_ablation_names_roundtrip;
     Alcotest.test_case "ablation: config overrides" `Quick

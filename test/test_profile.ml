@@ -58,6 +58,261 @@ let test_wild_access_faults () =
        false
      with Value.Interp_error _ -> true)
 
+let raises_interp f =
+  match f () with
+  | _ -> None
+  | exception Value.Interp_error msg -> Some msg
+
+let check_value name want got =
+  if not (Value.equal want got) then
+    Alcotest.failf "%s: expected %a, got %a" name Value.pp want Value.pp got
+
+(* alloc_at must refuse a span that runs into a region starting above
+   its base, not only one reaching up from below *)
+let test_alloc_at_overlap_above () =
+  let m = Memory.create () in
+  let above = Memory.alloc_at m ~base:0x2000L ~size:16 ~loc:(Location.Heap 0) in
+  Alcotest.(check (option string)) "span reaching into the region above"
+    (Some "alloc_at: overlap at 0x1ff0")
+    (raises_interp (fun () ->
+         Memory.alloc_at m ~base:0x1ff0L ~size:32 ~loc:(Location.Heap 1)));
+  Alcotest.(check (option string)) "span covering the region above"
+    (Some "alloc_at: overlap at 0x1f00")
+    (raises_interp (fun () ->
+         Memory.alloc_at m ~base:0x1f00L ~size:0x400 ~loc:(Location.Heap 1)));
+  let below = Memory.alloc_at m ~base:0x1ff0L ~size:16 ~loc:(Location.Heap 2) in
+  Alcotest.(check int64) "a span ending at the region above fits" 0x1ff0L below;
+  Memory.store m below (Value.Vint 1L);
+  Memory.store m above (Value.Vint 2L);
+  check_value "below" (Value.Vint 1L) (Memory.load m below);
+  check_value "above" (Value.Vint 2L) (Memory.load m above)
+
+(* The last-region cache must never serve a freed region. *)
+let test_freed_region_is_wild () =
+  let m = Memory.create () in
+  let other = Memory.alloc m ~size:64 ~loc:(Location.Heap 0) in
+  let base = Memory.alloc_at m ~base:0x8000L ~size:32 ~loc:(Location.Heap 1) in
+  let addr = Int64.add base 8L in
+  Memory.store m addr (Value.Vint 5L);
+  check_value "cached hit before free" (Value.Vint 5L) (Memory.load m addr);
+  Memory.free m base;
+  Alcotest.(check (option string)) "load right after a cache hit"
+    (Some "wild access at 0x8008")
+    (raises_interp (fun () -> Memory.load m addr));
+  Alcotest.(check (option string)) "store after free"
+    (Some "wild access at 0x8008")
+    (raises_interp (fun () -> Memory.store m addr (Value.Vint 1L)));
+  Alcotest.(check bool) "no location after free" true
+    (Memory.location_of_addr m addr = None);
+  (* freeing a region the cache does not point at leaves the cache valid *)
+  let b2 = Memory.alloc_at m ~base:0x9000L ~size:8 ~loc:(Location.Heap 2) in
+  Memory.store m other (Value.Vint 9L);
+  Memory.free m b2;
+  check_value "other region intact" (Value.Vint 9L) (Memory.load m other);
+  Alcotest.(check (option string)) "double free"
+    (Some "free of unknown region at 0x8000")
+    (raises_interp (fun () -> Memory.free m base))
+
+let test_alloc_at_reused_base_reads_zero () =
+  let m = Memory.create () in
+  let base = Memory.alloc_at m ~base:0x4000L ~size:24 ~loc:(Location.Heap 0) in
+  for w = 0 to 2 do
+    Memory.store m (Int64.add base (Int64.of_int (8 * w))) (Value.Vint 7L)
+  done;
+  check_value "written" (Value.Vint 7L) (Memory.load m (Int64.add base 16L));
+  Memory.free m base;
+  let again = Memory.alloc_at m ~base:0x4000L ~size:24 ~loc:(Location.Heap 1) in
+  for w = 0 to 2 do
+    check_value "reused base reads zero" (Value.Vint 0L)
+      (Memory.load m (Int64.add again (Int64.of_int (8 * w))))
+  done
+
+let test_alternating_regions () =
+  let m = Memory.create () in
+  let a = Memory.alloc m ~size:64 ~loc:(Location.Heap 0) in
+  let b = Memory.alloc m ~size:64 ~loc:(Location.Heap 1) in
+  let at base w = Int64.add base (Int64.of_int (8 * w)) in
+  for w = 0 to 7 do
+    Memory.store m (at a w) (Value.Vint (Int64.of_int w));
+    Memory.store m (at b w) (Value.Vflt (float_of_int (100 + w)))
+  done;
+  for w = 0 to 7 do
+    check_value "a" (Value.Vint (Int64.of_int w)) (Memory.load m (at a w));
+    check_value "b" (Value.Vflt (float_of_int (100 + w))) (Memory.load m (at b w))
+  done;
+  Alcotest.(check bool) "locations follow the regions" true
+    (Memory.location_of_addr m (at a 7) = Some (Location.Heap 0)
+    && Memory.location_of_addr m (at b 0) = Some (Location.Heap 1))
+
+(* --- Memory against a reference model ---
+
+   Random alloc / alloc_at / free / load / load_typed / store /
+   location_of_addr scripts run against a list of live regions, each
+   with its written words in a table.  Addresses are drawn relative to
+   the bases handed out so far (so they land in, between, just past and
+   misaligned inside regions, freed ones included), and alloc_at bases
+   come from a window of stack-like addresses where spans collide
+   often. *)
+
+type mem_op =
+  | M_alloc of int
+  | M_alloc_at of int * int (* stack slot, size *)
+  | M_free of int * int (* region index, byte offset *)
+  | M_load of int * int
+  | M_load_f64 of int * int
+  | M_store of int * int * Value.t
+  | M_where of int * int
+
+let pp_mem_op ppf = function
+  | M_alloc n -> Fmt.pf ppf "alloc %d" n
+  | M_alloc_at (k, n) -> Fmt.pf ppf "alloc_at slot %d size %d" k n
+  | M_free (i, o) -> Fmt.pf ppf "free r%d%+d" i o
+  | M_load (i, o) -> Fmt.pf ppf "load r%d%+d" i o
+  | M_load_f64 (i, o) -> Fmt.pf ppf "load_f64 r%d%+d" i o
+  | M_store (i, o, v) -> Fmt.pf ppf "store r%d%+d %a" i o Value.pp v
+  | M_where (i, o) -> Fmt.pf ppf "where r%d%+d" i o
+
+let arb_mem_ops =
+  let open QCheck.Gen in
+  let addr = pair (int_range 0 7) (oneof [ return 0; int_range (-16) 72 ]) in
+  let value =
+    oneof
+      [ map (fun i -> Value.Vint (Int64.of_int i)) (int_range (-2) 2);
+        map (fun i -> Value.Vflt (float_of_int i)) (int_range 0 2) ]
+  in
+  let op =
+    frequency
+      [ (2, map (fun n -> M_alloc n) (int_range 0 48));
+        (3, map2 (fun k n -> M_alloc_at (k, n)) (int_range 0 40) (int_range 0 48));
+        (2, map (fun (i, o) -> M_free (i, o)) addr);
+        (4, map (fun (i, o) -> M_load (i, o)) addr);
+        (2, map (fun (i, o) -> M_load_f64 (i, o)) addr);
+        (4, map2 (fun (i, o) v -> M_store (i, o, v)) addr value);
+        (2, map (fun (i, o) -> M_where (i, o)) addr) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> Fmt.str "%a" Fmt.(list ~sep:semi pp_mem_op) ops)
+    (list_size (int_range 0 80) op)
+
+type model_region = {
+  mbase : int64;
+  msize : int;
+  mloc : Location.t;
+  cells : (int64, Value.t) Hashtbl.t;
+}
+
+let prop_memory_model =
+  QCheck.Test.make ~count:500 ~name:"memory agrees with a reference model"
+    arb_mem_ops (fun ops ->
+      let m = Memory.create () in
+      let live = ref [] and bases = ref [||] in
+      let addr_of (i, off) =
+        let n = Array.length !bases in
+        Int64.add (if n = 0 then 0x10L else !bases.(i mod n)) (Int64.of_int off)
+      in
+      let inside a r = a >= r.mbase && a < Int64.add r.mbase (Int64.of_int r.msize) in
+      let find a = List.find_opt (inside a) !live in
+      let access a =
+        if Int64.rem a 8L <> 0L then Error (Fmt.str "unaligned access at 0x%Lx" a)
+        else match find a with
+          | None -> Error (Fmt.str "wild access at 0x%Lx" a)
+          | Some r -> Ok r
+      in
+      let add base size loc =
+        live := { mbase = base; msize = size; mloc = loc; cells = Hashtbl.create 8 } :: !live;
+        bases := Array.append !bases [| base |]
+      in
+      let round n = max 8 ((n + 7) / 8 * 8) in
+      let real f = match f () with v -> Ok v | exception Value.Interp_error e -> Error e in
+      let show = function
+        | Ok v -> Fmt.str "%a" Value.pp v
+        | Error e -> "error: " ^ e
+      in
+      let agree k what want got =
+        if want <> got then
+          QCheck.Test.fail_reportf "op %d (%s): model %s, memory %s" k what want got
+      in
+      List.iteri
+        (fun k op ->
+          let what = Fmt.str "%a" pp_mem_op op in
+          match op with
+          | M_alloc n ->
+            let loc = Location.Heap k in
+            let base = Memory.alloc m ~size:n ~loc in
+            let size = round n in
+            if Int64.rem base 8L <> 0L then agree k what "aligned base" "unaligned";
+            List.iter
+              (fun r ->
+                if inside base r || inside r.mbase { r with mbase = base; msize = size }
+                then agree k what "a free span" "an overlap")
+              !live;
+            add base size loc
+          | M_alloc_at (slot, n) ->
+            let base = Int64.sub 0x4000_0000L (Int64.of_int (4 * slot)) in
+            let size = round n in
+            let loc = Location.Heap k in
+            let want =
+              if Int64.rem base 8L <> 0L then
+                Error (Fmt.str "alloc_at: unaligned base 0x%Lx" base)
+              else if
+                List.exists
+                  (fun r ->
+                    base < Int64.add r.mbase (Int64.of_int r.msize)
+                    && r.mbase < Int64.add base (Int64.of_int size))
+                  !live
+              then Error (Fmt.str "alloc_at: overlap at 0x%Lx" base)
+              else Ok base
+            in
+            let got = real (fun () -> Memory.alloc_at m ~base ~size:n ~loc) in
+            let str = function Ok b -> Fmt.str "0x%Lx" b | Error e -> "error: " ^ e in
+            agree k what (str want) (str got);
+            if Result.is_ok want then add base size loc
+          | M_free (i, o) ->
+            let a = addr_of (i, o) in
+            let want =
+              match List.find_opt (fun r -> r.mbase = a) !live with
+              | Some r ->
+                live := List.filter (fun r' -> r' != r) !live;
+                "ok"
+              | None -> Fmt.str "error: free of unknown region at 0x%Lx" a
+            in
+            let got =
+              match Memory.free m a with
+              | () -> "ok"
+              | exception Value.Interp_error e -> "error: " ^ e
+            in
+            agree k what want got
+          | M_load (i, o) | M_load_f64 (i, o) ->
+            let a = addr_of (i, o) in
+            let f64 = match op with M_load_f64 _ -> true | _ -> false in
+            let want =
+              Result.map
+                (fun r ->
+                  match Hashtbl.find_opt r.cells a with
+                  | None | Some (Value.Vint 0L) when f64 -> Value.Vflt 0.0
+                  | None -> Value.Vint 0L
+                  | Some v -> v)
+                (access a)
+            in
+            let got =
+              real (fun () ->
+                  if f64 then Memory.load_typed m a Srp_ir.Mem_ty.F64 else Memory.load m a)
+            in
+            agree k what (show want) (show got)
+          | M_store (i, o, v) ->
+            let a = addr_of (i, o) in
+            let want = Result.map (fun r -> Hashtbl.replace r.cells a v; v) (access a) in
+            let got = real (fun () -> Memory.store m a v; v) in
+            agree k what (show want) (show got)
+          | M_where (i, o) ->
+            let a = addr_of (i, o) in
+            let str = Option.fold ~none:"none" ~some:Location.to_string in
+            agree k what
+              (str (Option.map (fun r -> r.mloc) (find a)))
+              (str (Memory.location_of_addr m a)))
+        ops;
+      true)
+
 let test_profile_counts_and_targets () =
   let src = {|
 int a; int b;
@@ -163,6 +418,12 @@ let suite =
     Alcotest.test_case "memory zero init" `Quick test_memory_zero_init;
     Alcotest.test_case "memory free erases" `Quick test_memory_free_erases;
     Alcotest.test_case "wild access faults" `Quick test_wild_access_faults;
+    Alcotest.test_case "alloc_at overlap above" `Quick test_alloc_at_overlap_above;
+    Alcotest.test_case "freed region is wild" `Quick test_freed_region_is_wild;
+    Alcotest.test_case "alloc_at reused base reads zero" `Quick
+      test_alloc_at_reused_base_reads_zero;
+    Alcotest.test_case "alternating regions" `Quick test_alternating_regions;
+    QCheck_alcotest.to_alcotest prop_memory_model;
     Alcotest.test_case "profile counts and targets" `Quick test_profile_counts_and_targets;
     Alcotest.test_case "profile block counts" `Quick test_profile_block_counts;
     Alcotest.test_case "interp rejects promoted IR" `Quick test_interp_rejects_promoted;
