@@ -50,68 +50,20 @@ let asm_arg =
   Arg.(value & flag & info [ "S"; "asm" ] ~doc:"dump target assembly instead of IR")
 
 let ablation_conv =
-  let parse s =
-    match Pipeline.ablation_of_string s with
-    | Some a -> Ok a
-    | None ->
-      Error
-        (`Msg
-          (Fmt.str "unknown ablation %s (expected one of: %s)" s
-             (String.concat ", "
-                (List.map Pipeline.ablation_name Pipeline.all_ablations))))
-  in
-  Arg.conv (parse, fun ppf a -> Fmt.string ppf (Pipeline.ablation_name a))
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Pipeline.parse_ablation s)),
+      fun ppf a -> Fmt.string ppf (Pipeline.ablation_name a) )
 
 let ablation_arg =
   Arg.(value & opt_all ablation_conv []
        & info [ "ablation" ] ~docv:"NAME"
-           ~doc:"promotion-config override on top of the level (repeatable): \
-                 no-invala, no-control-spec, cascade, single-round")
+           ~doc:
+             ("build switch on top of the level (repeatable): "
+             ^ String.concat ", "
+                 (List.map Pipeline.ablation_name Pipeline.all_ablations)))
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"emit a machine-readable JSON document")
-
-let no_layout_arg =
-  Arg.(value & flag
-       & info [ "no-layout" ]
-           ~doc:"skip the post-regalloc block layout pass (loop rotation + \
-                 fall-through chaining), for A/B-ing its branch behaviour")
-
-let no_sched_arg =
-  Arg.(value & flag
-       & info [ "no-sched" ]
-           ~doc:"skip the pre-bundle latency-aware list scheduler and \
-                 bundle the stream in source order, for A/B-ing the \
-                 scheduling contribution (bit-identical on every \
-                 non-cycle counter)")
-
-let no_bundle_arg =
-  Arg.(value & flag
-       & info [ "no-bundle" ]
-           ~doc:"skip the IA-64 bundling pass and issue from a flat \
-                 instruction stream, for A/B-ing template-induced splits")
-
-let no_split_arg =
-  Arg.(value & flag
-       & info [ "no-split" ]
-           ~doc:"allocate registers with one closed interval per vreg \
-                 instead of hole-aware live ranges with splitting, for \
-                 A/B-ing the allocator upgrade")
-
-let no_pressure_arg =
-  Arg.(value & flag
-       & info [ "no-pressure" ]
-           ~doc:"disable the pressure-aware promotion gate and promote \
-                 every profitable candidate (the pre-cost-model behavior), \
-                 for A/B-ing the spill-cost model")
-
-let no_prob_arg =
-  Arg.(value & flag
-       & info [ "no-prob" ]
-           ~doc:"disable the probabilistic expected-value speculation gate \
-                 and fall back to the binary may-touch verdict (the \
-                 pre-frequency behavior), for A/B-ing the conflict-rate \
-                 model")
 
 let trace_arg =
   Arg.(value & opt (some string) None
@@ -198,16 +150,13 @@ let workload_of_file path =
     source = read_file path; train = []; ref_ = [] }
 
 let compile_cmd =
-  let run file level asm no_layout no_sched no_bundle no_split no_pressure
-      no_prob =
+  let run file level asm ablations =
     let w = workload_of_file file in
     let profile =
       match level with Pipeline.Alat -> Some (Pipeline.train_profile w) | _ -> None
     in
     let c =
-      Pipeline.compile ?profile ~layout:(not no_layout)
-        ~sched:(not no_sched) ~bundle:(not no_bundle) ~split:(not no_split)
-        ~pressure:(not no_pressure) ~prob:(not no_prob) ~input:[] w level
+      Pipeline.compile ?profile ~ablations ~input:[] w level
     in
     if asm then
       List.iter
@@ -226,34 +175,18 @@ let compile_cmd =
     | None -> ())
   in
   Cmd.v (Cmd.info "compile" ~doc:"compile a MiniC file and dump IR/assembly")
-    Term.(const run $ file_arg $ level_arg $ asm_arg $ no_layout_arg
-          $ no_sched_arg $ no_bundle_arg $ no_split_arg $ no_pressure_arg
-          $ no_prob_arg)
-
-let no_cache_arg =
-  Arg.(value & flag
-       & info [ "no-cache" ]
-           ~doc:"compile through the seed monolithic pipeline instead of \
-                 the staged artifact path — the reference the staged \
-                 path is held bit-identical to")
+    Term.(const run $ file_arg $ level_arg $ asm_arg $ ablation_arg)
 
 let run_cmd =
   let run file level ablations json trace trace_spans timeline
-      timeline_interval no_layout no_sched no_bundle no_split no_pressure
-      no_prob no_cache =
+      timeline_interval =
     let w = workload_of_file file in
-    let pcr =
-      if no_cache then Pipeline.profile_compile_run_monolithic
-      else Pipeline.profile_compile_run ?cache:None
-    in
     let r =
       with_spans trace_spans (fun () ->
           with_timeline timeline ~interval:timeline_interval (fun timeline ->
               with_trace trace (fun trace ->
-                  pcr ?trace ?timeline ~ablations
-                    ~layout:(not no_layout) ~sched:(not no_sched)
-                    ~bundle:(not no_bundle) ~split:(not no_split)
-                    ~pressure:(not no_pressure) ~prob:(not no_prob) w level)))
+                  Pipeline.profile_compile_run ?trace ?timeline ~ablations w
+                    level)))
     in
     if json then
       Fmt.pr "%s@." (J.to_string ~indent:2 (Emit.run_json ~name:w.Workload.name r))
@@ -268,9 +201,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"compile and execute on the machine simulator")
     Term.(const run $ file_arg $ level_arg $ ablation_arg $ json_arg $ trace_arg
-          $ trace_spans_arg $ timeline_arg $ timeline_interval_arg
-          $ no_layout_arg $ no_sched_arg $ no_bundle_arg $ no_split_arg
-          $ no_pressure_arg $ no_prob_arg $ no_cache_arg)
+          $ trace_spans_arg $ timeline_arg $ timeline_interval_arg)
 
 let serve_cmd =
   let capacity_arg =

@@ -45,7 +45,7 @@ type t = {
      cheaper shape is committed, so a crossing that does not pay for
      itself falls back to a hard kill.
      [prob = false] reproduces the binary-verdict pipeline bit for bit
-     (the --no-prob ablation): only P = 0 kills speculate and no check
+     (the no-prob ablation): only P = 0 kills speculate and no check
      cost is charged. *)
   prob : bool;
   spec_threshold : float; (* max tolerated P(conflict) per crossed kill *)

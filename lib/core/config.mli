@@ -49,7 +49,7 @@ type t = {
           ({!Srp_ir.Machine_model.rse_pool}), unless the candidate still
           pays for its marginal spill (a spill plus a fill at the RSE's
           per-register rate).  [false] reproduces promote-everything
-          exactly (the --no-pressure ablation). *)
+          exactly (the no-pressure ablation). *)
   prob : bool;
       (** expected-value speculation gating over the probabilistic
           profile: kills speculate while their observed conflict rate
@@ -60,7 +60,7 @@ type t = {
           chk.a), and each candidate commits the
           cheaper of the threshold scope and the binary scope.  [false]
           reproduces the binary-verdict pipeline bit for bit (the
-          --no-prob ablation). *)
+          no-prob ablation). *)
   spec_threshold : float;
       (** maximum tolerated per-execution conflict probability for a
           speculated kill; 1.0 (the default) delegates admission wholly

@@ -263,7 +263,7 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
                    expected-value scope choice still applies under
                    probability gating; it belongs to the prob feature,
                    not the pressure feature, and composes with
-                   --no-pressure.  With prob_gate = None [choose_scope]
+                   no-pressure.  With prob_gate = None [choose_scope]
                    returns the input collect and a zero-debit
                    assessment, so this is the exact legacy path. *)
                 List.iter

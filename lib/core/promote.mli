@@ -35,7 +35,7 @@ type pressure = {
     weighted saved load latency and promoted only while the projected
     class pressure stays within {!Srp_ir.Machine_model.rse_pool} — above
     it a candidate must still out-pay its spill round-trip.  Without the
-    callback (or with [config.pressure = false], the --no-pressure
+    callback (or with [config.pressure = false], the no-pressure
     ablation) promotion is bit-identical to promote-everything. *)
 val run :
   ?config:Config.t ->

@@ -60,14 +60,10 @@ let pool_map ~(ntasks : int) (f : int -> 'a) : ('a, exn) result array =
    the fixed reference the figures are normalized against.  [cache]
    shares stage artifacts between the two builds (one lower, one input
    application per input set). *)
-let run_pair ?fuel ?cache ?ablations ?sched ?prob (w : Workload.t) :
-    bench_result =
-  let base =
-    Pipeline.profile_compile_run ?fuel ?cache ?sched ?prob w Pipeline.Baseline
-  in
+let run_pair ?fuel ?cache ?ablations (w : Workload.t) : bench_result =
+  let base = Pipeline.profile_compile_run ?fuel ?cache w Pipeline.Baseline in
   let spec =
-    Pipeline.profile_compile_run ?fuel ?cache ?ablations ?sched ?prob w
-      Pipeline.Alat
+    Pipeline.profile_compile_run ?fuel ?cache ?ablations w Pipeline.Alat
   in
   if base.Pipeline.output <> spec.Pipeline.output then
     raise
@@ -85,15 +81,14 @@ let run_pair ?fuel ?cache ?ablations ?sched ?prob (w : Workload.t) :
    lowers each source once instead of thrice (train + 2 levels).  The
    baseline-vs-speculative output check happens after the join, exactly
    as in the sequential run_pair. *)
-let run_all ?fuel ?cache ?sched ?prob (workloads : Workload.t list) :
-    bench_result list =
+let run_all ?fuel ?cache (workloads : Workload.t list) : bench_result list =
   let ws = Array.of_list workloads in
   let n = Array.length ws in
   let ntasks = 2 * n in
   let run_task i =
     let w = ws.(i / 2) in
     let level = if i mod 2 = 0 then Pipeline.Baseline else Pipeline.Alat in
-    Pipeline.profile_compile_run ?fuel ?cache ?sched ?prob w level
+    Pipeline.profile_compile_run ?fuel ?cache w level
   in
   let slots = pool_map ~ntasks run_task in
   let result i =
@@ -153,14 +148,9 @@ let figure11 (rs : bench_result list) : string =
 
 (* One side of an ablation: a build of the staged pipeline, profiled on
    train and run on ref by [Pipeline.profile_compile_run]. *)
-type build = {
-  level : Pipeline.level;
-  ablations : Pipeline.ablation list;
-  sched : bool;
-  prob : bool;
-}
+type build = { level : Pipeline.level; ablations : Pipeline.ablation list }
 
-let alat = { level = Pipeline.Alat; ablations = []; sched = true; prob = true }
+let alat = { level = Pipeline.Alat; ablations = [] }
 let at level = { alat with level }
 let alat_with a = { alat with ablations = [ a ] }
 
@@ -182,9 +172,9 @@ let ablations : (string * string * build * string * build) list =
     ( "Ablation F: cascade promotion (section 2.4) on/off",
       "no-cascade", alat, "cascade", alat_with Pipeline.Cascade );
     ( "Ablation G: pre-bundle list scheduling on/off",
-      "no-sched", { alat with sched = false }, "sched", alat );
+      "no-sched", alat_with Pipeline.No_sched, "sched", alat );
     ( "Ablation H: probabilistic expected-value speculation gate on/off",
-      "no-prob", { alat with prob = false }, "prob", alat ) ]
+      "no-prob", alat_with Pipeline.No_prob, "prob", alat ) ]
 
 let render_compare ~label_a ~label_b rows =
   Srp_support.Pp_util.render_table
@@ -199,8 +189,8 @@ let render_compare ~label_a ~label_b rows =
    the same output, and render its cycle table. *)
 let run_ablation ?fuel ?cache (_title, label_a, a, label_b, b) workloads =
   let run w (bld : build) =
-    Pipeline.profile_compile_run ?fuel ?cache ~ablations:bld.ablations
-      ~sched:bld.sched ~prob:bld.prob w bld.level
+    Pipeline.profile_compile_run ?fuel ?cache ~ablations:bld.ablations w
+      bld.level
   in
   List.map
     (fun w ->

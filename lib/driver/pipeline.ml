@@ -16,10 +16,10 @@
    layout -> bundle), each keyed by content (Stage.Key) and each an
    immutable artifact that any number of builds can share — the bench
    sweep lowers each source once and `srp serve` shares train profiles
-   across a batch.  The original monolithic path survives unchanged as
-   [*_monolithic]: it is the reference the differential tests (and the
-   `srp run --no-cache` ablation) hold the staged path bit-identical
-   against. *)
+   across a batch.  The original monolithic path survives as
+   [*_monolithic]: it is the reference the differential tests hold the
+   staged path bit-identical against.  A build is fully described by its
+   level and its canonical ablation list. *)
 
 open Srp_ir
 module Alias_profile = Srp_profile.Alias_profile
@@ -43,37 +43,67 @@ let all_levels = [ O0; Conservative; Baseline; Alat; Alat_heuristic ]
 let level_of_string s =
   List.find_opt (fun l -> level_name l = s) all_levels
 
-(* --- ablations (ROADMAP "ablation wiring") ---
+(* --- ablations ---
 
-   Named promotion-config overrides applied on top of the selected level,
-   so a single workload can be measured under each configuration of the
-   bench sweep (A, E, F and a round-limit probe) without running the whole
-   matrix.  Ablations B-D are level choices and already reachable via
+   Every build switch, registered once by name: the promotion-config
+   overrides of the bench sweep (A, E, F, G, H and a round-limit probe)
+   and the backend stages that can be turned off.  Ablations B-D are
+   level choices and already reachable via
    [-l baseline|conservative|alat-heuristic]. *)
 
 type ablation =
-  | No_invala  (** disable the invala.e cold-path strategy (ablation A) *)
-  | No_control_spec  (** disable ld.sa hoisting (ablation E) *)
-  | Cascade  (** enable section-2.4 cascade promotion (ablation F) *)
-  | Single_round  (** max_rounds = 1: direct references only *)
+  | No_invala
+  | No_control_spec
+  | Cascade
+  | Single_round
+  | No_layout
+  | No_sched
+  | No_bundle
+  | No_split
+  | No_pressure
+  | No_prob
 
-let all_ablations = [ No_invala; No_control_spec; Cascade; Single_round ]
+let all_ablations =
+  [ No_invala; No_control_spec; Cascade; Single_round; No_layout; No_sched;
+    No_bundle; No_split; No_pressure; No_prob ]
 
 let ablation_name = function
   | No_invala -> "no-invala"
   | No_control_spec -> "no-control-spec"
   | Cascade -> "cascade"
   | Single_round -> "single-round"
+  | No_layout -> "no-layout"
+  | No_sched -> "no-sched"
+  | No_bundle -> "no-bundle"
+  | No_split -> "no-split"
+  | No_pressure -> "no-pressure"
+  | No_prob -> "no-prob"
 
 let ablation_of_string s =
   List.find_opt (fun a -> ablation_name a = s) all_ablations
 
+let parse_ablation s =
+  match ablation_of_string s with
+  | Some a -> Ok a
+  | None ->
+    Error
+      (Fmt.str "unknown ablation %S (expected one of: %s)" s
+         (String.concat ", " (List.map ablation_name all_ablations)))
+
+let canonical_ablations (l : ablation list) : ablation list =
+  List.filter (fun a -> List.mem a l) all_ablations
+
+(* The backend ablations leave the config alone: [compile] reads them
+   where it picks the regalloc policy and the layout/bundle inputs. *)
 let apply_ablation (a : ablation) (c : Srp_core.Config.t) : Srp_core.Config.t =
   match a with
   | No_invala -> { c with Srp_core.Config.use_invala = false }
   | No_control_spec -> { c with Srp_core.Config.control_spec = false }
   | Cascade -> { c with Srp_core.Config.cascade = true }
   | Single_round -> { c with Srp_core.Config.max_rounds = 1 }
+  | No_pressure -> { c with Srp_core.Config.pressure = false }
+  | No_prob -> { c with Srp_core.Config.prob = false }
+  | No_layout | No_sched | No_bundle | No_split -> c
 
 let config_of_level (level : level) (profile : Alias_profile.t option) :
     Srp_core.Config.t option =
@@ -84,6 +114,11 @@ let config_of_level (level : level) (profile : Alias_profile.t option) :
   | Alat, Some p -> Some (Srp_core.Config.alat ~profile:p)
   | Alat, None -> Some Srp_core.Config.alat_heuristic
   | Alat_heuristic, _ -> Some Srp_core.Config.alat_heuristic
+
+let ablated_config level profile ablations =
+  Option.map
+    (fun c -> List.fold_left (Fun.flip apply_ablation) c ablations)
+    (config_of_level level profile)
 
 type compiled = {
   level : level;
@@ -109,7 +144,7 @@ type compiled = {
    looks modest is still over budget when it sits under (or over) a fat
    partner frame.  Always computed against the default (hole-aware)
    policy — the estimate feeds the promote stage, whose content key must
-   not depend on the downstream --no-split setting. *)
+   not depend on the downstream no-split ablation. *)
 let pressure_fn (prog : Program.t) :
     string -> Srp_core.Promote.pressure option =
   let memo : (string, Srp_core.Promote.pressure option) Hashtbl.t =
@@ -300,40 +335,41 @@ let train_profile ?cache (w : Workload.t) : Alias_profile.t =
 
 (* Compile [w] at [level]; the ref input is applied to the globals before
    code generation (static data), the profile comes from the train run.
-   [ablations] are config overrides on top of the level (no effect at O0,
-   which runs no promotion at all).  [split:false] selects the
-   closed-interval allocator (the --no-split ablation); [pressure:false]
-   turns the pressure gate off (the --no-pressure ablation, flowing
-   through the config so the promote content key records it);
-   [prob:false] turns probabilistic speculation gating off — the exact
-   binary-verdict legacy path, also recorded in the promote content key
-   (the --no-prob ablation); [sched:false] skips the pre-bundle list
-   scheduler (the --no-sched ablation, recorded in the bundle stage
-   key). *)
+   [ablations] are put in canonical form and recorded in the result: the
+   config ones flow through the promote content key (no effect at O0,
+   which runs no promotion at all), the backend ones through the
+   regalloc, layout and bundle stage keys.  The [layout] .. [prob] labels
+   only exist for the benchmark harness under perfbench/: each [false] is
+   the same as listing its ablation. *)
 let compile ?cache ?profile ?(ablations = []) ?(layout = true)
     ?(sched = true) ?(bundle = true) ?(split = true) ?(pressure = true)
     ?(prob = true) ~(input : Workload.input) (w : Workload.t) (level : level)
     : compiled =
+  let ablations =
+    canonical_ablations
+      (ablations
+      @ List.filter_map
+          (fun (on, a) -> if on then None else Some a)
+          [ (layout, No_layout); (sched, No_sched); (bundle, No_bundle);
+            (split, No_split); (pressure, No_pressure); (prob, No_prob) ])
+  in
+  let on a = not (List.mem a ablations) in
   let lower_key, lowered = lower_stage cache w.Workload.source in
   let applied_key, applied = apply_stage cache ~lower_key lowered input in
-  let config =
-    match config_of_level level profile with
-    | None -> None
-    | Some config ->
-      let config = List.fold_left (Fun.flip apply_ablation) config ablations in
-      Some
-        { config with
-          Srp_core.Config.pressure = config.Srp_core.Config.pressure && pressure;
-          prob = config.Srp_core.Config.prob && prob
-        }
-  in
   let promote_key, ir, promote =
-    promote_stage cache ~applied_key applied config
+    promote_stage cache ~applied_key applied
+      (ablated_config level profile ablations)
   in
   let select_key, sel = select_stage cache ~promote_key ir in
+  let split = on No_split in
   let regalloc_key, al = regalloc_stage cache ~select_key ~split sel in
-  let layout_key, al = layout_stage cache ~regalloc_key ~layout al in
-  let _bundle_key, fns = bundle_stage cache ~layout_key ~sched ~bundle al in
+  let layout_key, al =
+    layout_stage cache ~regalloc_key ~layout:(on No_layout) al
+  in
+  let _bundle_key, fns =
+    bundle_stage cache ~layout_key ~sched:(on No_sched)
+      ~bundle:(on No_bundle) al
+  in
   let target = Srp_target.Codegen.assemble_program ir fns in
   { level; ablations; split; ir; target; promote }
 
@@ -358,9 +394,8 @@ let run ?fuel ?trace ?timeline (c : compiled) : run_result =
    run still shares the lower artifact between the train-profile and ref
    builds, so parse/lower fires once per distinct source (the seed path
    lowered the same source twice per alat run). *)
-let profile_compile_run ?fuel ?trace ?timeline ?cache ?ablations ?layout
-    ?sched ?bundle ?split ?pressure ?prob (w : Workload.t) (level : level) :
-    run_result =
+let profile_compile_run ?fuel ?trace ?timeline ?cache ?ablations
+    (w : Workload.t) (level : level) : run_result =
   let cache =
     match cache with Some c -> c | None -> Stage.create ~capacity:16 ()
   in
@@ -369,18 +404,14 @@ let profile_compile_run ?fuel ?trace ?timeline ?cache ?ablations ?layout
     | Alat -> Some (train_profile ~cache w)
     | O0 | Conservative | Baseline | Alat_heuristic -> None
   in
-  let c =
-    compile ~cache ?profile ?ablations ?layout ?sched ?bundle ?split
-      ?pressure ?prob ~input:w.Workload.ref_ w level
-  in
+  let c = compile ~cache ?profile ?ablations ~input:w.Workload.ref_ w level in
   run ?fuel ?trace ?timeline c
 
 (* --- the seed monolithic path ---
 
-   Kept verbatim as the reference implementation: the staged/cached path
-   must stay bit-identical to it — output, exit code and every machine
-   counter — which the differential tests and the `srp run --no-cache`
-   ablation enforce. *)
+   Kept as the reference implementation: the staged/cached path must stay
+   bit-identical to it — output, exit code and every machine counter —
+   which the differential tests enforce.  Only tests call it. *)
 
 let train_profile_monolithic (w : Workload.t) : Alias_profile.t =
   Srp_obs.Stats.time ~pass:"profile" "train_interp" @@ fun () ->
@@ -390,42 +421,37 @@ let train_profile_monolithic (w : Workload.t) : Alias_profile.t =
   ignore (Srp_profile.Interp.run interp);
   Srp_profile.Interp.profile interp
 
-let compile_monolithic ?profile ?(ablations = []) ?(layout = true)
-    ?(sched = true) ?(bundle = true) ?(split = true) ?(pressure = true)
-    ?(prob = true) ~(input : Workload.input) (w : Workload.t) (level : level)
-    : compiled =
+let compile_monolithic ?profile ?(ablations = []) ~(input : Workload.input)
+    (w : Workload.t) (level : level) : compiled =
+  let ablations = canonical_ablations ablations in
+  let on a = not (List.mem a ablations) in
   let ir = Srp_frontend.Lower.compile_source w.Workload.source in
   Workload.apply_input ir input;
   let promote =
-    match config_of_level level profile with
-    | None -> None
-    | Some config ->
-      let config = List.fold_left (Fun.flip apply_ablation) config ablations in
-      let config =
-        { config with
-          Srp_core.Config.pressure = config.Srp_core.Config.pressure && pressure;
-          prob = config.Srp_core.Config.prob && prob
-        }
-      in
-      Some (Srp_core.Promote.run ~config ~pressure:(pressure_fn ir) ir)
+    Option.map
+      (fun config ->
+        Srp_core.Promote.run ~config ~pressure:(pressure_fn ir) ir)
+      (ablated_config level profile ablations)
   in
+  let split = on No_split in
   let ra =
     if split then Srp_target.Regalloc.default_policy
     else Srp_target.Regalloc.closed_policy
   in
-  let target = Srp_target.Codegen.gen_program ~layout ~sched ~bundle ~ra ir in
+  let target =
+    Srp_target.Codegen.gen_program ~layout:(on No_layout) ~sched:(on No_sched)
+      ~bundle:(on No_bundle) ~ra ir
+  in
   { level; ablations; split; ir; target; promote }
 
-let profile_compile_run_monolithic ?fuel ?trace ?timeline ?ablations ?layout
-    ?sched ?bundle ?split ?pressure ?prob (w : Workload.t) (level : level) :
-    run_result =
+let profile_compile_run_monolithic ?fuel ?trace ?timeline ?ablations
+    (w : Workload.t) (level : level) : run_result =
   let profile =
     match level with
     | Alat -> Some (train_profile_monolithic w)
     | O0 | Conservative | Baseline | Alat_heuristic -> None
   in
   let c =
-    compile_monolithic ?profile ?ablations ?layout ?sched ?bundle ?split
-      ?pressure ?prob ~input:w.Workload.ref_ w level
+    compile_monolithic ?profile ?ablations ~input:w.Workload.ref_ w level
   in
   run ?fuel ?trace ?timeline c

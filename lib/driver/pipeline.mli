@@ -5,10 +5,12 @@
     immutable artifact under a content-addressed key ({!Stage.Key}).
     Passing [?cache] (a {!Stage.store}) shares artifacts across builds —
     a bench sweep lowers each source once; [srp serve] shares the train
-    profile across a whole batch.  The seed's monolithic path survives as
-    the [*_monolithic] reference implementations: the staged path is held
-    bit-identical to them (output, exit code, every machine counter) by
-    the differential tests and by [srp run --no-cache]. *)
+    profile across a whole batch.  A build is fully described by its
+    {!level} and its canonical {!ablation} list.  The seed's monolithic
+    path survives as the [*_monolithic] reference implementations, which
+    only the tests call: the staged path is held bit-identical to them
+    (output, exit code, every machine counter) by the differential
+    tests. *)
 
 open Srp_ir
 
@@ -37,27 +39,64 @@ val train_profile : ?cache:Stage.store -> Workload.t -> Srp_profile.Alias_profil
 val config_of_level :
   level -> Srp_profile.Alias_profile.t option -> Srp_core.Config.t option
 
-(** Named promotion-config overrides applied on top of a level, so single
-    workloads can be measured per bench-sweep configuration (ROADMAP
-    "ablation wiring").  Ablations B-D of the sweep are level choices and
-    already reachable via [-l]. *)
+(** Every build switch of the experiment matrix, registered once by name:
+    the CLI's [--ablation], [srp serve]'s ["ablations"], the serve job
+    key and the run JSON all go through {!all_ablations} and
+    {!ablation_name}.  Ablations B-D of the sweep are level choices and
+    are reachable via [-l]. *)
 type ablation =
   | No_invala  (** disable the invala.e cold-path strategy (ablation A) *)
   | No_control_spec  (** disable ld.sa hoisting (ablation E) *)
   | Cascade  (** enable section-2.4 cascade promotion (ablation F) *)
   | Single_round  (** max_rounds = 1: direct references only *)
+  | No_layout
+      (** skip the post-regalloc block layout pass (loop rotation and
+          fall-through chaining), to A/B the branch-layout contribution *)
+  | No_sched
+      (** skip the pre-bundle latency-aware list scheduler
+          ({!Srp_target.Sched}) and bundle in source order (ablation G);
+          bit-identical on every non-cycle counter *)
+  | No_bundle
+      (** skip IA-64 3-slot bundling: the machine issues from a flat
+          instruction stream *)
+  | No_split
+      (** allocate one closed interval per vreg instead of hole-aware
+          live ranges with splitting *)
+  | No_pressure
+      (** turn the promoter's pressure-aware candidate gate off:
+          promote-everything exactly (a config override, so the promote
+          content key records it) *)
+  | No_prob
+      (** turn the probabilistic expected-value speculation gate off: the
+          exact binary-verdict legacy path (ablation H; a config
+          override, recorded in the promote content key) *)
 
+(** Every ablation, in canonical order. *)
 val all_ablations : ablation list
+
 val ablation_name : ablation -> string
 val ablation_of_string : string -> ablation option
+
+(** [ablation_of_string] with an error that names the input and lists
+    the valid names. *)
+val parse_ablation : string -> (ablation, string) result
+
+(** The set of [l] in the order of {!all_ablations}, without
+    duplicates: two lists describe the same build iff their canonical
+    forms are equal. *)
+val canonical_ablations : ablation list -> ablation list
+
+(** The promotion-config override of an ablation; the four backend ones
+    ([No_layout], [No_sched], [No_bundle], [No_split]) return the config
+    unchanged. *)
 val apply_ablation : ablation -> Srp_core.Config.t -> Srp_core.Config.t
 
 type compiled = {
   level : level;
-  ablations : ablation list;
+  ablations : ablation list;  (** canonical ({!canonical_ablations}) *)
   split : bool;
-      (** hole-aware regalloc with live-range splitting (off = the
-          closed-interval allocator, the [--no-split] ablation) *)
+      (** [No_split] is not among [ablations]; kept for the benchmark
+          harness, which builds [compiled] records itself *)
   ir : Program.t;  (** the (possibly promoted) IR *)
   target : Srp_target.Insn.program;
   promote : Srp_core.Promote.result option;
@@ -73,25 +112,15 @@ val pressure_fn : Program.t -> string -> Srp_core.Promote.pressure option
 
 (** Compile a workload at a level; [input] (usually the ref input) is baked
     into the global initializers before promotion and code generation.
-    [ablations] override the level's promotion config (no effect at O0).
-    [layout] (default on) runs the post-regalloc block layout pass — turn
-    it off to A/B the branch-layout contribution in isolation.  [sched]
-    (default on) runs the pre-bundle latency-aware list scheduler
-    ({!Srp_target.Sched}) over the laid-out code; off is the [--no-sched]
-    ablation, bit-identical on every non-cycle counter.  [bundle]
-    (default on) packs the laid-out code into IA-64 3-slot bundles so the
-    machine fetches bundle-wise; off = flat instruction stream.  [split]
-    (default on) selects the hole-aware live-range allocator; off falls
-    back to one closed interval per vreg.  [pressure] (default on) keeps
-    the pressure-aware candidate gate in the promoter; off is the
-    [--no-pressure] ablation, reproducing promote-everything exactly (it
-    flows through the config, so the promote content key records it).
-    [prob] (default on) keeps the probabilistic expected-value
-    speculation gate; off is the [--no-prob] ablation, the exact
-    binary-verdict legacy path (also recorded in the promote content
-    key).  [cache] shares stage artifacts with other builds; without it
-    the stages still run (one lower, clones before mutation) but retain
-    nothing. *)
+    [ablations] are put in canonical form and recorded in the result
+    (the config ones have no effect at O0).  [cache] shares stage
+    artifacts with other builds; without it the stages still run (one
+    lower, clones before mutation) but retain nothing.
+
+    [layout] .. [prob] (default on) exist only for the benchmark harness
+    under [perfbench/]: each [false] is the same as listing [No_layout]
+    .. [No_prob], and is recorded in [ablations] the same way.  Other
+    callers pass ablations. *)
 val compile :
   ?cache:Stage.store ->
   ?profile:Srp_profile.Alias_profile.t ->
@@ -130,33 +159,20 @@ val profile_compile_run :
   ?timeline:Srp_machine.Timeline.t ->
   ?cache:Stage.store ->
   ?ablations:ablation list ->
-  ?layout:bool ->
-  ?sched:bool ->
-  ?bundle:bool ->
-  ?split:bool ->
-  ?pressure:bool ->
-  ?prob:bool ->
   Workload.t ->
   level ->
   run_result
 
 (** {1 The seed monolithic path}
 
-    The original single-function pipeline, kept verbatim as the reference
-    the staged path is differentially tested against, and as the
-    [srp run --no-cache] implementation. *)
+    The original single-function pipeline, kept as the reference the
+    staged path is differentially tested against.  Only tests call it. *)
 
 val train_profile_monolithic : Workload.t -> Srp_profile.Alias_profile.t
 
 val compile_monolithic :
   ?profile:Srp_profile.Alias_profile.t ->
   ?ablations:ablation list ->
-  ?layout:bool ->
-  ?sched:bool ->
-  ?bundle:bool ->
-  ?split:bool ->
-  ?pressure:bool ->
-  ?prob:bool ->
   input:Workload.input ->
   Workload.t ->
   level ->
@@ -167,12 +183,6 @@ val profile_compile_run_monolithic :
   ?trace:Srp_obs.Trace.sink ->
   ?timeline:Srp_machine.Timeline.t ->
   ?ablations:ablation list ->
-  ?layout:bool ->
-  ?sched:bool ->
-  ?bundle:bool ->
-  ?split:bool ->
-  ?pressure:bool ->
-  ?prob:bool ->
   Workload.t ->
   level ->
   run_result

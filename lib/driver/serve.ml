@@ -3,13 +3,14 @@
 
    Protocol (schema srp-serve-v1): JSON-lines on stdin, one job per line,
    batch ends at EOF.  A job names a built-in workload or carries inline
-   MiniC source, plus a level, ablations, backend flags and a fuel bound
-   (the machine config):
+   MiniC source, plus a level, ablations (any of Pipeline.all_ablations,
+   by name) and a fuel bound (the machine config):
 
      {"id": 1, "workload": "gzip", "level": "alat"}
      {"id": 2, "source": "int main() { return 0; }", "level": "O0",
-      "ablations": [], "layout": true, "sched": true, "bundle": true,
-      "split": true, "fuel": 1000000}
+      "ablations": ["no-sched", "no-split"], "fuel": 1000000}
+
+   Any other field is an error, as is an unknown ablation name.
 
    The daemon dedupes jobs by content key, fans the unique jobs out on
    the Experiments domain pool over one shared stage store (so every
@@ -28,37 +29,26 @@ type job = {
   j_w : Workload.t;
   j_level : Pipeline.level;
   j_ablations : Pipeline.ablation list;
-  j_layout : bool;
-  j_sched : bool;
-  j_bundle : bool;
-  j_split : bool;
-  j_pressure : bool;
-  j_prob : bool;
   j_fuel : int option;
 }
 
 (* The job's content key: everything that determines its result.  Two
    jobs with equal keys are the same compile-and-run, whatever their ids
-   say — the second is answered from the first's result. *)
+   say — the second is answered from the first's result.  Ablations enter
+   in canonical form, so their order and repeats do not matter. *)
 let job_key (j : job) : string =
   Stage.Key.digest
     ([ "serve-job"; j.j_w.Workload.source;
        Marshal.to_string j.j_w.Workload.train [];
        Marshal.to_string j.j_w.Workload.ref_ [];
        Pipeline.level_name j.j_level ]
-    @ List.map Pipeline.ablation_name j.j_ablations
-    @ [ string_of_bool j.j_layout; string_of_bool j.j_sched;
-        string_of_bool j.j_bundle; string_of_bool j.j_split;
-        string_of_bool j.j_pressure; string_of_bool j.j_prob;
-        (match j.j_fuel with None -> "" | Some f -> string_of_int f) ])
+    @ List.map Pipeline.ablation_name
+        (Pipeline.canonical_ablations j.j_ablations)
+    @ [ (match j.j_fuel with None -> "" | Some f -> string_of_int f) ])
 
 let ( let* ) = Result.bind
 
-let bool_field ~default name js =
-  match Json.member name js with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Fmt.str "field %S must be a boolean" name)
+let job_fields = [ "id"; "workload"; "source"; "level"; "ablations"; "fuel" ]
 
 let parse_job ~(lookup : string -> Workload.t option) ~(line_no : int)
     (js : Json.t) : Json.t * (job, string) result =
@@ -66,6 +56,17 @@ let parse_job ~(lookup : string -> Workload.t option) ~(line_no : int)
     match Json.member "id" js with Some v -> v | None -> Json.Int line_no
   in
   let job =
+    let* () =
+      match js with
+      | Json.Obj fields -> (
+        match List.find_opt (fun (k, _) -> not (List.mem k job_fields)) fields with
+        | Some (k, _) ->
+          Error
+            (Fmt.str "unknown job field %S (expected one of: %s)" k
+               (String.concat ", " job_fields))
+        | None -> Ok ())
+      | _ -> Error "a job must be a JSON object"
+    in
     let* w =
       match (Json.member "workload" js, Json.member "source" js) with
       | Some v, None -> (
@@ -102,19 +103,12 @@ let parse_job ~(lookup : string -> Workload.t option) ~(line_no : int)
           List.fold_left
             (fun acc item ->
               let* acc = acc in
-              match
-                Option.bind (Json.to_string_opt item) Pipeline.ablation_of_string
-              with
-              | Some a -> Ok (acc @ [ a ])
-              | None -> Error "unknown ablation name")
+              match Json.to_string_opt item with
+              | Some name ->
+                Result.map (fun a -> acc @ [ a ]) (Pipeline.parse_ablation name)
+              | None -> Error "field \"ablations\" must be an array of names")
             (Ok []) items)
     in
-    let* layout = bool_field ~default:true "layout" js in
-    let* sched = bool_field ~default:true "sched" js in
-    let* bundle = bool_field ~default:true "bundle" js in
-    let* split = bool_field ~default:true "split" js in
-    let* pressure = bool_field ~default:true "pressure" js in
-    let* prob = bool_field ~default:true "prob" js in
     let* fuel =
       match Json.member "fuel" js with
       | None -> Ok None
@@ -124,8 +118,6 @@ let parse_job ~(lookup : string -> Workload.t option) ~(line_no : int)
         | _ -> Error "field \"fuel\" must be a positive integer")
     in
     Ok { j_id = id; j_w = w; j_level = level; j_ablations = ablations;
-         j_layout = layout; j_sched = sched; j_bundle = bundle;
-         j_split = split; j_pressure = pressure; j_prob = prob;
          j_fuel = fuel }
   in
   (id, job)
@@ -143,9 +135,7 @@ let run_job ~cache ~key (j : job) : Pipeline.run_result * Stats.Scope.t =
     (fun () ->
       Stats.with_scope (fun () ->
           Pipeline.profile_compile_run ?fuel:j.j_fuel ~cache
-            ~ablations:j.j_ablations ~layout:j.j_layout ~sched:j.j_sched
-            ~bundle:j.j_bundle ~split:j.j_split ~pressure:j.j_pressure
-            ~prob:j.j_prob j.j_w j.j_level))
+            ~ablations:j.j_ablations j.j_w j.j_level))
 
 let result_json (j : job) ~key ~deduped (r : Pipeline.run_result)
     (scope : Stats.Scope.t) : Json.t =

@@ -81,7 +81,7 @@ type policy = {
 let default_policy =
   { mode = Holes; cap_int = 96; cap_fp = 96; pin_whole = false }
 
-(* The --no-split ablation reproduces the seed allocator exactly: one
+(* The no-split ablation reproduces the seed allocator exactly: one
    conservative closed interval per vreg AND whole-function pinned ranges,
    so A/B runs measure the full upgrade, not half of it. *)
 let closed_policy = { default_policy with mode = Closed; pin_whole = true }

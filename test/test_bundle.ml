@@ -209,7 +209,7 @@ int main() {
     Codegen.gen_program ~bundle:false (Srp_frontend.Lower.compile_source src)
   in
   let ff = Hashtbl.find flat.Insn.funcs "main" in
-  Alcotest.(check bool) "--no-bundle yields a flat stream" true
+  Alcotest.(check bool) "no-bundle yields a flat stream" true
     (ff.Insn.bundles = None)
 
 (* --- bundle-on/off differential over the built-in kernels --- *)
@@ -221,7 +221,8 @@ let cycle_family =
 
 let run_small (w : Workload.t) ~bundle level =
   let small = { w with Workload.ref_ = w.Workload.train } in
-  Pipeline.profile_compile_run ~bundle small level
+  let ablations = if bundle then [] else [ Pipeline.No_bundle ] in
+  Pipeline.profile_compile_run ~ablations small level
 
 let test_kernel_bundle_differential name () =
   let w = Srp_workloads.Registry.find name in

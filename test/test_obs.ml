@@ -554,21 +554,38 @@ let test_ablation_names_roundtrip () =
   Alcotest.(check bool) "unknown rejected" true
     (Pipeline.ablation_of_string "frobnicate" = None)
 
+(* Each ablation's effect on a config, spelled out per constructor: the
+   config ones set their one field, the backend ones leave the config
+   alone (compile reads them itself). *)
 let test_ablation_config_overrides () =
   let base =
     { Srp_core.Config.alat_heuristic with
       Srp_core.Config.use_invala = true;
       control_spec = true }
   in
-  let open Srp_core.Config in
-  Alcotest.(check bool) "no-invala" false
-    (Pipeline.apply_ablation Pipeline.No_invala base).use_invala;
-  Alcotest.(check bool) "no-control-spec" false
-    (Pipeline.apply_ablation Pipeline.No_control_spec base).control_spec;
-  Alcotest.(check bool) "cascade" true
-    (Pipeline.apply_ablation Pipeline.Cascade base).cascade;
-  Alcotest.(check int) "single-round" 1
-    (Pipeline.apply_ablation Pipeline.Single_round base).max_rounds
+  List.iter
+    (fun a ->
+      let expected =
+        match a with
+        | Pipeline.No_invala -> { base with Srp_core.Config.use_invala = false }
+        | Pipeline.No_control_spec ->
+          { base with Srp_core.Config.control_spec = false }
+        | Pipeline.Cascade -> { base with Srp_core.Config.cascade = true }
+        | Pipeline.Single_round -> { base with Srp_core.Config.max_rounds = 1 }
+        | Pipeline.No_pressure -> { base with Srp_core.Config.pressure = false }
+        | Pipeline.No_prob -> { base with Srp_core.Config.prob = false }
+        | Pipeline.No_layout | Pipeline.No_sched | Pipeline.No_bundle
+        | Pipeline.No_split ->
+          base
+      in
+      Alcotest.(check bool) (Pipeline.ablation_name a) true
+        (Pipeline.apply_ablation a base = expected))
+    Pipeline.all_ablations;
+  Alcotest.(check bool) "config ablations change the base" true
+    (List.for_all
+       (fun a -> Pipeline.apply_ablation a base <> base)
+       Pipeline.[ No_invala; No_control_spec; Cascade; Single_round;
+                  No_pressure; No_prob ])
 
 let test_ablation_run_output_equal () =
   let w = Srp_workloads.Registry.find "gzip" in
@@ -674,26 +691,37 @@ let test_cli_run_json () =
       \  return s;\n\
        }\n";
     close_out oc;
-    let cmd =
-      Fmt.str "%s run %s --json >%s 2>/dev/null" (Filename.quote bin)
-        (Filename.quote src) (Filename.quote out)
-    in
-    let rc = Sys.command cmd in
-    Alcotest.(check int) "exit code is the program's (sum 84 & 0xff)" 84 rc;
-    let ic = open_in_bin out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let doc = parse_ok s in
-    Alcotest.(check (option string)) "schema" (Some "srp-run-v1")
-      (Option.bind (J.member "schema" doc) J.to_string_opt);
-    Alcotest.(check (option int)) "exit_code field" (Some 84)
-      (Option.bind (J.member "exit_code" doc) J.to_int_opt);
-    match
-      Option.bind (J.member "counters" doc) (fun c ->
-          Option.bind (J.member "loads_retired" c) J.to_int_opt)
-    with
-    | Some n when n > 0 -> ()
-    | _ -> Alcotest.fail "cli json has no retired loads"
+    (* the run document records the whole build: every ablation named
+       on the command line, in canonical order *)
+    List.iter
+      (fun (flags, ablations) ->
+        let cmd =
+          Fmt.str "%s run %s --json%s >%s 2>/dev/null" (Filename.quote bin)
+            (Filename.quote src) flags (Filename.quote out)
+        in
+        let rc = Sys.command cmd in
+        Alcotest.(check int) "exit code is the program's (sum 84 & 0xff)" 84
+          rc;
+        let ic = open_in_bin out in
+        let s = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let doc = parse_ok s in
+        Alcotest.(check (option string)) "schema" (Some "srp-run-v1")
+          (Option.bind (J.member "schema" doc) J.to_string_opt);
+        Alcotest.(check (option int)) "exit_code field" (Some 84)
+          (Option.bind (J.member "exit_code" doc) J.to_int_opt);
+        Alcotest.(check (option json_testable))
+          ("ablations of" ^ flags)
+          (Some (J.Arr (List.map (fun a -> J.String a) ablations)))
+          (J.member "ablations" doc);
+        match
+          Option.bind (J.member "counters" doc) (fun c ->
+              Option.bind (J.member "loads_retired" c) J.to_int_opt)
+        with
+        | Some n when n > 0 -> ()
+        | _ -> Alcotest.fail "cli json has no retired loads")
+      [ ("", []);
+        (" --ablation no-prob --ablation no-sched", [ "no-sched"; "no-prob" ]) ]
   end
 
 let suite =

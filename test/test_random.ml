@@ -7,41 +7,38 @@
 
 module Config = Srp_core.Config
 module Promote = Srp_core.Promote
+module Pipeline = Srp_driver.Pipeline
 
 let interp_reference src =
   let prog = Srp_frontend.Lower.compile_source src in
   let code, out, profile = Srp_profile.Interp.run_program prog in
   (code, out, profile)
 
-let machine_run ?(layout = true) ?(sched = true) ?(bundle = true)
-    ?(split = true) ?(pressure = false) ?(prob = true) src config =
+(* [ablations] act as in the pipeline: the config ones fold into the
+   promotion config (no-pressure turns the regalloc-estimate gate off,
+   no-prob falls back to the binary may-touch verdict), the backend ones
+   pick the allocator policy and the layout/sched/bundle passes. *)
+let machine_run ?(ablations = []) src config =
+  let on a = not (List.mem a ablations) in
   let prog = Srp_frontend.Lower.compile_source src in
   (match config with
   | Some c ->
-    (* with the pressure axis on, feed the promoter the same regalloc
-       estimate the driver pipeline injects; off means no callback — the
-       promoter's legacy ungated path, exactly `srp --no-pressure`.
-       prob off folds into the config like the pipeline's `--no-prob`:
-       the binary may-touch verdict, no expected-value debit *)
-    let c = { c with Config.prob = c.Config.prob && prob } in
-    let est =
-      if pressure then Some (Srp_driver.Pipeline.pressure_fn prog) else None
-    in
-    ignore (Promote.run ~config:c ?pressure:est prog)
+    let c = List.fold_left (Fun.flip Pipeline.apply_ablation) c ablations in
+    ignore (Promote.run ~config:c ~pressure:(Pipeline.pressure_fn prog) prog)
   | None -> ());
   let ra =
-    if split then Srp_target.Regalloc.default_policy
+    if on Pipeline.No_split then Srp_target.Regalloc.default_policy
     else Srp_target.Regalloc.closed_policy
   in
-  let tgt = Srp_target.Codegen.gen_program ~layout ~sched ~bundle ~ra prog in
+  let tgt =
+    Srp_target.Codegen.gen_program ~layout:(on Pipeline.No_layout)
+      ~sched:(on Pipeline.No_sched) ~bundle:(on Pipeline.No_bundle) ~ra prog
+  in
   let code, out, _ = Srp_machine.Machine.run_program ~fuel:50_000_000 tgt in
   (code, out)
 
-let check_level ?layout ?sched ?bundle ?split ?pressure ?prob src name
-    expected config =
-  let code, out =
-    machine_run ?layout ?sched ?bundle ?split ?pressure ?prob src config
-  in
+let check_level ?ablations src name expected config =
+  let code, out = machine_run ?ablations src config in
   if out <> snd expected || code <> fst expected then
     Alcotest.failf "%s diverged!\n--- source ---\n%s\n--- expected ---\n%s--- got ---\n%s"
       name src (snd expected) out
@@ -58,13 +55,17 @@ let level_configs profile =
     ("alat-profile", Some (Config.alat ~profile));
     ("alat-wrong-profile", Some (Config.alat ~profile:empty)) ]
 
+(* the fixed seeds and hand-picked shapes run the ungated promoter *)
+let ungated = [ Pipeline.No_pressure ]
+
 let run_seed seed =
   let src = Gen_minic.program ~seed () in
   let code, out, profile = interp_reference src in
   let expected = (code, out) in
   List.iter
     (fun (name, config) ->
-      check_level src (Fmt.str "seed %d %s" seed name) expected config)
+      check_level ~ablations:ungated src (Fmt.str "seed %d %s" seed name)
+        expected config)
     (level_configs profile);
   (* conservative promotion must also be interpretable *)
   let prog = Srp_frontend.Lower.compile_source src in
@@ -72,40 +73,33 @@ let run_seed seed =
   let _, out2, _ = Srp_profile.Interp.run_program ~collect_profile:false prog in
   if out2 <> out then Alcotest.failf "conservative interp diverged for seed %d" seed
 
-(* every level crossed with the backend ablation axes:
-   {layout,sched,bundle,split,pressure,prob} on/off.  Pressure-on runs
-   the gated promoter with the pipeline's regalloc estimate; pressure-off
-   is the legacy ungated path (`srp --no-pressure`).  Sched-on runs the
-   pre-bundle list scheduler, which may only move cycle-family counters.
-   Prob-on folds per-site conflict rates into the speculation gate;
-   prob-off is the binary may-touch verdict (`srp --no-prob`).  All must
-   agree with the interpreter bit for bit — a gate may promote less or
-   speculate differently, never compute differently.  The failure
-   message carries the reproducing seed. *)
+(* every level crossed with sets of ablations over the backend and
+   promoter axes.  Pressure on runs the gated promoter with the
+   pipeline's regalloc estimate; no-sched drops the pre-bundle list
+   scheduler, which may only move cycle-family counters; no-prob is the
+   binary may-touch verdict.  The last entry turns every ablation on at
+   once.  All must agree with the interpreter bit for bit — a gate may
+   promote less or speculate differently, never compute differently.
+   The failure message carries the reproducing seed. *)
 let default_combos =
-  [ (true, true, true, true, true, true); (true, true, false, true, true, true);
-    (false, true, true, true, true, false);
-    (false, false, false, true, true, true);
-    (true, false, true, true, true, false);
-    (true, true, true, false, true, true);
-    (false, false, false, false, true, true);
-    (true, true, true, true, false, true);
-    (true, false, true, false, false, false);
-    (false, false, false, false, false, false) ]
+  Pipeline.
+    [ []; [ No_bundle ]; [ No_layout; No_prob ];
+      [ No_layout; No_sched; No_bundle ]; [ No_sched; No_prob ];
+      [ No_split ]; [ No_layout; No_sched; No_bundle; No_split ];
+      [ No_pressure ]; [ No_sched; No_split; No_pressure; No_prob ];
+      all_ablations ]
 
 let run_seed_matrix ?(combos = default_combos) seed =
   let src = Gen_minic.program ~seed () in
   let code, out, profile = interp_reference src in
   let expected = (code, out) in
   List.iter
-    (fun (layout, sched, bundle, split, pressure, prob) ->
+    (fun ablations ->
       List.iter
         (fun (name, config) ->
-          check_level ~layout ~sched ~bundle ~split ~pressure ~prob src
-            (Fmt.str
-               "seed %d %s (layout=%b sched=%b bundle=%b split=%b \
-                pressure=%b prob=%b)"
-               seed name layout sched bundle split pressure prob)
+          check_level ~ablations src
+            (Fmt.str "seed %d %s [%s]" seed name
+               (String.concat " " (List.map Pipeline.ablation_name ablations)))
             expected config)
         (level_configs profile))
     combos
@@ -120,54 +114,32 @@ let test_matrix_batch lo hi () =
     run_seed_matrix seed
   done
 
-(* SRP_FUZZ_ITERS=N runs N extra seeds through the full
-   level x layout x sched x bundle x split matrix — off (0) in the
-   default test run, used by the non-blocking CI fuzz jobs and for local
-   soak testing.  SRP_FUZZ_SPLIT=0 focuses the sweep on the
-   closed-interval allocator (split off across every layout/bundle
-   combo), SRP_FUZZ_SCHED=0 on the unscheduled stream (sched off across
-   the matrix), and SRP_FUZZ_PROB=0 on the binary-verdict speculation
-   gate (prob off across the matrix), so the allocator paths, the
-   scheduler ablation, and the legacy gate each get their own CI soak. *)
+(* SRP_FUZZ_ITERS=N runs N extra seeds through the full level x
+   ablation matrix — off (0) in the default test run, used by the
+   non-blocking CI fuzz jobs and for local soak testing.
+   SRP_FUZZ_ABLATION=NAME adds the named ablation to every matrix entry
+   (e.g. no-split focuses the sweep on the closed-interval allocator), so
+   each ablation can get its own CI soak; an unknown name fails the
+   sweep. *)
 let fuzz_iters =
   match Sys.getenv_opt "SRP_FUZZ_ITERS" with
   | Some s -> ( try max 0 (int_of_string s) with _ -> 0)
   | None -> 0
 
-let fuzz_combos =
-  match
-    ( Sys.getenv_opt "SRP_FUZZ_SPLIT",
-      Sys.getenv_opt "SRP_FUZZ_SCHED",
-      Sys.getenv_opt "SRP_FUZZ_PROB" )
-  with
-  | Some ("0" | "off" | "false"), _, _ ->
-    [ (true, true, true, false, true, true);
-      (true, true, false, false, true, true);
-      (false, true, true, false, true, false);
-      (false, false, false, false, true, true);
-      (true, true, true, false, false, true);
-      (false, false, false, false, false, false) ]
-  | _, Some ("0" | "off" | "false"), _ ->
-    [ (true, false, true, true, true, true);
-      (true, false, false, true, true, true);
-      (false, false, true, true, true, false);
-      (false, false, false, true, true, true);
-      (true, false, true, false, true, true);
-      (true, false, true, true, false, false);
-      (false, false, false, false, false, false) ]
-  | _, _, Some ("0" | "off" | "false") ->
-    [ (true, true, true, true, true, false);
-      (true, true, false, true, true, false);
-      (false, true, true, true, true, false);
-      (false, false, false, true, true, false);
-      (true, true, true, false, true, false);
-      (true, true, true, true, false, false);
-      (false, false, false, false, false, false) ]
-  | _ -> default_combos
+let fuzz_combos () =
+  match Sys.getenv_opt "SRP_FUZZ_ABLATION" with
+  | None | Some "" -> default_combos
+  | Some name -> (
+    match Pipeline.parse_ablation name with
+    | Ok a ->
+      List.sort_uniq compare
+        (List.map (fun c -> Pipeline.canonical_ablations (a :: c)) default_combos)
+    | Error e -> Alcotest.failf "SRP_FUZZ_ABLATION: %s" e)
 
 let test_fuzz_sweep () =
+  let combos = fuzz_combos () in
   for seed = 10_000 to 10_000 + fuzz_iters - 1 do
-    run_seed_matrix ~combos:fuzz_combos seed
+    run_seed_matrix ~combos seed
   done
 
 (* A couple of adversarial hand-picked shapes the generator rarely hits. *)
@@ -194,6 +166,7 @@ int main() {
 }
 |} in
   let code, out, profile = interp_reference src in
+  let check_level = check_level ~ablations:ungated in
   check_level src "storm O0" (code, out) None;
   check_level src "storm alat" (code, out) (Some (Config.alat ~profile));
   let empty = Srp_profile.Alias_profile.create () in
@@ -220,6 +193,7 @@ int main() {
 }
 |} in
   let code, out, profile = interp_reference src in
+  let check_level = check_level ~ablations:ungated in
   check_level src "walk O0" (code, out) None;
   check_level src "walk baseline" (code, out) (Some Config.baseline);
   check_level src "walk alat" (code, out) (Some (Config.alat ~profile))

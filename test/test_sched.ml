@@ -343,7 +343,8 @@ let cycle_family =
 
 let run_small (w : Workload.t) ~sched level =
   let small = { w with Workload.ref_ = w.Workload.train } in
-  Pipeline.profile_compile_run ~sched small level
+  let ablations = if sched then [] else [ Pipeline.No_sched ] in
+  Pipeline.profile_compile_run ~ablations small level
 
 let test_kernel_sched_differential name () =
   let w = Srp_workloads.Registry.find name in

@@ -60,7 +60,7 @@ let int_field name js =
   | Some i -> i
   | None -> Alcotest.failf "missing int field %S" name
 
-let bool_field name js =
+let bool_member name js =
   match Json.member name js with
   | Some (Json.Bool b) -> b
   | _ -> Alcotest.failf "missing bool field %S" name
@@ -84,8 +84,8 @@ let test_batch () =
   Alcotest.(check string) "dup id" "dup" (str_field "id" r.(1));
   Alcotest.(check string) "result type" "result" (str_field "type" r.(0));
   Alcotest.(check int) "exit code" 7 (int_field "exit_code" r.(0));
-  Alcotest.(check bool) "first not deduped" false (bool_field "deduped" r.(0));
-  Alcotest.(check bool) "duplicate flagged" true (bool_field "deduped" r.(1));
+  Alcotest.(check bool) "first not deduped" false (bool_member "deduped" r.(0));
+  Alcotest.(check bool) "duplicate flagged" true (bool_member "deduped" r.(1));
   Alcotest.(check string) "duplicate shares result key"
     (str_field "key" r.(0)) (str_field "key" r.(1));
   Alcotest.(check int) "duplicate shares exit code" 7 (int_field "exit_code" r.(1));
@@ -243,12 +243,64 @@ let test_workload_job () =
     (Int64.to_int direct.Pipeline.exit_code)
     (int_field "exit_code" r)
 
+(* --- rejected input ---
+
+   A misspelt or retired field must not silently run a default build, and
+   an unknown ablation must say what the valid names are. *)
+let test_rejects_bad_jobs () =
+  let error_of line =
+    match serve_batch [ line ] with
+    | [ r; _summary ], 1 ->
+      Alcotest.(check string) "error type" "error" (str_field "type" r);
+      str_field "error" r
+    | _ -> Alcotest.failf "expected exactly one failed job for %s" line
+  in
+  let contains what msg sub =
+    let n = String.length sub and m = String.length msg in
+    let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
+    Alcotest.(check bool) (Fmt.str "%s: %S mentions %S" what msg sub) true
+      (at 0)
+  in
+  let msg = error_of {|{"workload": "gzip", "level": "O0", "levle": "alat"}|} in
+  contains "misspelt field" msg "\"levle\"";
+  let msg = error_of {|{"workload": "gzip", "sched": false}|} in
+  contains "retired field" msg "\"sched\"";
+  let msg = error_of {|{"workload": "gzip", "ablations": ["no-shed"]}|} in
+  contains "unknown ablation" msg "\"no-shed\"";
+  List.iter
+    (fun a -> contains "valid names" msg (Pipeline.ablation_name a))
+    Pipeline.all_ablations
+
+(* Ablation order and repeats do not change a build, so they must not
+   change its key: the three spellings run once. *)
+let test_ablation_key_canonical () =
+  let job abl =
+    Fmt.str {|{"source": "int main() { return 5; }", "level": "O0", "ablations": %s}|}
+      abl
+  in
+  let responses, failed =
+    serve_batch
+      [ job {|["cascade", "single-round"]|};
+        job {|["single-round", "cascade"]|};
+        job {|["cascade", "single-round", "cascade"]|} ]
+  in
+  Alcotest.(check int) "no failures" 0 failed;
+  match responses with
+  | [ a; b; c; _summary ] ->
+    Alcotest.(check string) "reversed list: same key" (str_field "key" a)
+      (str_field "key" b);
+    Alcotest.(check string) "duplicated list: same key" (str_field "key" a)
+      (str_field "key" c);
+    Alcotest.(check (list bool)) "one execution" [ false; true; true ]
+      (List.map (bool_member "deduped") [ a; b; c ])
+  | _ -> Alcotest.fail "expected three responses and a summary"
+
 (* --- randomized soak: daemon vs monolithic pipeline ---
 
-   Each job is a random gen_minic program at a random level with random
-   backend flags; the daemon's answer must match the seed monolithic
-   pipeline bit for bit.  SRP_SOAK_JOBS scales the batch (the CI soak
-   job sets 200); the default keeps `dune runtest` fast. *)
+   Each job is a random gen_minic program at a random level with a random
+   subset of the ablations; the daemon's answer must match the seed
+   monolithic pipeline bit for bit.  SRP_SOAK_JOBS scales the batch (the
+   CI soak job sets 200); the default keeps `dune runtest` fast. *)
 let soak_jobs =
   match Option.bind (Sys.getenv_opt "SRP_SOAK_JOBS") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -263,40 +315,38 @@ let test_soak () =
           List.nth Pipeline.all_levels
             (Srp_support.Rng.int rng (List.length Pipeline.all_levels))
         in
-        let flag () = Srp_support.Rng.int rng 2 = 0 in
-        ( i, Gen_minic.program ~seed (), level, flag (), flag (), flag (),
-          flag (), flag (), flag () ))
+        let ablations =
+          List.filter
+            (fun _ -> Srp_support.Rng.int rng 2 = 0)
+            Pipeline.all_ablations
+        in
+        (i, Gen_minic.program ~seed (), level, ablations))
   in
   let batch =
     List.map
-      (fun (i, src, level, layout, sched, bundle, split, pressure, prob) ->
+      (fun (i, src, level, ablations) ->
         Json.to_string
           (Json.Obj
              [ ("id", Json.Int i);
                ("source", Json.String src);
                ("level", Json.String (Pipeline.level_name level));
-               ("layout", Json.Bool layout);
-               ("sched", Json.Bool sched);
-               ("bundle", Json.Bool bundle);
-               ("split", Json.Bool split);
-               ("pressure", Json.Bool pressure);
-               ("prob", Json.Bool prob) ]))
+               ("ablations",
+                Json.Arr
+                  (List.map
+                     (fun a -> Json.String (Pipeline.ablation_name a))
+                     ablations)) ]))
       descs
   in
   let responses, failed = serve_batch batch in
   Alcotest.(check int) "no failed soak jobs" 0 failed;
   List.iteri
-    (fun i (_, src, level, layout, sched, bundle, split, pressure, prob)
-    ->
+    (fun i (_, src, level, ablations) ->
       let r = List.nth responses i in
       let w =
         { Workload.name = Fmt.str "soak-%d" i; description = "soak";
           source = src; train = []; ref_ = [] }
       in
-      let direct =
-        Pipeline.profile_compile_run_monolithic ~layout ~sched ~bundle ~split
-          ~pressure ~prob w level
-      in
+      let direct = Pipeline.profile_compile_run_monolithic ~ablations w level in
       Alcotest.(check string)
         (Fmt.str "soak job %d output" i)
         direct.Pipeline.output (str_field "output" r);
@@ -318,4 +368,8 @@ let suite =
       test_workload_job;
     Alcotest.test_case
       (Fmt.str "soak: %d random jobs vs monolithic" soak_jobs)
-      `Slow test_soak ]
+      `Slow test_soak;
+    Alcotest.test_case "rejects unknown fields and ablation names" `Quick
+      test_rejects_bad_jobs;
+    Alcotest.test_case "ablation order and repeats share one key" `Quick
+      test_ablation_key_canonical ]

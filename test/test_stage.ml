@@ -56,7 +56,7 @@ let test_differential name () =
       check_identical name level staged mono)
     levels
 
-(* The probability-gate differential: under --no-prob both paths must
+(* The probability-gate differential: under no-prob both paths must
    take the exact legacy binary-verdict route, so staged = monolithic
    bit for bit at every level; and at every level but Alat the gate is
    inert (those configs carry no speculation probabilities), so prob
@@ -66,8 +66,9 @@ let test_no_prob_differential name () =
   let cache = Stage.create () in
   List.iter
     (fun level ->
-      let off = Pipeline.profile_compile_run ~cache ~prob:false w level in
-      let mono = Pipeline.profile_compile_run_monolithic ~prob:false w level in
+      let ablations = [ Pipeline.No_prob ] in
+      let off = Pipeline.profile_compile_run ~cache ~ablations w level in
+      let mono = Pipeline.profile_compile_run_monolithic ~ablations w level in
       check_identical name level off mono;
       if level <> Pipeline.Alat then
         check_identical name level
@@ -75,23 +76,110 @@ let test_no_prob_differential name () =
           off)
     levels
 
+(* Every ablation on its own: staged = monolithic on one small kernel at
+   alat. *)
+let test_ablation_differential () =
+  let w = small "mcf" in
+  let cache = Stage.create () in
+  List.iter
+    (fun a ->
+      let ablations = [ a ] in
+      check_identical
+        ("mcf " ^ Pipeline.ablation_name a)
+        Pipeline.Alat
+        (Pipeline.profile_compile_run ~cache ~ablations w Pipeline.Alat)
+        (Pipeline.profile_compile_run_monolithic ~ablations w Pipeline.Alat))
+    Pipeline.all_ablations
+
+(* --- ablation routing ---
+
+   Each ablation reaches exactly the stage it changes: over one shared
+   store, an ablated build after a default one rebuilds that stage and
+   everything downstream of it, and hits every stage above.  The stage
+   builds are read off the span tracer (a cache hit emits no build
+   span). *)
+let rebuilt_from = function
+  | Pipeline.No_sched | Pipeline.No_bundle -> [ "bundle" ]
+  | Pipeline.No_layout -> [ "layout"; "bundle" ]
+  | Pipeline.No_split -> [ "regalloc"; "layout"; "bundle" ]
+  | Pipeline.No_invala | Pipeline.No_control_spec | Pipeline.Cascade
+  | Pipeline.Single_round | Pipeline.No_pressure | Pipeline.No_prob ->
+    [ "promote"; "select"; "regalloc"; "layout"; "bundle" ]
+
+let stages_built f =
+  let module Span = Srp_obs.Span in
+  let tracer = Span.create () in
+  Span.install tracer;
+  Fun.protect ~finally:Span.uninstall f;
+  List.filter_map
+    (fun (cat, name, _, _) ->
+      if cat = "stage" then
+        Some (String.sub name 6 (String.length name - 6))
+      else None)
+    (Span.totals tracer)
+  |> List.sort compare
+
+let test_ablation_routing () =
+  let w = small "mcf" in
+  let profile = Pipeline.train_profile w in
+  let cache = Stage.create () in
+  let build ablations =
+    ignore
+      (Pipeline.compile ~cache ~profile ~ablations ~input:w.Workload.ref_ w
+         Pipeline.Alat)
+  in
+  build [];
+  List.iter
+    (fun a ->
+      Alcotest.(check (list string))
+        (Pipeline.ablation_name a ^ " rebuilds")
+        (List.sort compare (rebuilt_from a))
+        (stages_built (fun () -> build [ a ])))
+    Pipeline.all_ablations
+
+(* The benchmark harness's labelled flags are the ablations by another
+   name: the same target, bit for bit, and the same recorded list. *)
+let test_labels_are_ablations () =
+  let w = small "mcf" in
+  let profile = Pipeline.train_profile w in
+  let input = w.Workload.ref_ in
+  let digest (c : Pipeline.compiled) =
+    Digest.string (Marshal.to_string c.Pipeline.target [])
+  in
+  List.iter
+    (fun (a, labelled) ->
+      let by_name =
+        Pipeline.compile ~profile ~ablations:[ a ] ~input w Pipeline.Alat
+      in
+      let name = Pipeline.ablation_name a in
+      Alcotest.(check string) (name ^ ": same target") (digest by_name)
+        (digest labelled);
+      Alcotest.(check (list string)) (name ^ ": same ablations")
+        (List.map Pipeline.ablation_name by_name.Pipeline.ablations)
+        (List.map Pipeline.ablation_name labelled.Pipeline.ablations))
+    [ ( Pipeline.No_layout,
+        Pipeline.compile ~profile ~layout:false ~input w Pipeline.Alat );
+      ( Pipeline.No_sched,
+        Pipeline.compile ~profile ~sched:false ~input w Pipeline.Alat );
+      ( Pipeline.No_bundle,
+        Pipeline.compile ~profile ~bundle:false ~input w Pipeline.Alat );
+      ( Pipeline.No_split,
+        Pipeline.compile ~profile ~split:false ~input w Pipeline.Alat );
+      ( Pipeline.No_pressure,
+        Pipeline.compile ~profile ~pressure:false ~input w Pipeline.Alat );
+      ( Pipeline.No_prob,
+        Pipeline.compile ~profile ~prob:false ~input w Pipeline.Alat ) ]
+
 (* --- content-key soundness (QCheck) --- *)
 
-(* A job descriptor exercising every field the issue names: source,
-   input, level, ablation set, backend flags, machine config.  The
-   property: [Serve.job_key] is injective on descriptors — equal keys
-   iff equal descriptors. *)
+(* A job descriptor exercising every field of a job: source, input,
+   level, ablation set, machine config.  The property: [Serve.job_key] is
+   injective on descriptors — equal keys iff equal descriptors. *)
 type desc = {
   d_source : int; (* index into distinct sources *)
   d_input : int; (* index into distinct ref inputs *)
   d_level : int;
   d_ablations : bool list; (* inclusion mask over all_ablations *)
-  d_layout : bool;
-  d_sched : bool;
-  d_bundle : bool;
-  d_split : bool;
-  d_pressure : bool;
-  d_prob : bool;
   d_fuel : int option;
 }
 
@@ -100,20 +188,17 @@ let sources =
 
 let inputs = [| []; [ ("input_len", Srp_workloads.Input_gen.scalar_int 7) ] |]
 
-let job_of_desc (d : desc) : Serve.job =
+let job_of_desc ?(arrange = Fun.id) (d : desc) : Serve.job =
   { Serve.j_id = Srp_obs.Json.Null;
     j_w =
       { Workload.name = "qcheck"; description = "";
         source = sources.(d.d_source); train = []; ref_ = inputs.(d.d_input) };
     j_level = List.nth Pipeline.all_levels d.d_level;
     j_ablations =
-      List.filteri (fun i _ -> List.nth d.d_ablations i) Pipeline.all_ablations;
-    j_layout = d.d_layout;
-    j_sched = d.d_sched;
-    j_bundle = d.d_bundle;
-    j_split = d.d_split;
-    j_pressure = d.d_pressure;
-    j_prob = d.d_prob;
+      arrange
+        (List.filteri
+           (fun i _ -> List.nth d.d_ablations i)
+           Pipeline.all_ablations);
     j_fuel = d.d_fuel }
 
 let gen_desc =
@@ -124,22 +209,14 @@ let gen_desc =
   let* d_ablations =
     flatten_l (List.map (fun _ -> bool) Pipeline.all_ablations)
   in
-  let* d_layout = bool in
-  let* d_sched = bool in
-  let* d_bundle = bool in
-  let* d_split = bool in
-  let* d_pressure = bool in
-  let* d_prob = bool in
   let+ d_fuel = oneof [ return None; map (fun n -> Some (n + 1)) (int_bound 3) ] in
-  { d_source; d_input; d_level; d_ablations; d_layout; d_sched; d_bundle;
-    d_split; d_pressure; d_prob; d_fuel }
+  { d_source; d_input; d_level; d_ablations; d_fuel }
 
 let print_desc d =
-  Fmt.str "{src=%d;in=%d;lvl=%d;abl=%a;l=%b;sc=%b;b=%b;s=%b;p=%b;pr=%b;fuel=%a}"
-    d.d_source d.d_input d.d_level
+  Fmt.str "{src=%d;in=%d;lvl=%d;abl=%a;fuel=%a}" d.d_source d.d_input
+    d.d_level
     Fmt.(list ~sep:comma bool)
-    d.d_ablations d.d_layout d.d_sched d.d_bundle d.d_split d.d_pressure
-    d.d_prob
+    d.d_ablations
     Fmt.(option int)
     d.d_fuel
 
@@ -151,6 +228,22 @@ let key_soundness =
       let k1 = Serve.job_key (job_of_desc d1)
       and k2 = Serve.job_key (job_of_desc d2) in
       if d1 = d2 then k1 = k2 else k1 <> k2)
+
+(* The ablation list enters the key as a set: any permutation, with any
+   entries repeated, keys the same job. *)
+let key_canonical =
+  QCheck.Test.make ~count:200 ~name:"job keys: ablation order and repeats ignored"
+    (QCheck.make ~print:(QCheck.Print.pair print_desc QCheck.Print.int)
+       QCheck.Gen.(pair gen_desc (int_bound 1_000_000)))
+    (fun (d, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let scramble l =
+        (l @ List.filter (fun _ -> Random.State.bool rng) l)
+        |> List.map (fun a -> (Random.State.bits rng, a))
+        |> List.sort compare |> List.map snd
+      in
+      Serve.job_key (job_of_desc d)
+      = Serve.job_key (job_of_desc ~arrange:scramble d))
 
 (* Stage keys directly: each input that must invalidate a stage does. *)
 let test_stage_keys () =
@@ -211,7 +304,7 @@ let test_stage_keys () =
       Stage.Key.layout ~regalloc_key:rk ~layout:false ];
   let yk = Stage.Key.layout ~regalloc_key:rk ~layout:true in
   (* the sched and bundle knobs share the stage: all four settings must
-     key distinctly or a --no-sched build could be served a scheduled
+     key distinctly or a no-sched build could be served a scheduled
      artifact *)
   distinct "bundle"
     [ Stage.Key.bundle ~layout_key:yk ~sched:true ~bundle:true;
@@ -339,7 +432,14 @@ let suite =
         Alcotest.test_case (name ^ " --no-prob legacy path") `Slow
           (test_no_prob_differential name))
       kernels
-  @ [ QCheck_alcotest.to_alcotest key_soundness;
+  @ [ Alcotest.test_case "mcf staged = monolithic under each ablation" `Slow
+        test_ablation_differential;
+      Alcotest.test_case "each ablation rebuilds exactly its stages" `Quick
+        test_ablation_routing;
+      Alcotest.test_case "compile labels = named ablations" `Quick
+        test_labels_are_ablations;
+      QCheck_alcotest.to_alcotest key_soundness;
+      QCheck_alcotest.to_alcotest key_canonical;
       Alcotest.test_case "stage keys invalidate per input" `Quick
         test_stage_keys;
       Alcotest.test_case "identical builds share artifacts" `Quick

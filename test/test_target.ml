@@ -763,15 +763,15 @@ let test_split_matrix name () =
         match level with Pipeline.Alat -> Some profile | _ -> None
       in
       List.iter
-        (fun (layout, bundle, split) ->
+        (fun ablations ->
           let c =
-            Pipeline.compile ?profile ~layout ~bundle ~split
-              ~input:w.Workload.ref_ w level
+            Pipeline.compile ?profile ~ablations ~input:w.Workload.ref_ w
+              level
           in
           let r = Pipeline.run c in
           let key =
-            Fmt.str "%s %s layout=%b bundle=%b split=%b" name
-              (Pipeline.level_name level) layout bundle split
+            Fmt.str "%s %s [%s]" name (Pipeline.level_name level)
+              (String.concat " " (List.map Pipeline.ablation_name ablations))
           in
           match !reference with
           | None -> reference := Some (r.Pipeline.output, r.Pipeline.exit_code)
@@ -779,9 +779,11 @@ let test_split_matrix name () =
             Alcotest.(check string) (key ^ " output") out r.Pipeline.output;
             Alcotest.(check int64) (key ^ " exit code") code
               r.Pipeline.exit_code)
-        [ (true, true, true); (true, true, false); (true, false, true);
-          (true, false, false); (false, true, true); (false, true, false);
-          (false, false, true); (false, false, false) ])
+        (* every subset of {no-layout, no-bundle, no-split} *)
+        (List.fold_left
+           (fun sets a -> sets @ List.map (fun s -> a :: s) sets)
+           [ [] ]
+           [ Pipeline.No_layout; Pipeline.No_bundle; Pipeline.No_split ]))
     [ Pipeline.O0; Pipeline.Conservative; Pipeline.Baseline; Pipeline.Alat;
       Pipeline.Alat_heuristic ]
 
@@ -791,7 +793,10 @@ let test_split_matrix name () =
 let test_split_strict_reduction name () =
   let w = small_workload name in
   let split = Pipeline.profile_compile_run w Pipeline.Alat in
-  let nosplit = Pipeline.profile_compile_run ~split:false w Pipeline.Alat in
+  let nosplit =
+    Pipeline.profile_compile_run ~ablations:[ Pipeline.No_split ] w
+      Pipeline.Alat
+  in
   Alcotest.(check string) "outputs agree" nosplit.Pipeline.output
     split.Pipeline.output;
   Alcotest.(check int64) "exit codes agree" nosplit.Pipeline.exit_code
@@ -821,7 +826,10 @@ let test_split_noncycle_counters () =
     (fun w ->
       let small = { w with Workload.ref_ = w.Workload.train } in
       let s = Pipeline.profile_compile_run small Pipeline.Alat in
-      let n = Pipeline.profile_compile_run ~split:false small Pipeline.Alat in
+      let n =
+        Pipeline.profile_compile_run ~ablations:[ Pipeline.No_split ] small
+          Pipeline.Alat
+      in
       Alcotest.(check string)
         (w.Workload.name ^ " output")
         n.Pipeline.output s.Pipeline.output;
