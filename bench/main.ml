@@ -236,6 +236,55 @@ let () =
                  else Srp_obs.Site_hist.Stores_retired)
             done))
   in
+  (* the simulator's issue logic on hand-built programs: bundle-wise
+     dispersal of an ALU loop, and a pointer chase whose every iteration
+     stalls on the scoreboard *)
+  let module Insn = Srp_target.Insn in
+  let program ?bundles ?(frame_bytes = 0) code ~nregs =
+    let funcs = Hashtbl.create 1 in
+    Hashtbl.replace funcs "main"
+      { Insn.name = "main"; formals = []; code; bundles; nregs; nfregs = 0;
+        frame_bytes; slot_of_sym = Hashtbl.create 1 };
+    { Insn.funcs; func_order = [ "main" ]; globals = [] }
+  in
+  let test_dispersal =
+    (* 5000 iterations of a two-bundle loop body *)
+    let code =
+      [| Insn.Movl { dst = 1; imm = 5000L }; Insn.Nop; Insn.Nop;
+         Insn.Nop;
+         Insn.Alu { op = Insn.Aadd; dst = 2; a = Insn.SReg 2; b = Insn.SImm 1L };
+         Insn.Alu { op = Insn.Asub; dst = 1; a = Insn.SReg 1; b = Insn.SImm 1L };
+         Insn.Nop;
+         Insn.Alu { op = Insn.Acmp_gt; dst = 3; a = Insn.SReg 1; b = Insn.SImm 0L };
+         Insn.Brc { cond = 3; ifso = 3; ifnot = 9; site = 1 };
+         Insn.Nop; Insn.Nop; Insn.Ret { value = None } |]
+    in
+    let bundles =
+      [| { Insn.tmpl = Insn.MII; stop = true }; { Insn.tmpl = Insn.MII; stop = true };
+         { Insn.tmpl = Insn.MIB; stop = false }; { Insn.tmpl = Insn.MIB; stop = false } |]
+    in
+    let prog = program ~bundles code ~nregs:4 in
+    Test.make ~name:"machine: 10k bundles dispersed"
+      (Staged.stage (fun () -> ignore (Srp_machine.Machine.run_program prog)))
+  in
+  let test_scoreboard =
+    (* [sp] holds its own address: each load's address is the previous
+       load's result, and the add after it waits for the load *)
+    let code =
+      [| Insn.St { src = Insn.SReg Insn.sp; base = Insn.sp; site = 1 };
+         Insn.Movl { dst = 1; imm = 10_000L };
+         Insn.Mov { dst = Insn.DInt 2; src = Insn.SReg Insn.sp };
+         Insn.Ld { kind = Insn.K_ld; dst = Insn.DInt 2; base = 2; site = 2 };
+         Insn.Alu { op = Insn.Aadd; dst = 3; a = Insn.SReg 3; b = Insn.SReg 2 };
+         Insn.Alu { op = Insn.Asub; dst = 1; a = Insn.SReg 1; b = Insn.SImm 1L };
+         Insn.Alu { op = Insn.Acmp_gt; dst = 4; a = Insn.SReg 1; b = Insn.SImm 0L };
+         Insn.Brc { cond = 4; ifso = 3; ifnot = 8; site = 3 };
+         Insn.Ret { value = None } |]
+    in
+    let prog = program ~frame_bytes:8 code ~nregs:5 in
+    Test.make ~name:"machine: 10k scoreboard stalls"
+      (Staged.stage (fun () -> ignore (Srp_machine.Machine.run_program prog)))
+  in
   (* time and minor-heap allocation per run, so an allocation regression
      shows next to a slowdown *)
   let benchmark test =
@@ -260,5 +309,5 @@ let () =
   List.iter
     (fun t -> benchmark t)
     [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat;
-      test_mem_stream; test_mem_hop; test_site_hist ];
+      test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_site_hist ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -45,15 +45,24 @@ type t = {
   ways : int;
   mutable victim : int; (* round-robin replacement cursor *)
   paddr_bits : int;
+  (* [live.(p)]: valid entries whose partial address is [p], so a store
+     to an address nothing is armed at costs one array read.  Every entry
+     that dies goes through [kill] and [insert] counts the one it arms,
+     which keeps it exact. *)
+  live : int array;
 }
 
 let create ?(size = 32) ?ways ?(paddr_bits = 12) () =
   let ways = match ways with Some w -> w | None -> size in
-  let n_sets = max 1 (size / ways) in
+  if ways < 1 then invalid_arg "Alat.create: ways must be at least 1";
+  if size < 1 || size mod ways <> 0 then
+    invalid_arg "Alat.create: size must be a positive multiple of ways";
+  if paddr_bits < 1 || paddr_bits > 16 then
+    invalid_arg "Alat.create: paddr_bits must be within 1..16";
   { entries =
-      Array.init (n_sets * ways) (fun _ ->
-          { valid = false; tag = 0; paddr = 0; site = -1 });
-    n_sets; ways; victim = 0; paddr_bits }
+      Array.init size (fun _ -> { valid = false; tag = 0; paddr = 0; site = -1 });
+    n_sets = size / ways; ways; victim = 0; paddr_bits;
+    live = Array.make (1 lsl paddr_bits) 0 }
 
 let make_tag ~frame reg =
   if reg < 0 || reg >= 1 lsl reg_bits then invalid_arg "Alat: register index out of range";
@@ -67,11 +76,16 @@ let partial t (addr : int64) : int =
 
 let set_of t paddr = paddr mod t.n_sets
 
+(* The one way an entry leaves the table. *)
+let kill t e =
+  e.valid <- false;
+  t.live.(e.paddr) <- t.live.(e.paddr) - 1
+
 (* Remove any entry for [tag] (a register can have at most one). *)
 let remove t tag =
   for i = 0 to Array.length t.entries - 1 do
     let e = t.entries.(i) in
-    if e.valid && e.tag = tag then e.valid <- false
+    if e.valid && e.tag = tag then kill t e
   done
 
 (* Allocate an entry for an advanced load.  Returns the arming site of the
@@ -96,10 +110,12 @@ let insert ?(site = -1) t tag (addr : int64) : int option =
       s, Some t.entries.(s).site
   in
   let e = t.entries.(slot) in
+  if e.valid then kill t e;
   e.valid <- true;
   e.tag <- tag;
   e.paddr <- paddr;
   e.site <- site;
+  t.live.(paddr) <- t.live.(paddr) + 1;
   evicted
 
 (* Does a valid entry exist for [tag]?  [clear] removes it on a hit. *)
@@ -109,7 +125,7 @@ let check t tag ~clear : bool =
     let e = t.entries.(i) in
     if e.valid && e.tag = tag then begin
       hit := true;
-      if clear then e.valid <- false
+      if clear then kill t e
     end
   done;
   !hit
@@ -121,18 +137,22 @@ let check t tag ~clear : bool =
 let store_probe_sites t (addr : int64) : int list =
   let paddr = partial t addr in
   let victims = ref [] in
-  for i = 0 to Array.length t.entries - 1 do
-    let e = t.entries.(i) in
+  (* scan only while matching entries remain: none, on most stores *)
+  let left = ref t.live.(paddr) and i = ref 0 in
+  while !left > 0 do
+    let e = t.entries.(!i) in
     if e.valid && e.paddr = paddr then begin
-      e.valid <- false;
+      kill t e;
+      decr left;
       victims := e.site :: !victims
-    end
+    end;
+    incr i
   done;
   !victims
 
 let store_probe t (addr : int64) : int = List.length (store_probe_sites t addr)
 
-let invala_all t = Array.iter (fun e -> e.valid <- false) t.entries
+let invala_all t = Array.iter (fun e -> if e.valid then kill t e) t.entries
 
 (* Drop every entry belonging to a returning call frame.  On real hardware
    the dying frame's stacked registers are re-allocated and any ld.a to
@@ -142,7 +162,7 @@ let invala_all t = Array.iter (fun e -> e.valid <- false) t.entries
 let purge_frame t ~frame =
   for i = 0 to Array.length t.entries - 1 do
     let e = t.entries.(i) in
-    if e.valid && e.tag lsr reg_bits = frame then e.valid <- false
+    if e.valid && e.tag lsr reg_bits = frame then kill t e
   done
 
 let occupancy t =

@@ -21,6 +21,11 @@ type tag
 
 type t
 
+(** [size] entries (default 32) in sets of [ways] (default [size]: fully
+    associative), tagged with [paddr_bits] bits of the word address
+    (default 12).
+    @raise Invalid_argument if [ways < 1], if [ways] does not divide
+    [size], or if [paddr_bits] is outside 1..16. *)
 val create : ?size:int -> ?ways:int -> ?paddr_bits:int -> unit -> t
 
 (** Tag for an integer register of a call frame. *)

@@ -19,43 +19,51 @@ type level = {
   mutable tick : int;
 }
 
-let mk_level ~size_bytes ~ways ~line =
-  let line_shift =
-    int_of_float (Float.round (Float.log2 (float_of_int line)))
-  in
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+(* The set index is a mask, so the set count and the line size must be
+   powers of two. *)
+let level ~size_bytes ~ways ~line =
+  if ways < 1 then invalid_arg "Cache.level: ways must be at least 1";
+  if not (is_pow2 line) then invalid_arg "Cache.level: line must be a power of two";
   let n_sets = size_bytes / (line * ways) in
-  { n_sets; ways; line_shift; tags = Array.make (n_sets * ways) (-1);
+  if not (is_pow2 n_sets) || n_sets * line * ways <> size_bytes then
+    invalid_arg "Cache.level: size_bytes must be line * ways * a power-of-two set count";
+  let rec log2 k n = if n = 1 then k else log2 (k + 1) (n lsr 1) in
+  { n_sets; ways; line_shift = log2 0 line; tags = Array.make (n_sets * ways) (-1);
     lru = Array.make (n_sets * ways) 0; tick = 0 }
 
-(* Access a level; true = hit.  Always allocates on miss. *)
+(* Access a level; true = hit.  Always allocates on miss.  A block sits
+   in at most one way of its set, so the search stops at the first match. *)
 let access_level l (addr : int64) : bool =
   let block = Int64.to_int (Int64.shift_right_logical addr l.line_shift) in
-  let set = block mod l.n_sets in
-  let base = set * l.ways in
+  let base = (block land (l.n_sets - 1)) * l.ways in
+  let last = base + l.ways - 1 in
   l.tick <- l.tick + 1;
-  let hit = ref false in
-  for i = base to base + l.ways - 1 do
-    if l.tags.(i) = block then begin
-      hit := true;
-      l.lru.(i) <- l.tick
-    end
+  let i = ref base in
+  while !i <= last && l.tags.(!i) <> block do
+    incr i
   done;
-  if not !hit then begin
+  if !i <= last then begin
+    l.lru.(!i) <- l.tick;
+    true
+  end
+  else begin
     (* victim: LRU way *)
     let victim = ref base in
-    for i = base to base + l.ways - 1 do
+    for i = base + 1 to last do
       if l.lru.(i) < l.lru.(!victim) then victim := i
     done;
     l.tags.(!victim) <- block;
-    l.lru.(!victim) <- l.tick
-  end;
-  !hit
+    l.lru.(!victim) <- l.tick;
+    false
+  end
 
 type t = { l1 : level; l2 : level }
 
 let create () =
-  { l1 = mk_level ~size_bytes:16_384 ~ways:4 ~line:64;
-    l2 = mk_level ~size_bytes:262_144 ~ways:8 ~line:64 }
+  { l1 = level ~size_bytes:16_384 ~ways:4 ~line:64;
+    l2 = level ~size_bytes:262_144 ~ways:8 ~line:64 }
 
 module Model = Srp_ir.Machine_model
 

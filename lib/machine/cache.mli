@@ -7,6 +7,14 @@
 
 type t
 
+(** One level: [size_bytes] of [line]-byte lines in [ways]-way LRU sets. *)
+type level
+
+(** @raise Invalid_argument unless [ways >= 1] and both the line size and
+    the set count [size_bytes / (line * ways)] are powers of two (the set
+    index is a mask). *)
+val level : size_bytes:int -> ways:int -> line:int -> level
+
 (** 16 KiB 4-way L1, 256 KiB 8-way L2, 64-byte lines, LRU. *)
 val create : unit -> t
 

@@ -16,7 +16,25 @@
    interpreter uses, so outputs are bit-comparable for differential
    testing.  NaT bits give ld.sa its deferred-fault semantics; reading a
    NaT register anywhere but a check is a simulator error (it would mean
-   the compiler consumed an unchecked speculative value). *)
+   the compiler consumed an unchecked speculative value).
+
+   Representation: a frame's integer file is a [Bytes.t] of int64 words
+   and its float file a [float array], so register values never box; each
+   register also has one scoreboard word (ready cycle, memory-producer
+   bit, NaT bit).  Values are [Value.t] only where they cross into [Memory]
+   (stores, loads), across [Call]/[Ret], and at [Print].  Operand readers
+   come in two flavours: typed ([src_int], [src_flt]), where an operand of
+   the other file is the interpreter's type error, and bitwise
+   ([src_bits], [src_fview]), for [Mov] and [Sel], which reinterpret the
+   other file's bits as loads from memory do.  An instruction reads its
+   operands left to right, then issues, then writes its result, so a stall
+   is attributed to the same operand it always was.
+
+   Everything the timing model needs to know about an instruction or a
+   bundle apart from its operands is decoded once per program, in
+   [resolve_funcs]: each pc's issue class, each bundle's packed dispersal
+   ports and stop bit, and the site a split stall of the bundle is charged
+   to. *)
 
 open Srp_target
 module Value = Srp_profile.Value
@@ -33,28 +51,46 @@ let merror fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 exception Out_of_fuel
 
-(* A function with each call site's callee resolved once per program:
-   [callees.(pc)] is the target of the [Call] at [pc], [None] elsewhere and
-   for a call to an unknown function (an error only if it executes). *)
-type rfunc = { func : Insn.func; callees : rfunc option array }
+(* Issue-class bits of [rfunc.issue]. *)
+let port_mem = 1
+let port_fp = 2
+
+(* A function with every per-instruction fact the machine would otherwise
+   re-derive on each execution, decoded once per program:
+   - [callees.(pc)]: the target of the [Call] at [pc]; [None] elsewhere and
+     for a call to an unknown function (an error only if it executes);
+   - [issue.(pc)]: the issue class, [port_mem] and/or [port_fp];
+   - [ports.(pc)]: for slot 0 of a bundle, its template's M/F/B dispersal
+     ports and stop bit packed as [m lor (f lsl 2) lor (b lsl 4) lor
+     (stop lsl 6)]; -1 on every other pc and throughout a flat function;
+   - [split_site.(pc / 3)]: the site a split stall of that bundle is
+     charged to. *)
+type rfunc = {
+  func : Insn.func;
+  callees : rfunc option array;
+  issue : int array;
+  ports : int array;
+  split_site : int array;
+}
+
+(* A register's scoreboard word: the cycle its value is ready, shifted
+   left by two, with [mem_bit] set when a memory op produced the value and
+   [nat_bit] while the register holds a deferred fault (ld.sa's NaT). *)
+let nat_bit = 1
+let mem_bit = 2
 
 type frame = {
   uid : int;
-  func : Insn.func;
-  callees : rfunc option array; (* of [func] *)
-  iregs : Value.t array;
-  fregs : Value.t array;
-  inat : bool array;
-  fnat : bool array;
-  iready : int array; (* scoreboard: cycle the register value is ready *)
-  fready : int array;
-  imem : bool array; (* producer was a memory op *)
-  fmem : bool array;
+  rf : rfunc;
+  iregs : Bytes.t; (* register r at byte 8r, a native-endian int64 *)
+  fregs : float array;
+  iscore : int array; (* scoreboard words, one per register *)
+  fscore : int array;
 }
 
 type t = {
   mem : Memory.t;
-  globals : Value.t option array; (* symbol id -> address, as a value *)
+  globals : int64 option array; (* symbol id -> address *)
   funcs : (string, rfunc) Hashtbl.t;
   alat : Alat.t;
   cache : Cache.t;
@@ -82,28 +118,54 @@ type t = {
   mutable sp : int64;
 }
 
-(* The (M, F, B) dispersal ports each template reserves — pads reserve
-   their slot's unit too: dispersal routes by template, not by what the
-   syllable turns out to do.  Counted once from Bundle.slots. *)
-let template_ports : Insn.template -> int * int * int =
-  let ports t =
-    let s = Bundle.slots t in
-    let n u = Array.fold_left (fun k x -> if x = u then k + 1 else k) 0 s in
-    (n Bundle.M, n Bundle.F, n Bundle.B)
+(* --- decoding --- *)
+
+let issue_class (ins : Insn.insn) =
+  (if Insn.takes_mem ins then port_mem else 0)
+  lor if Insn.takes_fp ins then port_fp else 0
+
+(* The dispersal word of a bundle: the (M, F, B) ports its template
+   reserves — pads reserve their slot's unit too: dispersal routes by
+   template, not by what the syllable turns out to do — and its stop bit.
+   Counted from Bundle.slots. *)
+let dispersal (b : Insn.bundle) =
+  let s = Bundle.slots b.Insn.tmpl in
+  let n u = Array.fold_left (fun k x -> if x = u then k + 1 else k) 0 s in
+  n Bundle.M lor (n Bundle.F lsl 2) lor (n Bundle.B lsl 4)
+  lor if b.Insn.stop then 1 lsl 6 else 0
+
+(* The site a split stall is charged to: the first site-carrying syllable
+   of the delayed bundle, -1 when the bundle has none (pads, pure ALU). *)
+let bundle_site (code : Insn.insn array) pc =
+  let site_of : Insn.insn -> int option = function
+    | Insn.Ld { site; _ } | Insn.St { site; _ } | Insn.Chk_a { site; _ }
+    | Insn.Brc { site; _ } | Insn.Alloc { site; _ } ->
+      Some site
+    | _ -> None
   in
-  let mii = ports Insn.MII and mmi = ports Insn.MMI and mib = ports Insn.MIB
-  and mmb = ports Insn.MMB and mfi = ports Insn.MFI and mmf = ports Insn.MMF
-  and mbb = ports Insn.MBB and bbb = ports Insn.BBB in
-  function
-  | Insn.MII -> mii | Insn.MMI -> mmi | Insn.MIB -> mib | Insn.MMB -> mmb
-  | Insn.MFI -> mfi | Insn.MMF -> mmf | Insn.MBB -> mbb | Insn.BBB -> bbb
+  let rec go k =
+    if k > 2 || pc + k >= Array.length code then -1
+    else match site_of code.(pc + k) with Some s -> s | None -> go (k + 1)
+  in
+  go 0
+
+let decode (func : Insn.func) =
+  let code = func.Insn.code in
+  let n = Array.length code in
+  let ports = Array.make n (-1) in
+  let split_site =
+    match func.Insn.bundles with
+    | None -> [||]
+    | Some bs ->
+      Array.iteri (fun i b -> ports.(3 * i) <- dispersal b) bs;
+      Array.init (Array.length bs) (fun i -> bundle_site code (3 * i))
+  in
+  { func; callees = Array.make n None; issue = Array.map issue_class code;
+    ports; split_site }
 
 let resolve_funcs (prog : Insn.program) : (string, rfunc) Hashtbl.t =
   let funcs = Hashtbl.create (Hashtbl.length prog.Insn.funcs) in
-  Hashtbl.iter
-    (fun name (func : Insn.func) ->
-      Hashtbl.replace funcs name
-        { func; callees = Array.make (Array.length func.Insn.code) None })
+  Hashtbl.iter (fun name func -> Hashtbl.replace funcs name (decode func))
     prog.Insn.funcs;
   Hashtbl.iter
     (fun _ (rf : rfunc) ->
@@ -126,7 +188,7 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
       let base =
         Memory.alloc mem ~size:(Srp_ir.Symbol.size_bytes s) ~loc:(Location.Sym s)
       in
-      globals.(Srp_ir.Symbol.id s) <- Some (Value.Vint base);
+      globals.(Srp_ir.Symbol.id s) <- Some base;
       (match init with
       | Srp_ir.Program.Init_zero -> ()
       | Srp_ir.Program.Init_ints vs ->
@@ -228,42 +290,29 @@ let advance_cycles m n =
     sample m
   end
 
-(* Stall until [ready]; attribute to data access if [mem_src]. *)
-let wait_until m ~ready ~mem_src =
+(* Stall until [ready], a cycle still ahead; attribute to data access if
+   [mem_src]. *)
+let stall_until m ~ready ~mem_src =
+  new_group m;
   if ready > m.cycle then begin
-    new_group m;
-    if ready > m.cycle then begin
-      let stall = ready - m.cycle in
-      m.cycle <- ready;
-      if mem_src then
-        m.c.Counters.data_access_cycles <- m.c.Counters.data_access_cycles + stall;
-      if traced m then tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
-      sample m
-    end
+    let stall = ready - m.cycle in
+    m.cycle <- ready;
+    if mem_src then
+      m.c.Counters.data_access_cycles <- m.c.Counters.data_access_cycles + stall;
+    if traced m then tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
+    sample m
   end
 
-(* The site a split stall is charged to: the first site-carrying syllable
-   of the delayed bundle, -1 when the bundle has none (pads, pure ALU). *)
-let bundle_site (code : Insn.insn array) pc =
-  let site_of : Insn.insn -> int option = function
-    | Insn.Ld { site; _ } | Insn.St { site; _ } | Insn.Chk_a { site; _ }
-    | Insn.Brc { site; _ } | Insn.Alloc { site; _ } ->
-      Some site
-    | _ -> None
-  in
-  let rec go k =
-    if k > 2 || pc + k >= Array.length code then -1
-    else match site_of code.(pc + k) with Some s -> s | None -> go (k + 1)
-  in
-  go 0
+let[@inline] wait_until m ~ready ~mem_src =
+  if ready > m.cycle then stall_until m ~ready ~mem_src
 
 (* Bundle-wise dispersal, run whenever execution reaches slot 0 of a
-   bundle.  A third bundle in the cycle rolls the group over naturally; a
-   *second* bundle blocked by the previous bundle's stop bit or by a
-   template port conflict ends the group early — a split, the stall the
-   flat-stream model never paid. *)
-let enter_bundle m code pc (b : Insn.bundle) =
-  let pm, pf, pb = template_ports b.Insn.tmpl in
+   bundle, with that bundle's dispersal word.  A third bundle in the cycle
+   rolls the group over naturally; a *second* bundle blocked by the
+   previous bundle's stop bit or by a template port conflict ends the
+   group early — a split, the stall the flat-stream model never paid. *)
+let enter_bundle m rf pc word =
+  let pm = word land 3 and pf = (word lsr 2) land 3 and pb = (word lsr 4) land 3 in
   if m.group_bundles >= Model.bundles_per_cycle then new_group m
   else if
     m.group_bundles = 1
@@ -274,7 +323,7 @@ let enter_bundle m code pc (b : Insn.bundle) =
   then begin
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
-    ev m ~site:(bundle_site code pc) Srp_obs.Site_hist.Split_stalls;
+    ev m ~site:rf.split_site.(pc / 3) Srp_obs.Site_hist.Split_stalls;
     if traced m then tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
     new_group m
   end;
@@ -282,12 +331,12 @@ let enter_bundle m code pc (b : Insn.bundle) =
   m.group_m_ports <- m.group_m_ports + pm;
   m.group_f_ports <- m.group_f_ports + pf;
   m.group_b_ports <- m.group_b_ports + pb;
-  m.pending_stop <- b.Insn.stop;
+  m.pending_stop <- word land (1 lsl 6) <> 0;
   m.c.Counters.bundles_retired <- m.c.Counters.bundles_retired + 1
 
 (* Issue one instruction, taking a memory and/or FP port by its class. *)
-let issue_slot m (ins : Insn.insn) =
-  let mem = Insn.takes_mem ins and fp = Insn.takes_fp ins in
+let[@inline] issue_slot m cls =
+  let mem = cls land port_mem <> 0 and fp = cls land port_fp <> 0 in
   if
     m.group_slots >= Model.issue_width
     || (mem && m.group_mem >= Model.mem_ports)
@@ -300,82 +349,136 @@ let issue_slot m (ins : Insn.insn) =
   m.fuel <- m.fuel - 1;
   if m.fuel <= 0 then raise Out_of_fuel
 
-(* --- register access --- *)
+(* --- register access ---
 
-let read_int fr m r : Value.t =
-  if fr.inat.(r) then merror "read of NaT integer register r%d" r;
-  wait_until m ~ready:fr.iready.(r) ~mem_src:fr.imem.(r);
-  fr.iregs.(r)
+   The readers and writers below are inlined into [exec_from], so an int64
+   or float travels from one register to the next without a box. *)
 
-let read_fp fr m r : Value.t =
-  if fr.fnat.(r) then merror "read of NaT float register f%d" r;
-  wait_until m ~ready:fr.fready.(r) ~mem_src:fr.fmem.(r);
-  fr.fregs.(r)
+(* A register value is read or written only right after its scoreboard
+   word, whose bounds-checked access proves the register exists (the word
+   arrays have one slot per register), so the value access goes
+   unchecked. *)
+external get_int64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_int64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let write_int fr r v ~ready ~mem =
-  fr.iregs.(r) <- v;
-  fr.inat.(r) <- false;
-  fr.iready.(r) <- ready;
-  fr.imem.(r) <- mem
+let[@inline] score ~ready ~mem = (ready lsl 2) lor if mem then mem_bit else 0
 
-let write_fp fr r v ~ready ~mem =
-  fr.fregs.(r) <- v;
-  fr.fnat.(r) <- false;
-  fr.fready.(r) <- ready;
-  fr.fmem.(r) <- mem
+let[@inline] read_int fr m r : int64 =
+  let s = fr.iscore.(r) in
+  if s land nat_bit <> 0 then merror "read of NaT integer register r%d" r;
+  wait_until m ~ready:(s lsr 2) ~mem_src:(s land mem_bit <> 0);
+  get_int64 fr.iregs (r lsl 3)
 
-let read_src fr m (s : Insn.src) : Value.t =
+let[@inline] read_flt fr m f : float =
+  let s = fr.fscore.(f) in
+  if s land nat_bit <> 0 then merror "read of NaT float register f%d" f;
+  wait_until m ~ready:(s lsr 2) ~mem_src:(s land mem_bit <> 0);
+  Array.unsafe_get fr.fregs f
+
+let[@inline] write_int fr r (v : int64) ~ready ~mem =
+  fr.iscore.(r) <- score ~ready ~mem;
+  set_int64 fr.iregs (r lsl 3) v
+
+let[@inline] write_flt fr f (v : float) ~ready ~mem =
+  fr.fscore.(f) <- score ~ready ~mem;
+  Array.unsafe_set fr.fregs f v
+
+(* The interpreter's type errors, with its text: an operand of the other
+   file where the instruction wants this one. *)
+let int_expected x : int64 = Value.to_int (Value.Vflt x)
+let flt_expected i : float = Value.to_flt (Value.Vint i)
+
+(* typed readers *)
+let[@inline] src_int fr m (s : Insn.src) : int64 =
   match s with
   | Insn.SReg r -> read_int fr m r
+  | Insn.SImm i -> i
+  | Insn.SFrg f -> int_expected (read_flt fr m f)
+  | Insn.SFim x -> int_expected x
+
+let[@inline] src_flt fr m (s : Insn.src) : float =
+  match s with
+  | Insn.SFrg f -> read_flt fr m f
+  | Insn.SFim x -> x
+  | Insn.SReg r -> flt_expected (read_int fr m r)
+  | Insn.SImm i -> flt_expected i
+
+(* bitwise readers: the other file's bits, reinterpreted *)
+let[@inline] src_bits fr m (s : Insn.src) : int64 =
+  match s with
+  | Insn.SReg r -> read_int fr m r
+  | Insn.SImm i -> i
+  | Insn.SFrg f -> Int64.bits_of_float (read_flt fr m f)
+  | Insn.SFim x -> Int64.bits_of_float x
+
+let[@inline] src_fview fr m (s : Insn.src) : float =
+  match s with
+  | Insn.SFrg f -> read_flt fr m f
+  | Insn.SFim x -> x
+  | Insn.SReg r -> Int64.float_of_bits (read_int fr m r)
+  | Insn.SImm i -> Int64.float_of_bits i
+
+(* An operand as a value, for the boundaries that keep [Value.t]. *)
+let src_value fr m (s : Insn.src) : Value.t =
+  match s with
+  | Insn.SReg r -> Value.Vint (read_int fr m r)
   | Insn.SImm i -> Value.Vint i
-  | Insn.SFrg f -> read_fp fr m f
+  | Insn.SFrg f -> Value.Vflt (read_flt fr m f)
   | Insn.SFim x -> Value.Vflt x
 
-let write_dest fr (d : Insn.dest) v ~ready ~mem =
+(* A value into a register of either file, reinterpreting its bits when
+   the file differs (a zero-initialized cell read as a float is 0.0). *)
+let[@inline] write_value fr (d : Insn.dest) (v : Value.t) ~ready ~mem =
   match d with
-  | Insn.DInt r -> write_int fr r v ~ready ~mem
-  | Insn.DFlt f -> write_fp fr f v ~ready ~mem
+  | Insn.DInt r ->
+    let bits = match v with Value.Vint i -> i | Value.Vflt x -> Int64.bits_of_float x in
+    write_int fr r bits ~ready ~mem
+  | Insn.DFlt f ->
+    let x = match v with Value.Vflt x -> x | Value.Vint i -> Int64.float_of_bits i in
+    write_flt fr f x ~ready ~mem
 
-(* --- ALU semantics --- *)
+(* --- ALU semantics: Value.binop's, on unboxed operands --- *)
 
-let ialu_eval (op : Insn.ialu) a b : Value.t =
-  let open Srp_ir.Ops in
-  let irop =
-    match op with
-    | Insn.Aadd -> Add | Insn.Asub -> Sub | Insn.Amul -> Mul
-    | Insn.Adiv -> Div | Insn.Arem -> Rem | Insn.Aand -> And
-    | Insn.Aor -> Or | Insn.Axor -> Xor | Insn.Ashl -> Shl
-    | Insn.Ashr -> Shr | Insn.Acmp_eq -> Eq | Insn.Acmp_ne -> Ne
-    | Insn.Acmp_lt -> Lt | Insn.Acmp_le -> Le | Insn.Acmp_gt -> Gt
-    | Insn.Acmp_ge -> Ge
-  in
-  Value.binop irop a b
+let[@inline] of_bool b = if b then 1L else 0L
 
-let falu_eval (op : Insn.falu) a b : Value.t =
-  let open Srp_ir.Ops in
-  let irop =
-    match op with
-    | Insn.FAadd -> FAdd | Insn.FAsub -> FSub | Insn.FAmul -> FMul
-    | Insn.FAdiv -> FDiv
-  in
-  Value.binop irop a b
+let[@inline] ialu (op : Insn.ialu) (x : int64) (y : int64) : int64 =
+  match op with
+  | Insn.Aadd -> Int64.add x y
+  | Insn.Asub -> Int64.sub x y
+  | Insn.Amul -> Int64.mul x y
+  | Insn.Adiv ->
+    if Int64.equal y 0L then Value.err "integer division by zero";
+    Int64.div x y
+  | Insn.Arem ->
+    if Int64.equal y 0L then Value.err "integer remainder by zero";
+    Int64.rem x y
+  | Insn.Aand -> Int64.logand x y
+  | Insn.Aor -> Int64.logor x y
+  | Insn.Axor -> Int64.logxor x y
+  | Insn.Ashl -> Int64.shift_left x (Int64.to_int y land 63)
+  | Insn.Ashr -> Int64.shift_right x (Int64.to_int y land 63)
+  | Insn.Acmp_eq -> of_bool (Int64.equal x y)
+  | Insn.Acmp_ne -> of_bool (not (Int64.equal x y))
+  | Insn.Acmp_lt -> of_bool (Int64.compare x y < 0)
+  | Insn.Acmp_le -> of_bool (Int64.compare x y <= 0)
+  | Insn.Acmp_gt -> of_bool (Int64.compare x y > 0)
+  | Insn.Acmp_ge -> of_bool (Int64.compare x y >= 0)
 
-let fcmp_eval (op : Insn.fcmp) a b : Value.t =
-  let open Srp_ir.Ops in
-  let irop =
-    match op with
-    | Insn.FCeq -> FEq | Insn.FCne -> FNe | Insn.FClt -> FLt
-    | Insn.FCle -> FLe | Insn.FCgt -> FGt | Insn.FCge -> FGe
-  in
-  Value.binop irop a b
+let[@inline] falu (op : Insn.falu) (x : float) (y : float) : float =
+  match op with
+  | Insn.FAadd -> x +. y
+  | Insn.FAsub -> x -. y
+  | Insn.FAmul -> x *. y
+  | Insn.FAdiv -> x /. y
 
-(* coerce a raw memory value to the view the destination register expects *)
-let coerce_loaded (d : Insn.dest) (v : Value.t) : Value.t =
-  match d, v with
-  | Insn.DFlt _, Value.Vint 0L -> Value.Vflt 0.0 (* zero-initialized cell *)
-  | Insn.DFlt _, Value.Vint bits -> Value.Vflt (Int64.float_of_bits bits)
-  | Insn.DInt _, Value.Vflt x -> Value.Vint (Int64.bits_of_float x)
-  | _, v -> v
+let[@inline] fcmp (op : Insn.fcmp) (x : float) (y : float) : int64 =
+  match op with
+  | Insn.FCeq -> of_bool (x = y)
+  | Insn.FCne -> of_bool (x <> y)
+  | Insn.FClt -> of_bool (x < y)
+  | Insn.FCle -> of_bool (x <= y)
+  | Insn.FCgt -> of_bool (x > y)
+  | Insn.FCge -> of_bool (x >= y)
 
 let alat_tag fr (d : Insn.dest) : Alat.tag =
   match d with
@@ -387,14 +490,14 @@ let alat_tag fr (d : Insn.dest) : Alat.tag =
 let do_load m fr (dst : Insn.dest) a site =
   let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
   let lat = Cache.load_latency m.cache m.c ~fp a in
-  let v = coerce_loaded dst (Memory.load m.mem a) in
+  let v = Memory.load m.mem a in
   m.c.Counters.loads_retired <- m.c.Counters.loads_retired + 1;
   ev m ~site Site_hist.Loads_retired;
   if fp then begin
     m.c.Counters.fp_loads_retired <- m.c.Counters.fp_loads_retired + 1;
     ev m ~site Site_hist.Fp_loads_retired
   end;
-  write_dest fr dst v ~ready:(m.cycle + lat) ~mem:true
+  write_value fr dst v ~ready:(m.cycle + lat) ~mem:true
 
 (* Arm an ALAT entry and attribute the insert (and any capacity eviction,
    charged to the evicted entry's arming site). *)
@@ -409,21 +512,20 @@ let arm m tag a site =
     if traced m then
       tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
 
+(* A memory operand's base register, boxed once: the address goes on to
+   [Memory], [Cache] and [Alat] as the same int64. *)
+let[@inline never] read_addr fr m r : int64 = read_int fr m r
+
 (* --- execution --- *)
 
 let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
   let func = rf.func in
   m.frame_uid <- m.frame_uid + 1;
+  let ni = max 1 func.Insn.nregs and nf = max 1 func.Insn.nfregs in
   let fr =
-    { uid = m.frame_uid; func; callees = rf.callees;
-      iregs = Array.make (max 1 func.Insn.nregs) (Value.Vint 0L);
-      fregs = Array.make (max 1 func.Insn.nfregs) (Value.Vflt 0.0);
-      inat = Array.make (max 1 func.Insn.nregs) false;
-      fnat = Array.make (max 1 func.Insn.nfregs) false;
-      iready = Array.make (max 1 func.Insn.nregs) 0;
-      fready = Array.make (max 1 func.Insn.nfregs) 0;
-      imem = Array.make (max 1 func.Insn.nregs) false;
-      fmem = Array.make (max 1 func.Insn.nfregs) false }
+    { uid = m.frame_uid; rf;
+      iregs = Bytes.make (8 * ni) '\000'; fregs = Array.make nf 0.0;
+      iscore = Array.make ni 0; fscore = Array.make nf 0 }
   in
   (* stack frame memory: a descending stack whose addresses are reused
      across calls, as on real hardware — ALAT partial tags of frame slots
@@ -435,13 +537,12 @@ let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
     Memory.alloc_at m.mem ~base:m.sp ~size:func.Insn.frame_bytes
       ~loc:(Location.Heap (-1) (* anonymous stack region *))
   in
-  fr.iregs.(Insn.sp) <- Value.Vint frame_base;
+  write_int fr Insn.sp frame_base ~ready:0 ~mem:false;
   (* argument arrival *)
   List.iteri
     (fun i v ->
       match List.nth_opt func.Insn.formals i with
-      | Some (_, Insn.DInt r) -> fr.iregs.(r) <- v
-      | Some (_, Insn.DFlt f) -> fr.fregs.(f) <- v
+      | Some (_, d) -> write_value fr d v ~ready:0 ~mem:false
       | None -> ())
     args;
   (* RSE charge for the new register frame *)
@@ -459,26 +560,28 @@ let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
   result
 
 and exec_from m fr pc : Value.t option =
-  if pc < 0 || pc >= Array.length fr.func.Insn.code then
-    merror "%s: pc %d out of range" fr.func.Insn.name pc;
+  let rf = fr.rf in
+  let code = rf.func.Insn.code in
+  if pc < 0 || pc >= Array.length code then
+    merror "%s: pc %d out of range" rf.func.Insn.name pc;
+  (* [ports] and [issue] have one slot per pc of [code] *)
+  let word = Array.unsafe_get rf.ports pc in
   (* bundle-wise fetch: crossing into slot 0 disperses the next bundle *)
-  (match fr.func.Insn.bundles with
-  | Some bs when pc mod 3 = 0 ->
-    enter_bundle m fr.func.Insn.code pc bs.(pc / 3)
-  | _ -> ());
-  let ins = fr.func.Insn.code.(pc) in
+  if word >= 0 then enter_bundle m rf pc word;
+  let ins = Array.unsafe_get code pc in
+  let cls = Array.unsafe_get rf.issue pc in
   (* per-instruction retire record *)
   if traced m then
     tr m "i"
-      [ ("f", J.String fr.func.Insn.name); ("pc", J.Int pc);
+      [ ("f", J.String rf.func.Insn.name); ("pc", J.Int pc);
         ("op", J.String (op_name ins)) ];
   match ins with
   | Insn.Movl { dst; imm } ->
-    issue_slot m ins;
-    write_int fr dst (Value.Vint imm) ~ready:(m.cycle + 1) ~mem:false;
+    issue_slot m cls;
+    write_int fr dst imm ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Gaddr { dst; sym } ->
-    issue_slot m ins;
+    issue_slot m cls;
     let known = sym >= 0 && sym < Array.length m.globals in
     let addr =
       match if known then m.globals.(sym) else None with
@@ -487,63 +590,67 @@ and exec_from m fr pc : Value.t option =
     in
     write_int fr dst addr ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
-  | Insn.Mov { dst; src } ->
-    let v = read_src fr m src in
-    issue_slot m ins;
-    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
+  | Insn.Mov { dst = Insn.DInt r; src } ->
+    let v = src_bits fr m src in
+    issue_slot m cls;
+    write_int fr r v ~ready:(m.cycle + 1) ~mem:false;
+    exec_from m fr (pc + 1)
+  | Insn.Mov { dst = Insn.DFlt f; src } ->
+    let v = src_fview fr m src in
+    issue_slot m cls;
+    write_flt fr f v ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Alu { op; dst; a; b } ->
-    let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ins;
-    write_int fr dst (ialu_eval op va vb)
-      ~ready:(m.cycle + Insn.ialu_latency op) ~mem:false;
+    let x = src_int fr m a in
+    let y = src_int fr m b in
+    issue_slot m cls;
+    write_int fr dst (ialu op x y) ~ready:(m.cycle + Insn.ialu_latency op) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Falu { op; dst; a; b } ->
-    let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ins;
-    write_fp fr dst (falu_eval op va vb)
-      ~ready:(m.cycle + Insn.falu_latency op) ~mem:false;
+    let x = src_flt fr m a in
+    let y = src_flt fr m b in
+    issue_slot m cls;
+    write_flt fr dst (falu op x y) ~ready:(m.cycle + Insn.falu_latency op) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Fcmp { op; dst; a; b } ->
-    let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ins;
-    write_int fr dst (fcmp_eval op va vb)
-      ~ready:(m.cycle + Insn.fcmp_latency) ~mem:false;
+    let x = src_flt fr m a in
+    let y = src_flt fr m b in
+    issue_slot m cls;
+    write_int fr dst (fcmp op x y) ~ready:(m.cycle + Insn.fcmp_latency) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Itof { dst; src } ->
-    let v = read_src fr m src in
-    issue_slot m ins;
-    write_fp fr dst (Value.Vflt (Int64.to_float (Value.to_int v)))
-      ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
+    let v = src_int fr m src in
+    issue_slot m cls;
+    write_flt fr dst (Int64.to_float v) ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Ftoi { dst; src } ->
-    let v = read_src fr m src in
-    issue_slot m ins;
-    write_int fr dst (Value.Vint (Int64.of_float (Value.to_flt v)))
-      ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
+    let v = src_flt fr m src in
+    issue_slot m cls;
+    write_int fr dst (Int64.of_float v) ~ready:(m.cycle + Insn.cvt_latency) ~mem:false;
     exec_from m fr (pc + 1)
-  | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc ins kind dst base site
+  | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc cls kind dst base site
   | Insn.St { src; base; site } ->
-    let v = read_src fr m src in
-    let a = Value.to_int (read_int fr m base) in
-    issue_slot m ins;
+    let v = src_value fr m src in
+    let a = read_addr fr m base in
+    issue_slot m cls;
     Memory.store m.mem a v;
     Cache.store_touch m.cache a;
     m.c.Counters.stores_retired <- m.c.Counters.stores_retired + 1;
     ev m ~site Site_hist.Stores_retired;
-    let victims = Alat.store_probe_sites m.alat a in
-    let inv = List.length victims in
-    m.c.Counters.alat_store_invalidations <-
-      m.c.Counters.alat_store_invalidations + inv;
-    (* the invalidation is charged to the load site whose entry died *)
-    List.iter (fun vs -> ev m ~site:vs Site_hist.Alat_store_invalidations) victims;
-    if inv > 0 && traced m then
-      tr m "alat.inval"
-        [ ("site", J.Int site); ("addr", J.String (hex a));
-          ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ];
+    (match Alat.store_probe_sites m.alat a with
+    | [] -> ()
+    | victims ->
+      m.c.Counters.alat_store_invalidations <-
+        m.c.Counters.alat_store_invalidations + List.length victims;
+      (* the invalidation is charged to the load site whose entry died *)
+      List.iter (fun vs -> ev m ~site:vs Site_hist.Alat_store_invalidations) victims;
+      if traced m then
+        tr m "alat.inval"
+          [ ("site", J.Int site); ("addr", J.String (hex a));
+            ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ]);
     exec_from m fr (pc + 1)
   | Insn.Chk_a { tag; recovery; site } ->
-    issue_slot m ins;
+    issue_slot m cls;
     m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
     ev m ~site Site_hist.Checks_retired;
     if Alat.check m.alat (alat_tag fr tag) ~clear:false then exec_from m fr (pc + 1)
@@ -557,25 +664,32 @@ and exec_from m fr pc : Value.t option =
       exec_from m fr recovery
     end
   | Insn.Invala_e { tag } ->
-    issue_slot m ins;
+    issue_slot m cls;
     m.c.Counters.invala_retired <- m.c.Counters.invala_retired + 1;
     Alat.remove m.alat (alat_tag fr tag);
     exec_from m fr (pc + 1)
-  | Insn.Sel { dst; cond; if_true; if_false } ->
-    let vc = read_int fr m cond in
-    let vt = read_src fr m if_true and vf = read_src fr m if_false in
-    issue_slot m ins;
-    let v = if Value.truthy vc then vt else vf in
-    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
+  | Insn.Sel { dst = Insn.DInt r; cond; if_true; if_false } ->
+    let c = read_int fr m cond in
+    let t = src_bits fr m if_true in
+    let f = src_bits fr m if_false in
+    issue_slot m cls;
+    write_int fr r (if Int64.equal c 0L then f else t) ~ready:(m.cycle + 1) ~mem:false;
+    exec_from m fr (pc + 1)
+  | Insn.Sel { dst = Insn.DFlt d; cond; if_true; if_false } ->
+    let c = read_int fr m cond in
+    let t = src_fview fr m if_true in
+    let f = src_fview fr m if_false in
+    issue_slot m cls;
+    write_flt fr d (if Int64.equal c 0L then f else t) ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Br { target } ->
-    issue_slot m ins;
+    issue_slot m cls;
     new_group m; (* taken-branch redirect *)
     exec_from m fr target
   | Insn.Brc { cond; ifso; ifnot; site } ->
-    let vc = read_int fr m cond in
-    issue_slot m ins;
-    let taken = Value.truthy vc in
+    let c = read_int fr m cond in
+    issue_slot m cls;
+    let taken = not (Int64.equal c 0L) in
     let target = if taken then ifso else ifnot in
     (* Static prediction: backward taken, forward not taken, decided by the
        branch *direction* (ifso relative to the branch pc) — a taken forward
@@ -593,48 +707,52 @@ and exec_from m fr pc : Value.t option =
     else if target <> pc + 1 then new_group m;
     exec_from m fr target
   | Insn.Call { callee; args; ret } -> (
-    let vargs = List.map (read_src fr m) args in
-    issue_slot m ins;
+    let vargs = List.map (src_value fr m) args in
+    issue_slot m cls;
     new_group m;
     let g =
-      match fr.callees.(pc) with
+      match fr.rf.callees.(pc) with
       | Some g -> g
       | None -> merror "call to unknown function %s" callee
     in
     let r = exec_function m g vargs in
     new_group m;
     (match ret, r with
-    | Some d, Some v -> write_dest fr d (coerce_loaded d v) ~ready:(m.cycle + 1) ~mem:false
+    | Some d, Some v -> write_value fr d v ~ready:(m.cycle + 1) ~mem:false
     | Some _, None -> merror "%s returned no value" callee
     | None, _ -> ());
     exec_from m fr (pc + 1))
   | Insn.Ret { value } ->
-    let v = Option.map (read_src fr m) value in
-    issue_slot m ins;
+    let v = Option.map (src_value fr m) value in
+    issue_slot m cls;
     new_group m;
     v
   | Insn.Alloc { dst; nbytes; site } ->
-    let n = Int64.to_int (Value.to_int (read_src fr m nbytes)) in
-    issue_slot m ins;
+    let n = Int64.to_int (src_int fr m nbytes) in
+    issue_slot m cls;
     advance_cycles m Model.alloc_cycles;
     let base = Memory.alloc m.mem ~size:(max 8 n) ~loc:(Location.Heap site) in
-    write_int fr dst (Value.Vint base) ~ready:(m.cycle + 1) ~mem:false;
+    write_int fr dst base ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
-  | Insn.Print { what; as_float } ->
-    let v = read_src fr m what in
-    issue_slot m ins;
-    if as_float then Buffer.add_string m.output (Fmt.str "%.6f\n" (Value.to_flt v))
-    else Buffer.add_string m.output (Fmt.str "%Ld\n" (Value.to_int v));
+  | Insn.Print { what; as_float = true } ->
+    let x = src_flt fr m what in
+    issue_slot m cls;
+    Buffer.add_string m.output (Fmt.str "%.6f\n" x);
+    exec_from m fr (pc + 1)
+  | Insn.Print { what; as_float = false } ->
+    let i = src_int fr m what in
+    issue_slot m cls;
+    Buffer.add_string m.output (Fmt.str "%Ld\n" i);
     exec_from m fr (pc + 1)
   | Insn.Nop ->
-    issue_slot m ins;
+    issue_slot m cls;
     m.c.Counters.nops_emitted <- m.c.Counters.nops_emitted + 1;
     exec_from m fr (pc + 1)
 
-and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
+and exec_load m fr pc cls (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     Value.t option =
-  let a = Value.to_int (read_int fr m base) in
-  issue_slot m ins;
+  let a = read_addr fr m base in
+  issue_slot m cls;
   (match kind with
   | Insn.K_ld -> do_load m fr dst a site
   | Insn.K_ld_a ->
@@ -655,8 +773,8 @@ and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
          (possibly reused) register *)
       Alat.remove m.alat (alat_tag fr dst);
       match dst with
-      | Insn.DInt r -> fr.inat.(r) <- true
-      | Insn.DFlt f -> fr.fnat.(f) <- true))
+      | Insn.DInt r -> fr.iscore.(r) <- fr.iscore.(r) lor nat_bit
+      | Insn.DFlt f -> fr.fscore.(f) <- fr.fscore.(f) lor nat_bit))
   | Insn.K_ld_c { clear } ->
     m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
     ev m ~site Site_hist.Checks_retired;
@@ -664,8 +782,10 @@ and exec_load m fr pc ins (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     if Alat.check m.alat tag ~clear then begin
       (* hit: the register already holds valid data; zero-latency *)
       (match dst with
-      | Insn.DInt r -> if fr.inat.(r) then merror "ld.c hit on NaT register"
-      | Insn.DFlt f -> if fr.fnat.(f) then merror "ld.c hit on NaT register")
+      | Insn.DInt r ->
+        if fr.iscore.(r) land nat_bit <> 0 then merror "ld.c hit on NaT register"
+      | Insn.DFlt f ->
+        if fr.fscore.(f) land nat_bit <> 0 then merror "ld.c hit on NaT register")
     end
     else begin
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;

@@ -84,6 +84,190 @@ let test_alat_invala_all () =
   Alat.invala_all a;
   Alcotest.(check int) "empty" 0 (Alat.occupancy a)
 
+(* --- table geometry: every ill-formed request is refused by name --- *)
+
+let expect_invalid ~param f () =
+  match f () with
+  | _ -> Alcotest.failf "accepted an invalid %s" param
+  | exception Invalid_argument msg ->
+    let mentions =
+      let n = String.length param and m = String.length msg in
+      let rec at i = i + n <= m && (String.sub msg i n = param || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool) (Fmt.str "%S names %s" msg param) true mentions
+
+let alat_rejects_indivisible_size =
+  expect_invalid ~param:"size" (fun () -> Alat.create ~size:32 ~ways:3 ())
+
+let alat_rejects_ways_above_size =
+  expect_invalid ~param:"size" (fun () -> Alat.create ~size:4 ~ways:8 ())
+
+let alat_rejects_zero_ways = expect_invalid ~param:"ways" (fun () -> Alat.create ~ways:0 ())
+
+let alat_rejects_zero_paddr_bits =
+  expect_invalid ~param:"paddr_bits" (fun () -> Alat.create ~paddr_bits:0 ())
+
+let alat_rejects_wide_paddr_bits =
+  expect_invalid ~param:"paddr_bits" (fun () -> Alat.create ~paddr_bits:17 ())
+
+let cache_rejects_odd_line =
+  expect_invalid ~param:"line" (fun () -> Cache.level ~size_bytes:(48 * 64) ~ways:1 ~line:48)
+
+let cache_rejects_odd_set_count =
+  expect_invalid ~param:"set count" (fun () ->
+      Cache.level ~size_bytes:(3 * 4 * 64) ~ways:4 ~line:64)
+
+(* --- ALAT live counts against a naive reference ---
+
+   The reference is the table without the per-partial-address live counts:
+   every probe scans every entry.  Random scripts of every operation must
+   get the same answer from both after every step — results, the order of
+   returned site lists, and occupancy — so a live count that drifted
+   (a store probe skipping a table that still holds a match) shows up as a
+   missed invalidation. *)
+
+module Ref_alat = struct
+  type key = int * int * bool (* frame, register, float file *)
+
+  type entry = {
+    mutable valid : bool;
+    mutable key : key;
+    mutable paddr : int;
+    mutable site : int;
+  }
+
+  type t = { es : entry array; ways : int; bits : int; mutable victim : int }
+
+  let create ~size ~ways =
+    { es = Array.init size (fun _ -> { valid = false; key = (0, 0, false); paddr = 0; site = -1 });
+      ways; bits = 12; victim = 0 }
+
+  let partial t a = Int64.to_int (Int64.shift_right_logical a 3) land ((1 lsl t.bits) - 1)
+
+  let remove t key = Array.iter (fun e -> if e.valid && e.key = key then e.valid <- false) t.es
+
+  let insert t ~site key a =
+    remove t key;
+    let paddr = partial t a in
+    let base = paddr mod (Array.length t.es / t.ways) * t.ways in
+    let free = List.find_opt (fun i -> not t.es.(i).valid) (List.init t.ways (( + ) base)) in
+    let slot, evicted =
+      match free with
+      | Some i -> (i, None)
+      | None ->
+        let i = base + (t.victim mod t.ways) in
+        t.victim <- t.victim + 1;
+        (i, Some t.es.(i).site)
+    in
+    let e = t.es.(slot) in
+    e.valid <- true;
+    e.key <- key;
+    e.paddr <- paddr;
+    e.site <- site;
+    evicted
+
+  let check t key ~clear =
+    Array.fold_left
+      (fun hit e ->
+        if e.valid && e.key = key then begin
+          if clear then e.valid <- false;
+          true
+        end
+        else hit)
+      false t.es
+
+  let store_probe_sites t a =
+    let paddr = partial t a in
+    Array.fold_left
+      (fun acc e ->
+        if e.valid && e.paddr = paddr then begin
+          e.valid <- false;
+          e.site :: acc
+        end
+        else acc)
+      [] t.es
+
+  let purge_frame t frame =
+    Array.iter (fun e -> let f, _, _ = e.key in if e.valid && f = frame then e.valid <- false) t.es
+
+  let invala_all t = Array.iter (fun e -> e.valid <- false) t.es
+  let occupancy t = Array.fold_left (fun n e -> if e.valid then n + 1 else n) 0 t.es
+end
+
+type alat_op =
+  | Op_insert of Ref_alat.key * int64 * int
+  | Op_check of Ref_alat.key * bool
+  | Op_remove of Ref_alat.key
+  | Op_probe of int64
+  | Op_purge of int
+  | Op_invala
+
+let pp_alat_op ppf = function
+  | Op_insert ((f, r, fp), a, s) -> Fmt.pf ppf "insert(%d,%d,%b,0x%Lx,s%d)" f r fp a s
+  | Op_check ((f, r, fp), c) -> Fmt.pf ppf "check(%d,%d,%b,clear=%b)" f r fp c
+  | Op_remove (f, r, fp) -> Fmt.pf ppf "remove(%d,%d,%b)" f r fp
+  | Op_probe a -> Fmt.pf ppf "probe(0x%Lx)" a
+  | Op_purge f -> Fmt.pf ppf "purge(%d)" f
+  | Op_invala -> Fmt.string ppf "invala"
+
+(* Few frames, registers and addresses, so entries collide: the address
+   pool has words 2^15 bytes apart, which share a 12-bit partial tag. *)
+let gen_alat_script =
+  let open QCheck.Gen in
+  let key = triple (int_range 1 3) (int_range 0 5) bool in
+  let addr =
+    map2 (fun w j -> Int64.of_int ((8 * w) + (32768 * j))) (int_range 0 11) (int_range 0 2)
+  in
+  let op =
+    frequency
+      [ (6, map3 (fun k a s -> Op_insert (k, a, s)) key addr (int_range 0 99));
+        (3, map2 (fun k c -> Op_check (k, c)) key bool);
+        (1, map (fun k -> Op_remove k) key);
+        (5, map (fun a -> Op_probe a) addr);
+        (1, map (fun f -> Op_purge f) (int_range 1 3));
+        (1, pure Op_invala) ]
+  in
+  list_size (int_range 1 200) op
+
+let alat_live_count_agrees ?ways () =
+  let prop script =
+    let size = 32 in
+    let real = Alat.create ~size ?ways () in
+    let naive = Ref_alat.create ~size ~ways:(Option.value ways ~default:size) in
+    let tag (f, r, fp) = if fp then Alat.fp_tag ~frame:f r else Alat.int_tag ~frame:f r in
+    List.for_all
+      (fun op ->
+        let agree =
+          match op with
+          | Op_insert (k, a, site) ->
+            Alat.insert ~site real (tag k) a = Ref_alat.insert naive ~site k a
+          | Op_check (k, clear) -> Alat.check real (tag k) ~clear = Ref_alat.check naive k ~clear
+          | Op_remove k ->
+            Alat.remove real (tag k);
+            Ref_alat.remove naive k;
+            true
+          | Op_probe a -> Alat.store_probe_sites real a = Ref_alat.store_probe_sites naive a
+          | Op_purge f ->
+            Alat.purge_frame real ~frame:f;
+            Ref_alat.purge_frame naive f;
+            true
+          | Op_invala ->
+            Alat.invala_all real;
+            Ref_alat.invala_all naive;
+            true
+        in
+        agree && Alat.occupancy real = Ref_alat.occupancy naive)
+      script
+  in
+  QCheck.Test.make ~count:300
+    ~name:
+      (match ways with
+      | None -> "alat live counts = naive scan (fully associative)"
+      | Some w -> Fmt.str "alat live counts = naive scan (%d-way)" w)
+    (QCheck.make ~print:(Fmt.str "%a" (Fmt.Dump.list pp_alat_op)) gen_alat_script)
+    prop
+
 (* --- cache tests --- *)
 
 let test_cache_hit_miss () =
@@ -239,6 +423,154 @@ let test_predict_taken_to_next_pc () =
   Alcotest.(check int64) "lands on next pc" 0L exit_code;
   Alcotest.(check int) "taken-to-next-pc still mispredicts" 1
     c.Counters.branch_mispredicts
+
+(* --- the machine's ALU against the interpreter's ---
+
+   Every integer, float and float-compare op, on edge operands, run as a
+   one-instruction program whose operands come from registers or
+   immediates.  Its result must carry the bits [Value.binop] gives; a
+   float result is moved to an integer register and printed as an
+   integer, so no decimal rounding can hide a difference.  An op that
+   raises must raise the interpreter's error text. *)
+
+module Value = Srp_profile.Value
+module Ops = Srp_ir.Ops
+
+let ialu_ops =
+  Insn.
+    [ (Aadd, Ops.Add); (Asub, Ops.Sub); (Amul, Ops.Mul); (Adiv, Ops.Div); (Arem, Ops.Rem);
+      (Aand, Ops.And); (Aor, Ops.Or); (Axor, Ops.Xor); (Ashl, Ops.Shl); (Ashr, Ops.Shr);
+      (Acmp_eq, Ops.Eq); (Acmp_ne, Ops.Ne); (Acmp_lt, Ops.Lt); (Acmp_le, Ops.Le);
+      (Acmp_gt, Ops.Gt); (Acmp_ge, Ops.Ge) ]
+
+let falu_ops = Insn.[ (FAadd, Ops.FAdd); (FAsub, Ops.FSub); (FAmul, Ops.FMul); (FAdiv, Ops.FDiv) ]
+
+let fcmp_ops =
+  Insn.
+    [ (FCeq, Ops.FEq); (FCne, Ops.FNe); (FClt, Ops.FLt); (FCle, Ops.FLe); (FCgt, Ops.FGt);
+      (FCge, Ops.FGe) ]
+
+let edge_ints =
+  [ 0L; 1L; -1L; 2L; 7L; -7L; 63L; 64L; 65L; 127L; -64L; Int64.min_int; Int64.max_int;
+    0x5555_5555_5555_5555L ]
+
+let edge_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 0.1; 3.0; Float.nan; Float.infinity; Float.neg_infinity;
+    Float.max_float; Float.min_float; 5e-324 ]
+
+(* exit text: the printed line, or the interpreter's error *)
+let run_printing code ~nregs ~nfregs =
+  match Srp_machine.Machine.run_program (raw_program [ raw_func ~nfregs "main" code ~nregs ]) with
+  | _, out, _ -> Ok out
+  | exception Value.Interp_error msg -> Error msg
+
+let expect_value f =
+  match f () with v -> Ok v | exception Value.Interp_error msg -> Error msg
+
+let int_line v = Fmt.str "%Ld\n" (Value.to_int v)
+let bits_line v = Fmt.str "%Ld\n" (Int64.bits_of_float (Value.to_flt v))
+
+let outcome = Alcotest.(result string string)
+
+(* operand [k] of a two-operand op: register [k + 1] loaded beforehand,
+   or the immediate itself *)
+let int_operand ~imm k x = if imm then ([], Insn.SImm x) else ([ Insn.Movl { dst = k + 1; imm = x } ], Insn.SReg (k + 1))
+
+let flt_operand ~imm k x =
+  if imm then ([], Insn.SFim x)
+  else ([ Insn.Mov { dst = Insn.DFlt (k + 1); src = Insn.SFim x } ], Insn.SFrg (k + 1))
+
+let alu_case (op, irop) (x, y) (imm_a, imm_b) =
+  let pa, a = int_operand ~imm:imm_a 0 x and pb, b = int_operand ~imm:imm_b 1 y in
+  let code =
+    Array.of_list
+      (pa @ pb
+      @ [ Insn.Alu { op; dst = 3; a; b }; Insn.Print { what = Insn.SReg 3; as_float = false };
+          Insn.Ret { value = None } ])
+  in
+  run_printing code ~nregs:4 ~nfregs:1
+  = expect_value (fun () -> int_line (Value.binop irop (Value.Vint x) (Value.Vint y)))
+
+let falu_case (op, irop) (x, y) (imm_a, imm_b) =
+  let pa, a = flt_operand ~imm:imm_a 0 x and pb, b = flt_operand ~imm:imm_b 1 y in
+  let code =
+    Array.of_list
+      (pa @ pb
+      @ [ Insn.Falu { op; dst = 3; a; b }; Insn.Mov { dst = Insn.DInt 1; src = Insn.SFrg 3 };
+          Insn.Print { what = Insn.SReg 1; as_float = false }; Insn.Ret { value = None } ])
+  in
+  run_printing code ~nregs:2 ~nfregs:4
+  = expect_value (fun () -> bits_line (Value.binop irop (Value.Vflt x) (Value.Vflt y)))
+
+let fcmp_case (op, irop) (x, y) (imm_a, imm_b) =
+  let pa, a = flt_operand ~imm:imm_a 0 x and pb, b = flt_operand ~imm:imm_b 1 y in
+  let code =
+    Array.of_list
+      (pa @ pb
+      @ [ Insn.Fcmp { op; dst = 1; a; b }; Insn.Print { what = Insn.SReg 1; as_float = false };
+          Insn.Ret { value = None } ])
+  in
+  run_printing code ~nregs:2 ~nfregs:3
+  = expect_value (fun () -> int_line (Value.binop irop (Value.Vflt x) (Value.Vflt y)))
+
+let alu_differential =
+  let open QCheck in
+  let operands edges = Gen.(pair (oneofl edges) (oneofl edges)) in
+  let forms = Gen.(pair bool bool) in
+  let arb name ops edges pp =
+    make
+      ~print:(fun (i, (x, y), (ia, ib)) ->
+        Fmt.str "%s #%d (%a, %a) imm=(%b, %b)" name i pp x pp y ia ib)
+      Gen.(triple (int_bound (List.length ops - 1)) (operands edges) forms)
+  in
+  let pp_i ppf = Fmt.pf ppf "%Ld" and pp_f ppf = Fmt.pf ppf "%h" in
+  [ Test.make ~count:1000 ~name:"ialu = Value.binop on edge operands"
+      (arb "ialu" ialu_ops edge_ints pp_i)
+      (fun (i, xy, forms) -> alu_case (List.nth ialu_ops i) xy forms);
+    Test.make ~count:500 ~name:"falu = Value.binop on edge operands (bits)"
+      (arb "falu" falu_ops edge_floats pp_f)
+      (fun (i, xy, forms) -> falu_case (List.nth falu_ops i) xy forms);
+    Test.make ~count:500 ~name:"fcmp = Value.binop on edge operands"
+      (arb "fcmp" fcmp_ops edge_floats pp_f)
+      (fun (i, xy, forms) -> fcmp_case (List.nth fcmp_ops i) xy forms) ]
+
+(* Operands of the wrong register file and division by zero raise the
+   interpreter's own errors, word for word; a NaT read is the machine's. *)
+let test_operand_kind_errors () =
+  let ret = Insn.Ret { value = None } in
+  let fails name expected code =
+    Alcotest.check outcome name (Error expected) (run_printing code ~nregs:3 ~nfregs:2)
+  in
+  fails "falu with an integer register" "expected float, got int 5"
+    [| Insn.Movl { dst = 1; imm = 5L };
+       Insn.Falu { op = Insn.FAadd; dst = 0; a = Insn.SReg 1; b = Insn.SFim 1.0 };
+       ret |];
+  fails "alu with a float register" "expected int, got float 2.5"
+    [| Insn.Mov { dst = Insn.DFlt 1; src = Insn.SFim 2.5 };
+       Insn.Alu { op = Insn.Aadd; dst = 1; a = Insn.SFrg 1; b = Insn.SImm 1L };
+       ret |];
+  fails "print_float of an integer register" "expected float, got int 7"
+    [| Insn.Movl { dst = 1; imm = 7L }; Insn.Print { what = Insn.SReg 1; as_float = true }; ret |];
+  fails "print_int of a float register" "expected int, got float 0.5"
+    [| Insn.Mov { dst = Insn.DFlt 1; src = Insn.SFim 0.5 };
+       Insn.Print { what = Insn.SFrg 1; as_float = false }; ret |];
+  fails "division by zero" "integer division by zero"
+    [| Insn.Movl { dst = 1; imm = 0L };
+       Insn.Alu { op = Insn.Adiv; dst = 2; a = Insn.SImm 9L; b = Insn.SReg 1 };
+       ret |];
+  fails "remainder by zero" "integer remainder by zero"
+    [| Insn.Alu { op = Insn.Arem; dst = 2; a = Insn.SImm 9L; b = Insn.SImm 0L }; ret |];
+  (* ld.sa from an address no region holds defers into the NaT bit *)
+  let nat_read =
+    [| Insn.Movl { dst = 1; imm = 8L };
+       Insn.Ld { kind = Insn.K_ld_sa; dst = Insn.DInt 2; base = 1; site = 1 };
+       Insn.Alu { op = Insn.Aadd; dst = 1; a = Insn.SReg 2; b = Insn.SImm 1L };
+       ret |]
+  in
+  match run_printing nat_read ~nregs:3 ~nfregs:1 with
+  | _ -> Alcotest.fail "a NaT read did not fault"
+  | exception Srp_machine.Machine.Machine_error msg ->
+    Alcotest.(check string) "NaT read" "read of NaT integer register r2" msg
 
 (* --- measured charges ---
 
@@ -473,6 +805,15 @@ let suite =
     Alcotest.test_case "alat capacity eviction" `Quick test_alat_capacity_eviction;
     Alcotest.test_case "alat fp/int tags distinct" `Quick test_alat_fp_tags_distinct;
     Alcotest.test_case "alat invala_all" `Quick test_alat_invala_all;
+    Alcotest.test_case "alat rejects size not divisible by ways" `Quick
+      alat_rejects_indivisible_size;
+    Alcotest.test_case "alat rejects ways above size" `Quick alat_rejects_ways_above_size;
+    Alcotest.test_case "alat rejects zero ways" `Quick alat_rejects_zero_ways;
+    Alcotest.test_case "alat rejects zero paddr_bits" `Quick alat_rejects_zero_paddr_bits;
+    Alcotest.test_case "alat rejects paddr_bits above 16" `Quick alat_rejects_wide_paddr_bits;
+    Alcotest.test_case "cache rejects a non-power-of-two line" `Quick cache_rejects_odd_line;
+    Alcotest.test_case "cache rejects a non-power-of-two set count" `Quick
+      cache_rejects_odd_set_count;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache fp latency" `Quick test_cache_fp_latency;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
@@ -494,4 +835,7 @@ let suite =
     Alcotest.test_case "machine functions (vs interp)" `Quick test_machine_functions;
     Alcotest.test_case "machine zero-init (vs interp)" `Quick test_machine_zero_init;
     Alcotest.test_case "counters sane" `Quick test_counters_sane;
-    Alcotest.test_case "fuel exhaustion" `Quick test_machine_fuel ]
+    Alcotest.test_case "fuel exhaustion" `Quick test_machine_fuel;
+    Alcotest.test_case "operand kind and division errors" `Quick test_operand_kind_errors ]
+  @ List.map QCheck_alcotest.to_alcotest
+      ([ alat_live_count_agrees (); alat_live_count_agrees ~ways:2 () ] @ alu_differential)
