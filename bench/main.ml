@@ -1,133 +1,37 @@
-(* The benchmark harness: regenerates every figure of the paper's
-   evaluation (section 4) plus the ablations from DESIGN.md, then runs a
-   Bechamel micro-benchmark group over the compiler phases and the
-   simulator's memory and per-site histogram.
+(* The benchmark harness: the ablations from DESIGN.md (rows A-H) and
+   the speculation-threshold sweep, then a Bechamel micro-benchmark group
+   over the compiler phases and the simulator's issue logic, memory and
+   per-site histogram.  Figures 8-11 and the srp-bench-v1 document come
+   from `srp bench`.
 
-   Usage: dune exec bench/main.exe [-- --quick] *)
+   Usage: dune exec bench/main.exe [-- --quick]
+   (--quick runs the micro-benchmarks only) *)
 
 open Srp_driver
 
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
-let json = Array.exists (fun a -> a = "--json") Sys.argv
-
-let flag_value name =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 0
-
-(* -o FILE: where --json writes the document (default stdout) *)
-let out_file = flag_value "-o"
-
-(* --trace-spans FILE: wall-clock spans of the whole sweep (stage builds,
-   pool tasks, timed passes) as an srp-spans-v1 trace-event file *)
-let spans_file = flag_value "--trace-spans"
-
+let quick = Array.mem "--quick" Sys.argv
 let section title = Fmt.pr "@.==== %s ====@.@." title
 
 let () =
-  let workloads = Srp_workloads.Registry.all () in
   let t0 = Unix.gettimeofday () in
-  let span_state =
-    match spans_file with
-    | None -> None
-    | Some path ->
-      let oc = open_out path in
-      let tracer = Srp_obs.Span.create ~out:oc () in
-      Srp_obs.Span.install tracer;
-      Some (path, oc, tracer)
-  in
-  at_exit (fun () ->
-      match span_state with
-      | None -> ()
-      | Some (path, oc, tracer) ->
-        Srp_obs.Span.uninstall ();
-        Srp_obs.Span.close tracer;
-        close_out oc;
-        Fmt.pr "spans written to %s (%d events)@." path
-          (Srp_obs.Span.emitted tracer));
-  section "Reproduction: Speculative Register Promotion using ALAT (CGO 2003)";
-  Fmt.pr
-    "Pipeline per benchmark: alias profile on the train input, baseline\n\
-     (ORC -O3 stand-in: conservative PRE + software run-time disambiguation)\n\
-     and speculative (ALAT, profile-driven) builds, both executed on the ref\n\
-     input in the Itanium-like simulator.  Outputs are checked equal.@.";
-  (* one artifact store for the whole sweep: both levels of a workload
-     share its lower/apply stages, the alat build reuses the train
-     profile, and the ablation subset below rides the same store *)
-  let cache = Stage.create ~capacity:1024 () in
-  let sweep_t0 = Unix.gettimeofday () in
-  let results = Experiments.run_all ~cache workloads in
-  let sweep_secs = Unix.gettimeofday () -. sweep_t0 in
-  section "Figure 8: speculative register promotion vs baseline (% reduction)";
-  Fmt.pr "%s@." (Experiments.figure8 results);
-  Fmt.pr
-    "Paper shape: total CPU cycles reduced by 1%%-7%%; load reductions much\n\
-     larger than cycle reductions (eliminated loads are mostly cache hits);\n\
-     FP benchmarks (ammp, art, equake) gain more than integer ones.@.";
-  section "Figure 9: direct vs indirect references among reduced loads";
-  Fmt.pr "%s@." (Experiments.figure9 results);
-  Fmt.pr
-    "Paper shape: indirect loads account for the majority of the reduction\n\
-     in ammp, gzip, mcf and parser.@.";
-  section "Figure 10: checks retired and mis-speculation ratio";
-  Fmt.pr "%s@." (Experiments.figure10 results);
-  Fmt.pr
-    "Paper shape: mis-speculation is generally well under 1%%; gzip is the\n\
-     outlier at ~5%% (its tuning pointer really does hit the promoted state\n\
-     on the ref input), yet stays profitable because checks are cheap.@.";
-  section "Figure 11: register stack engine (RSE) cycles";
-  Fmt.pr "%s@." (Experiments.figure11 results);
-  Fmt.pr
-    "Paper shape: promotion grows register frames, so RSE traffic can rise\n\
-     by tens of percent, but it remains a vanishing fraction of total\n\
-     cycles.@.";
-  (* machine-readable figure rows (the BENCH_*.json trajectory feed);
-     emitted before the ablations so the pass stats cover just the sweep *)
-  let cache_stats = Stage.stats cache in
-  Fmt.pr
-    "artifact cache: %d hits / %d misses (%.0f%% hit rate), %d evictions; \
-     %d compiles in %.1fs (%.2f compiles/sec)@."
-    cache_stats.Stage.hits cache_stats.Stage.misses
-    (100.0 *. Stage.hit_rate cache_stats)
-    cache_stats.Stage.evictions
-    (2 * List.length results)
-    sweep_secs
-    (float_of_int (2 * List.length results) /. sweep_secs);
-  if json then begin
-    let doc =
-      Srp_driver.Emit.bench_json ~quick
-        ~cache:
-          (Srp_driver.Emit.cache_json ~stats:cache_stats
-             ~compiles:(2 * List.length results) ~wall_secs:sweep_secs)
-        results
-    in
-    match out_file with
-    | Some path ->
-      Srp_driver.Emit.write_file path doc;
-      Fmt.pr "JSON results written to %s@." path
-    | None -> Fmt.pr "%s@." (Srp_obs.Json.to_string ~indent:2 doc)
-  end;
   if not quick then begin
     (* ablations on a representative subset to keep the run short *)
     let subset =
       List.filter
-        (fun w ->
-          List.mem w.Workload.name [ "gzip"; "mcf"; "ammp"; "twolf" ])
-        workloads
+        (fun w -> List.mem w.Workload.name [ "gzip"; "mcf"; "ammp"; "twolf" ])
+        (Srp_workloads.Registry.all ())
     in
+    let cache = Stage.create ~capacity:1024 () in
     List.iter
-      (fun ((title, _, _, _, _) as ablation) ->
+      (fun (title, table) ->
         section title;
-        Fmt.pr "%s@." (Experiments.run_ablation ~cache ablation subset))
-      Experiments.ablations;
+        Fmt.pr "%s@." table)
+      (Experiments.ablation_tables ~cache subset);
     Fmt.pr
-      "Ablation F: the kernels contain no cascade patterns (promoted data
-       behind a speculatively promoted pointer), mirroring the paper's
-       section 4 note that its implementation kept cascades disabled.  The
-       mechanism itself (chk.a + recovery routines, Figure 4) is exercised
+      "Ablation F: the kernels contain no cascade patterns (promoted data\n\
+       behind a speculatively promoted pointer), mirroring the paper's\n\
+       section 4 note that its implementation kept cascades disabled.  The\n\
+       mechanism itself (chk.a + recovery routines, Figure 4) is exercised\n\
        by the dedicated tests in test/test_core.ml.@.";
     section "Threshold sweep: cycles at ALAT as spec_threshold varies";
     Fmt.pr "%s@."

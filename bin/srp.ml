@@ -5,9 +5,9 @@
      run       compile and execute on the machine simulator
      profile   interpret a MiniC file and dump its alias profile
      ssa       print the speculative memory-SSA form (chi/mu, figure 5/6 style)
-     bench     run a workload (or the full sweep) at two levels and compare
-               counters; --compare diffs two bench documents as a
-               regression gate
+     bench     run a workload (or the full sweep: Figures 8-11) at two
+               levels and compare counters; --compare diffs two bench
+               documents as a regression gate
      report    render wall-time tables and a text flamegraph from a
                --trace-spans file
      serve     batch compile-and-simulate daemon (JSON-lines on stdin)
@@ -26,15 +26,16 @@ let read_file path =
   close_in ic;
   s
 
+let level_names =
+  String.concat ", " (List.map Pipeline.level_name Pipeline.all_levels)
+
 let level_conv =
   let parse s =
-    match s with
-    | "O0" -> Ok Pipeline.O0
-    | "conservative" -> Ok Pipeline.Conservative
-    | "baseline" -> Ok Pipeline.Baseline
-    | "alat" -> Ok Pipeline.Alat
-    | "alat-heuristic" -> Ok Pipeline.Alat_heuristic
-    | _ -> Error (`Msg (Fmt.str "unknown level %s" s))
+    match Pipeline.level_of_string s with
+    | Some l -> Ok l
+    | None ->
+      Error
+        (`Msg (Fmt.str "unknown level %S (expected one of: %s)" s level_names))
   in
   Arg.conv (parse, fun ppf l -> Fmt.string ppf (Pipeline.level_name l))
 
@@ -44,7 +45,7 @@ let file_arg =
 let level_arg =
   Arg.(value & opt level_conv Pipeline.Alat
        & info [ "l"; "level" ] ~docv:"LEVEL"
-           ~doc:"optimization level: O0, conservative, baseline, alat, alat-heuristic")
+           ~doc:("optimization level: " ^ level_names))
 
 let asm_arg =
   Arg.(value & flag & info [ "S"; "asm" ] ~doc:"dump target assembly instead of IR")
@@ -143,6 +144,18 @@ let with_timeline path ~interval f =
           (if Srp_obs.Trace.truncated sink then ", truncated" else ""))
       (fun () -> f (Some tl))
 
+(* Run [f] over the MiniC source in [file]: a front-end error in it
+   prints as [FILE:LINE:COL: message] and exits 1, instead of escaping as
+   an internal error. *)
+let with_source_errors file f =
+  try f ()
+  with e -> (
+    match Srp_frontend.Lower.error_message e with
+    | Some msg ->
+      Fmt.epr "%s:%s@." file msg;
+      exit 1
+    | None -> raise e)
+
 (* Build a trivial single-input workload out of a source file so the
    pipeline's profile-then-compile flow applies unchanged. *)
 let workload_of_file path =
@@ -151,6 +164,7 @@ let workload_of_file path =
 
 let compile_cmd =
   let run file level asm ablations =
+    with_source_errors file @@ fun () ->
     let w = workload_of_file file in
     let profile =
       match level with Pipeline.Alat -> Some (Pipeline.train_profile w) | _ -> None
@@ -180,6 +194,7 @@ let compile_cmd =
 let run_cmd =
   let run file level ablations json trace trace_spans timeline
       timeline_interval =
+    with_source_errors file @@ fun () ->
     let w = workload_of_file file in
     let r =
       with_spans trace_spans (fun () ->
@@ -237,6 +252,7 @@ let profile_cmd =
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"save the profile to FILE")
   in
   let run file out_file =
+    with_source_errors file @@ fun () ->
     let prog = Srp_frontend.Lower.compile_source (read_file file) in
     let code, out, profile = Srp_profile.Interp.run_program prog in
     print_string out;
@@ -257,6 +273,7 @@ let profile_cmd =
 
 let ssa_cmd =
   let run file =
+    with_source_errors file @@ fun () ->
     let src = read_file file in
     let prog = Srp_frontend.Lower.compile_source src in
     (* profile for the speculative flags *)
@@ -335,20 +352,23 @@ let bench_cmd =
         (Srp_driver.Report.Compare.render regs);
       exit 1
   in
-  (* The sweep: every registry workload at baseline and alat over one
-     shared store — the same matrix as bench/main.exe. *)
-  let run_sweep ~json ~out =
+  (* The paper sweep over the selection — every registry workload for
+     "all" — at baseline and alat (+ ablations) over one shared store:
+     Figures 8-11 as tables, or the srp-bench-v1 document with --json/-o. *)
+  let run_sweep ~name ~ablations ~json ~out =
+    let workloads =
+      if name = "all" then Srp_workloads.Registry.all ()
+      else [ Srp_workloads.Registry.find name ]
+    in
     let cache = Srp_driver.Stage.create ~capacity:1024 () in
     let t0 = Unix.gettimeofday () in
-    let rs =
-      Srp_driver.Experiments.run_all ~cache (Srp_workloads.Registry.all ())
-    in
+    let rs = Srp_driver.Experiments.sweep ~cache ~ablations workloads in
     let wall_secs = Unix.gettimeofday () -. t0 in
-    let cache_doc =
-      Emit.cache_json ~stats:(Srp_driver.Stage.stats cache)
-        ~compiles:(2 * List.length rs) ~wall_secs
-    in
     if json || out <> None then begin
+      let cache_doc =
+        Emit.cache_json ~stats:(Srp_driver.Stage.stats cache)
+          ~compiles:(2 * List.length rs) ~wall_secs
+      in
       let doc = Emit.bench_json ~cache:cache_doc rs in
       match out with
       | Some path ->
@@ -356,46 +376,25 @@ let bench_cmd =
         Fmt.epr "bench results written to %s@." path
       | None -> Fmt.pr "%s@." (J.to_string ~indent:2 doc)
     end
-    else begin
+    else if name = "all" then begin
       Fmt.pr "--- figure 8 ---@.%s@." (Srp_driver.Experiments.figure8 rs);
       Fmt.pr "--- figure 9 ---@.%s@." (Srp_driver.Experiments.figure9 rs);
       Fmt.pr "--- figure 10 ---@.%s@." (Srp_driver.Experiments.figure10 rs);
       Fmt.pr "--- figure 11 ---@.%s@?" (Srp_driver.Experiments.figure11 rs)
     end
-  in
-  let run_one ~name ~ablations ~json ~out =
-    let w = Srp_workloads.Registry.find name in
-    let cache = Srp_driver.Stage.create () in
-    let t0 = Unix.gettimeofday () in
-    let r = Srp_driver.Experiments.run_pair ~cache ~ablations w in
-    let wall_secs = Unix.gettimeofday () -. t0 in
-    if json || out <> None then begin
-      let doc =
-        Emit.bench_json
-          ~cache:
-            (Emit.cache_json ~stats:(Srp_driver.Stage.stats cache) ~compiles:2
-               ~wall_secs)
-          [ r ]
-      in
-      match out with
-      | Some path ->
-        Emit.write_file path doc;
-        Fmt.epr "bench results written to %s@." path
-      | None -> Fmt.pr "%s@." (J.to_string ~indent:2 doc)
-    end
     else begin
+      let r = List.hd rs in
+      let base = r.Srp_driver.Experiments.base.Pipeline.counters
+      and spec = r.Srp_driver.Experiments.spec in
       let f8 =
-        Srp_driver.Report.figure8_row ~name ~base:r.Srp_driver.Experiments.base.Pipeline.counters
-          ~spec:r.Srp_driver.Experiments.spec.Pipeline.counters
+        Srp_driver.Report.figure8_row ~name ~base ~spec:spec.Pipeline.counters
       in
       Fmt.pr "%s: cycles -%.2f%%, data access -%.2f%%, loads -%.2f%%@." name
         f8.Srp_driver.Report.cpu_cycles_red f8.data_access_red f8.loads_red;
-      Fmt.pr "--- baseline counters ---@.%a@." Srp_machine.Counters.pp
-        r.Srp_driver.Experiments.base.Pipeline.counters;
+      Fmt.pr "--- baseline counters ---@.%a@." Srp_machine.Counters.pp base;
       Fmt.pr "--- speculative counters ---@.%a@." Srp_machine.Counters.pp
-        r.Srp_driver.Experiments.spec.Pipeline.counters;
-      Fmt.pr "%a@." Srp_obs.Site_hist.pp_top_missers
-        r.Srp_driver.Experiments.spec.Pipeline.site_stats
+        spec.Pipeline.counters;
+      Fmt.pr "%a@." Srp_obs.Site_hist.pp_top_missers spec.Pipeline.site_stats
     end
   in
   let run name second ablations json out compare trace_spans cycle_pct
@@ -408,15 +407,14 @@ let bench_cmd =
         Fmt.epr "error: --compare needs OLD.json and NEW.json@.";
         exit 2
     else
-      with_spans trace_spans (fun () ->
-          if name = "all" then run_sweep ~json ~out
-          else run_one ~name ~ablations ~json ~out)
+      with_spans trace_spans (fun () -> run_sweep ~name ~ablations ~json ~out)
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"run a built-in workload (or the full sweep) at baseline and \
-             alat (--json/-o for machine-readable figure rows), or diff \
-             two bench documents with --compare")
+       ~doc:"run a built-in workload (or the full sweep: Figures 8-11) at \
+             baseline and alat, --ablation applying to every alat build \
+             (--json/-o for the srp-bench-v1 document), or diff two bench \
+             documents with --compare")
     Term.(const run $ name_arg $ second_arg $ ablation_arg $ json_arg
           $ out_arg $ compare_arg $ trace_spans_arg $ cycle_threshold_arg
           $ counter_threshold_arg)

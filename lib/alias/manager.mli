@@ -6,21 +6,17 @@
 
 open Srp_ir
 
-type flavour =
-  | Steensgaard_only
-  | Andersen_refined  (** intersect both analyses (both sound) *)
-
 type t
 
-(** Run the configured analyses over a whole program.  Defaults:
-    [Andersen_refined] with the type filter on. *)
-val build : ?flavour:flavour -> ?type_filter:bool -> Program.t -> t
+(** Run Steensgaard and Andersen over a whole program; queries intersect
+    both (both are sound) and apply the type filter. *)
+val build : Program.t -> t
 
 (** Raw points-to set of the pointer value held in a temp of [func]. *)
 val points_to_raw : t -> func:string -> Temp.t -> Location.Set.t
 
 (** Locations an indirect access through the temp with cell type [mty] may
-    touch (type filter applied if configured). *)
+    touch (type filter applied). *)
 val points_to : t -> func:string -> mty:Mem_ty.t -> Temp.t -> Location.Set.t
 
 (** Stable equivalence-class key, used for virtual-variable naming. *)

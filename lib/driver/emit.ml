@@ -1,5 +1,5 @@
 (* Structured emission: assemble the JSON documents behind `srp run --json`
-   and `srp bench --json` / `bench/main.exe --json`.
+   and `srp bench --json`.
 
    Two schemas:
    - "srp-run-v1": one execution — global counters, promotion statistics,
@@ -150,11 +150,18 @@ let cache_json ~(stats : Stage.cache_stats) ~compiles ~wall_secs : J.t =
          (if wall_secs > 0.0 then float_of_int compiles /. wall_secs else 0.0))
     ]
 
-let bench_json ?(quick = false) ?cache (rs : Experiments.bench_result list) :
-    J.t =
+(* One sweep's document; ["ablations"] is the canonical list its alat
+   builds ran with (the baseline builds never take any). *)
+let bench_json ?cache (rs : Experiments.bench_result list) : J.t =
+  let ablations =
+    match rs with
+    | r :: _ -> r.Experiments.spec.Pipeline.compiled.Pipeline.ablations
+    | [] -> []
+  in
   J.Obj
     ([ ("schema", J.String "srp-bench-v1");
-       ("quick", J.Bool quick);
+       ("ablations",
+        J.Arr (List.map (fun a -> J.String (Pipeline.ablation_name a)) ablations));
        ("benchmarks", J.Arr (List.map bench_entry_json rs)) ]
     @ (match cache with None -> [] | Some c -> [ ("cache", c) ])
     @ [ ("pass_stats", Srp_obs.Stats.to_json ()) ])

@@ -1,8 +1,10 @@
-(* The paper's experiment suite: one function per figure, plus the
-   ablations DESIGN.md commits to.  Each experiment runs the full pipeline
-   (profile on train, compile, execute on ref in the machine simulator)
-   and checks output equality between builds as it goes — a bench run
-   doubles as an end-to-end correctness check. *)
+(* The paper's experiment suite: one runner, then one function per
+   figure plus the ablations DESIGN.md commits to, each a rendering over
+   the runner's table.  [run] takes every (workload, build) through the
+   full pipeline (profile on train, compile, execute on ref in the
+   machine simulator) once and checks output equality between the builds
+   of each workload — a bench run doubles as an end-to-end correctness
+   check. *)
 
 module C = Srp_machine.Counters
 
@@ -55,53 +57,89 @@ let pool_map ~(ntasks : int) (f : int -> 'a) : ('a, exn) result array =
   List.iter Domain.join domains;
   Array.map (function Some r -> r | None -> assert false) slots
 
-(* Run one workload at baseline and ALAT levels and check equivalence.
-   [ablations] apply to the speculative build only — the baseline stays
-   the fixed reference the figures are normalized against.  [cache]
-   shares stage artifacts between the two builds (one lower, one input
-   application per input set). *)
-let run_pair ?fuel ?cache ?ablations (w : Workload.t) : bench_result =
-  let base = Pipeline.profile_compile_run ?fuel ?cache w Pipeline.Baseline in
-  let spec =
-    Pipeline.profile_compile_run ?fuel ?cache ?ablations w Pipeline.Alat
-  in
-  if base.Pipeline.output <> spec.Pipeline.output then
-    raise
-      (Output_mismatch
-         (Fmt.str "%s: baseline and speculative outputs differ!" w.Workload.name));
-  { w; base; spec }
+(* --- the runner --- *)
 
-(* Run the whole suite from a pool of worker domains (pool_map).  The
-   work unit is one (workload, level) build-and-run — two tasks per
-   workload — so the figure tables and the --json rows come out in
-   registry order no matter how the domains are scheduled.  The pipeline
-   has no cross-run mutable state apart from the Stats registry and the
-   optional stage cache, both domain-safe; with [cache] the two builds of
-   a workload share its lower and apply-input artifacts, so the sweep
-   lowers each source once instead of thrice (train + 2 levels).  The
-   baseline-vs-speculative output check happens after the join, exactly
-   as in the sequential run_pair. *)
-let run_all ?fuel ?cache (workloads : Workload.t list) : bench_result list =
-  let ws = Array.of_list workloads in
-  let n = Array.length ws in
-  let ntasks = 2 * n in
-  let run_task i =
-    let w = ws.(i / 2) in
-    let level = if i mod 2 = 0 then Pipeline.Baseline else Pipeline.Alat in
-    Pipeline.profile_compile_run ?fuel ?cache w level
+(* One build of the staged pipeline, profiled on train and run on ref by
+   [Pipeline.profile_compile_run]: a level plus its ablations. *)
+type build = { level : Pipeline.level; ablations : Pipeline.ablation list }
+
+let canonical (b : build) : build =
+  { b with ablations = Pipeline.canonical_ablations b.ablations }
+
+(* "alat", "alat+no-bundle", ...: a build as the mismatch error names it *)
+let build_name (b : build) : string =
+  String.concat "+"
+    (Pipeline.level_name b.level :: List.map Pipeline.ablation_name b.ablations)
+
+(* Every run of one [run], by (workload name, canonical build). *)
+type table = (string * build, Pipeline.run_result) Hashtbl.t
+
+let find (t : table) (w : Workload.t) (b : build) : Pipeline.run_result =
+  Hashtbl.find t (w.Workload.name, canonical b)
+
+(* Run every workload at every build from a pool of worker domains
+   (pool_map), one task per distinct (workload, canonical build), then
+   check once per workload that all its builds printed the same output.
+   The pipeline has no cross-run mutable state apart from the Stats
+   registry and the optional stage cache, both domain-safe; with [cache]
+   the builds of a workload share its lower, apply-input and train-profile
+   artifacts, so the sweep lowers each source once. *)
+let run ?fuel ?cache ~(builds : build list) (workloads : Workload.t list) :
+    table =
+  let builds =
+    List.rev
+      (List.fold_left
+         (fun acc b ->
+           let b = canonical b in
+           if List.mem b acc then acc else b :: acc)
+         [] builds)
   in
-  let slots = pool_map ~ntasks run_task in
-  let result i =
-    match slots.(i) with Ok r -> r | Error e -> raise e
+  let tasks =
+    Array.of_list
+      (List.concat_map (fun w -> List.map (fun b -> (w, b)) builds) workloads)
   in
-  List.init n (fun k ->
-      let base = result (2 * k) and spec = result ((2 * k) + 1) in
-      if base.Pipeline.output <> spec.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: baseline and speculative outputs differ!"
-                ws.(k).Workload.name));
-      { w = ws.(k); base; spec })
+  let slots =
+    pool_map ~ntasks:(Array.length tasks) (fun i ->
+        let w, b = tasks.(i) in
+        Pipeline.profile_compile_run ?fuel ?cache ~ablations:b.ablations w
+          b.level)
+  in
+  let t = Hashtbl.create (Array.length tasks) in
+  Array.iteri
+    (fun i (w, b) ->
+      match slots.(i) with
+      | Ok r -> Hashtbl.replace t (w.Workload.name, b) r
+      | Error e -> raise e)
+    tasks;
+  List.iter
+    (fun w ->
+      match builds with
+      | [] -> ()
+      | b0 :: rest ->
+        let out0 = (find t w b0).Pipeline.output in
+        List.iter
+          (fun b ->
+            if (find t w b).Pipeline.output <> out0 then
+              raise
+                (Output_mismatch
+                   (Fmt.str "%s: outputs differ between %s and %s"
+                      w.Workload.name (build_name b0) (build_name b))))
+          rest)
+    workloads;
+  t
+
+let alat = { level = Pipeline.Alat; ablations = [] }
+let at level = { alat with level }
+let alat_with a = { alat with ablations = [ a ] }
+
+(* The paper sweep: every workload at baseline and at alat.  [ablations]
+   apply to the speculative build only — the baseline stays the fixed
+   reference the figures are normalized against. *)
+let sweep ?fuel ?cache ?(ablations = []) (workloads : Workload.t list) :
+    bench_result list =
+  let base = at Pipeline.Baseline and spec = { alat with ablations } in
+  let t = run ?fuel ?cache ~builds:[ base; spec ] workloads in
+  List.map (fun w -> { w; base = find t w base; spec = find t w spec }) workloads
 
 (* --- the four figures --- *)
 
@@ -146,14 +184,6 @@ let figure11 (rs : bench_result list) : string =
 
 (* --- ablations --- *)
 
-(* One side of an ablation: a build of the staged pipeline, profiled on
-   train and run on ref by [Pipeline.profile_compile_run]. *)
-type build = { level : Pipeline.level; ablations : Pipeline.ablation list }
-
-let alat = { level = Pipeline.Alat; ablations = [] }
-let at level = { alat with level }
-let alat_with a = { alat with ablations = [ a ] }
-
 (* The ablation suite DESIGN.md commits to, as (title, label, build,
    label, build) rows; the gain column is the second build's cycle
    reduction over the first. *)
@@ -185,26 +215,23 @@ let render_compare ~label_a ~label_b rows =
            [ n; string_of_int a; string_of_int b; Fmt.str "%.2f" red ])
          rows)
 
-(* Run one ablation row over [workloads], checking that both builds print
-   the same output, and render its cycle table. *)
-let run_ablation ?fuel ?cache (_title, label_a, a, label_b, b) workloads =
-  let run w (bld : build) =
-    Pipeline.profile_compile_run ?fuel ?cache ~ablations:bld.ablations w
-      bld.level
-  in
+(* The ablation suite over [workloads]: every distinct build of its rows
+   runs once in one [run], then each row is rendered from that table as
+   (title, cycle table). *)
+let ablation_tables ?fuel ?cache (workloads : Workload.t list) :
+    (string * string) list =
+  let builds = List.concat_map (fun (_, _, a, _, b) -> [ a; b ]) ablations in
+  let t = run ?fuel ?cache ~builds workloads in
   List.map
-    (fun w ->
-      let ra = run w a and rb = run w b in
-      if ra.Pipeline.output <> rb.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: ablation outputs differ!" w.Workload.name));
-      let ca = ra.Pipeline.counters.C.cycles
-      and cb = rb.Pipeline.counters.C.cycles in
-      let red = 100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca) in
-      (w.Workload.name, ca, cb, red))
-    workloads
-  |> render_compare ~label_a ~label_b
+    (fun (title, label_a, a, label_b, b) ->
+      let row w =
+        let ca = (find t w a).Pipeline.counters.C.cycles
+        and cb = (find t w b).Pipeline.counters.C.cycles in
+        let red = 100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca) in
+        (w.Workload.name, ca, cb, red)
+      in
+      (title, render_compare ~label_a ~label_b (List.map row workloads)))
+    ablations
 
 (* Threshold sweep: cycles at ALAT as [spec_threshold] varies, against
    the binary-verdict column (no-prob), one row per workload.  The sweep

@@ -297,7 +297,10 @@ let serve ~(lookup : string -> Workload.t option) ~(now : unit -> float)
               | Ok (r, scope) -> result_json j ~key ~deduped r scope
               | Error e ->
                 incr failed;
-                error_json id (Printexc.to_string e))
+                error_json id
+                  (match Srp_frontend.Lower.error_message e with
+                  | Some msg -> msg
+                  | None -> Printexc.to_string e))
           in
           output_string oc (Json.to_string doc);
           output_char oc '\n')

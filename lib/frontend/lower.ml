@@ -521,6 +521,17 @@ let lower_program (tp : Typed_ast.tprogram) : Program.t =
     tp.Typed_ast.tp_funcs;
   prog
 
+(* A front-end error as text: [LINE:COL: message] for the positioned
+   ones, the bare message for lowering errors; [None] for any other
+   exception (a bug, not a bad source). *)
+let error_message (e : exn) : string option =
+  match e with
+  | Lexer.Lex_error (msg, p) | Parser.Parse_error (msg, p)
+  | Typecheck.Type_error (msg, p) ->
+    Some (Fmt.str "%a: %s" Ast.pp_pos p msg)
+  | Lower_error msg -> Some msg
+  | _ -> None
+
 (* Front door: source text -> verified IR program.  Critical edges are
    split here, before any profiling run, so the block set (and hence the
    profile's block counts) is identical between the profiling compile and
@@ -532,6 +543,7 @@ let compile_source (src : string) : Program.t =
     Stats.time ~pass:"frontend" "typecheck" (fun () -> Typecheck.check_program ast)
   in
   let prog = Stats.time ~pass:"frontend" "lower" (fun () -> lower_program tp) in
+  if Program.find_func_opt prog "main" = None then lerror "no function main";
   Stats.time ~pass:"frontend" "verify" (fun () ->
       List.iter Loops.split_critical_edges (Program.funcs prog);
       Verify.check_program prog);

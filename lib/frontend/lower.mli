@@ -11,6 +11,11 @@
 
 exception Lower_error of string
 
+(** [error_message e] renders a front-end error of {!compile_source}:
+    [LINE:COL: message] for lexical, syntax and type errors, the message
+    itself for {!Lower_error}.  [None] for every other exception. *)
+val error_message : exn -> string option
+
 (** Lower one elaborated program. *)
 val lower_program : Typed_ast.tprogram -> Srp_ir.Program.t
 
@@ -22,5 +27,6 @@ val lower_program : Typed_ast.tprogram -> Srp_ir.Program.t
     @raise Lexer.Lex_error on lexical errors
     @raise Parser.Parse_error on syntax errors
     @raise Typecheck.Type_error on type errors
+    @raise Lower_error on constructs lowering rejects, or no [main]
     @raise Srp_ir.Verify.Ill_formed if lowering produced bad IR (a bug) *)
 val compile_source : string -> Srp_ir.Program.t

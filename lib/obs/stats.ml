@@ -20,7 +20,6 @@ type kind = Counter | Timer
 type entry = {
   pass : string;
   name : string;
-  desc : string;
   kind : kind;
   mutable count : int; (* counter value, or timer invocation count *)
   mutable secs : float; (* timers only: accumulated wall-clock seconds *)
@@ -123,18 +122,17 @@ let reset () =
   Hashtbl.reset reg.tbl;
   reg.order <- []
 
-let find_or_add ~pass ~name ~desc kind =
+let find_or_add ~pass ~name kind =
   locked @@ fun () ->
   match Hashtbl.find_opt reg.tbl (pass, name) with
   | Some e -> e
   | None ->
-    let e = { pass; name; desc; kind; count = 0; secs = 0.0 } in
+    let e = { pass; name; kind; count = 0; secs = 0.0 } in
     Hashtbl.replace reg.tbl (pass, name) e;
     reg.order <- e :: reg.order;
     e
 
-let counter ?(desc = "") ~pass name : counter =
-  find_or_add ~pass ~name ~desc Counter
+let counter ~pass name : counter = find_or_add ~pass ~name Counter
 
 let add (c : counter) n =
   locked (fun () -> c.count <- c.count + n);
@@ -164,7 +162,7 @@ let find ~pass name =
    ("pass.name") when a tracer is installed, so pass phases appear in
    the flamegraph with no extra instrumentation. *)
 let time ~pass name f =
-  let e = find_or_add ~pass ~name ~desc:"" Timer in
+  let e = find_or_add ~pass ~name Timer in
   let t0 = Clock.now () in
   Fun.protect
     ~finally:(fun () ->
@@ -226,7 +224,6 @@ let to_json () : Json.t =
        (fun e ->
          Json.Obj
            ([ ("pass", Json.String e.pass); ("name", Json.String e.name) ]
-           @ (if e.desc = "" then [] else [ ("desc", Json.String e.desc) ])
            @
            match e.kind with
            | Counter -> [ ("value", Json.Int e.count) ]

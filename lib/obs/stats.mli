@@ -11,7 +11,7 @@
 type counter
 
 (** Find-or-create the counter [(pass, name)]. Idempotent. *)
-val counter : ?desc:string -> pass:string -> string -> counter
+val counter : pass:string -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -51,22 +51,13 @@ let init_global t (s : Symbol.t) (init : Program.global_init) =
       (fun i v -> Memory.store t.mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vflt v))
       vs)
 
-let create ?(fuel = 50_000_000) ?(collect_profile = true)
-    ?(overrides : (string * Program.global_init) list = []) (prog : Program.t) : t =
+let create ?(fuel = 50_000_000) ?(collect_profile = true) (prog : Program.t) : t =
   let t =
     { prog; mem = Memory.create (); globals = Hashtbl.create 16;
       output = Buffer.create 256; profile = Alias_profile.create (); fuel;
       steps = 0; collect_profile }
   in
-  List.iter
-    (fun (s, init) ->
-      let init =
-        match List.assoc_opt (Symbol.name s) overrides with
-        | Some o -> o
-        | None -> init
-      in
-      init_global t s init)
-    (Program.globals prog);
+  List.iter (fun (s, init) -> init_global t s init) (Program.globals prog);
   t
 
 (* --- evaluation --- *)
@@ -205,7 +196,7 @@ let profile t = t.profile
 let steps t = t.steps
 
 (* Convenience: interpret a program and return (exit code, output, profile). *)
-let run_program ?fuel ?collect_profile ?overrides prog =
-  let t = create ?fuel ?collect_profile ?overrides prog in
+let run_program ?fuel ?collect_profile prog =
+  let t = create ?fuel ?collect_profile prog in
   let code = run t in
   (code, output t, profile t)

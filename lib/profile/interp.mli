@@ -15,15 +15,10 @@ exception Out_of_fuel
 
 type t
 
-(** [create prog] loads globals (optionally overridden by name via
-    [overrides] — workload input injection).  [fuel] bounds executed
-    steps; [collect_profile] defaults to [true]. *)
-val create :
-  ?fuel:int ->
-  ?collect_profile:bool ->
-  ?overrides:(string * Program.global_init) list ->
-  Program.t ->
-  t
+(** [create prog] loads globals from their initializers (workload
+    inputs are baked into them beforehand, by the driver's [Workload.apply_input]).
+    [fuel] bounds executed steps; [collect_profile] defaults to [true]. *)
+val create : ?fuel:int -> ?collect_profile:bool -> Program.t -> t
 
 (** Run [main]; returns its exit value. *)
 val run : t -> int64
@@ -38,8 +33,4 @@ val steps : t -> int
 
 (** create + run; returns (exit code, output, profile). *)
 val run_program :
-  ?fuel:int ->
-  ?collect_profile:bool ->
-  ?overrides:(string * Program.global_init) list ->
-  Program.t ->
-  int64 * string * Alias_profile.t
+  ?fuel:int -> ?collect_profile:bool -> Program.t -> int64 * string * Alias_profile.t

@@ -74,7 +74,7 @@ let test_profile_input_sensitivity () =
 let test_figure_rows_well_formed () =
   let w = Srp_workloads.Registry.find "vpr" in
   let small = { w with Workload.ref_ = w.Workload.train } in
-  let r = Experiments.run_pair small in
+  let r = List.hd (Experiments.sweep [ small ]) in
   let f8 =
     Report.figure8_row ~name:"vpr" ~base:r.Experiments.base.Pipeline.counters
       ~spec:r.Experiments.spec.Pipeline.counters
@@ -86,6 +86,34 @@ let test_figure_rows_well_formed () =
   in
   Alcotest.(check bool) "misspec ratio is a percentage" true
     (f10.Report.misspec_ratio >= 0.0 && f10.Report.misspec_ratio <= 100.0)
+
+(* The ablation suite on one workload: every row A-H renders, and the
+   nine distinct builds behind its sixteen row sides are each simulated
+   exactly once. *)
+let test_ablation_suite_runs_once () =
+  let w = Srp_workloads.Registry.find "mcf" in
+  let small = { w with Workload.ref_ = w.Workload.train } in
+  let simulations () =
+    match Srp_obs.Stats.find ~pass:"machine" "simulate" with
+    | Some (calls, _) -> calls
+    | None -> 0
+  in
+  let before = simulations () in
+  let tables = Experiments.ablation_tables [ small ] in
+  Alcotest.(check int) "simulations" 9 (simulations () - before);
+  Alcotest.(check int) "one table per row"
+    (List.length Experiments.ablations) (List.length tables);
+  List.iter2
+    (fun (title, _, _, _, _) (title', table) ->
+      Alcotest.(check string) "row order" title title';
+      match String.split_on_char '\n' table with
+      | _header :: _rule :: row :: _ ->
+        Alcotest.(check bool)
+          (Fmt.str "%s has a mcf row" title)
+          true
+          (String.length row > 3 && String.sub row 0 3 = "mcf")
+      | _ -> Alcotest.failf "%s: no rows" title)
+    Experiments.ablations tables
 
 let kernel_tests =
   List.concat_map
@@ -99,4 +127,6 @@ let suite =
   @ [ Alcotest.test_case "baseline beats O0" `Slow test_o0_worst;
       Alcotest.test_case "checks only in alat" `Slow test_checks_only_in_alat;
       Alcotest.test_case "gzip mis-speculates on ref" `Slow test_profile_input_sensitivity;
-      Alcotest.test_case "figure rows well-formed" `Slow test_figure_rows_well_formed ]
+      Alcotest.test_case "figure rows well-formed" `Slow test_figure_rows_well_formed;
+      Alcotest.test_case "ablation suite runs each build once" `Slow
+        test_ablation_suite_runs_once ]

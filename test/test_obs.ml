@@ -644,8 +644,7 @@ let test_run_json_roundtrip () =
 let test_bench_json_roundtrip () =
   let w = Srp_workloads.Registry.find "gzip" in
   let small = { w with Workload.ref_ = w.Workload.train } in
-  let r = Experiments.run_pair small in
-  let s = J.to_string ~indent:2 (Emit.bench_json ~quick:true [ r ]) in
+  let s = J.to_string ~indent:2 (Emit.bench_json (Experiments.sweep [ small ])) in
   let doc = parse_ok s in
   Alcotest.(check (option string)) "schema" (Some "srp-bench-v1")
     (Option.bind (J.member "schema" doc) J.to_string_opt);
@@ -669,6 +668,22 @@ let test_bench_json_roundtrip () =
   with
   | Some _ -> ()
   | None -> Alcotest.fail "figure8 cycles reduction missing"
+
+(* An ablation on the sweep reaches its alat builds and is recorded in
+   the document; the baseline builds stay the plain baseline run. *)
+let test_sweep_ablation () =
+  let w = Srp_workloads.Registry.find "gzip" in
+  let small = { w with Workload.ref_ = w.Workload.train } in
+  let rs = Experiments.sweep ~ablations:[ Pipeline.No_bundle ] [ small ] in
+  let r = List.hd rs in
+  Alcotest.(check int) "alat retires no bundles" 0
+    r.Experiments.spec.Pipeline.counters.C.bundles_retired;
+  Alcotest.(check json_testable) "baseline counters are the plain run's"
+    (C.to_json (Pipeline.profile_compile_run small Pipeline.Baseline).Pipeline.counters)
+    (C.to_json r.Experiments.base.Pipeline.counters);
+  Alcotest.(check (option json_testable)) "document lists the ablation"
+    (Some (J.Arr [ J.String "no-bundle" ]))
+    (J.member "ablations" (Emit.bench_json rs))
 
 (* The CLI end to end: `srp run FILE --json` prints a parseable document.
    Skipped outside the dune sandbox (the binary path is build-relative). *)
@@ -726,6 +741,36 @@ let test_cli_run_json () =
         (" --ablation no-prob --ablation no-sched", [ "no-sched"; "no-prob" ]) ]
   end
 
+(* A MiniC error on the command line reads FILE:LINE:COL: message and
+   exits 1, not as an uncaught exception.  Skipped outside the dune
+   sandbox, like the test above. *)
+let test_cli_source_error () =
+  let bin = Filename.concat (Filename.concat ".." "bin") "srp.exe" in
+  if Sys.file_exists bin then begin
+    let src = Filename.temp_file "srp_obs_cli" ".mc" in
+    let err = Filename.temp_file "srp_obs_cli" ".txt" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove src;
+        Sys.remove err)
+    @@ fun () ->
+    let oc = open_out src in
+    output_string oc "int main() { int x; x = ; return 0; }\n";
+    close_out oc;
+    let rc =
+      Sys.command
+        (Fmt.str "%s run %s 2>%s" (Filename.quote bin) (Filename.quote src)
+           (Filename.quote err))
+    in
+    Alcotest.(check int) "exit code" 1 rc;
+    let ic = open_in_bin err in
+    let msg = input_line ic in
+    close_in ic;
+    Alcotest.(check string) "message"
+      (src ^ ":1:25: expected expression, found ';'")
+      msg
+  end
+
 let suite =
   [ Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: special floats" `Quick test_json_special_floats;
@@ -771,4 +816,8 @@ let suite =
       test_run_json_roundtrip;
     Alcotest.test_case "emit: bench json round-trip" `Quick
       test_bench_json_roundtrip;
-    Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json ]
+    Alcotest.test_case "emit: sweep ablation reaches alat builds" `Quick
+      test_sweep_ablation;
+    Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json;
+    Alcotest.test_case "cli: source error position" `Quick
+      test_cli_source_error ]

@@ -269,7 +269,13 @@ let test_rejects_bad_jobs () =
   contains "unknown ablation" msg "\"no-shed\"";
   List.iter
     (fun a -> contains "valid names" msg (Pipeline.ablation_name a))
-    Pipeline.all_ablations
+    Pipeline.all_ablations;
+  (* a MiniC error reads as LINE:COL: message, not as an exception *)
+  let msg =
+    error_of {|{"source": "int main() { int x; x = ; return 0; }", "level": "O0"}|}
+  in
+  Alcotest.(check string) "source error" "1:25: expected expression, found ';'"
+    msg
 
 (* Ablation order and repeats do not change a build, so they must not
    change its key: the three spellings run once. *)
