@@ -94,40 +94,60 @@ let () =
            let alat = Srp_machine.Alat.create () in
            for i = 0 to 9_999 do
              let tag = Srp_machine.Alat.int_tag ~frame:(i land 7) (i land 31) in
-             ignore (Srp_machine.Alat.insert alat tag (Int64.of_int (i * 8)));
+             ignore (Srp_machine.Alat.insert alat tag (i * 8));
              ignore (Srp_machine.Alat.check alat tag ~clear:false);
-             ignore (Srp_machine.Alat.store_probe alat (Int64.of_int ((i * 24) land 0xffff)))
+             ignore (Srp_machine.Alat.store_probe alat ((i * 24) land 0xffff))
            done))
   in
   (* the simulator's memory and per-site histogram, the two structures
-     every simulated load and store goes through *)
+     every simulated load and store goes through; memory is driven through
+     the machine's entry points, native-int addresses and raw bits *)
   let module Memory = Srp_profile.Memory in
   let heap = Srp_alias.Location.Heap 0 in
   (* addresses and values are built outside the timed loop, so the
      words/run column is what Memory itself allocates *)
+  let word = Bytes.create 8 in
   let test_mem_stream =
     Test.make ~name:"memory: 4k load/store streaming one region"
       (Staged.stage
          (let m = Memory.create () in
-          let base = Memory.alloc m ~size:(8 * 4096) ~loc:heap in
-          let addrs = Array.init 4096 (fun i -> Int64.add base (Int64.of_int (8 * i))) in
-          let vals = Array.init 4096 (fun i -> Srp_profile.Value.Vint (Int64.of_int i)) in
+          let base = Int64.to_int (Memory.alloc m ~size:(8 * 4096) ~loc:heap) in
+          let vals = Bytes.create (8 * 4096) in
+          for i = 0 to 4095 do
+            Bytes.set_int64_ne vals (8 * i) (Int64.of_int i)
+          done;
           fun () ->
             for i = 0 to 4095 do
-              Memory.store m addrs.(i) vals.(i);
-              ignore (Memory.load m addrs.(i))
+              Memory.store_bits m (base + (8 * i)) vals (8 * i) ~float:false;
+              Memory.load_bits m (base + (8 * i)) word 0
             done))
   in
   let test_mem_hop =
     Test.make ~name:"memory: 4k loads hopping 64 heap regions"
       (Staged.stage
          (let m = Memory.create () in
-          let bases = Array.init 64 (fun _ -> Memory.alloc m ~size:64 ~loc:heap) in
+          let bases =
+            Array.init 64 (fun _ -> Int64.to_int (Memory.alloc m ~size:64 ~loc:heap))
+          in
+          let addrs = Array.init 4096 (fun i -> bases.(i land 63) + (8 * ((i lsr 6) land 7))) in
+          fun () -> Array.iter (fun a -> Memory.load_bits m a word 0) addrs))
+  in
+  (* a loop that reads a frame slot and a global array element in turn:
+     the pattern a single last-region slot misses on every access *)
+  let test_mem_alternate =
+    Test.make ~name:"memory: 4k loads alternating frame and global"
+      (Staged.stage
+         (let m = Memory.create () in
+          let global = Int64.to_int (Memory.alloc m ~size:(8 * 2048) ~loc:heap) in
+          let frame =
+            Int64.to_int (Memory.alloc_at m ~base:0x4000_0000L ~size:64 ~loc:heap)
+          in
           let addrs =
             Array.init 4096 (fun i ->
-                Int64.add bases.(i land 63) (Int64.of_int (8 * ((i lsr 6) land 7))))
+                if i land 1 = 0 then frame + (8 * ((i lsr 1) land 7))
+                else global + (8 * (i lsr 1)))
           in
-          fun () -> Array.iter (fun a -> ignore (Memory.load m a)) addrs))
+          fun () -> Array.iter (fun a -> Memory.load_bits m a word 0) addrs))
   in
   let test_site_hist =
     Test.make ~name:"obs: 10k Site_hist.record"
@@ -213,5 +233,6 @@ let () =
   List.iter
     (fun t -> benchmark t)
     [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat;
-      test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_site_hist ];
+      test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_alternate;
+      test_site_hist ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

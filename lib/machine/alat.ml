@@ -71,8 +71,7 @@ let make_tag ~frame reg =
 let int_tag ~frame r = make_tag ~frame (2 * r)
 let fp_tag ~frame r = make_tag ~frame ((2 * r) + 1)
 
-let partial t (addr : int64) : int =
-  Int64.to_int (Int64.shift_right_logical addr 3) land ((1 lsl t.paddr_bits) - 1)
+let partial t addr = (addr lsr 3) land ((1 lsl t.paddr_bits) - 1)
 
 let set_of t paddr = paddr mod t.n_sets
 
@@ -90,7 +89,7 @@ let remove t tag =
 
 (* Allocate an entry for an advanced load.  Returns the arming site of the
    valid entry that had to be evicted for capacity, if any. *)
-let insert ?(site = -1) t tag (addr : int64) : int option =
+let insert ?(site = -1) t tag addr : int option =
   remove t tag;
   let paddr = partial t addr in
   let set = set_of t paddr in
@@ -134,7 +133,7 @@ let check t tag ~clear : bool =
    Returns the arming sites of the entries invalidated (per-site
    attribution charges the invalidation to the load that armed the victim,
    as pfmon's event sampling would). *)
-let store_probe_sites t (addr : int64) : int list =
+let store_probe_sites t addr : int list =
   let paddr = partial t addr in
   let victims = ref [] in
   (* scan only while matching entries remain: none, on most stores *)
@@ -150,7 +149,7 @@ let store_probe_sites t (addr : int64) : int list =
   done;
   !victims
 
-let store_probe t (addr : int64) : int = List.length (store_probe_sites t addr)
+let store_probe t addr : int = List.length (store_probe_sites t addr)
 
 let invala_all t = Array.iter (fun e -> if e.valid then kill t e) t.entries
 

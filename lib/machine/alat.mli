@@ -35,14 +35,14 @@ val int_tag : frame:int -> int -> tag
 val fp_tag : frame:int -> int -> tag
 
 (** The partial address stored for a full byte address. *)
-val partial : t -> int64 -> int
+val partial : t -> int -> int
 
 (** Allocate (or refresh) the entry for [tag] at the given address, as
     ld.a/ld.sa do.  [site] is the IR site id of the arming load, kept for
     per-site event attribution (defaults to [-1], "unknown").  If a valid
     entry had to be evicted for capacity, returns the evicted entry's
     arming site. *)
-val insert : ?site:int -> t -> tag -> int64 -> int option
+val insert : ?site:int -> t -> tag -> int -> int option
 
 (** Does a valid entry exist for [tag]?  This is ld.c: a hit means the
     register's value is current.  [clear] removes the entry on a hit (the
@@ -51,11 +51,11 @@ val check : t -> tag -> clear:bool -> bool
 
 (** A retired store: invalidate every entry whose partial address matches.
     Returns how many entries died. *)
-val store_probe : t -> int64 -> int
+val store_probe : t -> int -> int
 
 (** Like {!store_probe}, but returns the arming site of each entry that
     died, so the invalidation can be attributed per site. *)
-val store_probe_sites : t -> int64 -> int list
+val store_probe_sites : t -> int -> int list
 
 (** Remove the entry for one register — the invala.e instruction. *)
 val remove : t -> tag -> unit

@@ -35,8 +35,8 @@ let level ~size_bytes ~ways ~line =
 
 (* Access a level; true = hit.  Always allocates on miss.  A block sits
    in at most one way of its set, so the search stops at the first match. *)
-let access_level l (addr : int64) : bool =
-  let block = Int64.to_int (Int64.shift_right_logical addr l.line_shift) in
+let access_level l addr : bool =
+  let block = addr lsr l.line_shift in
   let base = (block land (l.n_sets - 1)) * l.ways in
   let last = base + l.ways - 1 in
   l.tick <- l.tick + 1;
@@ -68,7 +68,7 @@ let create () =
 module Model = Srp_ir.Machine_model
 
 (* Latency of a load; updates both levels and the counters. *)
-let load_latency t (c : Counters.t) ~(fp : bool) (addr : int64) : int =
+let load_latency t (c : Counters.t) ~(fp : bool) addr : int =
   let l1_hit = access_level t.l1 addr in
   if l1_hit && not fp then begin
     c.Counters.l1_hits <- c.Counters.l1_hits + 1;
@@ -86,6 +86,6 @@ let load_latency t (c : Counters.t) ~(fp : bool) (addr : int64) : int =
   end
 
 (* Stores refresh the line state; their latency is hidden. *)
-let store_touch t (addr : int64) : unit =
+let store_touch t addr : unit =
   ignore (access_level t.l1 addr);
   ignore (access_level t.l2 addr)

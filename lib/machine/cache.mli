@@ -20,8 +20,8 @@ val create : unit -> t
 
 (** Latency of a load at an address; allocates lines and updates the hit
     and miss counters. *)
-val load_latency : t -> Counters.t -> fp:bool -> int64 -> int
+val load_latency : t -> Counters.t -> fp:bool -> int -> int
 
 (** A store refreshes line state; its own latency is hidden (store
     buffering). *)
-val store_touch : t -> int64 -> unit
+val store_touch : t -> int -> unit

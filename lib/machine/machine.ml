@@ -21,8 +21,13 @@
    Representation: a frame's integer file is a [Bytes.t] of int64 words
    and its float file a [float array], so register values never box; each
    register also has one scoreboard word (ready cycle, memory-producer
-   bit, NaT bit).  Values are [Value.t] only where they cross into [Memory]
-   (stores, loads), across [Call]/[Ret], and at [Print].  Operand readers
+   bit, NaT bit).  A memory operand's address is converted to a native int
+   once and goes to [Memory], [Cache] and [Alat] as that int; an int64 no
+   int holds is in no region.  Loads and stores move raw bits between a
+   region's word and a register through the 8-byte [word] buffer
+   ([Memory.load_bits], [Memory.store_bits]); a float store tags its word,
+   which only the interpreter reads back.  Values are [Value.t] only
+   across [Call]/[Ret].  Operand readers
    come in two flavours: typed ([src_int], [src_flt]), where an operand of
    the other file is the interpreter's type error, and bitwise
    ([src_bits], [src_fview]), for [Mov] and [Sel], which reinterpret the
@@ -100,6 +105,7 @@ type t = {
   trace : Trace.sink option;
   timeline : Timeline.t option;
   output : Buffer.t;
+  word : Bytes.t; (* one int64: a loaded or stored word in transit *)
   mutable cycle : int;
   mutable group_slots : int; (* instructions issued in the current cycle *)
   mutable group_mem : int;
@@ -205,7 +211,7 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
   { mem; globals; funcs = resolve_funcs prog; alat = Alat.create ();
     cache = Cache.create (); rse = Rse.create (); c = Counters.create ();
     site_stats = Site_hist.create (); trace; timeline;
-    output = Buffer.create 256;
+    output = Buffer.create 256; word = Bytes.create 8;
     cycle = 0; group_slots = 0; group_mem = 0; group_fp = 0;
     group_bundles = 0; group_m_ports = 0; group_f_ports = 0;
     group_b_ports = 0; pending_stop = false; frame_uid = 0;
@@ -226,7 +232,8 @@ let tr m kind fields =
   | None -> ()
   | Some sink -> Trace.emit sink ~cycle:m.cycle kind fields
 
-let hex a = Printf.sprintf "0x%Lx" a
+let hex64 v = Printf.sprintf "0x%Lx" v
+let hex a = hex64 (Int64.of_int a)
 
 let op_name : Insn.insn -> string = function
   | Insn.Movl _ -> "movl"
@@ -418,7 +425,7 @@ let[@inline] src_fview fr m (s : Insn.src) : float =
   | Insn.SReg r -> Int64.float_of_bits (read_int fr m r)
   | Insn.SImm i -> Int64.float_of_bits i
 
-(* An operand as a value, for the boundaries that keep [Value.t]. *)
+(* An operand as a value, for [Call] and [Ret]. *)
 let src_value fr m (s : Insn.src) : Value.t =
   match s with
   | Insn.SReg r -> Value.Vint (read_int fr m r)
@@ -427,7 +434,7 @@ let src_value fr m (s : Insn.src) : Value.t =
   | Insn.SFim x -> Value.Vflt x
 
 (* A value into a register of either file, reinterpreting its bits when
-   the file differs (a zero-initialized cell read as a float is 0.0). *)
+   the file differs. *)
 let[@inline] write_value fr (d : Insn.dest) (v : Value.t) ~ready ~mem =
   match d with
   | Insn.DInt r ->
@@ -485,19 +492,23 @@ let alat_tag fr (d : Insn.dest) : Alat.tag =
   | Insn.DInt r -> Alat.int_tag ~frame:fr.uid r
   | Insn.DFlt f -> Alat.fp_tag ~frame:fr.uid f
 
-(* The data access of every load kind: cache timing, the value, and the
-   retired-load counts. *)
+(* The data access of every load kind: cache timing, the word's bits into
+   the destination's file (a float file reads them as a float, so a
+   zero-initialized word is 0.0), and the retired-load counts. *)
 let do_load m fr (dst : Insn.dest) a site =
   let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
   let lat = Cache.load_latency m.cache m.c ~fp a in
-  let v = Memory.load m.mem a in
+  Memory.load_bits m.mem a m.word 0;
   m.c.Counters.loads_retired <- m.c.Counters.loads_retired + 1;
   ev m ~site Site_hist.Loads_retired;
   if fp then begin
     m.c.Counters.fp_loads_retired <- m.c.Counters.fp_loads_retired + 1;
     ev m ~site Site_hist.Fp_loads_retired
   end;
-  write_value fr dst v ~ready:(m.cycle + lat) ~mem:true
+  let bits = get_int64 m.word 0 and ready = m.cycle + lat in
+  match dst with
+  | Insn.DInt r -> write_int fr r bits ~ready ~mem:true
+  | Insn.DFlt f -> write_flt fr f (Int64.float_of_bits bits) ~ready ~mem:true
 
 (* Arm an ALAT entry and attribute the insert (and any capacity eviction,
    charged to the evicted entry's arming site). *)
@@ -512,9 +523,74 @@ let arm m tag a site =
     if traced m then
       tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
 
-(* A memory operand's base register, boxed once: the address goes on to
-   [Memory], [Cache] and [Alat] as the same int64. *)
-let[@inline never] read_addr fr m r : int64 = read_int fr m r
+(* ld.sa's deferred fault: the destination gets a NaT and loses its ALAT
+   entry. *)
+let defer_fault m fr (dst : Insn.dest) site =
+  if traced m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
+  (* IA-64: a deferred fault also invalidates any matching ALAT entry, so
+     a later ld.c on this register misses and reloads instead of
+     validating a stale entry left by a previous occupant of the (possibly
+     reused) register *)
+  Alat.remove m.alat (alat_tag fr dst);
+  match dst with
+  | Insn.DInt r -> fr.iscore.(r) <- fr.iscore.(r) lor nat_bit
+  | Insn.DFlt f -> fr.fscore.(f) <- fr.fscore.(f) lor nat_bit
+
+(* ld.c's check, counted, and its failure counted on a miss.  A hit means
+   the register already holds valid data, at no latency. *)
+let ld_c_hits m fr tag (dst : Insn.dest) site ~clear =
+  m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
+  ev m ~site Site_hist.Checks_retired;
+  if Alat.check m.alat tag ~clear then begin
+    (match dst with
+    | Insn.DInt r ->
+      if fr.iscore.(r) land nat_bit <> 0 then merror "ld.c hit on NaT register"
+    | Insn.DFlt f ->
+      if fr.fscore.(f) land nat_bit <> 0 then merror "ld.c hit on NaT register");
+    true
+  end
+  else begin
+    m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
+    ev m ~site Site_hist.Check_failures;
+    false
+  end
+
+(* A load of every kind at native-int address [a]. *)
+let load_at m fr (kind : Insn.ld_kind) (dst : Insn.dest) a site =
+  match kind with
+  | Insn.K_ld -> do_load m fr dst a site
+  | Insn.K_ld_a ->
+    do_load m fr dst a site;
+    if traced m then
+      tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+    arm m (alat_tag fr dst) a site
+  | Insn.K_ld_sa ->
+    (* control-speculative: defer faults with NaT, no ALAT entry on fault *)
+    if Memory.mapped m.mem a then begin
+      do_load m fr dst a site;
+      arm m (alat_tag fr dst) a site
+    end
+    else defer_fault m fr dst site
+  | Insn.K_ld_c { clear } ->
+    let tag = alat_tag fr dst in
+    if not (ld_c_hits m fr tag dst site ~clear) then begin
+      if traced m then
+        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+      do_load m fr dst a site;
+      if not clear then arm m tag a site
+    end
+
+(* A load at an address no int holds, so in no region: ld.sa defers the
+   fault and an ld.c that hits touches no memory; any other load faults. *)
+let load_wild m fr (kind : Insn.ld_kind) (dst : Insn.dest) (v : int64) site =
+  match kind with
+  | Insn.K_ld_sa -> defer_fault m fr dst site
+  | Insn.K_ld_c { clear } ->
+    if not (ld_c_hits m fr (alat_tag fr dst) dst site ~clear) then begin
+      if traced m then tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex64 v)) ];
+      Memory.unmapped v
+    end
+  | Insn.K_ld | Insn.K_ld_a -> Memory.unmapped v
 
 (* --- execution --- *)
 
@@ -630,10 +706,16 @@ and exec_from m fr pc : Value.t option =
     exec_from m fr (pc + 1)
   | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc cls kind dst base site
   | Insn.St { src; base; site } ->
-    let v = src_value fr m src in
-    let a = read_addr fr m base in
+    let bits = src_bits fr m src in
+    let v = read_int fr m base in
     issue_slot m cls;
-    Memory.store m.mem a v;
+    let a = Int64.to_int v in
+    if not (Int64.equal (Int64.of_int a) v) then Memory.unmapped v;
+    set_int64 m.word 0 bits;
+    let float =
+      match src with Insn.SFrg _ | Insn.SFim _ -> true | Insn.SReg _ | Insn.SImm _ -> false
+    in
+    Memory.store_bits m.mem a m.word 0 ~float;
     Cache.store_touch m.cache a;
     m.c.Counters.stores_retired <- m.c.Counters.stores_retired + 1;
     ev m ~site Site_hist.Stores_retired;
@@ -731,7 +813,8 @@ and exec_from m fr pc : Value.t option =
     let n = Int64.to_int (src_int fr m nbytes) in
     issue_slot m cls;
     advance_cycles m Model.alloc_cycles;
-    let base = Memory.alloc m.mem ~size:(max 8 n) ~loc:(Location.Heap site) in
+    if n < 0 then Value.err "malloc of negative size";
+    let base = Memory.alloc m.mem ~size:n ~loc:(Location.Heap site) in
     write_int fr dst base ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Print { what; as_float = true } ->
@@ -751,50 +834,11 @@ and exec_from m fr pc : Value.t option =
 
 and exec_load m fr pc cls (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     Value.t option =
-  let a = read_addr fr m base in
+  let v = read_int fr m base in
   issue_slot m cls;
-  (match kind with
-  | Insn.K_ld -> do_load m fr dst a site
-  | Insn.K_ld_a ->
-    do_load m fr dst a site;
-    if traced m then tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
-    arm m (alat_tag fr dst) a site
-  | Insn.K_ld_sa -> (
-    (* control-speculative: defer faults with NaT, no ALAT entry on fault *)
-    match Memory.location_of_addr m.mem a with
-    | Some _ ->
-      do_load m fr dst a site;
-      arm m (alat_tag fr dst) a site
-    | None -> (
-      if traced m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
-      (* IA-64: a deferred fault also invalidates any matching ALAT entry,
-         so a later ld.c on this register misses and reloads instead of
-         validating a stale entry left by a previous occupant of the
-         (possibly reused) register *)
-      Alat.remove m.alat (alat_tag fr dst);
-      match dst with
-      | Insn.DInt r -> fr.iscore.(r) <- fr.iscore.(r) lor nat_bit
-      | Insn.DFlt f -> fr.fscore.(f) <- fr.fscore.(f) lor nat_bit))
-  | Insn.K_ld_c { clear } ->
-    m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
-    ev m ~site Site_hist.Checks_retired;
-    let tag = alat_tag fr dst in
-    if Alat.check m.alat tag ~clear then begin
-      (* hit: the register already holds valid data; zero-latency *)
-      (match dst with
-      | Insn.DInt r ->
-        if fr.iscore.(r) land nat_bit <> 0 then merror "ld.c hit on NaT register"
-      | Insn.DFlt f ->
-        if fr.fscore.(f) land nat_bit <> 0 then merror "ld.c hit on NaT register")
-    end
-    else begin
-      m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
-      ev m ~site Site_hist.Check_failures;
-      if traced m then
-        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
-      do_load m fr dst a site;
-      if not clear then arm m tag a site
-    end);
+  let a = Int64.to_int v in
+  if Int64.equal (Int64.of_int a) v then load_at m fr kind dst a site
+  else load_wild m fr kind dst v site;
   exec_from m fr (pc + 1)
 
 (* --- entry points --- *)

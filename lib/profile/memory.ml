@@ -1,43 +1,69 @@
-(* Interpreter memory: word-addressed regions plus a region map that
-   resolves any address back to the abstract [Location.t] it falls in.
-   The region map is what makes alias *profiling* possible: every dynamic
-   indirect access reports which symbol or heap object it actually touched
-   (paper section 3.1).
+(* Interpreter and simulator memory: word-addressed regions plus a region
+   table that resolves any address back to the abstract [Location.t] it
+   falls in.  The region table is what makes alias *profiling* possible:
+   every dynamic indirect access reports which symbol or heap object it
+   actually touched (paper section 3.1).
 
-   Representation: each region owns a flat array of its words, all
-   initially the one shared zero value.  Regions live in a map keyed by
-   base address; a one-entry cache of the last region hit serves the
-   streaming case (an array walk touches one region for thousands of
-   accesses) without a map search, and the map serves pointer chasing
-   across many small regions.  Addresses are int64 at the interface and
-   native ints inside; an int64 that does not fit an int is wild. *)
+   Representation: each region owns a [Bytes.t] of native-endian int64
+   words, all initially zero, and one tag byte per word that is set while
+   the word holds a float store.  Words are raw bits: the machine moves
+   them straight to and from its register files ([load_bits],
+   [store_bits]), and the interpreter rebuilds a [Value.t] from bits and
+   tag ([load]).
+
+   Regions live in one array sorted by base, next to a parallel array of
+   the bases, searched by bisection.  Two last-hit slots sit in front of
+   it: one for regions placed with [alloc_at] (the machine's stack frames)
+   and one for the rest (globals and heap), so a loop alternating between
+   a frame slot and an array hits both.  In the machine, heap regions sit
+   below every stack frame and a new frame just below the live ones, so
+   inserting or removing a region shifts at most the live frames: the
+   call depth.
+
+   Addresses are native ints inside; the int64 entry points treat an
+   int64 that does not fit an int as wild. *)
 
 open Srp_ir
-module IMap = Map.Make (Int)
+
+(* Word access inside a region, whose bounds [access] has proved; the
+   caller's buffer of [load_bits]/[store_bits] is checked. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get_int64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_int64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 type region = {
   base : int;
-  size : int; (* bytes, a multiple of 8 *)
+  limit : int; (* base + size; size is a multiple of 8 *)
   loc : Srp_alias.Location.t;
-  words : Value.t array; (* word i is at byte address base + 8i *)
+  words : Bytes.t; (* word i is at byte address base + 8i *)
+  tags : Bytes.t; (* byte i is [flt] while word i holds a float store *)
+  stack : bool; (* placed by [alloc_at] *)
 }
 
 type t = {
-  mutable regions : region IMap.t; (* base -> region *)
-  mutable last : region; (* last region hit, or [no_region] *)
+  mutable bases : int array; (* [bases.(i) = regions.(i).base], ascending *)
+  mutable regions : region array;
+  mutable n : int; (* live entries *)
+  mutable last_stack : region; (* last [alloc_at] region hit, or [no_region] *)
+  mutable last_other : region; (* last other region hit, or [no_region] *)
   mutable brk : int; (* next free address *)
 }
 
-let zero = Value.Vint 0L
+let flt = '\001'
 
 (* The empty sentinel: no address falls in it, so it is never a hit. *)
-let no_region = { base = 0; size = 0; loc = Srp_alias.Location.Heap (-1); words = [||] }
+let no_region =
+  { base = 0; limit = 0; loc = Srp_alias.Location.Heap (-1); words = Bytes.empty;
+    tags = Bytes.empty; stack = false }
 
-(* A region is one flat array; a request beyond this is refused rather
+(* A region is one flat buffer; a request beyond this is refused rather
    than letting a program's malloc argument size the host's memory. *)
 let max_region_bytes = 1 lsl 27
 
-let create () = { regions = IMap.empty; last = no_region; brk = 0x1000 }
+let create () =
+  { bases = Array.make 16 0; regions = Array.make 16 no_region; n = 0;
+    last_stack = no_region; last_other = no_region; brk = 0x1000 }
 
 let region_size size =
   let size = max 8 ((size + 7) / 8 * 8) in
@@ -46,16 +72,49 @@ let region_size size =
       max_region_bytes;
   size
 
-let add_region t ~base ~size ~loc =
-  t.regions <-
-    IMap.add base { base; size; loc; words = Array.make (size / 8) zero } t.regions
+(* The number of regions whose base is at or below [a]: the region that
+   could hold [a] is the one just before that index. *)
+let rank t a =
+  let lo = ref 0 and hi = ref t.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get t.bases mid <= a then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* Allocate a fresh region; returns its base address. *)
+(* Where a region spanning [base, base + size) goes: its index in the
+   table, or [-1] if it would overlap the region at or below [base] or
+   reach the next one above. *)
+let slot_for t ~base ~size =
+  let i = rank t base in
+  if i > 0 && base < t.regions.(i - 1).limit then -1
+  else if i < t.n && t.bases.(i) < base + size then -1
+  else i
+
+let insert t i ~base ~size ~loc ~stack =
+  if t.n = Array.length t.bases then begin
+    let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+    t.bases <- grow t.bases 0;
+    t.regions <- grow t.regions no_region
+  end;
+  Array.blit t.bases i t.bases (i + 1) (t.n - i);
+  Array.blit t.regions i t.regions (i + 1) (t.n - i);
+  t.bases.(i) <- base;
+  t.regions.(i) <-
+    { base; limit = base + size; loc; words = Bytes.make size '\000';
+      tags = Bytes.make (size / 8) '\000'; stack };
+  t.n <- t.n + 1
+
+(* Allocate a fresh region; returns its base address.  The span must not
+   reach a region placed above the break by [alloc_at]. *)
 let alloc t ~size ~loc =
   let size = region_size size in
   let base = t.brk in
-  t.brk <- t.brk + size + 8 (* red zone *);
-  add_region t ~base ~size ~loc;
+  let i = slot_for t ~base ~size in
+  if i < 0 then
+    Value.err "alloc: %d bytes at 0x%x would overlap another region" size base;
+  insert t i ~base ~size ~loc ~stack:false;
+  t.brk <- base + size + 8 (* red zone *);
   Int64.of_int base
 
 (* Place a region at a caller-chosen base (stack frames: a real stack
@@ -67,57 +126,93 @@ let alloc_at t ~base:base64 ~size ~loc =
   let size = region_size size in
   if Int64.rem base64 8L <> 0L then Value.err "alloc_at: unaligned base 0x%Lx" base64;
   let base = Int64.to_int base64 in
-  let overlaps_below =
-    match IMap.find_last_opt (fun b -> b <= base) t.regions with
-    | Some (_, r) -> base < r.base + r.size
-    | None -> false
-  and overlaps_above =
-    match IMap.find_first_opt (fun b -> b > base) t.regions with
-    | Some (b, _) -> b < base + size
-    | None -> false
-  in
-  if overlaps_below || overlaps_above then Value.err "alloc_at: overlap at 0x%Lx" base64;
-  add_region t ~base ~size ~loc;
+  let i = slot_for t ~base ~size in
+  if i < 0 then Value.err "alloc_at: overlap at 0x%Lx" base64;
+  insert t i ~base ~size ~loc ~stack:true;
   base64
 
 (* Remove a region (function frame teardown).  Its words go with it, so a
    later frame reusing the addresses starts zeroed. *)
 let free t base64 =
   let base = Int64.to_int base64 in
-  match IMap.find_opt base t.regions with
-  | Some r when Int64.equal (Int64.of_int base) base64 ->
-    if t.last == r then t.last <- no_region;
-    t.regions <- IMap.remove base t.regions
-  | Some _ | None -> Value.err "free of unknown region at 0x%Lx" base64
+  let i = rank t base - 1 in
+  if i < 0 || t.bases.(i) <> base || not (Int64.equal (Int64.of_int base) base64) then
+    Value.err "free of unknown region at 0x%Lx" base64;
+  let r = t.regions.(i) in
+  if t.last_stack == r then t.last_stack <- no_region;
+  if t.last_other == r then t.last_other <- no_region;
+  Array.blit t.bases (i + 1) t.bases i (t.n - i - 1);
+  Array.blit t.regions (i + 1) t.regions i (t.n - i - 1);
+  t.n <- t.n - 1;
+  t.regions.(t.n) <- no_region
 
-(* The region [addr] falls in, or [no_region]. *)
-let region_of_addr t (addr : int64) : region =
-  let a = Int64.to_int addr in
-  if not (Int64.equal (Int64.of_int a) addr) then no_region
+(* The region [a] falls in, or [no_region]. *)
+let region_of t a : region =
+  let r = t.last_other in
+  if a >= r.base && a < r.limit then r
   else
-    let r = t.last in
-    if a >= r.base && a < r.base + r.size then r
+    let r = t.last_stack in
+    if a >= r.base && a < r.limit then r
     else
-      match IMap.find_last (fun b -> b <= a) t.regions with
-      | _, r when a < r.base + r.size ->
-        t.last <- r;
-        r
-      | _ -> no_region
-      | exception Not_found -> no_region
+      let i = rank t a - 1 in
+      if i < 0 then no_region
+      else
+        let r = t.regions.(i) in
+        if a >= r.limit then no_region
+        else begin
+          if r.stack then t.last_stack <- r else t.last_other <- r;
+          r
+        end
 
-let location_of_addr t addr =
-  let r = region_of_addr t addr in
-  if r == no_region then None else Some r.loc
+(* The fault of a plain access at [a], which is unaligned or in no region
+   (an int64 that does not fit an int is in none). *)
+let unmapped (a : int64) =
+  if Int64.to_int a land 7 <> 0 then Value.err "unaligned access at 0x%Lx" a
+  else Value.err "wild access at 0x%Lx" a
 
-(* The word index of an access, after the alignment and region checks. *)
-let word addr r =
-  if Int64.to_int addr land 7 <> 0 then Value.err "unaligned access at 0x%Lx" addr;
-  if r == no_region then Value.err "wild access at 0x%Lx" addr;
-  (Int64.to_int addr - r.base) lsr 3
+(* The region of an aligned, mapped access. *)
+let[@inline] access t a =
+  let r = region_of t a in
+  if a land 7 <> 0 || r == no_region then unmapped (Int64.of_int a);
+  r
 
-let load t addr : Value.t =
-  let r = region_of_addr t addr in
-  r.words.(word addr r)
+(* --- native-int addresses: the machine --- *)
+
+let mapped t a = region_of t a != no_region
+
+let load_bits t a dst off =
+  let r = access t a in
+  set_int64 dst off (get_word r.words (a - r.base))
+
+let store_bits t a src off ~float =
+  let r = access t a in
+  let o = a - r.base in
+  set_word r.words o (get_int64 src off);
+  Bytes.unsafe_set r.tags (o lsr 3) (if float then flt else '\000')
+
+(* --- int64 addresses and values: the interpreter --- *)
+
+(* The native-int address of [a], which must fit an int: an int64 that
+   does not is in no region. *)
+let[@inline] checked (a : int64) =
+  let i = Int64.to_int a in
+  if not (Int64.equal (Int64.of_int i) a) then unmapped a;
+  i
+
+let location_of_addr t a =
+  let i = Int64.to_int a in
+  if not (Int64.equal (Int64.of_int i) a) then None
+  else
+    let r = region_of t i in
+    if r == no_region then None else Some r.loc
+
+let load t a : Value.t =
+  let i = checked a in
+  let r = access t i in
+  let o = i - r.base in
+  let bits = get_word r.words o in
+  if Bytes.unsafe_get r.tags (o lsr 3) = flt then Value.Vflt (Int64.float_of_bits bits)
+  else Value.Vint bits
 
 (* Typed load: an F64 access reinterprets a zero int cell as 0.0 so that
    zero-init behaves type-correctly. *)
@@ -126,6 +221,14 @@ let load_typed t addr (mty : Mem_ty.t) : Value.t =
   | Value.Vint 0L, Mem_ty.F64 -> Value.Vflt 0.0
   | v, _ -> v
 
-let store t addr v =
-  let r = region_of_addr t addr in
-  r.words.(word addr r) <- v
+let store t a (v : Value.t) =
+  let i = checked a in
+  let r = access t i in
+  let o = i - r.base in
+  match v with
+  | Value.Vint bits ->
+    set_word r.words o bits;
+    Bytes.unsafe_set r.tags (o lsr 3) '\000'
+  | Value.Vflt x ->
+    set_word r.words o (Int64.bits_of_float x);
+    Bytes.unsafe_set r.tags (o lsr 3) flt

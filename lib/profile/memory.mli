@@ -1,19 +1,24 @@
-(** Interpreter/simulator memory: word-addressed regions, each a flat
-    array of its words, plus a region map resolving any address back to the
-    abstract {!Location.t} it falls in.
+(** Interpreter/simulator memory: word-addressed regions, each a buffer of
+    raw 64-bit words with a per-word float tag, plus a region table
+    resolving any address back to the abstract {!Location.t} it falls in.
 
-    The region map is what makes alias *profiling* possible: every dynamic
-    indirect access reports which symbol or heap object it actually touched
-    (paper section 3.1).  All memory reads are zero-initialized (calloc
-    semantics), identically in the interpreter and the machine, which keeps
-    differential tests exact. *)
+    The region table is what makes alias *profiling* possible: every
+    dynamic indirect access reports which symbol or heap object it actually
+    touched (paper section 3.1).  All memory reads are zero-initialized
+    (calloc semantics), identically in the interpreter and the machine,
+    which keeps differential tests exact.
+
+    The interpreter works in int64 addresses and {!Value.t}; the machine
+    in native-int addresses and raw bits.  An int64 address that does not
+    fit an [int] is in no region. *)
 
 type t
 
 val create : unit -> t
 
 (** Allocate a fresh region (bump allocation); returns its 8-aligned base.
-    @raise Value.Interp_error if the region exceeds 128 MiB. *)
+    @raise Value.Interp_error if the region exceeds 128 MiB or would
+    overlap a region placed by {!alloc_at}. *)
 val alloc : t -> size:int -> loc:Srp_alias.Location.t -> int64
 
 (** Place a region at a caller-chosen base (the machine's descending stack:
@@ -30,10 +35,37 @@ val free : t -> int64 -> unit
 (** The abstract location an address falls in, if any. *)
 val location_of_addr : t -> int64 -> Srp_alias.Location.t option
 
-(** @raise Value.Interp_error on wild or unaligned accesses. *)
+(** The word at an address: [Vflt] if a float was stored there last,
+    [Vint] otherwise.
+    @raise Value.Interp_error on wild or unaligned accesses. *)
 val load : t -> int64 -> Value.t
 
 (** Typed load: a zero cell read at F64 yields 0.0. *)
 val load_typed : t -> int64 -> Srp_ir.Mem_ty.t -> Value.t
 
+(** Store a value's bits, tagging the word float for a [Vflt].
+    @raise Value.Interp_error on wild or unaligned accesses. *)
 val store : t -> int64 -> Value.t -> unit
+
+(** {2 Native-int addresses}
+
+    The machine's entry points: no boxed address or value crosses them. *)
+
+(** Does the address fall in a region? *)
+val mapped : t -> int -> bool
+
+(** [load_bits t a dst off] copies the word at [a] into [dst] at byte
+    [off], as a native-endian int64.
+    @raise Value.Interp_error on wild or unaligned accesses. *)
+val load_bits : t -> int -> Bytes.t -> int -> unit
+
+(** [store_bits t a src off ~float] copies the native-endian int64 at byte
+    [off] of [src] into the word at [a]; [float] tags it as a float store.
+    @raise Value.Interp_error on wild or unaligned accesses. *)
+val store_bits : t -> int -> Bytes.t -> int -> float:bool -> unit
+
+(** The fault of a plain access at an address outside every region
+    ("unaligned access at …" or "wild access at …"); for an address that
+    does not fit an [int].
+    @raise Value.Interp_error always. *)
+val unmapped : int64 -> 'a

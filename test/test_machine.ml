@@ -12,7 +12,7 @@ module Model = Srp_ir.Machine_model
 let test_alat_arm_check () =
   let a = Alat.create () in
   let tag = Alat.int_tag ~frame:1 5 in
-  ignore (Alat.insert a tag 0x1000L);
+  ignore (Alat.insert a tag 0x1000);
   Alcotest.(check bool) "armed entry hits" true (Alat.check a tag ~clear:false);
   Alcotest.(check bool) "nc keeps the entry" true (Alat.check a tag ~clear:false);
   Alcotest.(check bool) "clr removes it" true (Alat.check a tag ~clear:true);
@@ -21,39 +21,39 @@ let test_alat_arm_check () =
 let test_alat_store_invalidation () =
   let a = Alat.create () in
   let tag = Alat.int_tag ~frame:1 5 in
-  ignore (Alat.insert a tag 0x1000L);
-  Alcotest.(check int) "matching store invalidates" 1 (Alat.store_probe a 0x1000L);
+  ignore (Alat.insert a tag 0x1000);
+  Alcotest.(check int) "matching store invalidates" 1 (Alat.store_probe a 0x1000);
   Alcotest.(check bool) "check misses after store" false (Alat.check a tag ~clear:false)
 
 let test_alat_partial_tag_false_collision () =
   let a = Alat.create ~paddr_bits:12 () in
   let tag = Alat.int_tag ~frame:1 5 in
-  ignore (Alat.insert a tag 0x1000L);
+  ignore (Alat.insert a tag 0x1000);
   (* an address 2^15 bytes away shares the 12-bit word tag *)
-  let colliding = Int64.add 0x1000L (Int64.of_int (4096 * 8)) in
+  let colliding = 0x1000 + (4096 * 8) in
   Alcotest.(check int) "false collision invalidates (safe direction)" 1
     (Alat.store_probe a colliding);
   (* a non-colliding address does not *)
-  ignore (Alat.insert a tag 0x1000L);
-  Alcotest.(check int) "different tag leaves it alone" 0 (Alat.store_probe a 0x1008L);
+  ignore (Alat.insert a tag 0x1000);
+  Alcotest.(check int) "different tag leaves it alone" 0 (Alat.store_probe a 0x1008);
   Alcotest.(check bool) "still armed" true (Alat.check a tag ~clear:false)
 
 let test_alat_register_keyed () =
   let a = Alat.create () in
   let t1 = Alat.int_tag ~frame:1 5 in
   let t2 = Alat.int_tag ~frame:1 6 in
-  ignore (Alat.insert a t1 0x1000L);
+  ignore (Alat.insert a t1 0x1000);
   Alcotest.(check bool) "other register misses" false (Alat.check a t2 ~clear:false);
   (* same register re-armed at a new address: only one entry *)
-  ignore (Alat.insert a t1 0x2000L);
-  Alcotest.(check int) "old address no longer matches" 0 (Alat.store_probe a 0x1000L);
-  Alcotest.(check int) "new address matches" 1 (Alat.store_probe a 0x2000L)
+  ignore (Alat.insert a t1 0x2000);
+  Alcotest.(check int) "old address no longer matches" 0 (Alat.store_probe a 0x1000);
+  Alcotest.(check int) "new address matches" 1 (Alat.store_probe a 0x2000)
 
 let test_alat_frames_isolated () =
   let a = Alat.create () in
   let t1 = Alat.int_tag ~frame:1 5 in
   let t2 = Alat.int_tag ~frame:2 5 in
-  ignore (Alat.insert a t1 0x1000L);
+  ignore (Alat.insert a t1 0x1000);
   Alcotest.(check bool) "same reg, other frame misses" false (Alat.check a t2 ~clear:false);
   Alat.purge_frame a ~frame:1;
   Alcotest.(check bool) "purged frame misses" false (Alat.check a t1 ~clear:false)
@@ -61,7 +61,7 @@ let test_alat_frames_isolated () =
 let test_alat_capacity_eviction () =
   let a = Alat.create ~size:32 ~ways:2 () in
   (* fill one set: addresses with identical set index *)
-  let mk_addr i = Int64.of_int (((i * 16 * 8) lor 0) * 1) in
+  let mk_addr i = ((i * 16 * 8) lor 0) * 1 in
   let evicted = ref 0 in
   for i = 0 to 3 do
     if Alat.insert a (Alat.int_tag ~frame:1 i) (mk_addr i) <> None then
@@ -73,13 +73,13 @@ let test_alat_fp_tags_distinct () =
   let a = Alat.create () in
   let ti = Alat.int_tag ~frame:1 3 in
   let tf = Alat.fp_tag ~frame:1 3 in
-  ignore (Alat.insert a ti 0x1000L);
+  ignore (Alat.insert a ti 0x1000);
   Alcotest.(check bool) "fp tag distinct from int tag" false (Alat.check a tf ~clear:false)
 
 let test_alat_invala_all () =
   let a = Alat.create () in
-  ignore (Alat.insert a (Alat.int_tag ~frame:1 1) 0x10L);
-  ignore (Alat.insert a (Alat.int_tag ~frame:1 2) 0x20L);
+  ignore (Alat.insert a (Alat.int_tag ~frame:1 1) 0x10);
+  ignore (Alat.insert a (Alat.int_tag ~frame:1 2) 0x20);
   Alcotest.(check int) "occupancy" 2 (Alat.occupancy a);
   Alat.invala_all a;
   Alcotest.(check int) "empty" 0 (Alat.occupancy a)
@@ -143,7 +143,7 @@ module Ref_alat = struct
     { es = Array.init size (fun _ -> { valid = false; key = (0, 0, false); paddr = 0; site = -1 });
       ways; bits = 12; victim = 0 }
 
-  let partial t a = Int64.to_int (Int64.shift_right_logical a 3) land ((1 lsl t.bits) - 1)
+  let partial t a = (a lsr 3) land ((1 lsl t.bits) - 1)
 
   let remove t key = Array.iter (fun e -> if e.valid && e.key = key then e.valid <- false) t.es
 
@@ -196,18 +196,18 @@ module Ref_alat = struct
 end
 
 type alat_op =
-  | Op_insert of Ref_alat.key * int64 * int
+  | Op_insert of Ref_alat.key * int * int
   | Op_check of Ref_alat.key * bool
   | Op_remove of Ref_alat.key
-  | Op_probe of int64
+  | Op_probe of int
   | Op_purge of int
   | Op_invala
 
 let pp_alat_op ppf = function
-  | Op_insert ((f, r, fp), a, s) -> Fmt.pf ppf "insert(%d,%d,%b,0x%Lx,s%d)" f r fp a s
+  | Op_insert ((f, r, fp), a, s) -> Fmt.pf ppf "insert(%d,%d,%b,0x%x,s%d)" f r fp a s
   | Op_check ((f, r, fp), c) -> Fmt.pf ppf "check(%d,%d,%b,clear=%b)" f r fp c
   | Op_remove (f, r, fp) -> Fmt.pf ppf "remove(%d,%d,%b)" f r fp
-  | Op_probe a -> Fmt.pf ppf "probe(0x%Lx)" a
+  | Op_probe a -> Fmt.pf ppf "probe(0x%x)" a
   | Op_purge f -> Fmt.pf ppf "purge(%d)" f
   | Op_invala -> Fmt.string ppf "invala"
 
@@ -217,7 +217,7 @@ let gen_alat_script =
   let open QCheck.Gen in
   let key = triple (int_range 1 3) (int_range 0 5) bool in
   let addr =
-    map2 (fun w j -> Int64.of_int ((8 * w) + (32768 * j))) (int_range 0 11) (int_range 0 2)
+    map2 (fun w j -> (8 * w) + (32768 * j)) (int_range 0 11) (int_range 0 2)
   in
   let op =
     frequency
@@ -273,19 +273,19 @@ let alat_live_count_agrees ?ways () =
 let test_cache_hit_miss () =
   let c = Cache.create () in
   let ctr = Counters.create () in
-  let lat1 = Cache.load_latency c ctr ~fp:false 0x4000L in
+  let lat1 = Cache.load_latency c ctr ~fp:false 0x4000 in
   Alcotest.(check bool) "cold miss is slow" true (lat1 > Model.lat_l1);
-  let lat2 = Cache.load_latency c ctr ~fp:false 0x4000L in
+  let lat2 = Cache.load_latency c ctr ~fp:false 0x4000 in
   Alcotest.(check int) "warm hit is 2 cycles" Model.lat_l1 lat2;
   (* same line, different word: still a hit *)
-  let lat3 = Cache.load_latency c ctr ~fp:false 0x4008L in
+  let lat3 = Cache.load_latency c ctr ~fp:false 0x4008 in
   Alcotest.(check int) "same line hits" Model.lat_l1 lat3
 
 let test_cache_fp_latency () =
   let c = Cache.create () in
   let ctr = Counters.create () in
-  ignore (Cache.load_latency c ctr ~fp:true 0x8000L);
-  let lat = Cache.load_latency c ctr ~fp:true 0x8000L in
+  ignore (Cache.load_latency c ctr ~fp:true 0x8000);
+  let lat = Cache.load_latency c ctr ~fp:true 0x8000 in
   Alcotest.(check int) "fp loads cost 9 cycles even when resident" Model.lat_fp lat
 
 let test_cache_capacity () =
@@ -293,9 +293,9 @@ let test_cache_capacity () =
   let ctr = Counters.create () in
   (* stream 1 MiB: must overflow 16 KiB L1 *)
   for i = 0 to 16_383 do
-    ignore (Cache.load_latency c ctr ~fp:false (Int64.of_int (i * 64)))
+    ignore (Cache.load_latency c ctr ~fp:false (i * 64))
   done;
-  let lat = Cache.load_latency c ctr ~fp:false 0x0L in
+  let lat = Cache.load_latency c ctr ~fp:false 0x0 in
   Alcotest.(check bool) "evicted line misses L1" true (lat > Model.lat_l1)
 
 (* --- RSE tests --- *)
@@ -572,6 +572,49 @@ let test_operand_kind_errors () =
   | exception Srp_machine.Machine.Machine_error msg ->
     Alcotest.(check string) "NaT read" "read of NaT integer register r2" msg
 
+(* An address register holding an int64 that no native int holds is in no
+   region.  A plain load or store faults with the interpreter's text,
+   printed from the full int64; ld.sa defers the fault into a NaT and drops
+   the register's ALAT entry, so the ld.c after it misses and reloads
+   instead of validating the entry the earlier ld.a armed. *)
+let test_wild_int64_address () =
+  let wild = 0x7fff_ffff_ffff_fff8L in
+  let ret = Insn.Ret { value = None } in
+  let fails name code =
+    Alcotest.check outcome name (Error "wild access at 0x7ffffffffffffff8")
+      (run_printing code ~nregs:3 ~nfregs:1)
+  in
+  fails "ld"
+    [| Insn.Movl { dst = 1; imm = wild };
+       Insn.Ld { kind = Insn.K_ld; dst = Insn.DInt 2; base = 1; site = 1 };
+       ret |];
+  fails "st"
+    [| Insn.Movl { dst = 1; imm = wild };
+       Insn.St { src = Insn.SImm 1L; base = 1; site = 1 };
+       ret |];
+  let code =
+    [| Insn.St { src = Insn.SImm 42L; base = Insn.sp; site = 1 };
+       Insn.Ld { kind = Insn.K_ld_a; dst = Insn.DInt 2; base = Insn.sp; site = 2 };
+       Insn.Movl { dst = 1; imm = wild };
+       Insn.Ld { kind = Insn.K_ld_sa; dst = Insn.DInt 2; base = 1; site = 3 };
+       Insn.Ld { kind = Insn.K_ld_c { clear = false }; dst = Insn.DInt 2; base = Insn.sp; site = 4 };
+       Insn.Print { what = Insn.SReg 2; as_float = false };
+       ret |]
+  in
+  let run code =
+    let main = raw_func ~frame_bytes:8 "main" code ~nregs:3 in
+    let _, out, c = Srp_machine.Machine.run_program (raw_program [ main ]) in
+    (out, c.Counters.check_failures)
+  in
+  Alcotest.(check (pair string int)) "ld.c after the deferred fault misses and reloads"
+    ("42\n", 1) (run code);
+  (* an ld.c that hits touches no memory, whatever address it names *)
+  Alcotest.(check (pair string int)) "ld.c hit at a wild address" ("42\n", 0)
+    (run
+       [| code.(0); code.(1); code.(2);
+          Insn.Ld { kind = Insn.K_ld_c { clear = false }; dst = Insn.DInt 2; base = 1; site = 4 };
+          code.(5); ret |])
+
 (* --- measured charges ---
 
    Small hand-assembled programs that each isolate one charge, pinned to
@@ -770,6 +813,17 @@ int main() {
 }
 |}
 
+(* A negative malloc size is the same error on both sides. *)
+let test_malloc_negative () =
+  let src = "int main() { int* p = malloc(0 - 8); return 0; }" in
+  let error f = match f () with _ -> None | exception Value.Interp_error e -> Some e in
+  let prog () = Srp_frontend.Lower.compile_source src in
+  Alcotest.(check (option string)) "interpreter" (Some "malloc of negative size")
+    (error (fun () -> Srp_profile.Interp.run_program (prog ())));
+  Alcotest.(check (option string)) "machine" (Some "malloc of negative size")
+    (error (fun () ->
+         Srp_machine.Machine.run_program (Srp_target.Codegen.gen_program (prog ()))))
+
 let test_counters_sane () =
   let src = {|
 int g;
@@ -836,6 +890,8 @@ let suite =
     Alcotest.test_case "machine zero-init (vs interp)" `Quick test_machine_zero_init;
     Alcotest.test_case "counters sane" `Quick test_counters_sane;
     Alcotest.test_case "fuel exhaustion" `Quick test_machine_fuel;
-    Alcotest.test_case "operand kind and division errors" `Quick test_operand_kind_errors ]
+    Alcotest.test_case "operand kind and division errors" `Quick test_operand_kind_errors;
+    Alcotest.test_case "wild int64 address" `Quick test_wild_int64_address;
+    Alcotest.test_case "malloc of negative size (vs interp)" `Quick test_malloc_negative ]
   @ List.map QCheck_alcotest.to_alcotest
       ([ alat_live_count_agrees (); alat_live_count_agrees ~ways:2 () ] @ alu_differential)

@@ -482,14 +482,14 @@ let gzip_alat_train () =
     .Pipeline.target
 
 (* With no sink attached the machine builds no trace records, hashes
-   nothing and keeps no per-access tables, and its register files hold
-   unboxed int64s and floats, so ALU, compare and conversion results and
-   immediate operands allocate nothing.  What still allocates per
-   instruction is what crosses into [Memory]: the [Value.Vint]/[Vflt]
-   boxed for every store, and each load's or store's int64 address, boxed
-   once to pass to [Memory], [Cache] and [Alat].  That was 10-16 words per
-   instruction with the trace lists, memory hashing and tag records in
-   place, under 7 with boxed register files, and is under 4 now. *)
+   nothing and keeps no per-access tables; its register files hold
+   unboxed int64s and floats, and loads and stores move raw bits between
+   a register and an unboxed memory word at a native-int address, so ALU
+   results, immediates, loads and stores allocate nothing.  What still
+   allocates is the [Call]/[Ret] argument lists and the per-call frames.
+   That was 10-16 words per instruction with the trace lists, memory
+   hashing and tag records in place, under 7 with boxed register files,
+   under 4 with boxed memory words, and is under 1 now. *)
 let test_unobserved_allocation () =
   let target = gzip_alat_train () in
   let m = Srp_machine.Machine.create target in
@@ -499,8 +499,8 @@ let test_unobserved_allocation () =
   let instrs = (Srp_machine.Machine.counters m).C.instrs_retired in
   let per_instr = words /. float_of_int instrs in
   Alcotest.(check bool)
-    (Fmt.str "%.2f minor words per retired instruction <= 4" per_instr)
-    true (per_instr <= 4.0)
+    (Fmt.str "%.2f minor words per retired instruction <= 1" per_instr)
+    true (per_instr <= 1.0)
 
 (* Guarding every trace call site must lose no emission: with an
    unbounded sink, the event kinds that mirror a counter appear exactly

@@ -87,7 +87,7 @@ let test_alloc_at_overlap_above () =
   check_value "below" (Value.Vint 1L) (Memory.load m below);
   check_value "above" (Value.Vint 2L) (Memory.load m above)
 
-(* The last-region cache must never serve a freed region. *)
+(* Neither last-hit slot may serve a freed region. *)
 let test_freed_region_is_wild () =
   let m = Memory.create () in
   let other = Memory.alloc m ~size:64 ~loc:(Location.Heap 0) in
@@ -144,90 +144,137 @@ let test_alternating_regions () =
     (Memory.location_of_addr m (at a 7) = Some (Location.Heap 0)
     && Memory.location_of_addr m (at b 0) = Some (Location.Heap 1))
 
+(* Bump allocation must stop at a region placed above the break rather
+   than run through it: in the machine, that is the heap growing into the
+   descending stack. *)
+let test_alloc_stops_at_placed_region () =
+  let m = Memory.create () in
+  let placed = Memory.alloc_at m ~base:0x1100L ~size:8 ~loc:(Location.Heap 0) in
+  Memory.store m placed (Value.Vint 42L);
+  Alcotest.(check (option string)) "a heap span reaching the placed region"
+    (Some "alloc: 512 bytes at 0x1000 would overlap another region")
+    (raises_interp (fun () -> Memory.alloc m ~size:0x200 ~loc:(Location.Heap 1)));
+  check_value "placed region intact" (Value.Vint 42L) (Memory.load m placed);
+  Alcotest.(check bool) "placed region still located" true
+    (Memory.location_of_addr m placed = Some (Location.Heap 0));
+  let below = Memory.alloc m ~size:0x80 ~loc:(Location.Heap 2) in
+  Alcotest.(check int64) "a span ending below it fits" 0x1000L below
+
 (* --- Memory against a reference model ---
 
    Random alloc / alloc_at / free / load / load_typed / store /
-   location_of_addr scripts run against a list of live regions, each
-   with its written words in a table.  Addresses are drawn relative to
-   the bases handed out so far (so they land in, between, just past and
-   misaligned inside regions, freed ones included), and alloc_at bases
-   come from a window of stack-like addresses where spans collide
-   often. *)
+   location_of_addr scripts run against a naive reference: an association
+   list from base to region, each region an array of [Value.t] words.
+   Addresses are drawn relative to the bases handed out so far (so they
+   land in, between, in the red zone just past and misaligned inside
+   regions, freed ones included), or lie outside the [int] range: fixed
+   extremes, and live addresses with bit 63 flipped, which an unchecked
+   narrowing to [int] would map onto the live region.  alloc_at bases
+   come from a window of stack-like addresses where spans collide often.
+   Stored floats include -0.0, the infinities and NaNs with payloads; every
+   result is compared bit for bit, and every error by its text. *)
+
+type mem_addr =
+  | Rel of int * int (* region index, byte offset *)
+  | High of int * int (* the same, with bit 63 flipped *)
+  | Abs of int64
 
 type mem_op =
   | M_alloc of int
   | M_alloc_at of int * int (* stack slot, size *)
-  | M_free of int * int (* region index, byte offset *)
-  | M_load of int * int
-  | M_load_f64 of int * int
-  | M_store of int * int * Value.t
-  | M_where of int * int
+  | M_free of mem_addr
+  | M_load of mem_addr
+  | M_load_f64 of mem_addr
+  | M_store of mem_addr * Value.t
+  | M_where of mem_addr
+
+(* bit-exact: NaN payloads and the sign of zero are part of a value *)
+let show_value = function
+  | Value.Vint i -> Fmt.str "Vint %Ld" i
+  | Value.Vflt x -> Fmt.str "Vflt %h (0x%Lx)" x (Int64.bits_of_float x)
+
+let pp_mem_addr ppf = function
+  | Rel (i, o) -> Fmt.pf ppf "r%d%+d" i o
+  | High (i, o) -> Fmt.pf ppf "high(r%d%+d)" i o
+  | Abs a -> Fmt.pf ppf "0x%Lx" a
 
 let pp_mem_op ppf = function
   | M_alloc n -> Fmt.pf ppf "alloc %d" n
   | M_alloc_at (k, n) -> Fmt.pf ppf "alloc_at slot %d size %d" k n
-  | M_free (i, o) -> Fmt.pf ppf "free r%d%+d" i o
-  | M_load (i, o) -> Fmt.pf ppf "load r%d%+d" i o
-  | M_load_f64 (i, o) -> Fmt.pf ppf "load_f64 r%d%+d" i o
-  | M_store (i, o, v) -> Fmt.pf ppf "store r%d%+d %a" i o Value.pp v
-  | M_where (i, o) -> Fmt.pf ppf "where r%d%+d" i o
+  | M_free a -> Fmt.pf ppf "free %a" pp_mem_addr a
+  | M_load a -> Fmt.pf ppf "load %a" pp_mem_addr a
+  | M_load_f64 a -> Fmt.pf ppf "load_f64 %a" pp_mem_addr a
+  | M_store (a, v) -> Fmt.pf ppf "store %a %s" pp_mem_addr a (show_value v)
+  | M_where a -> Fmt.pf ppf "where %a" pp_mem_addr a
 
 let arb_mem_ops =
   let open QCheck.Gen in
-  let addr = pair (int_range 0 7) (oneof [ return 0; int_range (-16) 72 ]) in
+  let rel = pair (int_range 0 7) (oneof [ return 0; int_range (-16) 72 ]) in
+  let addr =
+    frequency
+      [ (8, map (fun (i, o) -> Rel (i, o)) rel);
+        (1, map (fun (i, o) -> High (i, o)) rel);
+        (1,
+         map (fun a -> Abs a)
+           (oneofl
+              [ 0x7fff_ffff_ffff_fff8L; Int64.min_int; Int64.max_int;
+                0x4000_0000_0000_0000L; -8L; 0L ])) ]
+  in
   let value =
     oneof
-      [ map (fun i -> Value.Vint (Int64.of_int i)) (int_range (-2) 2);
-        map (fun i -> Value.Vflt (float_of_int i)) (int_range 0 2) ]
+      [ map (fun i -> Value.Vint i) (oneofl [ 0L; 1L; -1L; 7L; Int64.min_int; Int64.max_int ]);
+        map (fun x -> Value.Vflt x)
+          (oneofl
+             [ 0.0; -0.0; 1.5; Float.infinity; Float.neg_infinity; Float.nan;
+               Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+               Int64.float_of_bits 0xfff8_0000_dead_beefL ]) ]
   in
   let op =
     frequency
       [ (2, map (fun n -> M_alloc n) (int_range 0 48));
         (3, map2 (fun k n -> M_alloc_at (k, n)) (int_range 0 40) (int_range 0 48));
-        (2, map (fun (i, o) -> M_free (i, o)) addr);
-        (4, map (fun (i, o) -> M_load (i, o)) addr);
-        (2, map (fun (i, o) -> M_load_f64 (i, o)) addr);
-        (4, map2 (fun (i, o) v -> M_store (i, o, v)) addr value);
-        (2, map (fun (i, o) -> M_where (i, o)) addr) ]
+        (2, map (fun a -> M_free a) addr);
+        (4, map (fun a -> M_load a) addr);
+        (2, map (fun a -> M_load_f64 a) addr);
+        (4, map2 (fun a v -> M_store (a, v)) addr value);
+        (2, map (fun a -> M_where a) addr) ]
   in
   QCheck.make
     ~print:(fun ops -> Fmt.str "%a" Fmt.(list ~sep:semi pp_mem_op) ops)
     (list_size (int_range 0 80) op)
 
-type model_region = {
-  mbase : int64;
-  msize : int;
-  mloc : Location.t;
-  cells : (int64, Value.t) Hashtbl.t;
-}
+type model_region = { msize : int; mloc : Location.t; words : Value.t array }
 
 let prop_memory_model =
   QCheck.Test.make ~count:500 ~name:"memory agrees with a reference model"
     arb_mem_ops (fun ops ->
       let m = Memory.create () in
-      let live = ref [] and bases = ref [||] in
-      let addr_of (i, off) =
-        let n = Array.length !bases in
-        Int64.add (if n = 0 then 0x10L else !bases.(i mod n)) (Int64.of_int off)
+      (* base -> region, and every base handed out, freed ones included *)
+      let live : (int64 * model_region) list ref = ref [] and bases = ref [||] in
+      let addr_of = function
+        | Abs a -> a
+        | Rel (i, off) | High (i, off) as a ->
+          let n = Array.length !bases in
+          let a' = Int64.add (if n = 0 then 0x10L else !bases.(i mod n)) (Int64.of_int off) in
+          (match a with High _ -> Int64.logxor a' Int64.min_int | _ -> a')
       in
-      let inside a r = a >= r.mbase && a < Int64.add r.mbase (Int64.of_int r.msize) in
+      let inside a (b, r) = a >= b && a < Int64.add b (Int64.of_int r.msize) in
       let find a = List.find_opt (inside a) !live in
+      (* the word an access reaches, or the error it raises *)
       let access a =
-        if Int64.rem a 8L <> 0L then Error (Fmt.str "unaligned access at 0x%Lx" a)
+        if Int64.logand a 7L <> 0L then Error (Fmt.str "unaligned access at 0x%Lx" a)
         else match find a with
           | None -> Error (Fmt.str "wild access at 0x%Lx" a)
-          | Some r -> Ok r
+          | Some (b, r) -> Ok (r, Int64.to_int (Int64.sub a b) / 8)
       in
       let add base size loc =
-        live := { mbase = base; msize = size; mloc = loc; cells = Hashtbl.create 8 } :: !live;
+        live := (base, { msize = size; mloc = loc; words = Array.make (size / 8) (Value.Vint 0L) })
+                :: !live;
         bases := Array.append !bases [| base |]
       in
       let round n = max 8 ((n + 7) / 8 * 8) in
       let real f = match f () with v -> Ok v | exception Value.Interp_error e -> Error e in
-      let show = function
-        | Ok v -> Fmt.str "%a" Value.pp v
-        | Error e -> "error: " ^ e
-      in
+      let show = function Ok v -> show_value v | Error e -> "error: " ^ e in
       let agree k what want got =
         if want <> got then
           QCheck.Test.fail_reportf "op %d (%s): model %s, memory %s" k what want got
@@ -242,8 +289,8 @@ let prop_memory_model =
             let size = round n in
             if Int64.rem base 8L <> 0L then agree k what "aligned base" "unaligned";
             List.iter
-              (fun r ->
-                if inside base r || inside r.mbase { r with mbase = base; msize = size }
+              (fun (b, r) ->
+                if inside base (b, r) || inside b (base, { r with msize = size })
                 then agree k what "a free span" "an overlap")
               !live;
             add base size loc
@@ -256,9 +303,9 @@ let prop_memory_model =
                 Error (Fmt.str "alloc_at: unaligned base 0x%Lx" base)
               else if
                 List.exists
-                  (fun r ->
-                    base < Int64.add r.mbase (Int64.of_int r.msize)
-                    && r.mbase < Int64.add base (Int64.of_int size))
+                  (fun (b, r) ->
+                    base < Int64.add b (Int64.of_int r.msize)
+                    && b < Int64.add base (Int64.of_int size))
                   !live
               then Error (Fmt.str "alloc_at: overlap at 0x%Lx" base)
               else Ok base
@@ -267,14 +314,14 @@ let prop_memory_model =
             let str = function Ok b -> Fmt.str "0x%Lx" b | Error e -> "error: " ^ e in
             agree k what (str want) (str got);
             if Result.is_ok want then add base size loc
-          | M_free (i, o) ->
-            let a = addr_of (i, o) in
+          | M_free a ->
+            let a = addr_of a in
             let want =
-              match List.find_opt (fun r -> r.mbase = a) !live with
-              | Some r ->
-                live := List.filter (fun r' -> r' != r) !live;
+              if List.mem_assoc a !live then begin
+                live := List.remove_assoc a !live;
                 "ok"
-              | None -> Fmt.str "error: free of unknown region at 0x%Lx" a
+              end
+              else Fmt.str "error: free of unknown region at 0x%Lx" a
             in
             let got =
               match Memory.free m a with
@@ -282,16 +329,15 @@ let prop_memory_model =
               | exception Value.Interp_error e -> "error: " ^ e
             in
             agree k what want got
-          | M_load (i, o) | M_load_f64 (i, o) ->
-            let a = addr_of (i, o) in
+          | M_load a | M_load_f64 a ->
+            let a = addr_of a in
             let f64 = match op with M_load_f64 _ -> true | _ -> false in
             let want =
               Result.map
-                (fun r ->
-                  match Hashtbl.find_opt r.cells a with
-                  | None | Some (Value.Vint 0L) when f64 -> Value.Vflt 0.0
-                  | None -> Value.Vint 0L
-                  | Some v -> v)
+                (fun (r, w) ->
+                  match r.words.(w) with
+                  | Value.Vint 0L when f64 -> Value.Vflt 0.0
+                  | v -> v)
                 (access a)
             in
             let got =
@@ -299,16 +345,16 @@ let prop_memory_model =
                   if f64 then Memory.load_typed m a Srp_ir.Mem_ty.F64 else Memory.load m a)
             in
             agree k what (show want) (show got)
-          | M_store (i, o, v) ->
-            let a = addr_of (i, o) in
-            let want = Result.map (fun r -> Hashtbl.replace r.cells a v; v) (access a) in
+          | M_store (a, v) ->
+            let a = addr_of a in
+            let want = Result.map (fun (r, w) -> r.words.(w) <- v; v) (access a) in
             let got = real (fun () -> Memory.store m a v; v) in
             agree k what (show want) (show got)
-          | M_where (i, o) ->
-            let a = addr_of (i, o) in
+          | M_where a ->
+            let a = addr_of a in
             let str = Option.fold ~none:"none" ~some:Location.to_string in
             agree k what
-              (str (Option.map (fun r -> r.mloc) (find a)))
+              (str (Option.map (fun (_, r) -> r.mloc) (find a)))
               (str (Memory.location_of_addr m a)))
         ops;
       true)
@@ -423,6 +469,8 @@ let suite =
     Alcotest.test_case "alloc_at reused base reads zero" `Quick
       test_alloc_at_reused_base_reads_zero;
     Alcotest.test_case "alternating regions" `Quick test_alternating_regions;
+    Alcotest.test_case "alloc stops at a placed region" `Quick
+      test_alloc_stops_at_placed_region;
     QCheck_alcotest.to_alcotest prop_memory_model;
     Alcotest.test_case "profile counts and targets" `Quick test_profile_counts_and_targets;
     Alcotest.test_case "profile block counts" `Quick test_profile_block_counts;
