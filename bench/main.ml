@@ -53,14 +53,21 @@ let () =
   let source = mcf.Workload.source in
   let parsed_prog () = Srp_frontend.Lower.compile_source source in
   let prog = parsed_prog () in
-  let profile =
-    let p = Srp_frontend.Lower.compile_source source in
-    Workload.apply_input p mcf.Workload.train;
-    let i = Srp_profile.Interp.create p in
+  let trained = parsed_prog () in
+  Workload.apply_input trained mcf.Workload.train;
+  let train_profile () =
+    let i = Srp_profile.Interp.create trained in
     ignore (Srp_profile.Interp.run i);
     Srp_profile.Interp.profile i
   in
+  let profile = train_profile () in
   let open Bechamel in
+  (* the alias profile every alat build starts from: mcf's train input
+     through the IR interpreter *)
+  let test_interp =
+    Test.make ~name:"profile: train interpretation (mcf)"
+      (Staged.stage (fun () -> ignore (train_profile ())))
+  in
   let test_parse =
     Test.make ~name:"frontend: parse+typecheck+lower (mcf)"
       (Staged.stage (fun () -> ignore (parsed_prog ())))
@@ -232,7 +239,8 @@ let () =
   in
   List.iter
     (fun t -> benchmark t)
-    [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat;
+    [ test_parse; test_steens; test_andersen; test_interp; test_promote; test_codegen;
+      test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_alternate;
       test_site_hist ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

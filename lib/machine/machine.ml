@@ -810,11 +810,10 @@ and exec_from m fr pc : Value.t option =
     new_group m;
     v
   | Insn.Alloc { dst; nbytes; site } ->
-    let n = Int64.to_int (src_int fr m nbytes) in
+    let n = src_int fr m nbytes in
     issue_slot m cls;
     advance_cycles m Model.alloc_cycles;
-    if n < 0 then Value.err "malloc of negative size";
-    let base = Memory.alloc m.mem ~size:n ~loc:(Location.Heap site) in
+    let base = Memory.malloc m.mem ~nbytes:n ~loc:(Location.Heap site) in
     write_int fr dst base ~ready:(m.cycle + 1) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Print { what; as_float = true } ->

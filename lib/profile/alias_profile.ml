@@ -26,24 +26,39 @@ let create () =
   { hits = Site.Tbl.create 64; counts = Site.Tbl.create 64;
     block_counts = Hashtbl.create 64 }
 
-let record_block t ~func ~label_id =
-  let key = (func, label_id) in
-  let c = try Hashtbl.find t.block_counts key with Not_found -> 0 in
-  Hashtbl.replace t.block_counts key (c + 1)
+(* The bulk adders: a profiler counts in its own representation and adds
+   its totals here.  Adding 0 changes nothing, so no table gains an entry
+   that no event made. *)
+let check_n what n =
+  if n < 0 then Fmt.invalid_arg "Alias_profile.%s: negative count %d" what n;
+  n > 0
+
+let add_block_count t ~func ~label_id n =
+  if check_n "add_block_count" n then begin
+    let key = (func, label_id) in
+    let c = try Hashtbl.find t.block_counts key with Not_found -> 0 in
+    Hashtbl.replace t.block_counts key (c + n)
+  end
 
 let block_count t ~func ~label_id =
   try Hashtbl.find t.block_counts (func, label_id) with Not_found -> 0
 
-let record t site loc =
-  let cur =
-    match Site.Tbl.find_opt t.hits site with
-    | Some m -> m
-    | None -> Location.Map.empty
-  in
-  let n = match Location.Map.find_opt loc cur with Some n -> n | None -> 0 in
-  Site.Tbl.replace t.hits site (Location.Map.add loc (n + 1) cur);
-  let c = match Site.Tbl.find_opt t.counts site with Some c -> c | None -> 0 in
-  Site.Tbl.replace t.counts site (c + 1)
+let add_hits t site loc n =
+  if check_n "add_hits" n then begin
+    let cur =
+      match Site.Tbl.find_opt t.hits site with
+      | Some m -> m
+      | None -> Location.Map.empty
+    in
+    let h = match Location.Map.find_opt loc cur with Some h -> h | None -> 0 in
+    Site.Tbl.replace t.hits site (Location.Map.add loc (h + n) cur)
+  end
+
+let add_count t site n =
+  if check_n "add_count" n then begin
+    let c = match Site.Tbl.find_opt t.counts site with Some c -> c | None -> 0 in
+    Site.Tbl.replace t.counts site (c + n)
+  end
 
 let count t site =
   match Site.Tbl.find_opt t.counts site with Some c -> c | None -> 0

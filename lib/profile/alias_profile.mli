@@ -18,11 +18,24 @@ type t
 
 val create : unit -> t
 
-(** Record one dynamic access of [site] to a location. *)
-val record : t -> Site.t -> Location.t -> unit
+(** {1 Filling}
 
-(** Count one execution of a basic block. *)
-val record_block : t -> func:string -> label_id:int -> unit
+    A profiler counts events in its own representation and adds the
+    totals with these.  Adding [0] is a no-op; a negative count raises
+    [Invalid_argument]. *)
+
+(** [add_hits t site loc n]: [n] more executions of [site] touched [loc].
+    It does not change {!count}. *)
+val add_hits : t -> Site.t -> Location.t -> int -> unit
+
+(** [add_count t site n]: [n] more executions of [site]. *)
+val add_count : t -> Site.t -> int -> unit
+
+(** [add_block_count t ~func ~label_id n]: [n] more executions of a basic
+    block. *)
+val add_block_count : t -> func:string -> label_id:int -> int -> unit
+
+(** {1 Queries} *)
 
 val block_count : t -> func:string -> label_id:int -> int
 

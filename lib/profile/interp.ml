@@ -6,18 +6,94 @@
       abstract location and is recorded per site.
 
    Pre-promotion IR only: promotion-inserted Check/Invala instructions have
-   machine semantics and are rejected here. *)
+   machine semantics and are rejected here.
+
+   Representation: each function is decoded once per [t], on its first
+   call.  Its blocks become an array, each terminator names its successors
+   by index, and every temp, formal and local gets a slot in one
+   [Value.t array] per frame (formals and locals hold their region's base).
+   An operand is an immediate, a slot or a deferred fault: the address of
+   a global is resolved at decoding, and a symbol with no region raises
+   only when evaluated, as it did when looked up.  A callee is resolved on
+   the call's first execution.  A direct access (a formal, local or global
+   plus a constant offset) keeps its region and searches the region table
+   only if the offset leaves it; every access finds its region once, for
+   the profile and the load or store alike.
+
+   The profile is collected densely: each site has one record, referenced
+   by its loads and stores, holding an execution count and one hit cell
+   per location it touched, the last one in front; each decoded block
+   counts its entries.  The counters are added to [Alias_profile.t] once,
+   when [run] returns or raises, so a run cut short by a fault or by fuel
+   leaves every block entered and every access made in the profile. *)
 
 open Srp_ir
 module Location = Srp_alias.Location
 
 exception Out_of_fuel
 
-type frame = {
-  func : Func.t;
-  temps : Value.t Temp.Tbl.t;
-  frame_regions : (Symbol.t * int64) list; (* local/formal -> base address *)
+(* Per-site profile counters.  [hot] is the cell last hit: one physical
+   comparison settles a site that keeps touching one location. *)
+type cell = { loc : Location.t; mutable hits : int }
+
+type site = {
+  id : Site.t;
+  mutable count : int;
+  mutable hot : cell;
+  mutable cells : cell list; (* every location touched, [hot] included *)
 }
+
+type operand =
+  | Imm of Value.t (* a constant, or the address of a global *)
+  | Tmp of int * Temp.t (* slot; the temp names it in the undefined error *)
+  | Frame of int (* slot holding a formal's or local's base *)
+  | Fault of string (* a symbol with no region: raised when evaluated *)
+
+(* A direct access names its region's holder: a frame slot or a global's
+   region, searched only if the address leaves it. *)
+type addr =
+  | Direct of { slot : int; off : int64 } (* a formal or local *)
+  | Absolute of { a : int64; region : Memory.region } (* a global *)
+  | Indirect of { base : operand; off : int64 }
+
+type instr =
+  | Load of { dst : int; addr : addr; mty : Mem_ty.t; site : site }
+  | Store of { src : operand; addr : addr; site : site }
+  | Bin of { dst : int; op : Ops.binop; a : operand; b : operand }
+  | Un of { dst : int; op : Ops.unop; a : operand }
+  | Mov of { dst : int; src : operand }
+  | Alloc of { dst : int; nbytes : operand; loc : Location.t }
+  | Print of { args : operand list; float : bool }
+  | Call of {
+      dst : int; (* -1: none *)
+      callee : string;
+      args : operand list;
+      mutable target : func option;
+    }
+  | Promoted
+
+and term =
+  | Jump of int
+  | Br of operand * int * int
+  | Ret of operand
+  | Ret_void
+  | Missing of Label.t (* a label with no block: entered, then refused *)
+
+and block = { label_id : int; mutable entries : int; instrs : instr array; term : term }
+
+and func = {
+  ir : Func.t;
+  nsyms : int; (* slots [0, nsyms): formals then locals *)
+  formal_slots : int list;
+  sizes : int array; (* region bytes per symbol slot *)
+  locs : Location.t array; (* location per symbol slot *)
+  nslots : int;
+  blocks : block array;
+  entry : int;
+}
+
+(* A call's slots and the regions of its formals and locals. *)
+type frame = { vals : Value.t array; regions : Memory.region array }
 
 type t = {
   prog : Program.t;
@@ -28,14 +104,16 @@ type t = {
   mutable fuel : int;
   mutable steps : int;
   collect_profile : bool;
+  funcs : (string, func) Hashtbl.t; (* decoded so far *)
+  sites : site Site.Tbl.t;
 }
 
-(* --- setup --- *)
+(* Slot sentinels, physically distinct from every value a program makes. *)
+let undefined : Value.t = Value.Vflt (Sys.opaque_identity nan)
+let void : Value.t = Value.Vflt (Sys.opaque_identity nan)
+let no_cell = { loc = Location.Heap (-1); hits = 0 }
 
-let global_base t (s : Symbol.t) =
-  match Hashtbl.find_opt t.globals (Symbol.id s) with
-  | Some a -> a
-  | None -> Value.err "unknown global %s" (Symbol.name s)
+(* --- setup --- *)
 
 let init_global t (s : Symbol.t) (init : Program.global_init) =
   let base = Memory.alloc t.mem ~size:(Symbol.size_bytes s) ~loc:(Location.Sym s) in
@@ -55,141 +133,327 @@ let create ?(fuel = 50_000_000) ?(collect_profile = true) (prog : Program.t) : t
   let t =
     { prog; mem = Memory.create (); globals = Hashtbl.create 16;
       output = Buffer.create 256; profile = Alias_profile.create (); fuel;
-      steps = 0; collect_profile }
+      steps = 0; collect_profile; funcs = Hashtbl.create 16;
+      sites = Site.Tbl.create 64 }
   in
   List.iter (fun (s, init) -> init_global t s init) (Program.globals prog);
   t
 
-(* --- evaluation --- *)
+(* --- decoding --- *)
 
-let sym_addr t frame (s : Symbol.t) : int64 =
-  match Symbol.storage s with
-  | Symbol.Global -> global_base t s
-  | Symbol.Local | Symbol.Formal -> (
-    match List.assq_opt s frame.frame_regions with
-    | Some a -> a
-    | None -> Value.err "no frame slot for %s in %s" (Symbol.name s) (Func.name frame.func))
+let site_of t id =
+  match Site.Tbl.find_opt t.sites id with
+  | Some s -> s
+  | None ->
+    let s = { id; count = 0; hot = no_cell; cells = [] } in
+    Site.Tbl.replace t.sites id s;
+    s
 
-let temp_val frame tmp =
-  match Temp.Tbl.find_opt frame.temps tmp with
-  | Some v -> v
-  | None -> Value.err "read of undefined temp %s" (Temp.to_string tmp)
-
-let eval_operand t frame (o : Ops.operand) : Value.t =
-  match o with
-  | Ops.Temp tmp -> temp_val frame tmp
-  | Ops.Int i -> Value.Vint i
-  | Ops.Flt f -> Value.Vflt f
-  | Ops.Sym_addr s -> Value.Vint (sym_addr t frame s)
-
-let eval_addr t frame (a : Ops.addr) : int64 =
-  let base =
-    match a.Ops.base with
-    | Ops.Sym s -> sym_addr t frame s
-    | Ops.Reg r -> Value.to_int (temp_val frame r)
+let decode t (f : Func.t) : func =
+  let syms = Array.of_list (Func.formals f @ Func.locals f) in
+  let nsyms = Array.length syms in
+  let nslots = ref nsyms in
+  let temp_slots = Hashtbl.create 64 in
+  let dst tmp =
+    let id = Temp.id tmp in
+    match Hashtbl.find_opt temp_slots id with
+    | Some i -> i
+    | None ->
+      let i = !nslots in
+      incr nslots;
+      Hashtbl.replace temp_slots id i;
+      i
   in
-  Int64.add base (Int64.of_int a.Ops.offset)
+  let temp tmp = Tmp (dst tmp, tmp) in
+  (* a frame symbol is found by identity, first occurrence first *)
+  let frame_slot s =
+    let rec find i = if i = nsyms then None else if syms.(i) == s then Some i else find (i + 1) in
+    find 0
+  in
+  let sym (s : Symbol.t) =
+    match Symbol.storage s with
+    | Symbol.Global -> (
+      match Hashtbl.find_opt t.globals (Symbol.id s) with
+      | Some a -> Imm (Value.Vint a)
+      | None -> Fault (Fmt.str "unknown global %s" (Symbol.name s)))
+    | Symbol.Local | Symbol.Formal -> (
+      match frame_slot s with
+      | Some i -> Frame i
+      | None -> Fault (Fmt.str "no frame slot for %s in %s" (Symbol.name s) (Func.name f)))
+  in
+  let operand (o : Ops.operand) =
+    match o with
+    | Ops.Temp tmp -> temp tmp
+    | Ops.Int i -> Imm (Value.Vint i)
+    | Ops.Flt x -> Imm (Value.Vflt x)
+    | Ops.Sym_addr s -> sym s
+  in
+  let addr (a : Ops.addr) =
+    let off = Int64.of_int a.Ops.offset in
+    match a.Ops.base with
+    | Ops.Reg r -> Indirect { base = temp r; off }
+    | Ops.Sym s -> (
+      match sym s with
+      | Frame slot -> Direct { slot; off }
+      | Imm (Value.Vint base) ->
+        let a = Int64.add base off in
+        Absolute { a; region = Memory.find t.mem base }
+      | base -> Indirect { base; off })
+  in
+  (* block indices: the first block of each label, then labels jumped to
+     that have no block *)
+  let index = Hashtbl.create 16 in
+  let missing = ref [] in
+  let nblocks = ref 0 in
+  let label_index l =
+    let id = Label.id l in
+    match Hashtbl.find_opt index id with
+    | Some i -> i
+    | None ->
+      let i = !nblocks in
+      incr nblocks;
+      Hashtbl.replace index id i;
+      missing := l :: !missing;
+      i
+  in
+  let firsts =
+    List.filter
+      (fun b ->
+        let id = Label.id (Block.label b) in
+        if Hashtbl.mem index id then false
+        else begin
+          Hashtbl.replace index id !nblocks;
+          incr nblocks;
+          true
+        end)
+      (Func.blocks f)
+  in
+  let instr (ins : Instr.instr) =
+    match ins with
+    | Instr.Load { dst = d; addr = a; mty; site; _ } ->
+      Load { dst = dst d; addr = addr a; mty; site = site_of t site }
+    | Instr.Store { src; addr = a; site; _ } ->
+      Store { src = operand src; addr = addr a; site = site_of t site }
+    | Instr.Bin { dst = d; op; a; b } -> Bin { dst = dst d; op; a = operand a; b = operand b }
+    | Instr.Un { dst = d; op; a } -> Un { dst = dst d; op; a = operand a }
+    | Instr.Mov { dst = d; src } -> Mov { dst = dst d; src = operand src }
+    | Instr.Alloc { dst = d; nbytes; site } ->
+      Alloc { dst = dst d; nbytes = operand nbytes; loc = Location.Heap site }
+    | Instr.Call { dst = d; callee; args; _ } -> (
+      let args = List.map operand args in
+      match callee with
+      | "print_int" -> Print { args; float = false }
+      | "print_float" -> Print { args; float = true }
+      | _ ->
+        Call { dst = Option.fold ~none:(-1) ~some:dst d; callee; args; target = None })
+    | Instr.Check _ | Instr.Invala _ | Instr.Sw_check _ -> Promoted
+  in
+  let term (tm : Instr.terminator) =
+    match tm with
+    | Instr.Jump l -> Jump (label_index l)
+    | Instr.Br { cond; ifso; ifnot; _ } ->
+      Br (operand cond, label_index ifso, label_index ifnot)
+    | Instr.Ret None -> Ret_void
+    | Instr.Ret (Some o) -> Ret (operand o)
+  in
+  let decoded =
+    List.map
+      (fun b ->
+        { label_id = Label.id (Block.label b); entries = 0;
+          instrs = Array.of_list (List.map instr b.Block.instrs);
+          term = term b.Block.term })
+      firsts
+  in
+  let entry = label_index (Func.entry f) in
+  let absent =
+    List.rev_map
+      (fun l -> { label_id = Label.id l; entries = 0; instrs = [||]; term = Missing l })
+      !missing
+  in
+  { ir = f; nsyms;
+    formal_slots = List.init (List.length (Func.formals f)) Fun.id;
+    sizes = Array.map Symbol.size_bytes syms;
+    locs = Array.map (fun s -> Location.Sym s) syms; nslots = !nslots;
+    blocks = Array.of_list (decoded @ absent); entry }
 
-let record_access t site addr =
-  if t.collect_profile then
-    match Memory.location_of_addr t.mem addr with
-    | Some loc -> Alias_profile.record t.profile site loc
-    | None -> () (* wild access; the load/store itself will fault *)
+let func_of t name =
+  match Hashtbl.find_opt t.funcs name with
+  | Some fn -> fn
+  | None ->
+    let fn = decode t (Program.find_func t.prog name) in
+    Hashtbl.replace t.funcs name fn;
+    fn
+
+(* --- profile --- *)
+
+let hit site loc =
+  site.count <- site.count + 1;
+  let c = site.hot in
+  if c.loc == loc then c.hits <- c.hits + 1
+  else
+    match List.find_opt (fun c -> Location.equal c.loc loc) site.cells with
+    | Some c ->
+      c.hits <- c.hits + 1;
+      site.hot <- c
+    | None ->
+      let c = { loc; hits = 1 } in
+      site.cells <- c :: site.cells;
+      site.hot <- c
+
+let[@inline] record_access t site r =
+  (* a wild access is not recorded; the load/store itself will fault *)
+  if t.collect_profile && Memory.found r then hit site (Memory.location r)
+
+(* Add the counters to the profile and zero them. *)
+let flush t =
+  let p = t.profile in
+  Site.Tbl.iter
+    (fun _ s ->
+      Alias_profile.add_count p s.id s.count;
+      s.count <- 0;
+      List.iter
+        (fun c ->
+          Alias_profile.add_hits p s.id c.loc c.hits;
+          c.hits <- 0)
+        s.cells)
+    t.sites;
+  Hashtbl.iter
+    (fun _ fn ->
+      Array.iter
+        (fun b ->
+          Alias_profile.add_block_count p ~func:(Func.name fn.ir) ~label_id:b.label_id
+            b.entries;
+          b.entries <- 0)
+        fn.blocks)
+    t.funcs
 
 (* --- execution --- *)
 
-let spend t =
+let[@inline] spend t =
   t.steps <- t.steps + 1;
   if t.steps > t.fuel then raise Out_of_fuel
 
-let rec call_function t (callee : Func.t) (args : Value.t list) : Value.t option =
-  (* build the frame: formals then locals, each a region *)
-  let mk_region s =
-    let base = Memory.alloc t.mem ~size:(Symbol.size_bytes s) ~loc:(Location.Sym s) in
-    (s, base)
+let[@inline] eval fr = function
+  | Imm v -> v
+  | Tmp (i, tmp) ->
+    let v = Array.unsafe_get fr.vals i in
+    if v == undefined then Value.err "read of undefined temp %s" (Temp.to_string tmp);
+    v
+  | Frame i -> Array.unsafe_get fr.vals i
+  | Fault msg -> Value.err "%s" msg
+
+let[@inline] address fr = function
+  | Direct { slot; off } -> Int64.add (Value.to_int (Array.unsafe_get fr.vals slot)) off
+  | Absolute { a; _ } -> a
+  | Indirect { base; off } -> Int64.add (Value.to_int (eval fr base)) off
+
+(* The region of an access at [a] through [addr]. *)
+let[@inline] region t fr addr a =
+  match addr with
+  | Direct { slot; _ } -> Memory.find_from t.mem (Array.unsafe_get fr.regions slot) a
+  | Absolute { region; _ } -> Memory.find_from t.mem region a
+  | Indirect _ -> Memory.find t.mem a
+
+let rec call t (fn : func) (args : Value.t list) : Value.t =
+  (* the frame: formals then locals, each a region *)
+  let vals = Array.make fn.nslots undefined in
+  let regions =
+    Array.init fn.nsyms (fun i ->
+        let r = Memory.alloc_region t.mem ~size:fn.sizes.(i) ~loc:fn.locs.(i) in
+        vals.(i) <- Value.Vint (Memory.base r);
+        r)
   in
-  let formal_regions = List.map mk_region (Func.formals callee) in
-  let local_regions = List.map mk_region (Func.locals callee) in
-  let frame =
-    { func = callee; temps = Temp.Tbl.create 32;
-      frame_regions = formal_regions @ local_regions }
-  in
+  let fr = { vals; regions } in
   (* bind arguments into formal memory *)
   List.iter2
-    (fun (s, base) v ->
-      ignore s;
-      Memory.store t.mem base v)
-    formal_regions args;
-  let result = run_block t frame (Func.entry callee) in
-  List.iter (fun (_, base) -> Memory.free t.mem base) frame.frame_regions;
+    (fun i v -> Memory.store_in regions.(i) (Value.to_int vals.(i)) v)
+    fn.formal_slots args;
+  let result = run_block t fn fr fn.entry in
+  for i = 0 to fn.nsyms - 1 do
+    Memory.free t.mem (Value.to_int vals.(i))
+  done;
   result
 
-and run_block t frame (label : Label.t) : Value.t option =
-  if t.collect_profile then
-    Alias_profile.record_block t.profile ~func:(Func.name frame.func)
-      ~label_id:(Label.id label);
-  let block = Func.find_block frame.func label in
-  List.iter (exec_instr t frame) block.Block.instrs;
-  spend t;
-  match block.Block.term with
-  | Instr.Jump l -> run_block t frame l
-  | Instr.Br { cond; ifso; ifnot; site = _ } ->
-    let v = eval_operand t frame cond in
-    run_block t frame (if Value.truthy v then ifso else ifnot)
-  | Instr.Ret None -> None
-  | Instr.Ret (Some o) -> Some (eval_operand t frame o)
+and run_block t fn fr bi : Value.t =
+  let b = Array.unsafe_get fn.blocks bi in
+  if t.collect_profile then b.entries <- b.entries + 1;
+  let instrs = b.instrs in
+  for i = 0 to Array.length instrs - 1 do
+    exec_instr t fr (Array.unsafe_get instrs i)
+  done;
+  match b.term with
+  | Jump l ->
+    spend t;
+    run_block t fn fr l
+  | Br (cond, ifso, ifnot) ->
+    spend t;
+    run_block t fn fr (if Value.truthy (eval fr cond) then ifso else ifnot)
+  | Ret o ->
+    spend t;
+    eval fr o
+  | Ret_void ->
+    spend t;
+    void
+  | Missing l ->
+    (* the label has no block: [Func.find_block] raises its error *)
+    ignore (Func.find_block fn.ir l);
+    assert false
 
-and exec_instr t frame (ins : Instr.instr) : unit =
+and exec_instr t fr (ins : instr) : unit =
   spend t;
   match ins with
-  | Instr.Load { dst; addr; mty; site; _ } ->
-    let a = eval_addr t frame addr in
-    record_access t site a;
-    Temp.Tbl.replace frame.temps dst (Memory.load_typed t.mem a mty)
-  | Instr.Store { src; addr; site; _ } ->
-    let v = eval_operand t frame src in
-    let a = eval_addr t frame addr in
+  | Load { dst; addr; mty; site } ->
+    let a = address fr addr in
+    let r = region t fr addr a in
+    record_access t site r;
+    fr.vals.(dst) <- Memory.load_in r a mty
+  | Store { src; addr; site } ->
+    let v = eval fr src in
+    let a = address fr addr in
+    let r = region t fr addr a in
     (* direct accesses are recorded too: the dynamic mod sets of callees
        (used to speculate across calls) must see a callee's direct global
        stores, not just its indirect ones *)
-    record_access t site a;
-    Memory.store t.mem a v
-  | Instr.Bin { dst; op; a; b } ->
-    let va = eval_operand t frame a and vb = eval_operand t frame b in
-    Temp.Tbl.replace frame.temps dst (Value.binop op va vb)
-  | Instr.Un { dst; op; a } ->
-    Temp.Tbl.replace frame.temps dst (Value.unop op (eval_operand t frame a))
-  | Instr.Mov { dst; src } ->
-    Temp.Tbl.replace frame.temps dst (eval_operand t frame src)
-  | Instr.Alloc { dst; nbytes; site } ->
-    let n = Int64.to_int (Value.to_int (eval_operand t frame nbytes)) in
-    if n < 0 then Value.err "malloc of negative size";
-    let base = Memory.alloc t.mem ~size:n ~loc:(Location.Heap site) in
-    Temp.Tbl.replace frame.temps dst (Value.Vint base)
-  | Instr.Call { dst; callee; args; _ } -> (
-    let vargs = List.map (eval_operand t frame) args in
-    match callee with
-    | "print_int" ->
-      let v = List.hd vargs in
-      Buffer.add_string t.output (Fmt.str "%Ld\n" (Value.to_int v))
-    | "print_float" ->
-      let v = List.hd vargs in
-      Buffer.add_string t.output (Fmt.str "%.6f\n" (Value.to_flt v))
-    | _ -> (
-      let g = Program.find_func t.prog callee in
-      match call_function t g vargs, dst with
-      | Some v, Some d -> Temp.Tbl.replace frame.temps d v
-      | _, None -> ()
-      | None, Some _ -> Value.err "void return used as a value in call to %s" callee))
-  | Instr.Check _ | Instr.Invala _ | Instr.Sw_check _ ->
+    record_access t site r;
+    Memory.store_in r a v
+  | Bin { dst; op; a; b } ->
+    let va = eval fr a in
+    let vb = eval fr b in
+    fr.vals.(dst) <- Value.binop op va vb
+  | Un { dst; op; a } -> fr.vals.(dst) <- Value.unop op (eval fr a)
+  | Mov { dst; src } -> fr.vals.(dst) <- eval fr src
+  | Alloc { dst; nbytes; loc } ->
+    let n = Value.to_int (eval fr nbytes) in
+    fr.vals.(dst) <- Value.Vint (Memory.malloc t.mem ~nbytes:n ~loc)
+  | Print { args; float } ->
+    let v = List.hd (List.map (eval fr) args) in
+    Buffer.add_string t.output
+      (if float then Fmt.str "%.6f\n" (Value.to_flt v) else Fmt.str "%Ld\n" (Value.to_int v))
+  | Call ({ dst; callee; args; target } as c) ->
+    let vargs = List.map (eval fr) args in
+    let fn =
+      match target with
+      | Some fn -> fn
+      | None ->
+        let fn = func_of t callee in
+        c.target <- Some fn;
+        fn
+    in
+    let v = call t fn vargs in
+    if dst >= 0 then begin
+      if v == void then Value.err "void return used as a value in call to %s" callee;
+      fr.vals.(dst) <- v
+    end
+  | Promoted ->
     Value.err "interpreter: promoted IR is not interpretable (use the machine simulator)"
 
 (* Run main; returns the program's exit value. *)
 let run (t : t) : int64 =
-  let main = Program.main t.prog in
-  match call_function t main [] with
-  | Some v -> Value.to_int v
-  | None -> 0L
+  Fun.protect
+    ~finally:(fun () -> if t.collect_profile then flush t)
+    (fun () ->
+      let v = call t (func_of t "main") [] in
+      if v == void then 0L else Value.to_int v)
 
 let output t = Buffer.contents t.output
 let profile t = t.profile

@@ -26,6 +26,9 @@ val run : t -> int64
 (** Everything the program printed. *)
 val output : t -> string
 
+(** The alias profile.  The interpreter counts in its own arrays and adds
+    them to it when {!run} returns or raises, so after a fault or
+    {!Out_of_fuel} it holds every block entered and every access made. *)
 val profile : t -> Alias_profile.t
 
 (** Executed instruction count. *)

@@ -65,12 +65,17 @@ let create () =
   { bases = Array.make 16 0; regions = Array.make 16 no_region; n = 0;
     last_stack = no_region; last_other = no_region; brk = 0x1000 }
 
+(* The error naming a refused size, rounded up to whole words where that
+   does not overflow. *)
+let refuse_size (size : int64) =
+  let words = Int64.mul (Int64.div (Int64.add size 7L) 8L) 8L in
+  Value.err "alloc: region of %Ld bytes exceeds the %d-byte limit"
+    (if Int64.compare words size < 0 then size else words)
+    max_region_bytes
+
 let region_size size =
-  let size = max 8 ((size + 7) / 8 * 8) in
-  if size > max_region_bytes then
-    Value.err "alloc: region of %d bytes exceeds the %d-byte limit" size
-      max_region_bytes;
-  size
+  if size > max_region_bytes then refuse_size (Int64.of_int size);
+  max 8 ((size + 7) / 8 * 8)
 
 (* The number of regions whose base is at or below [a]: the region that
    could hold [a] is the one just before that index. *)
@@ -99,36 +104,53 @@ let insert t i ~base ~size ~loc ~stack =
   end;
   Array.blit t.bases i t.bases (i + 1) (t.n - i);
   Array.blit t.regions i t.regions (i + 1) (t.n - i);
-  t.bases.(i) <- base;
-  t.regions.(i) <-
+  let r =
     { base; limit = base + size; loc; words = Bytes.make size '\000';
-      tags = Bytes.make (size / 8) '\000'; stack };
-  t.n <- t.n + 1
+      tags = Bytes.make (size / 8) '\000'; stack }
+  in
+  t.bases.(i) <- base;
+  t.regions.(i) <- r;
+  t.n <- t.n + 1;
+  r
 
-(* Allocate a fresh region; returns its base address.  The span must not
-   reach a region placed above the break by [alloc_at]. *)
-let alloc t ~size ~loc =
+(* Allocate a fresh region.  The span must not reach a region placed
+   above the break by [alloc_at]. *)
+let alloc_region t ~size ~loc =
   let size = region_size size in
   let base = t.brk in
   let i = slot_for t ~base ~size in
   if i < 0 then
     Value.err "alloc: %d bytes at 0x%x would overlap another region" size base;
-  insert t i ~base ~size ~loc ~stack:false;
+  let r = insert t i ~base ~size ~loc ~stack:false in
   t.brk <- base + size + 8 (* red zone *);
-  Int64.of_int base
+  r
+
+let base r = Int64.of_int r.base
+let alloc t ~size ~loc = base (alloc_region t ~size ~loc)
+
+(* A program's [malloc]: the size is checked as the int64 the program
+   passed, before it is narrowed to an [int].  Inlined, so the machine
+   passes its register's int64 without boxing it. *)
+let[@inline] malloc t ~nbytes ~loc =
+  if Int64.compare nbytes 0L < 0 then Value.err "malloc of negative size";
+  if Int64.compare nbytes (Int64.of_int max_region_bytes) > 0 then refuse_size nbytes;
+  alloc t ~size:(Int64.to_int nbytes) ~loc
 
 (* Place a region at a caller-chosen base (stack frames: a real stack
    reuses the same addresses across calls, which matters to the ALAT's
-   partial-address behaviour).  The base must be 8-aligned and the span
-   free: neither the region at or below [base] nor the next one above may
-   reach into [base, base + size). *)
+   partial-address behaviour).  The base must be 8-aligned, the span must
+   fit the native-int address space, and it must be free: neither the
+   region at or below [base] nor the next one above may reach into
+   [base, base + size). *)
 let alloc_at t ~base:base64 ~size ~loc =
   let size = region_size size in
   if Int64.rem base64 8L <> 0L then Value.err "alloc_at: unaligned base 0x%Lx" base64;
   let base = Int64.to_int base64 in
+  if not (Int64.equal (Int64.of_int base) base64) || base > max_int - size then
+    Value.err "alloc_at: base 0x%Lx is outside the address space" base64;
   let i = slot_for t ~base ~size in
   if i < 0 then Value.err "alloc_at: overlap at 0x%Lx" base64;
-  insert t i ~base ~size ~loc ~stack:true;
+  ignore (insert t i ~base ~size ~loc ~stack:true);
   base64
 
 (* Remove a region (function frame teardown).  Its words go with it, so a
@@ -192,39 +214,52 @@ let store_bits t a src off ~float =
 
 (* --- int64 addresses and values: the interpreter --- *)
 
-(* The native-int address of [a], which must fit an int: an int64 that
-   does not is in no region. *)
-let[@inline] checked (a : int64) =
+(* The region [a] falls in, or [no_region]: an int64 that does not fit
+   an int is in none. *)
+let find t (a : int64) =
   let i = Int64.to_int a in
-  if not (Int64.equal (Int64.of_int i) a) then unmapped a;
-  i
+  if Int64.equal (Int64.of_int i) a then region_of t i else no_region
+
+(* [r] itself when [a] falls in it, without touching the last-hit slots. *)
+let find_from t r (a : int64) =
+  let i = Int64.to_int a in
+  if i >= r.base && i < r.limit && Int64.equal (Int64.of_int i) a then r else find t a
+
+let found r = r != no_region
+
+let location r =
+  if r == no_region then invalid_arg "Memory.location: no region";
+  r.loc
 
 let location_of_addr t a =
-  let i = Int64.to_int a in
-  if not (Int64.equal (Int64.of_int i) a) then None
-  else
-    let r = region_of t i in
-    if r == no_region then None else Some r.loc
+  let r = find t a in
+  if r == no_region then None else Some r.loc
 
-let load t a : Value.t =
-  let i = checked a in
-  let r = access t i in
-  let o = i - r.base in
+(* The byte offset in [r] of an access at [a]; the fault of [unmapped]
+   unless [a] is aligned and in [r] (never in [no_region]). *)
+let[@inline] offset r (a : int64) =
+  let i = Int64.to_int a in
+  if i land 7 <> 0 || i < r.base || i >= r.limit then unmapped a;
+  i - r.base
+
+(* A typed load ([f64]) reinterprets a zero int cell as 0.0 so that
+   zero-init behaves type-correctly. *)
+let read r a ~f64 : Value.t =
+  let o = offset r a in
   let bits = get_word r.words o in
   if Bytes.unsafe_get r.tags (o lsr 3) = flt then Value.Vflt (Int64.float_of_bits bits)
+  else if f64 && Int64.equal bits 0L then Value.Vflt 0.0
   else Value.Vint bits
 
-(* Typed load: an F64 access reinterprets a zero int cell as 0.0 so that
-   zero-init behaves type-correctly. *)
-let load_typed t addr (mty : Mem_ty.t) : Value.t =
-  match load t addr, mty with
-  | Value.Vint 0L, Mem_ty.F64 -> Value.Vflt 0.0
-  | v, _ -> v
+let is_f64 = function Mem_ty.F64 -> true | Mem_ty.I64 -> false
+(* The int64 entry points are never inlined: a caller that computed the
+   address unboxed would box it once for [find] and again for the access. *)
+let load_in r a mty = read r a ~f64:(is_f64 mty)
+let[@inline never] load t a = read (find t a) a ~f64:false
+let[@inline never] load_typed t a mty = read (find t a) a ~f64:(is_f64 mty)
 
-let store t a (v : Value.t) =
-  let i = checked a in
-  let r = access t i in
-  let o = i - r.base in
+let store_in r a (v : Value.t) =
+  let o = offset r a in
   match v with
   | Value.Vint bits ->
     set_word r.words o bits;
@@ -232,3 +267,5 @@ let store t a (v : Value.t) =
   | Value.Vflt x ->
     set_word r.words o (Int64.bits_of_float x);
     Bytes.unsafe_set r.tags (o lsr 3) flt
+
+let[@inline never] store t a v = store_in (find t a) a v

@@ -21,10 +21,17 @@ val create : unit -> t
     overlap a region placed by {!alloc_at}. *)
 val alloc : t -> size:int -> loc:Srp_alias.Location.t -> int64
 
+(** A program's [malloc] of [nbytes]: {!alloc} of a heap region, with the
+    size checked as an int64 before it is narrowed.
+    @raise Value.Interp_error ["malloc of negative size"] for a negative
+    size, and the region-limit error of {!alloc} for a size over 128 MiB. *)
+val malloc : t -> nbytes:int64 -> loc:Srp_alias.Location.t -> int64
+
 (** Place a region at a caller-chosen base (the machine's descending stack:
     real stacks reuse addresses, which matters to ALAT partial tags).
-    @raise Value.Interp_error on misalignment, on overlap with a region
-    below or above the new span, or if the region exceeds 128 MiB. *)
+    @raise Value.Interp_error on misalignment, on a span that does not fit
+    the native-int address space, on overlap with a region below or above
+    the new span, or if the region exceeds 128 MiB. *)
 val alloc_at : t -> base:int64 -> size:int -> loc:Srp_alias.Location.t -> int64
 
 (** Remove a region and its words (frame teardown): a later region at the
@@ -46,6 +53,43 @@ val load_typed : t -> int64 -> Srp_ir.Mem_ty.t -> Value.t
 (** Store a value's bits, tagging the word float for a [Vflt].
     @raise Value.Interp_error on wild or unaligned accesses. *)
 val store : t -> int64 -> Value.t -> unit
+
+(** {2 Region handles}
+
+    The interpreter's entry points: it finds an access's region once, for
+    the profile and the access alike, and keeps the region of a frame
+    slot or a global to skip the search for a direct access. *)
+
+(** A region, or the sentinel for an address in none. *)
+type region
+
+(** {!alloc} returning the new region. *)
+val alloc_region : t -> size:int -> loc:Srp_alias.Location.t -> region
+
+(** A region's base address. *)
+val base : region -> int64
+
+(** The region an address falls in; the sentinel if none. *)
+val find : t -> int64 -> region
+
+(** [find_from t r a] is [r] when [a] falls in it, else [find t a].  [r]
+    must be live. *)
+val find_from : t -> region -> int64 -> region
+
+(** Is the region not the sentinel? *)
+val found : region -> bool
+
+(** The abstract location of a found region.
+    @raise Invalid_argument on the sentinel. *)
+val location : region -> Srp_alias.Location.t
+
+(** [load_in (find t a) a mty] is [load_typed t a mty].  A region that
+    does not hold [a] faults as an unmapped access. *)
+val load_in : region -> int64 -> Srp_ir.Mem_ty.t -> Value.t
+
+(** [store_in (find t a) a v] is [store t a v].  A region that does not
+    hold [a] faults as an unmapped access. *)
+val store_in : region -> int64 -> Value.t -> unit
 
 (** {2 Native-int addresses}
 

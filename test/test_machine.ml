@@ -813,16 +813,22 @@ int main() {
 }
 |}
 
-(* A negative malloc size is the same error on both sides. *)
+(* A negative malloc size is the same error on both sides, also one that
+   is negative only as an int64: (1 << 63) + 8 would narrow to 8. *)
 let test_malloc_negative () =
-  let src = "int main() { int* p = malloc(0 - 8); return 0; }" in
-  let error f = match f () with _ -> None | exception Value.Interp_error e -> Some e in
-  let prog () = Srp_frontend.Lower.compile_source src in
-  Alcotest.(check (option string)) "interpreter" (Some "malloc of negative size")
-    (error (fun () -> Srp_profile.Interp.run_program (prog ())));
-  Alcotest.(check (option string)) "machine" (Some "malloc of negative size")
-    (error (fun () ->
-         Srp_machine.Machine.run_program (Srp_target.Codegen.gen_program (prog ()))))
+  List.iter
+    (fun size ->
+      let src =
+        Fmt.str "int main() { int* p = malloc(%s); *p = 5; print_int(*p); return 0; }" size
+      in
+      let error f = match f () with _ -> None | exception Value.Interp_error e -> Some e in
+      let prog () = Srp_frontend.Lower.compile_source src in
+      Alcotest.(check (option string)) ("interpreter " ^ size) (Some "malloc of negative size")
+        (error (fun () -> Srp_profile.Interp.run_program (prog ())));
+      Alcotest.(check (option string)) ("machine " ^ size) (Some "malloc of negative size")
+        (error (fun () ->
+             Srp_machine.Machine.run_program (Srp_target.Codegen.gen_program (prog ())))))
+    [ "0 - 8"; "(1 << 63) + 8" ]
 
 let test_counters_sane () =
   let src = {|

@@ -530,9 +530,9 @@ void struct_free() { }
 
 let no_symbols : (int, Srp_ir.Symbol.t) Hashtbl.t = Hashtbl.create 0
 
-(* Random profiles as operation scripts (record / record_block calls)
-   over heap locations, so loading needs no symbol table and the
-   property is self-contained. *)
+(* Random profiles as operation scripts over heap locations, one access
+   or block entry per operation added through the bulk adders, so loading
+   needs no symbol table and the property is self-contained. *)
 let arb_profile_ops =
   let open QCheck.Gen in
   let gen_op =
@@ -558,8 +558,10 @@ let profile_of_ops ops =
   let p = Alias_profile.create () in
   List.iter
     (function
-      | `Access (site, heap) -> Alias_profile.record p site (Location.Heap heap)
-      | `Block (func, label_id) -> Alias_profile.record_block p ~func ~label_id)
+      | `Access (site, heap) ->
+        Alias_profile.add_hits p site (Location.Heap heap) 1;
+        Alias_profile.add_count p site 1
+      | `Block (func, label_id) -> Alias_profile.add_block_count p ~func ~label_id 1)
     ops;
   p
 
@@ -668,6 +670,214 @@ let test_load_rejects_corruption () =
     "srp-profile-v2\nsite 1 count 2 targets sym:99=1\n";
   check_parse_error "junk line" "bad line" "srp-profile-v2\nfrobnicate 3\n"
 
+(* --- the interpreter's counters are exact --- *)
+
+(* Every location a site's profile names, with its hits. *)
+let touch_total profile site =
+  Location.Set.fold
+    (fun loc n -> n + Alias_profile.touch_count profile site loc)
+    (Alias_profile.targets profile site) 0
+
+(* On a run that completes: every step is an instruction or a terminator
+   of an entered block, every site execution touched exactly one
+   location, and collecting the profile changes nothing the program
+   computes. *)
+let check_exact what prog =
+  let it = Srp_profile.Interp.create prog in
+  let code = Srp_profile.Interp.run it in
+  let profile = Srp_profile.Interp.profile it in
+  let block_steps =
+    List.fold_left
+      (fun n f ->
+        List.fold_left
+          (fun n b ->
+            let c =
+              Alias_profile.block_count profile ~func:(Srp_ir.Func.name f)
+                ~label_id:(Srp_ir.Label.id (Srp_ir.Block.label b))
+            in
+            n + (c * (List.length b.Srp_ir.Block.instrs + 1)))
+          n (Srp_ir.Func.blocks f))
+      0 (Srp_ir.Program.funcs prog)
+  in
+  Alcotest.(check int) (what ^ ": steps = block entries x block length")
+    (Srp_profile.Interp.steps it) block_steps;
+  List.iter
+    (fun site ->
+      Alcotest.(check int)
+        (Fmt.str "%s: site %d count = sum of touches" what (Srp_ir.Site.to_int site))
+        (Alias_profile.count profile site) (touch_total profile site))
+    (Alias_profile.sites profile);
+  let bare = Srp_profile.Interp.create ~collect_profile:false prog in
+  let bare_code = Srp_profile.Interp.run bare in
+  Alcotest.(check int64) (what ^ ": exit without profile") code bare_code;
+  Alcotest.(check string) (what ^ ": output without profile")
+    (Srp_profile.Interp.output it) (Srp_profile.Interp.output bare);
+  Alcotest.(check int) (what ^ ": steps without profile")
+    (Srp_profile.Interp.steps it) (Srp_profile.Interp.steps bare)
+
+let test_profile_exact_kernels () =
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let prog = Lower.compile_source w.Srp_driver.Workload.source in
+      Srp_driver.Workload.apply_input prog w.Srp_driver.Workload.train;
+      check_exact w.Srp_driver.Workload.name prog)
+    (Srp_workloads.Registry.all ())
+
+let test_profile_exact_random () =
+  for seed = 1 to 12 do
+    check_exact (Fmt.str "gen_minic seed %d" seed)
+      (Lower.compile_source (Gen_minic.program ~seed ()))
+  done
+
+(* A loop cut by fuel in the middle of its body: the counters gathered
+   before the fault reach the profile.
+
+     entry:  i = 0; jump header                      2 steps
+     header: c = i < 1000; br c, body, exit          2 steps
+     body:   x = load g; y = x + 1; store y -> g;
+             i = i + 1; jump header                  5 steps
+
+   With fuel 2 + 7k + 4, k whole iterations run, then the header and
+   body of iteration k are entered and the body's load and add execute;
+   the store's step is one past the fuel, so it never runs. *)
+let test_fuel_mid_loop_profile () =
+  let open Srp_ir in
+  let prog = Program.create () in
+  let g =
+    Symbol.Gen.fresh prog.Program.sym_gen ~name:"g" ~storage:Symbol.Global
+      ~mty:Mem_ty.I64 ~size_bytes:8 ~is_scalar:true
+  in
+  Program.add_global prog g Program.Init_zero;
+  let temp_gen = Temp.Gen.create () and label_gen = Label.Gen.create () in
+  let f = Func.create ~name:"main" ~formals:[] ~ret_mty:(Some Mem_ty.I64) ~temp_gen ~label_gen in
+  let entry = List.hd (Func.blocks f) in
+  let header = Func.fresh_block ~hint:"header" f in
+  let body = Func.fresh_block ~hint:"body" f in
+  let exit = Func.fresh_block ~hint:"exit" f in
+  let fresh () = Func.fresh_temp f Mem_ty.I64 in
+  let site () = Site.Gen.fresh prog.Program.site_gen in
+  let i = fresh () and c = fresh () and x = fresh () and y = fresh () in
+  let load_site = site () and store_site = site () in
+  Block.append entry (Instr.Mov { dst = i; src = Ops.Int 0L });
+  entry.Block.term <- Instr.Jump (Block.label header);
+  Block.append header (Instr.Bin { dst = c; op = Ops.Lt; a = Ops.Temp i; b = Ops.Int 1000L });
+  header.Block.term <-
+    Instr.Br { cond = Ops.Temp c; ifso = Block.label body; ifnot = Block.label exit;
+               site = site () };
+  List.iter (Block.append body)
+    [ Instr.Load { dst = x; addr = Ops.addr_of_sym g; mty = Mem_ty.I64; site = load_site;
+                   promo = Instr.P_none };
+      Instr.Bin { dst = y; op = Ops.Add; a = Ops.Temp x; b = Ops.Int 1L };
+      Instr.Store { src = Ops.Temp y; addr = Ops.addr_of_sym g; mty = Mem_ty.I64;
+                    site = store_site };
+      Instr.Bin { dst = i; op = Ops.Add; a = Ops.Temp i; b = Ops.Int 1L } ];
+  body.Block.term <- Instr.Jump (Block.label header);
+  exit.Block.term <- Instr.Ret (Some (Ops.Int 0L));
+  Program.add_func prog f;
+  let k = 10 in
+  let it = Srp_profile.Interp.create ~fuel:(2 + (7 * k) + 4) prog in
+  Alcotest.check_raises "fuel runs out" Srp_profile.Interp.Out_of_fuel (fun () ->
+      ignore (Srp_profile.Interp.run it));
+  let p = Srp_profile.Interp.profile it in
+  let entries b = Alias_profile.block_count p ~func:"main" ~label_id:(Label.id (Block.label b)) in
+  Alcotest.(check int) "steps: one past the fuel" ((7 * k) + 7) (Srp_profile.Interp.steps it);
+  Alcotest.(check (list int)) "entry, header, body, exit entries" [ 1; k + 1; k + 1; 0 ]
+    (List.map entries [ entry; header; body; exit ]);
+  Alcotest.(check (list int)) "load site: count, hits on g" [ k + 1; k + 1 ]
+    [ Alias_profile.count p load_site; Alias_profile.touch_count p load_site (Location.Sym g) ];
+  Alcotest.(check (list int)) "store site: count, hits on g" [ k; k ]
+    [ Alias_profile.count p store_site; Alias_profile.touch_count p store_site (Location.Sym g) ]
+
+(* The interpreter's faults, each raised by a one-block [main] built by
+   hand, keep their texts; a jump to a label with no block still counts
+   the entry in the profile. *)
+let test_interp_fault_texts () =
+  let open Srp_ir in
+  let fault build =
+    let prog = Program.create () in
+    let temp_gen = Temp.Gen.create () and label_gen = Label.Gen.create () in
+    let func name =
+      let f = Func.create ~name ~formals:[] ~ret_mty:(Some Mem_ty.I64) ~temp_gen ~label_gen in
+      Program.add_func prog f;
+      f
+    in
+    let sym name storage =
+      Symbol.Gen.fresh prog.Program.sym_gen ~name ~storage ~mty:Mem_ty.I64 ~size_bytes:8
+        ~is_scalar:true
+    in
+    let main = func "main" in
+    build prog func sym main (List.hd (Func.blocks main));
+    let it = Srp_profile.Interp.create prog in
+    let text =
+      match Srp_profile.Interp.run it with
+      | _ -> "no fault"
+      | exception Value.Interp_error e -> e
+      | exception Invalid_argument e -> "invalid: " ^ e
+    in
+    (text, Srp_profile.Interp.profile it)
+  in
+  let load_of s = Instr.Load { dst = Temp.Gen.fresh (Temp.Gen.create ()) Mem_ty.I64;
+                               addr = Ops.addr_of_sym s; mty = Mem_ty.I64; site = 0;
+                               promo = Instr.P_none } in
+  let check what want build = Alcotest.(check string) what want (fst (fault build)) in
+  let undefined = ref "" in
+  let text, _ =
+    fault (fun _ _ _ main b ->
+        let t = Func.fresh_temp main Mem_ty.I64 in
+        undefined := Temp.to_string t;
+        b.Block.term <- Instr.Ret (Some (Ops.Temp t)))
+  in
+  Alcotest.(check string) "undefined temp" ("read of undefined temp " ^ !undefined) text;
+  check "unknown global" "unknown global g" (fun _ _ sym _ b ->
+      Block.append b (load_of (sym "g" Symbol.Global)));
+  check "no frame slot" "no frame slot for x in main" (fun _ _ sym _ b ->
+      Block.append b (load_of (sym "x" Symbol.Local)));
+  check "unknown callee" "invalid: Program.find_func: no function nope" (fun _ _ _ _ b ->
+      Block.append b (Instr.Call { dst = None; callee = "nope"; args = []; site = 0 }));
+  check "void return used" "void return used as a value in call to f" (fun _ func _ main b ->
+      let f = func "f" in
+      (List.hd (Func.blocks f)).Block.term <- Instr.Ret None;
+      Block.append b
+        (Instr.Call { dst = Some (Func.fresh_temp main Mem_ty.I64); callee = "f"; args = [];
+                      site = 0 }));
+  let gone = ref (-1) in
+  let text, p =
+    fault (fun _ _ _ main b ->
+        let l = Label.Gen.fresh ~hint:"gone" main.Func.label_gen in
+        gone := Label.id l;
+        b.Block.term <- Instr.Jump l)
+  in
+  Alcotest.(check string) "jump to no block"
+    (Fmt.str "invalid: Func.find_block: main has no block gone%d" !gone) text;
+  Alcotest.(check int) "its entry is counted" 1
+    (Alias_profile.block_count p ~func:"main" ~label_id:!gone)
+
+(* The interpreter checks a malloc size as the int64 the program passed:
+   (1 << 63) + 8 is negative, and 1 << 62 fits no region. *)
+let test_interp_malloc_int64_size () =
+  let error src =
+    match Srp_profile.Interp.run_program (Lower.compile_source src) with
+    | _ -> None
+    | exception Value.Interp_error e -> Some e
+  in
+  Alcotest.(check (option string)) "(1 << 63) + 8" (Some "malloc of negative size")
+    (error "int main() { int* p = malloc((1 << 63) + 8); *p = 5; print_int(*p); return 0; }");
+  Alcotest.(check (option string)) "1 << 62"
+    (Some "alloc: region of 4611686018427387904 bytes exceeds the 134217728-byte limit")
+    (error "int main() { int* p = malloc(1 << 62); *p = 5; print_int(*p); return 0; }")
+
+(* A base no native int holds is refused by name, not narrowed. *)
+let test_alloc_at_wide_base () =
+  let m = Memory.create () in
+  let base = 0x8000_0000_0000_1000L in
+  Alcotest.(check (option string)) "refused"
+    (Some "alloc_at: base 0x8000000000001000 is outside the address space")
+    (match Memory.alloc_at m ~base ~size:8 ~loc:(Location.Heap 0) with
+    | _ -> None
+    | exception Value.Interp_error e -> Some e);
+  Alcotest.(check bool) "nothing placed at 0x1000" true
+    (Memory.location_of_addr m 0x1000L = None)
+
 let suite =
   suite
   @ [ Alcotest.test_case "profile save/load roundtrip" `Quick
@@ -678,4 +888,15 @@ let suite =
       Alcotest.test_case "count-0 site not executed" `Quick
         test_count0_site_not_executed;
       Alcotest.test_case "load rejects corrupt profiles" `Quick
-        test_load_rejects_corruption ]
+        test_load_rejects_corruption;
+      Alcotest.test_case "profile exact on kernel train runs" `Quick
+        test_profile_exact_kernels;
+      Alcotest.test_case "profile exact on gen_minic seeds" `Quick
+        test_profile_exact_random;
+      Alcotest.test_case "profile kept when fuel runs out mid-loop" `Quick
+        test_fuel_mid_loop_profile;
+      Alcotest.test_case "interpreter fault texts" `Quick test_interp_fault_texts;
+      Alcotest.test_case "malloc size checked as int64 (interp)" `Quick
+        test_interp_malloc_int64_size;
+      Alcotest.test_case "alloc_at refuses a base outside int" `Quick
+        test_alloc_at_wide_base ]

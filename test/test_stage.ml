@@ -281,8 +281,8 @@ let test_stage_keys () =
                 Srp_core.Config.policy =
                   Srp_core.Config.Spec_profile
                     (let p = Srp_profile.Alias_profile.create () in
-                     Srp_profile.Alias_profile.record_block p ~func:"main"
-                       ~label_id:0;
+                     Srp_profile.Alias_profile.add_block_count p ~func:"main"
+                       ~label_id:0 1;
                      p) };
               { Srp_core.Config.baseline with Srp_core.Config.control_spec = true };
               { Srp_core.Config.baseline with Srp_core.Config.use_invala = true };
