@@ -16,10 +16,10 @@
    layout -> bundle), each keyed by content (Stage.Key) and each an
    immutable artifact that any number of builds can share — the bench
    sweep lowers each source once and `srp serve` shares train profiles
-   across a batch.  The original monolithic path survives as
-   [*_monolithic]: it is the reference the differential tests hold the
-   staged path bit-identical against.  A build is fully described by its
-   level and its canonical ablation list. *)
+   across a batch.  A build is fully described by its level and its
+   canonical ablation list, and the store never changes what it builds:
+   test_stage holds every build over a shared store to the same target
+   as a storeless rebuild, and its output to the IR interpreter's. *)
 
 open Srp_ir
 module Alias_profile = Srp_profile.Alias_profile
@@ -405,53 +405,4 @@ let profile_compile_run ?fuel ?trace ?timeline ?cache ?ablations
     | O0 | Conservative | Baseline | Alat_heuristic -> None
   in
   let c = compile ~cache ?profile ?ablations ~input:w.Workload.ref_ w level in
-  run ?fuel ?trace ?timeline c
-
-(* --- the seed monolithic path ---
-
-   Kept as the reference implementation: the staged/cached path must stay
-   bit-identical to it — output, exit code and every machine counter —
-   which the differential tests enforce.  Only tests call it. *)
-
-let train_profile_monolithic (w : Workload.t) : Alias_profile.t =
-  Srp_obs.Stats.time ~pass:"profile" "train_interp" @@ fun () ->
-  let prog = Srp_frontend.Lower.compile_source w.Workload.source in
-  Workload.apply_input prog w.Workload.train;
-  let interp = Srp_profile.Interp.create prog in
-  ignore (Srp_profile.Interp.run interp);
-  Srp_profile.Interp.profile interp
-
-let compile_monolithic ?profile ?(ablations = []) ~(input : Workload.input)
-    (w : Workload.t) (level : level) : compiled =
-  let ablations = canonical_ablations ablations in
-  let on a = not (List.mem a ablations) in
-  let ir = Srp_frontend.Lower.compile_source w.Workload.source in
-  Workload.apply_input ir input;
-  let promote =
-    Option.map
-      (fun config ->
-        Srp_core.Promote.run ~config ~pressure:(pressure_fn ir) ir)
-      (ablated_config level profile ablations)
-  in
-  let split = on No_split in
-  let ra =
-    if split then Srp_target.Regalloc.default_policy
-    else Srp_target.Regalloc.closed_policy
-  in
-  let target =
-    Srp_target.Codegen.gen_program ~layout:(on No_layout) ~sched:(on No_sched)
-      ~bundle:(on No_bundle) ~ra ir
-  in
-  { level; ablations; split; ir; target; promote }
-
-let profile_compile_run_monolithic ?fuel ?trace ?timeline ?ablations
-    (w : Workload.t) (level : level) : run_result =
-  let profile =
-    match level with
-    | Alat -> Some (train_profile_monolithic w)
-    | O0 | Conservative | Baseline | Alat_heuristic -> None
-  in
-  let c =
-    compile_monolithic ?profile ?ablations ~input:w.Workload.ref_ w level
-  in
   run ?fuel ?trace ?timeline c

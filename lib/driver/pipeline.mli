@@ -6,11 +6,10 @@
     Passing [?cache] (a {!Stage.store}) shares artifacts across builds —
     a bench sweep lowers each source once; [srp serve] shares the train
     profile across a whole batch.  A build is fully described by its
-    {!level} and its canonical {!ablation} list.  The seed's monolithic
-    path survives as the [*_monolithic] reference implementations, which
-    only the tests call: the staged path is held bit-identical to them
-    (output, exit code, every machine counter) by the differential
-    tests. *)
+    {!level} and its canonical {!ablation} list.  The store only shares
+    work: a build over a shared store yields the same target as a build
+    without one, and that target computes what the IR interpreter
+    computes on the same input (output and exit code). *)
 
 open Srp_ir
 
@@ -105,9 +104,9 @@ type compiled = {
 (** The per-function register-pressure estimator the promote stage feeds
     to {!Srp_core.Promote.run}: instruction selection plus the
     allocator's analysis prefix ({!Srp_target.Regalloc.estimate}) over
-    the named function's current body, memoized by name.  Exposed so the
-    differential tests can drive {!Srp_core.Promote.run} exactly as the
-    pipeline does. *)
+    the named function's current body, memoized by name.  Exposed for
+    the benchmark harness under [perfbench/], which drives
+    {!Srp_core.Promote.run} exactly as the promote stage does. *)
 val pressure_fn : Program.t -> string -> Srp_core.Promote.pressure option
 
 (** Compile a workload at a level; [input] (usually the ref input) is baked
@@ -158,30 +157,6 @@ val profile_compile_run :
   ?trace:Srp_obs.Trace.sink ->
   ?timeline:Srp_machine.Timeline.t ->
   ?cache:Stage.store ->
-  ?ablations:ablation list ->
-  Workload.t ->
-  level ->
-  run_result
-
-(** {1 The seed monolithic path}
-
-    The original single-function pipeline, kept as the reference the
-    staged path is differentially tested against.  Only tests call it. *)
-
-val train_profile_monolithic : Workload.t -> Srp_profile.Alias_profile.t
-
-val compile_monolithic :
-  ?profile:Srp_profile.Alias_profile.t ->
-  ?ablations:ablation list ->
-  input:Workload.input ->
-  Workload.t ->
-  level ->
-  compiled
-
-val profile_compile_run_monolithic :
-  ?fuel:int ->
-  ?trace:Srp_obs.Trace.sink ->
-  ?timeline:Srp_machine.Timeline.t ->
   ?ablations:ablation list ->
   Workload.t ->
   level ->

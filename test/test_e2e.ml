@@ -1,6 +1,7 @@
 (* End-to-end tests: every built-in kernel through the full experiment
-   pipeline on its *train* input (fast), with all levels output-equal and
-   the headline metrics moving in the right direction. *)
+   pipeline on its *train* input (fast), with the headline metrics moving
+   in the right direction.  That every level computes what the
+   interpreter computes is test_stage's per-kernel property. *)
 
 open Srp_driver
 module C = Srp_machine.Counters
@@ -11,23 +12,6 @@ let run_train (w : Workload.t) levels =
   (* substitute train for ref so the e2e suite stays fast *)
   let small = { w with Workload.ref_ = w.Workload.train } in
   List.map (fun l -> (l, Pipeline.profile_compile_run small l)) levels
-
-let test_kernel_equivalence name () =
-  let w = Srp_workloads.Registry.find name in
-  let runs =
-    run_train w
-      [ Pipeline.O0; Pipeline.Conservative; Pipeline.Baseline; Pipeline.Alat;
-        Pipeline.Alat_heuristic ]
-  in
-  match runs with
-  | (_, first) :: rest ->
-    List.iter
-      (fun (l, r) ->
-        Alcotest.(check string)
-          (Fmt.str "%s output at %s" name (Pipeline.level_name l))
-          first.Pipeline.output r.Pipeline.output)
-      rest
-  | [] -> ()
 
 let test_kernel_improves name () =
   let w = Srp_workloads.Registry.find name in
@@ -116,10 +100,9 @@ let test_ablation_suite_runs_once () =
     Experiments.ablations tables
 
 let kernel_tests =
-  List.concat_map
+  List.map
     (fun name ->
-      [ Alcotest.test_case (name ^ " all levels agree") `Slow (test_kernel_equivalence name);
-        Alcotest.test_case (name ^ " loads reduced") `Slow (test_kernel_improves name) ])
+      Alcotest.test_case (name ^ " loads reduced") `Slow (test_kernel_improves name))
     (Srp_workloads.Registry.names ())
 
 let suite =

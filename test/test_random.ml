@@ -8,37 +8,32 @@
 module Config = Srp_core.Config
 module Promote = Srp_core.Promote
 module Pipeline = Srp_driver.Pipeline
+module Stage = Srp_driver.Stage
+module Workload = Srp_driver.Workload
 
-let interp_reference src =
+(* The IR interpreter's run of [src] on [input]: the exit code and
+   output every build of it must reproduce, and its alias profile. *)
+let interp_reference ?(input = []) src =
   let prog = Srp_frontend.Lower.compile_source src in
-  let code, out, profile = Srp_profile.Interp.run_program prog in
-  (code, out, profile)
+  Workload.apply_input prog input;
+  Srp_profile.Interp.run_program prog
 
-(* [ablations] act as in the pipeline: the config ones fold into the
-   promotion config (no-pressure turns the regalloc-estimate gate off,
-   no-prob falls back to the binary may-touch verdict), the backend ones
-   pick the allocator policy and the layout/sched/bundle passes. *)
-let machine_run ?(ablations = []) src config =
-  let on a = not (List.mem a ablations) in
-  let prog = Srp_frontend.Lower.compile_source src in
-  (match config with
-  | Some c ->
-    let c = List.fold_left (Fun.flip Pipeline.apply_ablation) c ablations in
-    ignore (Promote.run ~config:c ~pressure:(Pipeline.pressure_fn prog) prog)
-  | None -> ());
-  let ra =
-    if on Pipeline.No_split then Srp_target.Regalloc.default_policy
-    else Srp_target.Regalloc.closed_policy
+(* Build [src] through the pipeline at [level] with [ablations] and run
+   it.  The callers pass one [cache] per program, so the points of its
+   level x ablation sweep share every stage they agree on. *)
+let machine_run ~cache ?(ablations = []) src (level, profile) =
+  let w =
+    { Workload.name = "random"; description = ""; source = src; train = [];
+      ref_ = [] }
   in
-  let tgt =
-    Srp_target.Codegen.gen_program ~layout:(on Pipeline.No_layout)
-      ~sched:(on Pipeline.No_sched) ~bundle:(on Pipeline.No_bundle) ~ra prog
+  let r =
+    Pipeline.run ~fuel:50_000_000
+      (Pipeline.compile ~cache ?profile ~ablations ~input:[] w level)
   in
-  let code, out, _ = Srp_machine.Machine.run_program ~fuel:50_000_000 tgt in
-  (code, out)
+  (r.Pipeline.exit_code, r.Pipeline.output)
 
-let check_level ?ablations src name expected config =
-  let code, out = machine_run ?ablations src config in
+let check_level ~cache ?ablations src name expected build =
+  let code, out = machine_run ~cache ?ablations src build in
   if out <> snd expected || code <> fst expected then
     Alcotest.failf "%s diverged!\n--- source ---\n%s\n--- expected ---\n%s--- got ---\n%s"
       name src (snd expected) out
@@ -48,12 +43,13 @@ let check_level ?ablations src name expected config =
    speculative and the ALAT checks must repair all of it *)
 let level_configs profile =
   let empty = Srp_profile.Alias_profile.create () in
-  [ ("O0", None);
-    ("conservative", Some Config.conservative);
-    ("baseline(software)", Some Config.baseline);
-    ("alat-heuristic", Some Config.alat_heuristic);
-    ("alat-profile", Some (Config.alat ~profile));
-    ("alat-wrong-profile", Some (Config.alat ~profile:empty)) ]
+  Pipeline.
+    [ ("O0", O0, None);
+      ("conservative", Conservative, None);
+      ("baseline(software)", Baseline, None);
+      ("alat-heuristic", Alat_heuristic, None);
+      ("alat-profile", Alat, Some profile);
+      ("alat-wrong-profile", Alat, Some empty) ]
 
 (* the fixed seeds and hand-picked shapes run the ungated promoter *)
 let ungated = [ Pipeline.No_pressure ]
@@ -62,10 +58,12 @@ let run_seed seed =
   let src = Gen_minic.program ~seed () in
   let code, out, profile = interp_reference src in
   let expected = (code, out) in
+  let cache = Stage.create () in
   List.iter
-    (fun (name, config) ->
-      check_level ~ablations:ungated src (Fmt.str "seed %d %s" seed name)
-        expected config)
+    (fun (name, level, profile) ->
+      check_level ~cache ~ablations:ungated src
+        (Fmt.str "seed %d %s" seed name)
+        expected (level, profile))
     (level_configs profile);
   (* conservative promotion must also be interpretable *)
   let prog = Srp_frontend.Lower.compile_source src in
@@ -93,14 +91,15 @@ let run_seed_matrix ?(combos = default_combos) seed =
   let src = Gen_minic.program ~seed () in
   let code, out, profile = interp_reference src in
   let expected = (code, out) in
+  let cache = Stage.create () in
   List.iter
     (fun ablations ->
       List.iter
-        (fun (name, config) ->
-          check_level ~ablations src
+        (fun (name, level, profile) ->
+          check_level ~cache ~ablations src
             (Fmt.str "seed %d %s [%s]" seed name
                (String.concat " " (List.map Pipeline.ablation_name ablations)))
-            expected config)
+            expected (level, profile))
         (level_configs profile))
     combos
 
@@ -114,17 +113,45 @@ let test_matrix_batch lo hi () =
     run_seed_matrix seed
   done
 
+(* A count read from the environment: unset or empty is [default];
+   any other value must be an integer >= [min], or the error names the
+   variable and the value.  [lookup] stands in for the environment in
+   the parse test. *)
+let env_count ?(lookup = Sys.getenv_opt) var ~default ~min =
+  match lookup var with
+  | None | Some "" -> Ok default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Fmt.str "%s=%S: expected an integer >= %d" var s min))
+
+(* The count for a test name: a malformed value shows as "?" and fails
+   the test that reads it. *)
+let count_label = Result.fold ~ok:string_of_int ~error:(fun _ -> "?")
+
+let test_env_count () =
+  let expect_error value min =
+    Error (Fmt.str "SRP_N=%S: expected an integer >= %d" value min)
+  in
+  List.iter
+    (fun (value, min, expected) ->
+      Alcotest.(check (result int string))
+        (Fmt.str "%a (min %d)" Fmt.(Dump.option Dump.string) value min)
+        expected
+        (env_count ~lookup:(fun _ -> value) "SRP_N" ~default:6 ~min))
+    [ (None, 1, Ok 6); (Some "", 1, Ok 6); (Some "150", 1, Ok 150);
+      (Some "0", 0, Ok 0); (Some "150 ", 0, expect_error "150 " 0);
+      (Some "abc", 0, expect_error "abc" 0); (Some "-3", 0, expect_error "-3" 0);
+      (Some "0", 1, expect_error "0" 1) ]
+
 (* SRP_FUZZ_ITERS=N runs N extra seeds through the full level x
    ablation matrix — off (0) in the default test run, used by the
-   non-blocking CI fuzz jobs and for local soak testing.
-   SRP_FUZZ_ABLATION=NAME adds the named ablation to every matrix entry
-   (e.g. no-split focuses the sweep on the closed-interval allocator), so
-   each ablation can get its own CI soak; an unknown name fails the
-   sweep. *)
-let fuzz_iters =
-  match Sys.getenv_opt "SRP_FUZZ_ITERS" with
-  | Some s -> ( try max 0 (int_of_string s) with _ -> 0)
-  | None -> 0
+   non-blocking CI fuzz jobs and for local soak testing; a malformed
+   count fails the sweep.  SRP_FUZZ_ABLATION=NAME adds the named
+   ablation to every matrix entry (e.g. no-split focuses the sweep on
+   the closed-interval allocator), so each ablation can get its own CI
+   soak; an unknown name fails the sweep. *)
+let fuzz_iters = env_count "SRP_FUZZ_ITERS" ~default:0 ~min:0
 
 let fuzz_combos () =
   match Sys.getenv_opt "SRP_FUZZ_ABLATION" with
@@ -137,8 +164,11 @@ let fuzz_combos () =
     | Error e -> Alcotest.failf "SRP_FUZZ_ABLATION: %s" e)
 
 let test_fuzz_sweep () =
+  let iters =
+    match fuzz_iters with Ok n -> n | Error e -> Alcotest.fail e
+  in
   let combos = fuzz_combos () in
-  for seed = 10_000 to 10_000 + fuzz_iters - 1 do
+  for seed = 10_000 to 10_000 + iters - 1 do
     run_seed_matrix ~combos seed
   done
 
@@ -166,11 +196,12 @@ int main() {
 }
 |} in
   let code, out, profile = interp_reference src in
-  let check_level = check_level ~ablations:ungated in
-  check_level src "storm O0" (code, out) None;
-  check_level src "storm alat" (code, out) (Some (Config.alat ~profile));
+  let check_level = check_level ~cache:(Stage.create ()) ~ablations:ungated in
+  check_level src "storm O0" (code, out) (Pipeline.O0, None);
+  check_level src "storm alat" (code, out) (Pipeline.Alat, Some profile);
   let empty = Srp_profile.Alias_profile.create () in
-  check_level src "storm alat wrong-profile" (code, out) (Some (Config.alat ~profile:empty))
+  check_level src "storm alat wrong-profile" (code, out)
+    (Pipeline.Alat, Some empty)
 
 let test_self_aliasing_walk () =
   (* a pointer that walks over the array it is also read through *)
@@ -193,10 +224,10 @@ int main() {
 }
 |} in
   let code, out, profile = interp_reference src in
-  let check_level = check_level ~ablations:ungated in
-  check_level src "walk O0" (code, out) None;
-  check_level src "walk baseline" (code, out) (Some Config.baseline);
-  check_level src "walk alat" (code, out) (Some (Config.alat ~profile))
+  let check_level = check_level ~cache:(Stage.create ()) ~ablations:ungated in
+  check_level src "walk O0" (code, out) (Pipeline.O0, None);
+  check_level src "walk baseline" (code, out) (Pipeline.Baseline, None);
+  check_level src "walk alat" (code, out) (Pipeline.Alat, Some profile)
 
 let suite =
   [ Alcotest.test_case "random differential seeds 1-40" `Quick (test_batch 1 40);
@@ -208,7 +239,9 @@ let suite =
     Alcotest.test_case "matrix differential seeds 11-30 (layout x bundle)" `Slow
       (test_matrix_batch 11 30);
     Alcotest.test_case
-      (Fmt.str "fuzz sweep (SRP_FUZZ_ITERS=%d)" fuzz_iters)
+      (Fmt.str "fuzz sweep (SRP_FUZZ_ITERS=%s)" (count_label fuzz_iters))
       `Quick test_fuzz_sweep;
+    Alcotest.test_case "count variables: default, value or named error"
+      `Quick test_env_count;
     Alcotest.test_case "alias storm" `Quick test_alias_storm;
     Alcotest.test_case "self-aliasing pointer walk" `Quick test_self_aliasing_walk ]

@@ -1,8 +1,8 @@
 (* The srp-serve-v1 batch protocol: response ordering, dedup, per-job
    pass stats, error isolation, and the summary block — plus an
    env-scaled soak that drives randomized gen_minic programs through the
-   daemon and differentially checks each response against the seed
-   monolithic pipeline (SRP_SOAK_JOBS raises the job count in CI). *)
+   daemon and checks each response against the IR interpreter
+   (SRP_SOAK_JOBS raises the job count in CI). *)
 
 open Srp_driver
 module Json = Srp_obs.Json
@@ -228,7 +228,8 @@ let test_serve_summary_breakdown () =
         "bundle" ]
   | _ -> Alcotest.fail "summary lacks stages block"
 
-(* a registered workload through the daemon matches the direct pipeline *)
+(* a registered workload through the daemon computes what the
+   interpreter computes on its ref input *)
 let test_workload_job () =
   let responses, failed =
     serve_batch [ {|{"id": 1, "workload": "mcf", "level": "alat"}|} ]
@@ -236,11 +237,12 @@ let test_workload_job () =
   Alcotest.(check int) "no failures" 0 failed;
   let r = List.hd responses in
   let w = Srp_workloads.Registry.find "mcf" in
-  let direct = Pipeline.profile_compile_run_monolithic w Pipeline.Alat in
-  Alcotest.(check string) "output matches direct pipeline"
-    direct.Pipeline.output (str_field "output" r);
-  Alcotest.(check int) "exit code matches"
-    (Int64.to_int direct.Pipeline.exit_code)
+  let code, out, _ =
+    Test_random.interp_reference ~input:w.Workload.ref_ w.Workload.source
+  in
+  Alcotest.(check string) "output matches interpreter" out
+    (str_field "output" r);
+  Alcotest.(check int) "exit code matches" (Int64.to_int code)
     (int_field "exit_code" r)
 
 (* --- rejected input ---
@@ -301,18 +303,19 @@ let test_ablation_key_canonical () =
       (List.map (bool_member "deduped") [ a; b; c ])
   | _ -> Alcotest.fail "expected three responses and a summary"
 
-(* --- randomized soak: daemon vs monolithic pipeline ---
+(* --- randomized soak: daemon vs the interpreter ---
 
    Each job is a random gen_minic program at a random level with a random
-   subset of the ablations; the daemon's answer must match the seed
-   monolithic pipeline bit for bit.  SRP_SOAK_JOBS scales the batch (the
-   CI soak job sets 200); the default keeps `dune runtest` fast. *)
-let soak_jobs =
-  match Option.bind (Sys.getenv_opt "SRP_SOAK_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 6
+   subset of the ablations; the daemon's output and exit code must be the
+   interpreter's.  SRP_SOAK_JOBS scales the batch (the CI soak job sets
+   200; a malformed or non-positive count fails the soak); the default
+   keeps `dune runtest` fast. *)
+let soak_jobs = Test_random.env_count "SRP_SOAK_JOBS" ~default:6 ~min:1
 
 let test_soak () =
+  let soak_jobs =
+    match soak_jobs with Ok n -> n | Error e -> Alcotest.fail e
+  in
   let rng = Srp_support.Rng.create 0x5e41e in
   let descs =
     List.init soak_jobs (fun i ->
@@ -346,20 +349,14 @@ let test_soak () =
   let responses, failed = serve_batch batch in
   Alcotest.(check int) "no failed soak jobs" 0 failed;
   List.iteri
-    (fun i (_, src, level, ablations) ->
+    (fun i (_, src, _, _) ->
       let r = List.nth responses i in
-      let w =
-        { Workload.name = Fmt.str "soak-%d" i; description = "soak";
-          source = src; train = []; ref_ = [] }
-      in
-      let direct = Pipeline.profile_compile_run_monolithic ~ablations w level in
-      Alcotest.(check string)
-        (Fmt.str "soak job %d output" i)
-        direct.Pipeline.output (str_field "output" r);
+      let code, out, _ = Test_random.interp_reference src in
+      Alcotest.(check string) (Fmt.str "soak job %d output" i) out
+        (str_field "output" r);
       Alcotest.(check int)
         (Fmt.str "soak job %d exit code" i)
-        (Int64.to_int direct.Pipeline.exit_code)
-        (int_field "exit_code" r))
+        (Int64.to_int code) (int_field "exit_code" r))
     descs
 
 let suite =
@@ -373,7 +370,8 @@ let suite =
     Alcotest.test_case "workload job matches direct pipeline" `Slow
       test_workload_job;
     Alcotest.test_case
-      (Fmt.str "soak: %d random jobs vs monolithic" soak_jobs)
+      (Fmt.str "soak: %s random jobs vs interpreter"
+         (Test_random.count_label soak_jobs))
       `Slow test_soak;
     Alcotest.test_case "rejects unknown fields and ablation names" `Quick
       test_rejects_bad_jobs;

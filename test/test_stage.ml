@@ -1,14 +1,15 @@
 (* The staged pipeline and its artifact cache.
 
-   The load-bearing property is the differential one: a staged (and
-   cached) build must be bit-identical — output, exit code, every machine
-   counter — to the seed monolithic pipeline, for every kernel at every
-   level.  Around it: content-key soundness (QCheck), artifact sharing
-   and store bounds, the single-lower guarantee, per-job Stats scopes,
-   and the apply-input independence regression. *)
+   The load-bearing property: every build computes what the program
+   computes, and the store never changes what is built.  For every kernel
+   at every level (and on mcf under each ablation), a build over one
+   shared store yields the same target as a build with no store, and that
+   target's output and exit code are the IR interpreter's.  Around it:
+   content-key soundness (QCheck), artifact sharing and store bounds, the
+   single-lower guarantee, per-job Stats scopes, and the apply-input
+   independence regression. *)
 
 open Srp_driver
-module C = Srp_machine.Counters
 module Stats = Srp_obs.Stats
 
 let levels =
@@ -25,71 +26,70 @@ let kernels =
   [ "gzip"; "vpr"; "mcf"; "parser"; "bzip2"; "twolf"; "gap"; "ammp"; "art";
     "equake" ]
 
-(* --- staged vs monolithic differential --- *)
+let digest (c : Pipeline.compiled) =
+  Digest.string (Marshal.to_string c.Pipeline.target [])
 
-let check_identical name level (staged : Pipeline.run_result)
-    (mono : Pipeline.run_result) =
-  let tag what =
-    Fmt.str "%s @ %s: %s" name (Pipeline.level_name level) what
+(* --- staged = storeless = interpreter ---
+
+   The cells of a kernel are every level with and without no-prob, and
+   on mcf also alat under each ablation alone.  Each cell is built
+   twice: over one store shared by every cell of the kernel, so later
+   cells are served cached lower, apply, profile and promote artifacts,
+   and with no store at all.  The two targets must be the same bytes; a
+   stage that mutated a shared artifact in place (promotion without its
+   clone, say) breaks this on every kernel.  Each distinct target is
+   then simulated once against the interpreter's run of the lowered
+   program on the same input.  At the four levels that speculate on no
+   profile the probability gate is inert, so there the no-prob target
+   is the default one. *)
+let test_matches_interpreter name () =
+  let w = small name in
+  let input = w.Workload.ref_ in
+  let expected_code, expected_out, _ =
+    Test_random.interp_reference ~input w.Workload.source
   in
-  Alcotest.(check string) (tag "output") mono.Pipeline.output
-    staged.Pipeline.output;
-  Alcotest.(check int64) (tag "exit code") mono.Pipeline.exit_code
-    staged.Pipeline.exit_code;
-  List.iter2
-    (fun (k, m) (k', s) ->
-      assert (k = k');
-      Alcotest.(check int) (tag ("counter " ^ k)) m s)
-    (C.to_fields mono.Pipeline.counters)
-    (C.to_fields staged.Pipeline.counters)
-
-(* One shared store across all levels of the kernel, so the comparison
-   also covers cache-hit builds (the second level onward reuses the
-   lower/apply artifacts). *)
-let test_differential name () =
-  let w = small name in
   let cache = Stage.create () in
+  let shared_profile = Pipeline.train_profile ~cache w in
+  let storeless_profile = Pipeline.train_profile w in
+  let simulated = Hashtbl.create 16 in
+  let build level ablations =
+    let tag what =
+      Fmt.str "%s at %s [%s]: %s" name (Pipeline.level_name level)
+        (String.concat " " (List.map Pipeline.ablation_name ablations))
+        what
+    in
+    let compile ?cache profile =
+      let profile = if level = Pipeline.Alat then Some profile else None in
+      Pipeline.compile ?cache ?profile ~ablations ~input w level
+    in
+    let shared = compile ~cache shared_profile in
+    let d = digest shared in
+    Alcotest.(check string) (tag "shared store = no store")
+      (digest (compile storeless_profile))
+      d;
+    if not (Hashtbl.mem simulated d) then begin
+      Hashtbl.add simulated d ();
+      let r = Pipeline.run shared in
+      Alcotest.(check string) (tag "output") expected_out r.Pipeline.output;
+      Alcotest.(check int64) (tag "exit code") expected_code
+        r.Pipeline.exit_code
+    end;
+    d
+  in
   List.iter
     (fun level ->
-      let staged = Pipeline.profile_compile_run ~cache w level in
-      let mono = Pipeline.profile_compile_run_monolithic w level in
-      check_identical name level staged mono)
-    levels
-
-(* The probability-gate differential: under no-prob both paths must
-   take the exact legacy binary-verdict route, so staged = monolithic
-   bit for bit at every level; and at every level but Alat the gate is
-   inert (those configs carry no speculation probabilities), so prob
-   on/off must also be bit-identical to each other. *)
-let test_no_prob_differential name () =
-  let w = small name in
-  let cache = Stage.create () in
-  List.iter
-    (fun level ->
-      let ablations = [ Pipeline.No_prob ] in
-      let off = Pipeline.profile_compile_run ~cache ~ablations w level in
-      let mono = Pipeline.profile_compile_run_monolithic ~ablations w level in
-      check_identical name level off mono;
+      let default = build level [] in
+      let no_prob = build level [ Pipeline.No_prob ] in
       if level <> Pipeline.Alat then
-        check_identical name level
-          (Pipeline.profile_compile_run ~cache w level)
-          off)
-    levels
-
-(* Every ablation on its own: staged = monolithic on one small kernel at
-   alat. *)
-let test_ablation_differential () =
-  let w = small "mcf" in
-  let cache = Stage.create () in
-  List.iter
-    (fun a ->
-      let ablations = [ a ] in
-      check_identical
-        ("mcf " ^ Pipeline.ablation_name a)
-        Pipeline.Alat
-        (Pipeline.profile_compile_run ~cache ~ablations w Pipeline.Alat)
-        (Pipeline.profile_compile_run_monolithic ~ablations w Pipeline.Alat))
-    Pipeline.all_ablations
+        Alcotest.(check string)
+          (Fmt.str "%s at %s: no-prob is inert" name
+             (Pipeline.level_name level))
+          default no_prob)
+    levels;
+  if name = "mcf" then
+    List.iter
+      (fun a -> ignore (build Pipeline.Alat [ a ]))
+      Pipeline.all_ablations
 
 (* --- ablation routing ---
 
@@ -424,17 +424,10 @@ let test_apply_input_independence () =
 let suite =
   List.map
     (fun name ->
-      Alcotest.test_case (name ^ " staged = monolithic") `Slow
-        (test_differential name))
+      Alcotest.test_case (name ^ " staged = storeless = interpreter") `Slow
+        (test_matches_interpreter name))
     kernels
-  @ List.map
-      (fun name ->
-        Alcotest.test_case (name ^ " --no-prob legacy path") `Slow
-          (test_no_prob_differential name))
-      kernels
-  @ [ Alcotest.test_case "mcf staged = monolithic under each ablation" `Slow
-        test_ablation_differential;
-      Alcotest.test_case "each ablation rebuilds exactly its stages" `Quick
+  @ [ Alcotest.test_case "each ablation rebuilds exactly its stages" `Quick
         test_ablation_routing;
       Alcotest.test_case "compile labels = named ablations" `Quick
         test_labels_are_ablations;
