@@ -19,7 +19,8 @@
    across a batch.  A build is fully described by its level and its
    canonical ablation list, and the store never changes what it builds:
    test_stage holds every build over a shared store to the same target
-   as a storeless rebuild, and its output to the IR interpreter's. *)
+   as a storeless rebuild, and test_e2e holds every level's output to
+   the IR interpreter's. *)
 
 open Srp_ir
 module Alias_profile = Srp_profile.Alias_profile

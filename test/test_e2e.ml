@@ -1,17 +1,43 @@
 (* End-to-end tests: every built-in kernel through the full experiment
-   pipeline on its *train* input (fast), with the headline metrics moving
-   in the right direction.  That every level computes what the
-   interpreter computes is test_stage's per-kernel property. *)
+   pipeline on its *train* input (fast), with every level computing what
+   the interpreter computes and the headline metrics moving in the right
+   direction. *)
 
 open Srp_driver
 module C = Srp_machine.Counters
 
 (* Run one workload on its train input at several levels and return the
-   (level, run_result) pairs. *)
+   (level, run_result) pairs.  Each (workload, level) is run once; later
+   cases asking for it share the result. *)
+let runs = Hashtbl.create 64
+
 let run_train (w : Workload.t) levels =
   (* substitute train for ref so the e2e suite stays fast *)
   let small = { w with Workload.ref_ = w.Workload.train } in
-  List.map (fun l -> (l, Pipeline.profile_compile_run small l)) levels
+  List.map
+    (fun l ->
+      let key = (w.Workload.name, l) in
+      match Hashtbl.find_opt runs key with
+      | Some r -> (l, r)
+      | None ->
+        let r = Pipeline.profile_compile_run small l in
+        Hashtbl.add runs key r;
+        (l, r))
+    levels
+
+(* Every level's output and exit code are the interpreter's on the same
+   input, so all levels agree with one another. *)
+let test_kernel_equivalence name () =
+  let w = Srp_workloads.Registry.find name in
+  let code, out, _ =
+    Test_random.interp_reference ~input:w.Workload.train w.Workload.source
+  in
+  List.iter
+    (fun (l, r) ->
+      let tag what = Fmt.str "%s at %s: %s" name (Pipeline.level_name l) what in
+      Alcotest.(check string) (tag "output") out r.Pipeline.output;
+      Alcotest.(check int64) (tag "exit code") code r.Pipeline.exit_code)
+    (run_train w Pipeline.all_levels)
 
 let test_kernel_improves name () =
   let w = Srp_workloads.Registry.find name in
@@ -100,9 +126,10 @@ let test_ablation_suite_runs_once () =
     Experiments.ablations tables
 
 let kernel_tests =
-  List.map
+  List.concat_map
     (fun name ->
-      Alcotest.test_case (name ^ " loads reduced") `Slow (test_kernel_improves name))
+      [ Alcotest.test_case (name ^ " all levels agree") `Slow (test_kernel_equivalence name);
+        Alcotest.test_case (name ^ " loads reduced") `Slow (test_kernel_improves name) ])
     (Srp_workloads.Registry.names ())
 
 let suite =

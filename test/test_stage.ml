@@ -1,10 +1,10 @@
 (* The staged pipeline and its artifact cache.
 
-   The load-bearing property: every build computes what the program
-   computes, and the store never changes what is built.  For every kernel
-   at every level (and on mcf under each ablation), a build over one
-   shared store yields the same target as a build with no store, and that
-   target's output and exit code are the IR interpreter's.  Around it:
+   The load-bearing property: the store never changes what is built.
+   For every kernel at every level, with and without no-prob (and on mcf
+   under each ablation), a staged build over one shared store yields the
+   same target as the monolithic build with no store; the targets only
+   built here are also held to the IR interpreter.  Around it:
    content-key soundness (QCheck), artifact sharing and store bounds, the
    single-lower guarantee, per-job Stats scopes, and the apply-input
    independence regression. *)
@@ -29,67 +29,94 @@ let kernels =
 let digest (c : Pipeline.compiled) =
   Digest.string (Marshal.to_string c.Pipeline.target [])
 
-(* --- staged = storeless = interpreter ---
+(* --- staged = monolithic ---
 
-   The cells of a kernel are every level with and without no-prob, and
-   on mcf also alat under each ablation alone.  Each cell is built
-   twice: over one store shared by every cell of the kernel, so later
-   cells are served cached lower, apply, profile and promote artifacts,
-   and with no store at all.  The two targets must be the same bytes; a
-   stage that mutated a shared artifact in place (promotion without its
-   clone, say) breaks this on every kernel.  Each distinct target is
-   then simulated once against the interpreter's run of the lowered
-   program on the same input.  At the four levels that speculate on no
-   profile the probability gate is inert, so there the no-prob target
-   is the default one. *)
-let test_matches_interpreter name () =
+   The monolithic build is the compile chain run with no store.  The
+   staged build goes through one store shared by every build of the
+   kernel, so later builds are served cached lower, apply, profile and
+   promote artifacts.  The two must be the same target bytes; a stage
+   that mutated a shared artifact in place (promotion without its clone,
+   say) breaks this on every kernel.  test_e2e's "all levels agree"
+   holds each level's default target to the interpreter; the targets
+   only built here are simulated here against it. *)
+
+type kernel = {
+  name : string; w : Workload.t; cache : Stage.store;
+  staged_profile : Srp_profile.Alias_profile.t;
+  monolithic_profile : Srp_profile.Alias_profile.t }
+
+let kernel name =
   let w = small name in
-  let input = w.Workload.ref_ in
-  let expected_code, expected_out, _ =
-    Test_random.interp_reference ~input w.Workload.source
-  in
   let cache = Stage.create () in
-  let shared_profile = Pipeline.train_profile ~cache w in
-  let storeless_profile = Pipeline.train_profile w in
-  let simulated = Hashtbl.create 16 in
-  let build level ablations =
-    let tag what =
-      Fmt.str "%s at %s [%s]: %s" name (Pipeline.level_name level)
-        (String.concat " " (List.map Pipeline.ablation_name ablations))
-        what
-    in
-    let compile ?cache profile =
-      let profile = if level = Pipeline.Alat then Some profile else None in
-      Pipeline.compile ?cache ?profile ~ablations ~input w level
-    in
-    let shared = compile ~cache shared_profile in
-    let d = digest shared in
-    Alcotest.(check string) (tag "shared store = no store")
-      (digest (compile storeless_profile))
-      d;
-    if not (Hashtbl.mem simulated d) then begin
-      Hashtbl.add simulated d ();
-      let r = Pipeline.run shared in
-      Alcotest.(check string) (tag "output") expected_out r.Pipeline.output;
-      Alcotest.(check int64) (tag "exit code") expected_code
-        r.Pipeline.exit_code
-    end;
-    d
+  { name; w; cache; staged_profile = Pipeline.train_profile ~cache w;
+    monolithic_profile = Pipeline.train_profile w }
+
+let compile ?cache k profile level ablations =
+  let profile = if level = Pipeline.Alat then Some profile else None in
+  Pipeline.compile ?cache ?profile ~ablations ~input:k.w.Workload.ref_ k.w
+    level
+
+let cell k level ablations what =
+  Fmt.str "%s at %s [%s]: %s" k.name (Pipeline.level_name level)
+    (String.concat " " (List.map Pipeline.ablation_name ablations))
+    what
+
+(* The staged build of the cell, checked against its monolithic build. *)
+let staged_build k level ablations =
+  let staged = compile ~cache:k.cache k k.staged_profile level ablations in
+  Alcotest.(check string)
+    (cell k level ablations "staged = monolithic")
+    (digest (compile k k.monolithic_profile level ablations))
+    (digest staged);
+  staged
+
+(* Simulate [c] and check its output and exit code are the
+   interpreter's run of the lowered program on the same input. *)
+let check_interpreter k level ablations c =
+  let code, out, _ =
+    Test_random.interp_reference ~input:k.w.Workload.ref_ k.w.Workload.source
   in
+  let r = Pipeline.run c and tag = cell k level ablations in
+  Alcotest.(check string) (tag "output") out r.Pipeline.output;
+  Alcotest.(check int64) (tag "exit code") code r.Pipeline.exit_code
+
+let test_differential name () =
+  let k = kernel name in
+  List.iter (fun level -> ignore (staged_build k level [])) levels
+
+(* The probability gate: under no-prob the staged build takes the legacy
+   binary-verdict route and must still be the monolithic one.  At every
+   level but Alat the gate is inert (those configs carry no speculation
+   probabilities), so there the no-prob target is the default one; at
+   Alat it is simulated against the interpreter. *)
+let test_no_prob_differential name () =
+  let k = kernel name in
+  let ablations = [ Pipeline.No_prob ] in
   List.iter
     (fun level ->
-      let default = build level [] in
-      let no_prob = build level [ Pipeline.No_prob ] in
-      if level <> Pipeline.Alat then
+      let default = compile ~cache:k.cache k k.staged_profile level [] in
+      let off = staged_build k level ablations in
+      if level = Pipeline.Alat then check_interpreter k level ablations off
+      else
         Alcotest.(check string)
-          (Fmt.str "%s at %s: no-prob is inert" name
-             (Pipeline.level_name level))
-          default no_prob)
-    levels;
-  if name = "mcf" then
-    List.iter
-      (fun a -> ignore (build Pipeline.Alat [ a ]))
-      Pipeline.all_ablations
+          (cell k level ablations "no-prob is inert")
+          (digest default) (digest off))
+    levels
+
+(* Every ablation on its own at alat on one small kernel: staged =
+   monolithic, and each distinct target simulated once against the
+   interpreter. *)
+let test_ablation_differential () =
+  let k = kernel "mcf" in
+  let simulated = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let c = staged_build k Pipeline.Alat [ a ] in
+      if not (Hashtbl.mem simulated (digest c)) then begin
+        Hashtbl.add simulated (digest c) ();
+        check_interpreter k Pipeline.Alat [ a ] c
+      end)
+    Pipeline.all_ablations
 
 (* --- ablation routing ---
 
@@ -424,10 +451,17 @@ let test_apply_input_independence () =
 let suite =
   List.map
     (fun name ->
-      Alcotest.test_case (name ^ " staged = storeless = interpreter") `Slow
-        (test_matches_interpreter name))
+      Alcotest.test_case (name ^ " staged = monolithic") `Slow
+        (test_differential name))
     kernels
-  @ [ Alcotest.test_case "each ablation rebuilds exactly its stages" `Quick
+  @ List.map
+      (fun name ->
+        Alcotest.test_case (name ^ " --no-prob legacy path") `Slow
+          (test_no_prob_differential name))
+      kernels
+  @ [ Alcotest.test_case "mcf staged = monolithic under each ablation" `Slow
+        test_ablation_differential;
+      Alcotest.test_case "each ablation rebuilds exactly its stages" `Quick
         test_ablation_routing;
       Alcotest.test_case "compile labels = named ablations" `Quick
         test_labels_are_ablations;
