@@ -25,8 +25,3 @@ let points_to t ~func ~mty tmp : Location.Set.t =
 
 (* Stable class key for virtual-variable naming. *)
 let class_of_temp t ~func tmp = Steensgaard.class_of_temp t.steens ~func tmp
-
-let may_alias t ~func ~mty1 tmp1 ~mty2 tmp2 =
-  let p1 = points_to t ~func ~mty:mty1 tmp1 in
-  let p2 = points_to t ~func ~mty:mty2 tmp2 in
-  not (Location.Set.is_empty (Location.Set.inter p1 p2))

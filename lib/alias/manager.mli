@@ -12,16 +12,9 @@ type t
     both (both are sound) and apply the type filter. *)
 val build : Program.t -> t
 
-(** Raw points-to set of the pointer value held in a temp of [func]. *)
-val points_to_raw : t -> func:string -> Temp.t -> Location.Set.t
-
 (** Locations an indirect access through the temp with cell type [mty] may
     touch (type filter applied). *)
 val points_to : t -> func:string -> mty:Mem_ty.t -> Temp.t -> Location.Set.t
 
 (** Stable equivalence-class key, used for virtual-variable naming. *)
 val class_of_temp : t -> func:string -> Temp.t -> int
-
-(** May two indirect accesses alias? *)
-val may_alias :
-  t -> func:string -> mty1:Mem_ty.t -> Temp.t -> mty2:Mem_ty.t -> Temp.t -> bool

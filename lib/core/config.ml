@@ -71,8 +71,3 @@ let alat_cascade ~profile = { (alat ~profile) with cascade = true }
 
 let alat_heuristic =
   { conservative with check_style = Alat; policy = Spec_heuristic }
-
-let pp_style ppf = function
-  | No_speculation -> Fmt.string ppf "none"
-  | Software -> Fmt.string ppf "software"
-  | Alat -> Fmt.string ppf "alat"

@@ -2,10 +2,10 @@
     the paper maps onto these knobs.
 
     Only decisions live here.  The machine the promoter prices against —
-    load latencies, the chk.a recovery penalty, the RSE pool and its
-    spill/fill rate — is {!Srp_ir.Machine_model}, the same numbers the
-    simulator charges, so no config can price a different machine than
-    the one that runs the code. *)
+    load latencies, the check issue tax, the chk.a recovery penalty, the
+    RSE pool and its spill price — is {!Srp_ir.Machine_model}, the same
+    numbers the simulator charges, so no config can price a different
+    machine than the one that runs the code. *)
 
 (** How possibly-aliased promotions are protected at run time. *)
 type check_style =
@@ -82,5 +82,3 @@ val alat_cascade : profile:Srp_profile.Alias_profile.t -> t
 
 (** ALAT speculation from static heuristics only (no profile). *)
 val alat_heuristic : t
-
-val pp_style : Format.formatter -> check_style -> unit

@@ -44,41 +44,39 @@ let block_count_fn (config : Config.t) =
     fun ~func ~label_id -> Srp_profile.Alias_profile.block_count p ~func ~label_id
   | Config.Spec_never | Config.Spec_heuristic -> fun ~func:_ ~label_id:_ -> 0
 
-(* Pressure-gated candidate selection (the vpr/twolf fix): assess every
-   candidate without editing, rank by weighted saved latency, and accept
-   greedily — free while the projected co-resident stack (estimator
-   projection + registers already claimed by accepted promotions, across
-   rounds) stays within the RSE pool.  Above the pool, an integer
-   candidate pays the RSE's marginal price: one more frame register costs
-   a spill plus a fill around every overflowing call while the function
-   is resident, so the saved load latency must beat
-   [spill_cost x overflow_calls] — the dynamic call traffic the driver's
-   caller measured from the training profile — not a per-occurrence
-   charge (a load eliminated a thousand times per call amortizes its
-   register; a once-per-call load does not).  Float candidates are not
-   RSE-stacked; past the threshold they keep the occurrence-weighted
-   memory-spill comparison (lat_fp beats a spill round-trip, so fp
-   promotion stays profitable, matching the paper's fp-heavy kernels).
-   Accepted candidates commit through the unchanged [run_expr] in
-   original candidate order, so temp and site generation stay
-   deterministic. *)
+(* The one verdict on a candidate's ledger.  A candidate with no work is
+   declined.  The expected-value gate is the paper's section 3.1 rule,
+   P x recovery < saved latency: a candidate whose nonzero check bill eats
+   its whole saving is declined no matter how empty the register pool is
+   (under the binary verdict the bill is always 0 and this never fires).
+   With a pressure estimate, [pool = (projected, spill_occ)] adds the RSE
+   test: within Machine_model.rse_pool a register is free; above it the
+   net saving must beat Machine_model.spill_cost x [spill_occ]. *)
+let accepts ?pool (a : Ssapre.assessment) =
+  a.Ssapre.as_work
+  && (a.Ssapre.as_bill = 0 || Ssapre.net a > 0)
+  &&
+  match pool with
+  | None -> true
+  | Some (projected, spill_occ) ->
+    projected <= Machine_model.rse_pool
+    || Ssapre.net a > Machine_model.spill_cost * spill_occ
+
 (* Per-candidate scope choice under probability gating.  Each candidate is
    assessed twice: once with the configured threshold (kills up to
    P <= thr crossed speculatively) and once at thr = 0, the binary-verdict
    scope priced under the same check-traffic model.  Every downstream gate
-   — the expected-value rejection, the ranking, the pressure comparison —
-   reads the threshold-scope assessment: that scope is what the policy
-   asked for, and its debit is the candidate's honest price.  The
-   *committed* shape, though, is whichever scope nets more, ties to
-   binary — a probabilistic extension must pay for itself or the
-   candidate keeps its legacy shape.  When even the gate says the
-   speculation loses (as_conflict > 0 and as_benefit <= 0, which the
-   returned assessment preserves), the fallback is scope-aware: a
-   check-free binary scope keeps the plain redundancy elimination (the
-   crossed kills just stay hard), but a binary scope that still carries
-   checks rests on the very traffic estimates the debit just flagged as
-   conflict-heavy, so the candidate stays declined.  The legacy path
-   (prob_gate = None) takes none of this machinery. *)
+   — the verdict, the ranking — reads the threshold-scope ledger: that
+   scope is what the policy asked for, and its bill is the candidate's
+   honest price.  The *committed* shape, though, is whichever scope nets
+   more, ties to binary — a probabilistic extension must pay for itself or
+   the candidate keeps its legacy shape.  When the threshold scope fails
+   the verdict, the fallback is scope-aware: a check-free binary scope
+   keeps the plain redundancy elimination (the crossed kills just stay
+   hard) and is judged on its own ledger, but a binary scope that still
+   carries checks rests on the very traffic estimates the bill just
+   flagged as conflict-heavy, so the candidate stays declined.  The legacy
+   path (prob_gate = None) takes none of this machinery. *)
 let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
     Expr.collect_ctx * Ssapre.assessment =
   let a_p = Ssapre.assess cm_ctx collect f key in
@@ -89,26 +87,28 @@ let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
     let a_b =
       if thr = 0.0 then a_p else Ssapre.assess cm_ctx collect_bin f key
     in
-    if a_p.Ssapre.as_conflict > 0 && a_p.Ssapre.as_benefit <= 0 then
-      if a_b.Ssapre.as_conflict > 0 then
-        (* a_p keeps the EV-rejection condition in force *)
-        (collect_bin, a_p)
-      else (collect_bin, a_b)
-    else if a_p.Ssapre.as_benefit > a_b.Ssapre.as_benefit then (collect, a_p)
+    if not (accepts a_p) then
+      if a_b.Ssapre.as_bill > 0 then (collect_bin, a_p) else (collect_bin, a_b)
+    else if Ssapre.net a_p > Ssapre.net a_b then (collect, a_p)
     else (collect_bin, a_p)
 
-(* Does the expected-value gate decline this assessment outright?  Only a
-   probability-gated candidate can carry a nonzero debit, so the legacy
-   paths never reject. *)
-let ev_rejected (a : Ssapre.assessment) =
-  a.Ssapre.as_conflict > 0 && a.Ssapre.as_benefit <= 0
-
-(* The marginal price of one claimed register over the pool: a spill plus
-   a fill at the RSE's per-register rate.  The float class is not
-   RSE-stacked but keeps the same threshold and price (a memory spill
-   round-trip per occurrence). *)
-let spill_cost = 2 * Machine_model.rse_cycles_per_reg
-
+(* Pressure-gated candidate selection (the vpr/twolf fix): assess every
+   candidate without editing, rank by net saved latency, and accept
+   greedily through [accepts] — free while the projected co-resident
+   stack (estimator projection + registers already claimed by accepted
+   promotions, across rounds) stays within the RSE pool.  Above the pool,
+   an integer candidate pays the RSE's marginal price: one more frame
+   register costs a spill plus a fill around every overflowing call while
+   the function is resident, so [spill_occ] is [overflow_calls] — the
+   dynamic call traffic the driver's caller measured from the training
+   profile — not a per-occurrence charge (a load eliminated a thousand
+   times per call amortizes its register; a once-per-call load does not).
+   Float candidates are not RSE-stacked; past the threshold they keep the
+   occurrence-weighted memory-spill comparison (lat_fp beats a spill
+   round-trip, so fp promotion stays profitable, matching the paper's
+   fp-heavy kernels).  Accepted candidates commit through the unchanged
+   [run_expr] in original candidate order, so temp and site generation
+   stay deterministic. *)
 let select_gated cm_ctx collect f keys ~(est : pressure)
     ~(overflow_calls : int) ~(claimed : int ref * int ref) stats : unit =
   let assessed =
@@ -120,37 +120,21 @@ let select_gated cm_ctx collect f keys ~(est : pressure)
   in
   let ranked =
     List.stable_sort
-      (fun (_, _, _, a) (_, _, _, b) ->
-        Int.compare b.Ssapre.as_benefit a.Ssapre.as_benefit)
+      (fun (_, _, _, a) (_, _, _, b) -> Int.compare (Ssapre.net b) (Ssapre.net a))
       assessed
   in
   let ci, cf = claimed in
   let accepted = Hashtbl.create 8 in
   List.iter
     (fun (i, key, _, asmt) ->
-      if asmt.Ssapre.as_work then begin
-        let counter, base, spill_occ =
-          match key.Expr.mty with
-          | Mem_ty.I64 -> (ci, est.peak_int, overflow_calls)
-          | Mem_ty.F64 -> (cf, est.peak_fp, asmt.Ssapre.as_occ)
-        in
-        let projected = base + !counter + 1 in
-        (* Expected-value gate: [as_benefit] is already net of the
-           candidate's expected check-traffic bill, so the pressure
-           comparison below reads the shared ledger.  A candidate whose
-           debit is nonzero and eats the whole saving fails the paper's
-           inequality P x recovery < saved latency outright — promoting
-           it would trade load latency for ALAT-thrashing check traffic
-           no matter how empty the register pool is.  Under the binary
-           verdict the debit is always 0 and this branch never fires. *)
-        if ev_rejected asmt then ()
-        else if
-          projected <= Machine_model.rse_pool
-          || asmt.Ssapre.as_benefit > spill_cost * spill_occ
-        then begin
-          incr counter;
-          Hashtbl.replace accepted i ()
-        end
+      let counter, base, spill_occ =
+        match key.Expr.mty with
+        | Mem_ty.I64 -> (ci, est.peak_int, overflow_calls)
+        | Mem_ty.F64 -> (cf, est.peak_fp, asmt.Ssapre.as_occ)
+      in
+      if accepts ~pool:(base + !counter + 1, spill_occ) asmt then begin
+        incr counter;
+        Hashtbl.replace accepted i ()
       end)
     ranked;
   List.iter
@@ -260,16 +244,16 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
               | None ->
                 (* No pressure gate (or no estimate for this function):
                    the legacy promote-everything path — but the
-                   expected-value scope choice still applies under
-                   probability gating; it belongs to the prob feature,
-                   not the pressure feature, and composes with
-                   no-pressure.  With prob_gate = None [choose_scope]
-                   returns the input collect and a zero-debit
-                   assessment, so this is the exact legacy path. *)
+                   expected-value verdict still applies under probability
+                   gating; it belongs to the prob feature, not the
+                   pressure feature, and composes with no-pressure.  With
+                   prob_gate = None [choose_scope] returns the input
+                   collect and a zero-bill ledger, so this is the exact
+                   legacy path. *)
                 List.iter
                   (fun key ->
                     let chosen, asmt = choose_scope cm_ctx collect f key in
-                    if not (ev_rejected asmt) then
+                    if accepts asmt then
                       Ssapre.run_expr cm_ctx chosen f key (func_stats f))
                   keys);
               if (func_stats f).Ssapre.exprs_promoted > before then

@@ -43,6 +43,15 @@ val run :
   Srp_ir.Program.t ->
   result
 
+(** The one verdict on a candidate's ledger ({!Ssapre.assessment}): it
+    has work, it passes the expected-value gate (a nonzero check bill
+    must leave a positive net saving, the paper's
+    P x recovery < saved latency), and, given
+    [pool = (projected, spill_occ)], the projected register count stays
+    within {!Srp_ir.Machine_model.rse_pool} or the net saving beats
+    {!Srp_ir.Machine_model.spill_cost} x [spill_occ]. *)
+val accepts : ?pool:int * int -> Ssapre.assessment -> bool
+
 (**/**)
 
 val policy_of_config : Srp_ir.Program.t -> Config.t -> Srp_ssa.Spec_policy.t

@@ -45,17 +45,18 @@ type vdef =
   | VD_store of { node : int; idx : int; src : Ops.operand }
   | VD_phi of phi
 
+(* A speculative kill: (node, idx, software-check info, cascade
+   address-cell, conflict probability — the profiled chance one execution
+   of the kill invalidates the promoted value, 0 under the binary
+   verdict). *)
+type kill = int * int * (Ops.addr * Ops.operand) option * Ops.addr option * float
+
 type vinfo = {
   v_id : int;
   v_def : vdef;
   mutable v_uses : (int * int * Temp.t) list; (* redundant loads *)
-  (* speculative kills crossed while this version was current:
-     (node, idx, software-check info, cascade address-cell, conflict
-     probability — the profiled chance one execution of the kill
-     invalidates the promoted value, 0 under the binary verdict) *)
-  mutable v_spec_kills :
-    (int * int * (Ops.addr * Ops.operand) option * Ops.addr option * float)
-      list;
+  (* speculative kills crossed while this version was current *)
+  mutable v_spec_kills : kill list;
   mutable v_feeds : (phi * bool) list; (* (phi fed, last_real at the edge) *)
   mutable v_lazy : bool; (* reads of this version must be checks *)
   mutable v_need : bool; (* value must materialize in the promotion temp *)
@@ -532,14 +533,68 @@ type codemotion_ctx = {
   site_gen : Site.Gen.t;
 }
 
+(* The check plan of one needed version, derived once for both halves of
+   the driver: how each of its uses is rewritten ([true]: a save, which
+   materializes the value; [false]: a reload of the promotion temp) and
+   which of its speculative kills get a check.  [assess] prices exactly
+   [pl_checks]; [codemotion] walks [pl_uses] and then [pl_checks] in list
+   order, which fixes the order fresh sites are drawn in. *)
+type plan = {
+  pl_v : vinfo;
+  pl_uses : (bool * (int * int * Temp.t)) list;
+  pl_checks : kill list;
+}
+
+let plan_version (a : analysis) (v : vinfo) : plan =
+  match v.v_def with
+  | VD_phi phi when not (wba phi) ->
+    (* The Phi will not be available: its uses must self-materialize.  A
+       use dominated by an earlier save of the same version reloads; the
+       others become saves themselves.  Checks are only useful for kills
+       that some save dominates — a check before any materialization would
+       consult a stale or missing entry on every execution. *)
+    let pos_dominates (n0, i0) (n1, i1) =
+      if n0 = n1 then i0 < i1 else Dominance.strictly_dominates a.dom n0 n1
+    in
+    let after_save saved (node, idx) =
+      List.exists (fun p -> pos_dominates p (node, idx)) saved
+    in
+    let sorted =
+      List.sort
+        (fun (n1, i1, _) (n2, i2, _) ->
+          if n1 = n2 then Int.compare i1 i2 else Int.compare n1 n2)
+        v.v_uses
+    in
+    let saved, uses =
+      List.fold_left
+        (fun (saved, uses) ((node, idx, _) as u) ->
+          if after_save saved (node, idx) then (saved, (false, u) :: uses)
+          else ((node, idx) :: saved, (true, u) :: uses))
+        ([], []) sorted
+    in
+    { pl_v = v; pl_uses = List.rev uses;
+      pl_checks =
+        List.filter (fun (node, idx, _, _, _) -> after_save saved (node, idx))
+          v.v_spec_kills }
+  | VD_load _ | VD_store _ | VD_phi _ ->
+    (* The value is in the temp before every use (materialized at the
+       def, or carried in by the Phi's operand insertions): every use
+       reloads, and every recorded kill sits between the value and a
+       potential use. *)
+    { pl_v = v; pl_uses = List.map (fun u -> (false, u)) v.v_uses;
+      pl_checks = v.v_spec_kills }
+
 (* The analysis half of [run_expr]: everything up to (and including) the
-   any-work decision, with no edits, no fresh temps and no fresh sites —
-   safe to run purely for candidate ranking and discard. *)
+   check plans, with no edits, no fresh temps and no fresh sites — safe
+   to run purely for candidate ranking and discard.  There is work to do
+   exactly when some version is needed, i.e. when [p_plans] is not
+   empty. *)
 type prepared = {
   p_a : analysis;
   p_insert_edges : (int * phi) list;
   p_invala_edges : (int * phi) list;
-  p_any_work : bool;
+  p_plans : plan list; (* one per needed version, in version order *)
+  p_block_count : int -> int; (* training executions of a node *)
 }
 
 let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
@@ -634,140 +689,84 @@ let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
   compute_need a;
   propagate_lazy a;
   compute_arms a ~alat:(ctx.config.Config.check_style = Config.Alat);
-  (* is there anything to do? *)
-  let any_work =
-    List.exists (fun v -> v.v_uses <> []) a.versions
-  in
   { p_a = a; p_insert_edges = !insert_edges; p_invala_edges = !invala_edges;
-    p_any_work = any_work }
+    p_plans =
+      List.filter_map
+        (fun v -> if v.v_need then Some (plan_version a v) else None)
+        a.versions;
+    p_block_count = block_count }
 
-(* Weighted promotion benefit of a prepared candidate: per eliminable use,
-   the load latency its class saves (Machine_model.load_latency: the L1
-   hit for integers, the L1-bypassing FP load for floats), scaled by the
-   training execution count of the use's block when a profile is
-   available, minus the candidate's expected speculation bill
-   [as_conflict] — per check the rewriter would plant, (issue slot +
-   P(conflict) x recovery price) x the check block's training count,
-   rounded up so a nonzero expectation is never priced free.  The recovery
-   price mirrors the machine: a plain ld.c miss re-runs one ordinary load,
-   while a cascade chk.a failure also pays the recovery-flush penalty.
-   The bill is only charged under probability gating, so [as_benefit]
-   degrades to the legacy gross figure exactly on the binary-verdict
-   path; under gating the pressure gate and the expected-value gate read
-   one shared ledger.  [as_occ] is the matching dynamic occurrence
-   estimate, the unit the spill side of the ledger is charged in. *)
-(* Amortized cycles one *executed* check costs even when it hits: a ld.c
-   needs no memory slot and retires in zero latency, but it still occupies
-   bundle space, keeps its ALAT entry live, and feeds the RSE an extra
-   stacked register.  A quarter cycle per execution matches the overhead
-   measured on the kernel suite; whole-cycle charges over-tax checks that
-   ride in otherwise short issue groups. *)
-let check_issue_cost = 0.25
+(* The promotion ledger of one candidate, priced off its check plans.
 
+   [as_saved]: per eliminable use, the load latency its class saves
+   (Machine_model.load_latency: the L1 hit for integers, the L1-bypassing
+   FP load for floats), scaled by the training execution count of the
+   use's block when a profile is available.  [as_occ] is the matching
+   dynamic occurrence estimate, the unit the spill side of the verdict is
+   charged in.
+
+   [as_bill]: the expected speculation bill — per planned check,
+   (Machine_model.check_issue_cost + P(conflict) x recovery price) x the
+   check block's training count, rounded up so a nonzero expectation is
+   never priced free.  The recovery price follows the machine: a plain
+   ld.c miss re-runs one ordinary load, while a cascade chk.a failure also
+   pays Machine_model.check_recovery_penalty.  The bill is charged only
+   under probability gating, so the binary verdict keeps its exact legacy
+   ledger (bill 0).
+
+   [as_work]: some version is needed, so committing would edit the
+   function.  Promote.accepts turns a ledger into the verdict. *)
 type assessment = {
-  as_benefit : int; (* net: gross saved latency - as_conflict *)
-  as_conflict : int; (* expected check-recovery cycles, rounded up *)
+  as_saved : int;
+  as_bill : int;
   as_occ : int;
   as_work : bool;
 }
 
+(* saved latency net of the expected check bill *)
+let net (a : assessment) = a.as_saved - a.as_bill
+
+(* Expected cycles of one execution of a planned check on a cell whose
+   load costs [lat]: the issue tax plus P(conflict) x the recovery
+   price. *)
+let check_price ~lat ((_, _, _, cascade, p) : kill) =
+  let recover =
+    match cascade with
+    | Some _ -> Machine_model.check_recovery_penalty + lat
+    | None -> lat
+  in
+  Machine_model.check_issue_cost +. (p *. float_of_int recover)
+
 let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) : assessment =
   let p = prepare ctx collect f key in
-  let a = p.p_a in
-  let fname = Func.name f in
-  let block_count node =
-    ctx.profile_hot ~func:fname ~label_id:(Label.id (Cfg.label a.cfg node))
+  let weight node =
+    Srp_ssa.Spec_policy.occurrence_weight collect.Expr.policy
+      ~block_count:(p.p_block_count node)
   in
-  let policy = collect.Expr.policy in
   let lat = Machine_model.load_latency key.Expr.mty in
-  let benefit = ref 0 in
   let occ = ref 0 in
-  let conflict = ref 0.0 in
+  let bill = ref 0.0 in
   List.iter
-    (fun v ->
-      List.iter
-        (fun (node, _, _) ->
-          let w =
-            Srp_ssa.Spec_policy.occurrence_weight policy
-              ~block_count:(block_count node)
-          in
-          occ := !occ + w;
-          benefit := !benefit + (w * lat))
-        v.v_uses;
-      (* Expected speculation bill, mirrored off the exact check set
-         [codemotion] plants: needed versions only, and a non-WBA Phi
-         version checks only the kills some save dominates (its uses
-         self-materialize, so a check before any save would consult a
-         stale entry).  Pricing follows the machine: every executed
-         check occupies an issue slot, and a conflicting one
-         additionally pays the real recovery price — a plain ld.c miss
-         is one ordinary reload, only a cascade chk.a trips the
-         recovery-flush penalty.  The bill is charged only under
-         probability gating so the binary verdict keeps its exact
-         legacy ledger. *)
-      if v.v_need && collect.Expr.prob_gate <> None then begin
-        let pos_dominates (n0, i0) (n1, i1) =
-          if n0 = n1 then i0 < i1
-          else Dominance.strictly_dominates a.dom n0 n1
-        in
-        let checked =
-          match v.v_def with
-          | VD_load _ | VD_store _ -> v.v_spec_kills
-          | VD_phi phi when wba phi -> v.v_spec_kills
-          | VD_phi _ ->
-            let uses =
-              List.sort
-                (fun (n1, i1, _) (n2, i2, _) ->
-                  if n1 = n2 then Int.compare i1 i2 else Int.compare n1 n2)
-                v.v_uses
-            in
-            let saved = ref [] in
-            List.iter
-              (fun (node, idx, _) ->
-                if
-                  not
-                    (List.exists (fun p -> pos_dominates p (node, idx)) !saved)
-                then saved := (node, idx) :: !saved)
-              uses;
-            List.filter
-              (fun (node, idx, _, _, _) ->
-                List.exists (fun p -> pos_dominates p (node, idx)) !saved)
-              v.v_spec_kills
-        in
+    (fun pl ->
+      List.iter (fun (_, (node, _, _)) -> occ := !occ + weight node) pl.pl_uses;
+      if collect.Expr.prob_gate <> None then
         List.iter
-          (fun (node, _, _, cascade, p) ->
-            let w =
-              Srp_ssa.Spec_policy.occurrence_weight policy
-                ~block_count:(block_count node)
-            in
-            let recover =
-              match cascade with
-              | Some _ -> Machine_model.check_recovery_penalty + lat
-              | None -> lat
-            in
-            conflict :=
-              !conflict
-              +. (float_of_int w
-                 *. (check_issue_cost +. (p *. float_of_int recover))))
-          checked
-      end)
-    a.versions;
-  let conflict = int_of_float (Float.ceil !conflict) in
-  { as_benefit = !benefit - conflict; as_conflict = conflict; as_occ = !occ;
-    as_work = p.p_any_work }
+          (fun ((node, _, _, _, _) as k) ->
+            bill := !bill +. (float_of_int (weight node) *. check_price ~lat k))
+          pl.pl_checks)
+    p.p_plans;
+  { as_saved = !occ * lat; as_bill = int_of_float (Float.ceil !bill);
+    as_occ = !occ; as_work = p.p_plans <> [] }
 
-(* The rewriting half: commit a prepared candidate's edits to the
+(* The rewriting half: commit a prepared candidate's plans to the
    function.  Must run against the same function state [prepare] saw. *)
-let codemotion (ctx : codemotion_ctx) (_collect : Expr.collect_ctx)
-    (f : Func.t) (key : Expr.key) (stats : stats) (p : prepared) : unit =
+let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
+    (stats : stats) (p : prepared) : unit =
   let a = p.p_a in
   let cfg = a.cfg in
-  let dom = a.dom in
   let n = Cfg.num_nodes cfg in
-  let insert_edges = ref p.p_insert_edges in
-  let invala_edges = ref p.p_invala_edges in
-  if p.p_any_work then begin
+  if p.p_plans <> [] then begin
     stats.exprs_promoted <- stats.exprs_promoted + 1;
     let mty = key.Expr.mty in
     let addr = Expr.addr_of_key key in
@@ -811,14 +810,14 @@ let codemotion (ctx : codemotion_ctx) (_collect : Expr.collect_ctx)
           stats.loads_inserted <- stats.loads_inserted + 1;
           if promo = Instr.P_ld_sa then stats.ld_sa_inserted <- stats.ld_sa_inserted + 1
         end)
-      !insert_edges;
+      p.p_insert_edges;
     List.iter
       (fun (pred, phi) ->
         if phi_needed phi then begin
           (edit pred).at_end <- (edit pred).at_end @ [ Instr.Invala { dst = t_e } ];
           stats.invala_inserted <- stats.invala_inserted + 1
         end)
-      !invala_edges;
+      p.p_invala_edges;
     (* per-version rewrites *)
     let count_elim site =
       (match key.Expr.base with
@@ -856,119 +855,79 @@ let codemotion (ctx : codemotion_ctx) (_collect : Expr.collect_ctx)
       else add_replace (edit node) idx [ Instr.Mov { dst; src = Ops.Temp t_e } ];
       count_elim site
     in
-    (* position dominance: (n0,i0) strictly before and dominating (n1,i1) *)
-    let pos_dominates (n0, i0) (n1, i1) =
-      if n0 = n1 then i0 < i1 else Dominance.strictly_dominates dom n0 n1
+    let emit_check (node, idx, store_info, cascade_cell, _prob) =
+      match ctx.config.Config.check_style with
+      | Config.Alat -> (
+        match cascade_cell with
+        | Some _ -> (
+          (* Cascade crossing (Figure 4): the kill is the pointer's own
+             check statement.  Upgrade it in place to chk.a; its recovery
+             routine reloads the pointer (the generic part of chk.a
+             lowering) and then our data cell, re-arming both entries.  A
+             chk.a hit means the pointer did not change, so the promoted
+             data value is still addressed correctly (data aliasing has its
+             own ld.c checks). *)
+          match instr_at node idx with
+          | Instr.Check
+              { dst = pdst; addr = paddr; mty = pmty; site = psite; kind = _;
+                recovery = prev } ->
+            add_replace (edit node) idx
+              [ Instr.Check
+                  { dst = pdst; addr = paddr; mty = pmty; site = psite;
+                    kind = Instr.C_chk_a { clear = false };
+                    recovery =
+                      prev
+                      @ [ Instr.Load
+                            { dst = t_e; addr; mty; site = fresh_site ();
+                              promo = Instr.P_ld_a } ] } ];
+            stats.chk_a_inserted <- stats.chk_a_inserted + 1
+          | _ -> () (* the pointer check moved; stay conservative *))
+        | None ->
+          add_after (edit node) idx
+            [ Instr.Check
+                { dst = t_e; addr; mty; site = fresh_site ();
+                  kind = Instr.C_ld_c { clear = false }; recovery = [] } ];
+          stats.checks_inserted <- stats.checks_inserted + 1)
+      | Config.Software -> (
+        match store_info with
+        | Some (store_addr, stored) ->
+          add_after (edit node) idx
+            [ Instr.Sw_check
+                { dst = t_e; addr; store_addr; stored; mty; site = fresh_site () } ];
+          stats.sw_checks_inserted <- stats.sw_checks_inserted + 1
+        | None -> ())
+      | Config.No_speculation -> ()
     in
     List.iter
-      (fun v ->
-        if v.v_need then begin
-          (* materialize the defining occurrence *)
-          (match v.v_def with
-          | VD_load { node; idx; dst } -> rewrite_save v node idx dst
-          | VD_store { node; idx; src } ->
-            if v.v_arm && alat then begin
-              (* arm after the store with an advanced load (Figure 1(b)) *)
-              stats.arms <- stats.arms + 1;
-              add_after (edit node) idx
-                [ Instr.Load
-                    { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ]
-            end
-            else add_after (edit node) idx [ Instr.Mov { dst = t_e; src } ];
-            List.iter (fun (node, idx, dst) -> rewrite_reload v node idx dst) v.v_uses
-          | VD_phi phi when wba phi ->
-            (* value arrives in t_e via operand insertions/materializations *)
-            List.iter (fun (node, idx, dst) -> rewrite_reload v node idx dst) v.v_uses
-          | VD_phi _ -> ());
-          let emit_check (node, idx, store_info, cascade_cell, _prob) =
-            match ctx.config.Config.check_style with
-            | Config.Alat -> (
-              match cascade_cell with
-              | Some _ -> (
-                (* Cascade crossing (Figure 4): the kill is the pointer's
-                   own check statement.  Upgrade it in place to chk.a; its
-                   recovery routine reloads the pointer (the generic part
-                   of chk.a lowering) and then our data cell, re-arming
-                   both entries.  A chk.a hit means the pointer did not
-                   change, so the promoted data value is still addressed
-                   correctly (data aliasing has its own ld.c checks). *)
-                match instr_at node idx with
-                | Instr.Check
-                    { dst = pdst; addr = paddr; mty = pmty; site = psite;
-                      kind = _; recovery = prev } ->
-                  add_replace (edit node) idx
-                    [ Instr.Check
-                        { dst = pdst; addr = paddr; mty = pmty; site = psite;
-                          kind = Instr.C_chk_a { clear = false };
-                          recovery =
-                            prev
-                            @ [ Instr.Load
-                                  { dst = t_e; addr; mty; site = fresh_site ();
-                                    promo = Instr.P_ld_a } ] } ];
-                  stats.chk_a_inserted <- stats.chk_a_inserted + 1
-                | _ -> () (* the pointer check moved; stay conservative *))
-              | None ->
-                add_after (edit node) idx
-                  [ Instr.Check
-                      { dst = t_e; addr; mty; site = fresh_site ();
-                        kind = Instr.C_ld_c { clear = false }; recovery = [] } ];
-                stats.checks_inserted <- stats.checks_inserted + 1)
-            | Config.Software -> (
-              match store_info with
-              | Some (store_addr, stored) ->
-                add_after (edit node) idx
-                  [ Instr.Sw_check
-                      { dst = t_e; addr; store_addr; stored; mty;
-                        site = fresh_site () } ];
-                stats.sw_checks_inserted <- stats.sw_checks_inserted + 1
-              | None -> ())
-            | Config.No_speculation -> ()
-          in
-          match v.v_def with
-          | VD_load _ | VD_store _ ->
-            (* uses were rewritten above against the def's materialization;
-               every recorded kill sits between the def and a potential use *)
-            (match v.v_def with
-            | VD_load _ ->
-              List.iter (fun (node, idx, dst) -> rewrite_reload v node idx dst) v.v_uses
-            | _ -> ());
-            List.iter emit_check v.v_spec_kills
-          | VD_phi phi when wba phi ->
-            List.iter (fun (node, idx, dst) -> rewrite_reload v node idx dst) v.v_uses;
-            List.iter emit_check v.v_spec_kills
-          | VD_phi _ ->
-            (* The Phi will not be available: its uses must self-materialize.
-               A use dominated by an earlier save of the same version
-               reloads; the others become saves themselves.  Checks are only
-               useful for kills that some save dominates — a check before
-               any materialization would consult a stale or missing entry
-               on every execution. *)
-            let uses =
-              List.sort
-                (fun (n1, i1, _) (n2, i2, _) ->
-                  if n1 = n2 then Int.compare i1 i2 else Int.compare n1 n2)
-                v.v_uses
-            in
-            let saved = ref [] in
-            List.iter
-              (fun (node, idx, dst) ->
-                if List.exists (fun p -> pos_dominates p (node, idx)) !saved
-                then rewrite_reload v node idx dst
-                else begin
-                  rewrite_save v node idx dst;
-                  saved := (node, idx) :: !saved
-                end)
-              uses;
-            List.iter
-              (fun ((node, idx, _, _, _) as kill) ->
-                if List.exists (fun p -> pos_dominates p (node, idx)) !saved then
-                  emit_check kill)
-              v.v_spec_kills
-        end)
-      a.versions;
+      (fun pl ->
+        let v = pl.pl_v in
+        (* materialize the defining occurrence *)
+        (match v.v_def with
+        | VD_load { node; idx; dst } -> rewrite_save v node idx dst
+        | VD_store { node; idx; src } ->
+          if v.v_arm && alat then begin
+            (* arm after the store with an advanced load (Figure 1(b)) *)
+            stats.arms <- stats.arms + 1;
+            add_after (edit node) idx
+              [ Instr.Load
+                  { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ]
+          end
+          else add_after (edit node) idx [ Instr.Mov { dst = t_e; src } ]
+        | VD_phi phi when wba phi ->
+          (* The eliminated-load counters count each reload of a
+             will-be-avail Phi version twice; the committed Figure 9
+             figures carry that count. *)
+          List.iter (fun (_, (node, idx, _)) -> count_elim (load_site node idx)) pl.pl_uses
+        | VD_phi _ -> ());
+        List.iter
+          (fun (save, (node, idx, dst)) ->
+            if save then rewrite_save v node idx dst else rewrite_reload v node idx dst)
+          pl.pl_uses;
+        List.iter emit_check pl.pl_checks)
+      p.p_plans;
     apply_edits cfg edits
   end
 
 let run_expr (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) (stats : stats) : unit =
-  codemotion ctx collect f key stats (prepare ctx collect f key)
+  codemotion ctx f key stats (prepare ctx collect f key)

@@ -21,13 +21,34 @@ let promote_stats (r : Pipeline.run_result) : Srp_core.Ssapre.stats =
   | Some p -> p.Srp_core.Promote.stats
   | None -> Srp_core.Ssapre.empty_stats ()
 
+(* A count read from the environment: unset or empty is [default];
+   any other value must be an integer >= [min], or the error names the
+   variable and the value.  [lookup] stands in for the environment in
+   tests. *)
+let env_count ?(lookup = Sys.getenv_opt) var ~default ~min =
+  match lookup var with
+  | None | Some "" -> Ok default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Fmt.str "%s=%S: expected an integer >= %d" var s min))
+
+(* The pool size: SRP_BENCH_JOBS when set (mostly for exercising the
+   multi-domain path on single-core machines), else the runtime's
+   recommended domain count. *)
+let bench_jobs ?lookup () =
+  env_count ?lookup "SRP_BENCH_JOBS"
+    ~default:(Domain.recommended_domain_count ()) ~min:1
+
 (* The worker-domain pool the suite (and `srp serve`) fans out on: hand
    task indices out by an atomic ticket counter, land every result in its
    submission slot so output order never depends on domain scheduling.
-   The calling domain works too; SRP_BENCH_JOBS overrides the pool size
-   (mostly for exercising the multi-domain path on single-core
-   machines). *)
+   The calling domain works too.  A malformed SRP_BENCH_JOBS fails with
+   the message naming it. *)
 let pool_map ~(ntasks : int) (f : int -> 'a) : ('a, exn) result array =
+  let jobs =
+    match bench_jobs () with Ok j -> j | Error msg -> failwith msg
+  in
   let slots = Array.make ntasks None in
   let next = Atomic.make 0 in
   let worker () =
@@ -45,11 +66,6 @@ let pool_map ~(ntasks : int) (f : int -> 'a) : ('a, exn) result array =
                     (fun () -> f i))
              with e -> Error e)
     done
-  in
-  let jobs =
-    match Sys.getenv_opt "SRP_BENCH_JOBS" with
-    | Some s -> ( match int_of_string_opt s with Some j when j > 0 -> j | _ -> 1 )
-    | None -> Domain.recommended_domain_count ()
   in
   let helpers = max 0 (min (ntasks - 1) (jobs - 1)) in
   let domains = List.init helpers (fun _ -> Domain.spawn worker) in

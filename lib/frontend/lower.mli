@@ -16,9 +16,6 @@ exception Lower_error of string
     itself for {!Lower_error}.  [None] for every other exception. *)
 val error_message : exn -> string option
 
-(** Lower one elaborated program. *)
-val lower_program : Typed_ast.tprogram -> Srp_ir.Program.t
-
 (** Parse, typecheck, lower, split critical edges, and verify.  Critical
     edges are split here — before any profiling run — so the block set
     (hence the profile's block counts) is identical between the profiling

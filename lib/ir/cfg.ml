@@ -60,11 +60,3 @@ let index_of_label t l =
   | None -> Fmt.invalid_arg "Cfg.index_of_label: unreachable %s" (Label.to_string l)
 
 let entry_index (_ : t) = 0
-
-(* Nodes with no successors (return blocks). *)
-let exit_indices t =
-  let acc = ref [] in
-  for i = num_nodes t - 1 downto 0 do
-    if t.succs.(i) = [] then acc := i :: !acc
-  done;
-  !acc

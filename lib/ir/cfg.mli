@@ -29,6 +29,3 @@ val func : t -> Func.t
 val index_of_label : t -> Label.t -> int
 
 val entry_index : t -> int
-
-(** Nodes with no successors (return blocks). *)
-val exit_indices : t -> int list

@@ -1,7 +1,9 @@
 (* The modeled machine: every latency, port, penalty and pool size the
-   simulator charges, defined once.  The simulator (srp_machine) executes
-   from these numbers, the list scheduler (srp_target) schedules against
-   them, and the promoter's cost model (srp_core) prices from them, so the
+   simulator charges, defined once, plus the two prices the promoter's
+   ledger adds on top (the check issue tax and the register round trip,
+   at the end).  The simulator (srp_machine) executes from these numbers,
+   the list scheduler (srp_target) schedules against them, and the
+   promoter's cost model (srp_core) prices only from them, so the
    compiler's prices cannot drift from the machine's charges.  Facts about
    individual opcodes (result latencies, issue classes) live next to the
    opcodes in Srp_target.Insn; the bundle templates live in
@@ -58,3 +60,19 @@ let rse_pool = 24
 (* backing-store traffic: cycles per register spilled, and per register
    filled back *)
 let rse_cycles_per_reg = 1
+
+(* --- promotion prices derived from the machine --- *)
+
+(* Amortized cycles one *executed* check costs even when it hits: a ld.c
+   needs no memory slot and retires in zero latency, but it still occupies
+   bundle space, keeps its ALAT entry live, and feeds the RSE an extra
+   stacked register.  A quarter cycle per execution matches the overhead
+   measured on the kernel suite; whole-cycle charges over-tax checks that
+   ride in otherwise short issue groups. *)
+let check_issue_cost = 0.25
+
+(* The marginal price of one register claimed over the RSE pool: a spill
+   plus a fill at the RSE's per-register rate.  The float class is not
+   RSE-stacked but is charged the same round trip (a memory spill and
+   reload per occurrence). *)
+let spill_cost = 2 * rse_cycles_per_reg

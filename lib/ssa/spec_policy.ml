@@ -152,8 +152,6 @@ let store_may_touch t ~site ~n_targets loc =
 let call_may_touch t ~callee ~site loc =
   call_conflict_prob t ~callee ~site loc > 0.0
 
-let is_profiled t = match t.mode with Profile _ -> true | Never | Heuristic -> false
-
 (* --- cost-model inputs threaded to the promoter --- *)
 
 (* How many dynamic executions one static occurrence stands for.  With a

@@ -41,8 +41,6 @@ val store_may_touch : t -> site:Site.t -> n_targets:int -> Srp_alias.Location.t 
     [call_conflict_prob > 0]. *)
 val call_may_touch : t -> callee:string -> site:Site.t -> Srp_alias.Location.t -> bool
 
-val is_profiled : t -> bool
-
 (** How many dynamic executions one static occurrence stands for: the
     training block count under a profile (0 for a never-executed block),
     1 per occurrence otherwise. *)

@@ -10,8 +10,6 @@ val create : int -> t
 
 val copy : t -> t
 
-val next_int64 : t -> int64
-
 (** Uniform in [0, bound).  @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
 

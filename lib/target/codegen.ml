@@ -423,10 +423,10 @@ let rec flush_recovery ctx =
    Selection, register allocation, block layout and bundling are separate
    functions over explicit intermediate records so the staged pipeline
    (lib/driver) can cache each phase's output under its own
-   content-addressed key.  [gen_func] composes the phases exactly as the
-   old fused driver did; none of the phase functions mutates its input
-   record or the arrays it carries, so cached intermediates can feed any
-   number of downstream builds. *)
+   content-addressed key; [gen_program] runs the same chain uncached.
+   None of the phase functions mutates its input record or the arrays it
+   carries, so cached intermediates can feed any number of downstream
+   builds. *)
 
 let round8 n = (n + 7) / 8 * 8
 
@@ -683,27 +683,6 @@ let bundle_func (a : allocated) : Insn.func =
 
 let flat_func (a : allocated) : Insn.func = func_of_allocated a ~bundles:None
 
-let gen_func ?(layout = true) ?(sched = true) ?(bundle = true)
-    ?(ra = Regalloc.default_policy) (f : Func.t) : Insn.func =
-  let s = select_func f in
-  let a = alloc_func ~ra s in
-  let a = if layout then layout_func a else a in
-  let a = if sched then sched_func a else a in
-  if bundle then bundle_func a else flat_func a
-
-let gen_program ?(layout = true) ?(sched = true) ?(bundle = true)
-    ?(ra = Regalloc.default_policy) (prog : Program.t) : Insn.program =
-  let funcs = Hashtbl.create 16 in
-  Srp_obs.Stats.time ~pass:"target" "codegen" (fun () ->
-      List.iter
-        (fun f ->
-          Hashtbl.replace funcs (Func.name f)
-            (gen_func ~layout ~sched ~bundle ~ra f))
-        (Program.funcs prog));
-  { Insn.funcs;
-    func_order = prog.Program.func_order;
-    globals = Program.globals prog }
-
 (* Program-level phase drivers for the staged pipeline: each maps its
    per-function phase over a list in [func_order], so the driver can cache
    the whole program's intermediate under one stage key. *)
@@ -735,3 +714,11 @@ let assemble_program (prog : Program.t) (fns : Insn.func list) : Insn.program
   { Insn.funcs;
     func_order = prog.Program.func_order;
     globals = Program.globals prog }
+
+(* The whole chain in one call, for callers with no stage store: the same
+   program-level phases the staged pipeline caches one by one. *)
+let gen_program ?(layout = true) ?(sched = true) ?(bundle = true) ?ra
+    (prog : Program.t) : Insn.program =
+  let al = alloc_program ?ra (select_program prog) in
+  let al = if layout then layout_program al else al in
+  assemble_program prog (bundle_program ~sched ~bundle al)

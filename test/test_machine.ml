@@ -702,33 +702,124 @@ let test_charge_rse_overflow () =
     charge
     (over.Counters.cycles - fits.Counters.cycles)
 
-(* The promoter's benefit side: g + g has one redundant integer load,
-   weight 1 without a profile, credited with the machine's L1 hit. *)
-let test_charge_assess_l1 () =
-  let prog =
-    Srp_frontend.Lower.compile_source
-      "int g; int main() { print_int(g + g); return 0; }"
-  in
+(* The promoter's ledger for the direct candidate on the global g in
+   [src]'s main, under [config] (whose [profile], if any, supplies the
+   block counts) with optional probability gate [prob_gate]. *)
+let global_g prog =
+  fst
+    (List.find
+       (fun (s, _) -> Srp_ir.Symbol.name s = "g")
+       (Srp_ir.Program.globals prog))
+
+let assess_g ~config ?profile ?prob_gate src =
+  let prog = Srp_frontend.Lower.compile_source src in
   let f = Srp_ir.Program.find_func prog "main" in
-  let config = Srp_core.Config.conservative in
   let mgr = Srp_alias.Manager.build prog in
   let collect =
     { Srp_core.Expr.mgr; modref = Srp_alias.Modref.compute mgr prog;
       policy = Srp_core.Promote.policy_of_config prog config;
-      style = config.Srp_core.Config.check_style; cascade = false;
-      prob_gate = None; cfg = Srp_ir.Cfg.build f }
+      style = config.Srp_core.Config.check_style; cascade = false; prob_gate;
+      cfg = Srp_ir.Cfg.build f }
   in
   let ctx =
-    { Srp_core.Ssapre.config; profile_hot = (fun ~func:_ ~label_id:_ -> 0);
+    { Srp_core.Ssapre.config;
+      profile_hot =
+        (match profile with
+        | Some p -> Srp_profile.Alias_profile.block_count p
+        | None -> fun ~func:_ ~label_id:_ -> 0);
       site_gen = prog.Srp_ir.Program.site_gen }
   in
-  match Srp_core.Expr.candidates ~indirect:false f with
-  | [ key ] ->
-    let a = Srp_core.Ssapre.assess ctx collect f key in
-    Alcotest.(check int) "one eliminated use" 1 a.Srp_core.Ssapre.as_occ;
-    Alcotest.(check int) "credited lat_l1" Model.lat_l1
-      a.Srp_core.Ssapre.as_benefit
-  | keys -> Alcotest.failf "expected one candidate, got %d" (List.length keys)
+  let is_g (k : Srp_core.Expr.key) =
+    match k.Srp_core.Expr.base with
+    | Ops.Sym s -> Srp_ir.Symbol.name s = "g"
+    | Ops.Reg _ -> false
+  in
+  match List.filter is_g (Srp_core.Expr.candidates ~indirect:false f) with
+  | [ key ] -> Srp_core.Ssapre.assess ctx collect f key
+  | keys -> Alcotest.failf "expected one candidate on g, got %d" (List.length keys)
+
+(* The promoter's benefit side: g + g has one redundant integer load,
+   weight 1 without a profile, credited with the machine's L1 hit. *)
+let test_charge_assess_l1 () =
+  let a =
+    assess_g ~config:Srp_core.Config.conservative
+      "int g; int main() { print_int(g + g); return 0; }"
+  in
+  Alcotest.(check int) "one eliminated use" 1 a.Srp_core.Ssapre.as_occ;
+  Alcotest.(check int) "credited lat_l1" Model.lat_l1 (Srp_core.Ssapre.net a)
+
+(* The promoter's bill side.  In one straight-line block of weight [w],
+   g is loaded, a store through p (which may point at g or h) runs, and g
+   is loaded again: one redundant use, one speculated kill.  The profile
+   says the store touches g on [hits] of its [execs] executions, so
+   P = hits / execs, and the ledger must bill
+   ceil(w x (check_issue_cost + P x lat_l1)) against the w x lat_l1 the
+   reload saves.  The verdict declines exactly when the bill eats the
+   saving, and the committed promotion follows the verdict: one ld.c
+   check when accepted, none when declined. *)
+let test_charge_assess_check () =
+  let src =
+    "int g; int h; int *p;
+     int main() { int x; p = &g; p = &h; x = g; *p = 1; x = x + g;
+    \  print_int(x); return 0; }"
+  in
+  let w = 10 and execs = 8 in
+  let profile hits =
+    let prog = Srp_frontend.Lower.compile_source src in
+    let f = Srp_ir.Program.find_func prog "main" in
+    let p = Srp_profile.Alias_profile.create () in
+    List.iter
+      (fun b ->
+        Srp_profile.Alias_profile.add_block_count p ~func:"main"
+          ~label_id:(Srp_ir.Label.id b.Srp_ir.Block.label) w)
+      (Srp_ir.Func.blocks f);
+    Srp_ir.Func.iter_instrs
+      (fun _ ins ->
+        match ins with
+        | Srp_ir.Instr.Store { addr = { Ops.base = Ops.Reg _; _ }; site; _ } ->
+          let g = global_g prog in
+          Srp_profile.Alias_profile.add_count p site execs;
+          Srp_profile.Alias_profile.add_hits p site (Srp_alias.Location.Sym g) hits
+        | _ -> ())
+      f;
+    p
+  in
+  let verdicts =
+    List.init (execs + 1) (fun hits ->
+        let profile = profile hits in
+        let config = Srp_core.Config.alat ~profile in
+        let a = assess_g ~config ~profile ~prob_gate:1.0 src in
+        let prob = float_of_int hits /. float_of_int execs in
+        let bill =
+          int_of_float
+            (Float.ceil
+               (float_of_int w
+               *. (Model.check_issue_cost +. (prob *. float_of_int Model.lat_l1))))
+        in
+        let tag = Fmt.str "P = %d/%d: %s" hits execs in
+        Alcotest.(check int) (tag "saved") (w * Model.lat_l1) a.Srp_core.Ssapre.as_saved;
+        Alcotest.(check int) (tag "bill") bill a.Srp_core.Ssapre.as_bill;
+        let accept = (w * Model.lat_l1) - bill > 0 in
+        Alcotest.(check bool) (tag "verdict") accept (Srp_core.Promote.accepts a);
+        let prog = Srp_frontend.Lower.compile_source src in
+        let r = Srp_core.Promote.run ~config prog in
+        Alcotest.(check int) (tag "committed checks")
+          (if accept then 1 else 0)
+          r.Srp_core.Promote.stats.Srp_core.Ssapre.checks_inserted;
+        accept)
+  in
+  Alcotest.(check (list bool)) "accepts up to P = 6/8, declines from 7/8"
+    (List.init (execs + 1) (fun hits -> hits < 7))
+    verdicts;
+  (* A cascade chk.a failure also pays the recovery flush. *)
+  let cell =
+    { Ops.base = Ops.Sym (global_g (Srp_frontend.Lower.compile_source src));
+      offset = 0 }
+  in
+  Alcotest.(check (float 0.0)) "cascade check price"
+    (Model.check_issue_cost
+    +. (0.25 *. float_of_int (Model.check_recovery_penalty + Model.lat_l1)))
+    (Srp_core.Ssapre.check_price ~lat:Model.lat_l1 (0, 0, None, Some cell, 0.25))
 
 (* --- machine vs interpreter differential on hand-written programs --- *)
 
@@ -889,6 +980,7 @@ let suite =
     Alcotest.test_case "charge: chk.a recovery" `Quick test_charge_check_recovery;
     Alcotest.test_case "charge: rse overflow" `Quick test_charge_rse_overflow;
     Alcotest.test_case "charge: promoter prices lat_l1" `Quick test_charge_assess_l1;
+    Alcotest.test_case "charge: promoter prices a check" `Quick test_charge_assess_check;
     Alcotest.test_case "machine arith (vs interp)" `Quick test_machine_arith;
     Alcotest.test_case "machine control flow (vs interp)" `Quick test_machine_control;
     Alcotest.test_case "machine heap/structs (vs interp)" `Quick test_machine_heap_structs;

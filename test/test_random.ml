@@ -10,6 +10,7 @@ module Promote = Srp_core.Promote
 module Pipeline = Srp_driver.Pipeline
 module Stage = Srp_driver.Stage
 module Workload = Srp_driver.Workload
+module Experiments = Srp_driver.Experiments
 
 (* The IR interpreter's run of [src] on [input]: the exit code and
    output every build of it must reproduce, and its alias profile. *)
@@ -113,18 +114,6 @@ let test_matrix_batch lo hi () =
     run_seed_matrix seed
   done
 
-(* A count read from the environment: unset or empty is [default];
-   any other value must be an integer >= [min], or the error names the
-   variable and the value.  [lookup] stands in for the environment in
-   the parse test. *)
-let env_count ?(lookup = Sys.getenv_opt) var ~default ~min =
-  match lookup var with
-  | None | Some "" -> Ok default
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | _ -> Error (Fmt.str "%s=%S: expected an integer >= %d" var s min))
-
 (* The count for a test name: a malformed value shows as "?" and fails
    the test that reads it. *)
 let count_label = Result.fold ~ok:string_of_int ~error:(fun _ -> "?")
@@ -138,7 +127,7 @@ let test_env_count () =
       Alcotest.(check (result int string))
         (Fmt.str "%a (min %d)" Fmt.(Dump.option Dump.string) value min)
         expected
-        (env_count ~lookup:(fun _ -> value) "SRP_N" ~default:6 ~min))
+        (Experiments.env_count ~lookup:(fun _ -> value) "SRP_N" ~default:6 ~min))
     [ (None, 1, Ok 6); (Some "", 1, Ok 6); (Some "150", 1, Ok 150);
       (Some "0", 0, Ok 0); (Some "150 ", 0, expect_error "150 " 0);
       (Some "abc", 0, expect_error "abc" 0); (Some "-3", 0, expect_error "-3" 0);
@@ -151,7 +140,7 @@ let test_env_count () =
    ablation to every matrix entry (e.g. no-split focuses the sweep on
    the closed-interval allocator), so each ablation can get its own CI
    soak; an unknown name fails the sweep. *)
-let fuzz_iters = env_count "SRP_FUZZ_ITERS" ~default:0 ~min:0
+let fuzz_iters = Experiments.env_count "SRP_FUZZ_ITERS" ~default:0 ~min:0
 
 let fuzz_combos () =
   match Sys.getenv_opt "SRP_FUZZ_ABLATION" with

@@ -310,7 +310,23 @@ let test_ablation_key_canonical () =
    interpreter's.  SRP_SOAK_JOBS scales the batch (the CI soak job sets
    200; a malformed or non-positive count fails the soak); the default
    keeps `dune runtest` fast. *)
-let soak_jobs = Test_random.env_count "SRP_SOAK_JOBS" ~default:6 ~min:1
+let soak_jobs = Experiments.env_count "SRP_SOAK_JOBS" ~default:6 ~min:1
+
+(* The pool size: unset keeps the runtime's domain count; a malformed or
+   non-positive SRP_BENCH_JOBS is an error naming it. *)
+let test_bench_jobs () =
+  let error value =
+    Error (Fmt.str "SRP_BENCH_JOBS=%S: expected an integer >= 1" value)
+  in
+  List.iter
+    (fun (value, expected) ->
+      Alcotest.(check (result int string))
+        (Fmt.str "%a" Fmt.(Dump.option Dump.string) value)
+        expected
+        (Experiments.bench_jobs ~lookup:(fun _ -> value) ()))
+    [ (None, Ok (Domain.recommended_domain_count ())); (Some "2", Ok 2);
+      (Some "1", Ok 1); (Some "abc", error "abc"); (Some "0", error "0");
+      (Some "-2", error "-2"); (Some " 2", error " 2"); (Some "2 ", error "2 ") ]
 
 let test_soak () =
   let soak_jobs =
@@ -373,6 +389,8 @@ let suite =
       (Fmt.str "soak: %s random jobs vs interpreter"
          (Test_random.count_label soak_jobs))
       `Slow test_soak;
+    Alcotest.test_case "SRP_BENCH_JOBS: default, value or named error" `Quick
+      test_bench_jobs;
     Alcotest.test_case "rejects unknown fields and ablation names" `Quick
       test_rejects_bad_jobs;
     Alcotest.test_case "ablation order and repeats share one key" `Quick
