@@ -139,6 +139,21 @@ let () =
           let addrs = Array.init 4096 (fun i -> bases.(i land 63) + (8 * ((i lsr 6) land 7))) in
           fun () -> Array.iter (fun a -> Memory.load_bits m a word 0) addrs))
   in
+  (* mcf's shape: a pointer chase over thousands of small heap regions in
+     an order no last-hit slot follows *)
+  let test_mem_chase =
+    Test.make ~name:"memory: 4k loads chasing 4096 heap regions"
+      (Staged.stage
+         (let m = Memory.create () in
+          let bases =
+            Array.init 4096 (fun _ -> Int64.to_int (Memory.alloc m ~size:32 ~loc:heap))
+          in
+          (* 1531 is odd, so [i * 1531 mod 4096] visits every region once *)
+          let addrs =
+            Array.init 4096 (fun i -> bases.((i * 1531) land 4095) + (8 * (i land 3)))
+          in
+          fun () -> Array.iter (fun a -> Memory.load_bits m a word 0) addrs))
+  in
   (* a loop that reads a frame slot and a global array element in turn:
      the pattern a single last-region slot misses on every access *)
   let test_mem_alternate =
@@ -241,6 +256,7 @@ let () =
     (fun t -> benchmark t)
     [ test_parse; test_steens; test_andersen; test_interp; test_promote; test_codegen;
       test_alat;
-      test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_alternate;
+      test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;
+      test_mem_alternate;
       test_site_hist ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -34,28 +34,35 @@ let level ~size_bytes ~ways ~line =
     lru = Array.make (n_sets * ways) 0; tick = 0 }
 
 (* Access a level; true = hit.  Always allocates on miss.  A block sits
-   in at most one way of its set, so the search stops at the first match. *)
+   in at most one way of its set, so the search stops at the first match.
+   The set's ways are [base, last], inside [tags] and [lru] because
+   [level] made both [n_sets * ways] long, so they are read unchecked. *)
 let access_level l addr : bool =
   let block = addr lsr l.line_shift in
   let base = (block land (l.n_sets - 1)) * l.ways in
   let last = base + l.ways - 1 in
+  let tags = l.tags and lru = l.lru in
   l.tick <- l.tick + 1;
   let i = ref base in
-  while !i <= last && l.tags.(!i) <> block do
+  while !i <= last && Array.unsafe_get tags !i <> block do
     incr i
   done;
   if !i <= last then begin
-    l.lru.(!i) <- l.tick;
+    Array.unsafe_set lru !i l.tick;
     true
   end
   else begin
     (* victim: LRU way *)
-    let victim = ref base in
+    let victim = ref base and oldest = ref (Array.unsafe_get lru base) in
     for i = base + 1 to last do
-      if l.lru.(i) < l.lru.(!victim) then victim := i
+      let age = Array.unsafe_get lru i in
+      if age < !oldest then begin
+        victim := i;
+        oldest := age
+      end
     done;
-    l.tags.(!victim) <- block;
-    l.lru.(!victim) <- l.tick;
+    Array.unsafe_set tags !victim block;
+    Array.unsafe_set lru !victim l.tick;
     false
   end
 

@@ -24,10 +24,10 @@
    bit, NaT bit).  A memory operand's address is converted to a native int
    once and goes to [Memory], [Cache] and [Alat] as that int; an int64 no
    int holds is in no region.  Loads and stores move raw bits between a
-   region's word and a register through the 8-byte [word] buffer
-   ([Memory.load_bits], [Memory.store_bits]); a float store tags its word,
-   which only the interpreter reads back.  Values are [Value.t] only
-   across [Call]/[Ret].  Operand readers
+   memory page's word and a register through the 8-byte [word] buffer
+   ([Memory.load_bits], [Memory.store_bits]), with no region search; a
+   float store tags its word, which only the interpreter reads back.
+   Values are [Value.t] only across [Call]/[Ret].  Operand readers
    come in two flavours: typed ([src_int], [src_flt]), where an operand of
    the other file is the interpreter's type error, and bitwise
    ([src_bits], [src_fview]), for [Mov] and [Sel], which reinterpret the
@@ -263,18 +263,21 @@ let op_name : Insn.insn -> string = function
 
 (* --- timing helpers --- *)
 
+let timeline_row m tl =
+  Timeline.row tl ~cycle:m.cycle
+    ~alat_live:(Alat.occupancy m.alat)
+    ~rse_dirty:(Rse.dirty m.rse) ~rse_clean:(Rse.clean m.rse)
+    ~instrs:m.c.Counters.instrs_retired
+    ~l1_misses:m.c.Counters.l1_misses ~l2_misses:m.c.Counters.l2_misses
+
 (* Timeline hook: fires on every cycle advance, read-only — it cannot
    perturb a counter (the on/off differential test holds the machine
-   bit-identical either way). *)
+   bit-identical either way).  The state is read only when a row is due:
+   the ALAT occupancy and the RSE clean count are scans. *)
 let sample m =
   match m.timeline with
-  | None -> ()
-  | Some tl ->
-    Timeline.maybe_sample tl ~cycle:m.cycle
-      ~alat_live:(Alat.occupancy m.alat)
-      ~rse_dirty:(Rse.dirty m.rse) ~rse_clean:(Rse.clean m.rse)
-      ~instrs:m.c.Counters.instrs_retired
-      ~l1_misses:m.c.Counters.l1_misses ~l2_misses:m.c.Counters.l2_misses
+  | Some tl when Timeline.due tl ~cycle:m.cycle -> timeline_row m tl
+  | _ -> ()
 
 let new_group m =
   if m.group_slots > 0 then begin
@@ -594,6 +597,15 @@ let load_wild m fr (kind : Insn.ld_kind) (dst : Insn.dest) (v : int64) site =
 
 (* --- execution --- *)
 
+(* Argument arrival: the [i]th argument into the [i]th formal's register.
+   Extra arguments are ignored; formals without one stay zero. *)
+let rec bind_args fr formals (args : Value.t list) =
+  match (formals, args) with
+  | (_, d) :: formals, v :: args ->
+    write_value fr d v ~ready:0 ~mem:false;
+    bind_args fr formals args
+  | _ -> ()
+
 let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
   let func = rf.func in
   m.frame_uid <- m.frame_uid + 1;
@@ -614,13 +626,7 @@ let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
       ~loc:(Location.Heap (-1) (* anonymous stack region *))
   in
   write_int fr Insn.sp frame_base ~ready:0 ~mem:false;
-  (* argument arrival *)
-  List.iteri
-    (fun i v ->
-      match List.nth_opt func.Insn.formals i with
-      | Some (_, d) -> write_value fr d v ~ready:0 ~mem:false
-      | None -> ())
-    args;
+  bind_args fr func.Insn.formals args;
   (* RSE charge for the new register frame *)
   let spill = Rse.call m.rse m.c ~nregs:func.Insn.nregs in
   if spill > 0 && traced m then
@@ -854,12 +860,7 @@ let run (m : t) : int64 =
   m.c.Counters.cycles <- m.cycle;
   (match m.timeline with
   | None -> ()
-  | Some tl ->
-    Timeline.final tl ~cycle:m.cycle
-      ~alat_live:(Alat.occupancy m.alat)
-      ~rse_dirty:(Rse.dirty m.rse) ~rse_clean:(Rse.clean m.rse)
-      ~instrs:m.c.Counters.instrs_retired
-      ~l1_misses:m.c.Counters.l1_misses ~l2_misses:m.c.Counters.l2_misses);
+  | Some tl -> timeline_row m tl);
   Srp_obs.Stats.add
     (Srp_obs.Stats.counter ~pass:"machine" "instructions_retired")
     m.c.Counters.instrs_retired;

@@ -62,17 +62,6 @@ let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
   (* next mark strictly ahead of [cycle], on the interval grid *)
   t.next_at <- ((cycle / t.interval) + 1) * t.interval
 
-(* The machine calls this whenever its cycle advances; a row is emitted
-   only when the cycle has crossed the next interval mark. *)
-let maybe_sample t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs
-    ~l1_misses ~l2_misses =
-  if cycle >= t.next_at then
-    row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
-      ~l2_misses
-
-(* End of run: one unconditional closing row, so short programs (under
-   one interval) still produce a timeline. *)
-let final t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
-    ~l2_misses =
-  row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
-    ~l2_misses
+(* Has the cycle crossed the next interval mark?  The machine asks on
+   every cycle advance and reads its state for a [row] only then. *)
+let due t ~cycle = cycle >= t.next_at

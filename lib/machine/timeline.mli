@@ -21,14 +21,14 @@ type t
     if [interval < 1]. *)
 val create : ?interval:int -> Srp_obs.Trace.sink -> t
 
-(** Called by the machine when its cycle counter advances; emits a row
-    iff [cycle] has crossed the next interval mark. *)
-val maybe_sample :
-  t -> cycle:int -> alat_live:int -> rse_dirty:int -> rse_clean:int ->
-  instrs:int -> l1_misses:int -> l2_misses:int -> unit
+(** Has [cycle] crossed the next interval mark?  The machine asks on
+    every cycle advance and emits a {!row} when it has. *)
+val due : t -> cycle:int -> bool
 
-(** One unconditional closing row at end of run, so programs shorter
-    than one interval still produce a timeline. *)
-val final :
+(** Emit one row for the machine state at [cycle] and move the next mark
+    strictly past it.  The machine also emits one unconditional closing
+    row at the end of a run, so programs shorter than one interval still
+    produce a timeline. *)
+val row :
   t -> cycle:int -> alat_live:int -> rse_dirty:int -> rse_clean:int ->
   instrs:int -> l1_misses:int -> l2_misses:int -> unit

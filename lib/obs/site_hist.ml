@@ -53,52 +53,54 @@ let event_name = function
   | Branch_mispredicts -> "branch_mispredicts"
   | Split_stalls -> "split_stalls"
 
-(* site id -> event count vector, densely: row [site + 1] counts [site].
-   Site ids come densely from [Site.Gen]; site -1 is the synthetic site
-   codegen uses for spill traffic it manufactures itself.  A site never
-   recorded shares the [empty] row, which is never written. *)
-type t = { mutable rows : int array array }
+(* site id -> event counts, densely and flat: the count of event [i] at
+   site [s] is [counts.((s + 1) * n_events + i)].  Site ids come densely
+   from [Site.Gen]; site -1 is the synthetic site codegen uses for spill
+   traffic it manufactures itself.  A site beyond the table grows it, on
+   a slow path. *)
+type t = { mutable counts : int array }
 
-let empty : int array = Array.make n_events 0
+let create () : t = { counts = Array.make (64 * n_events) 0 }
 
-let create () : t = { rows = Array.make 64 empty }
+let[@inline never] grow (t : t) ~site ev =
+  if site < -1 then invalid_arg "Site_hist.record: site below -1";
+  let len = Array.length t.counts in
+  let counts = Array.make (max ((site + 2) * n_events) (2 * len)) 0 in
+  Array.blit t.counts 0 counts 0 len;
+  t.counts <- counts;
+  let i = ((site + 1) * n_events) + event_index ev in
+  counts.(i) <- counts.(i) + 1
 
 let record (t : t) ~site ev =
-  let k = site + 1 in
-  if k < 0 then invalid_arg "Site_hist.record: site below -1";
-  if k >= Array.length t.rows then begin
-    let rows = Array.make (max (k + 1) (2 * Array.length t.rows)) empty in
-    Array.blit t.rows 0 rows 0 (Array.length t.rows);
-    t.rows <- rows
-  end;
-  let row =
-    let r = t.rows.(k) in
-    if r != empty then r
-    else begin
-      let r = Array.make n_events 0 in
-      t.rows.(k) <- r;
-      r
-    end
-  in
-  let i = event_index ev in
-  row.(i) <- row.(i) + 1
+  let i = ((site + 1) * n_events) + event_index ev in
+  let counts = t.counts in
+  if site >= -1 && i < Array.length counts then
+    Array.unsafe_set counts i (Array.unsafe_get counts i + 1)
+  else grow t ~site ev
 
 let count (t : t) ~site ev =
-  let k = site + 1 in
-  if k < 0 || k >= Array.length t.rows then 0 else t.rows.(k).(event_index ev)
+  let i = ((site + 1) * n_events) + event_index ev in
+  if site < -1 || i >= Array.length t.counts then 0 else t.counts.(i)
 
-(* Recorded sites with their rows, ascending by site. *)
+(* Recorded sites with their rows, ascending by site.  Every recorded
+   event adds one, so a site was recorded exactly when its row is not all
+   zero. *)
 let recorded (t : t) =
   let acc = ref [] in
-  for k = Array.length t.rows - 1 downto 0 do
-    let r = t.rows.(k) in
-    if r != empty then acc := (k - 1, r) :: !acc
+  for k = (Array.length t.counts / n_events) - 1 downto 0 do
+    let r = Array.sub t.counts (k * n_events) n_events in
+    if Array.exists (fun c -> c <> 0) r then acc := (k - 1, r) :: !acc
   done;
   !acc
 
 let total (t : t) ev =
-  let i = event_index ev in
-  Array.fold_left (fun acc r -> acc + r.(i)) 0 t.rows
+  let acc = ref 0 in
+  let i = ref (event_index ev) in
+  while !i < Array.length t.counts do
+    acc := !acc + t.counts.(!i);
+    i := !i + n_events
+  done;
+  !acc
 
 let sites (t : t) = List.map fst (recorded t)
 

@@ -366,7 +366,7 @@ let rec call t (fn : func) (args : Value.t list) : Value.t =
   let fr = { vals; regions } in
   (* bind arguments into formal memory *)
   List.iter2
-    (fun i v -> Memory.store_in regions.(i) (Value.to_int vals.(i)) v)
+    (fun i v -> Memory.store_in t.mem regions.(i) (Value.to_int vals.(i)) v)
     fn.formal_slots args;
   let result = run_block t fn fr fn.entry in
   for i = 0 to fn.nsyms - 1 do
@@ -406,7 +406,7 @@ and exec_instr t fr (ins : instr) : unit =
     let a = address fr addr in
     let r = region t fr addr a in
     record_access t site r;
-    fr.vals.(dst) <- Memory.load_in r a mty
+    fr.vals.(dst) <- Memory.load_in t.mem r a mty
   | Store { src; addr; site } ->
     let v = eval fr src in
     let a = address fr addr in
@@ -415,7 +415,7 @@ and exec_instr t fr (ins : instr) : unit =
        (used to speculate across calls) must see a callee's direct global
        stores, not just its indirect ones *)
     record_access t site r;
-    Memory.store_in r a v
+    Memory.store_in t.mem r a v
   | Bin { dst; op; a; b } ->
     let va = eval fr a in
     let vb = eval fr b in

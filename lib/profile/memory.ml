@@ -4,40 +4,90 @@
    every dynamic indirect access reports which symbol or heap object it
    actually touched (paper section 3.1).
 
-   Representation: each region owns a [Bytes.t] of native-endian int64
-   words, all initially zero, and one tag byte per word that is set while
-   the word holds a float store.  Words are raw bits: the machine moves
-   them straight to and from its register files ([load_bits],
-   [store_bits]), and the interpreter rebuilds a [Value.t] from bits and
-   tag ([load]).
+   Representation: the words live in fixed-size pages owned by [t], not
+   in the regions.  A page is one [Bytes.t]: [page_words] native-endian
+   int64 words, then one tag byte per word ([unmapped], [int_tag] or
+   [flt]).  Words are raw bits: the
+   machine moves them straight to and from its register files
+   ([load_bits], [store_bits]), and the interpreter rebuilds a [Value.t]
+   from bits and tag ([read]).
 
-   Regions live in one array sorted by base, next to a parallel array of
-   the bases, searched by bisection.  Two last-hit slots sit in front of
-   it: one for regions placed with [alloc_at] (the machine's stack frames)
-   and one for the rest (globals and heap), so a loop alternating between
-   a frame slot and an array hits both.  In the machine, heap regions sit
-   below every stack frame and a new frame just below the live ones, so
-   inserting or removing a region shifts at most the live frames: the
-   call depth.
+   A two-level directory indexed by [a lsr page_bits] finds an address's
+   page: a chunk of [chunk_pages] pages, then the page.  Pages at or above
+   [directory_reach], or at a negative address, go in a small hash table.
+   Where nothing is mapped the directory holds [no_page], whose tags are
+   all [unmapped].  So a load, a store or [mapped] is a page fetch and a
+   tag test; red zones and freed spans fault with the texts of [unmapped]
+   because their tags say so.  Mapping a span zeroes its words and tags
+   them int, so a reused address reads zero.  A page that [free] leaves
+   with no live region's word (only the freed region's neighbours in the
+   table can share its pages) is dropped and kept as one of two spares,
+   which the next new pages reuse.  So a frame that comes and goes, at
+   one address or at fresh ones, allocates no page per call.
+
+   The region table is for what needs a [Location.t] or a placement
+   check: [find], [alloc], [alloc_at] and [free].  Regions live in one
+   array sorted by base, next to a parallel array of the bases, searched
+   by bisection.  Two last-hit slots sit in front of it: one for regions
+   placed with [alloc_at] (the machine's stack frames) and one for the
+   rest (globals and heap), so a loop alternating between a frame slot and
+   an array hits both.  In the machine, heap regions sit below every stack
+   frame and a new frame just below the live ones, so inserting or
+   removing a region shifts at most the live frames: the call depth.
 
    Addresses are native ints inside; the int64 entry points treat an
    int64 that does not fit an int as wild. *)
 
 open Srp_ir
 
-(* Word access inside a region, whose bounds [access] has proved; the
+(* Word access inside a page, whose bounds the page layout proves; the
    caller's buffer of [load_bits]/[store_bits] is checked. *)
 external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get_int64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set_int64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
+(* --- pages --- *)
+
+(* 2 KiB pages.  A page with its tags is just over the largest minor-heap
+   block, so it is allocated in the major heap once instead of being
+   copied there: 1 KiB pages raised the peak heap of the array kernels'
+   runs by ~0.5 MB that way.  Larger pages pin more dead addresses around
+   a live region. *)
+let page_bits = 11
+let page_bytes = 1 lsl page_bits
+let page_mask = page_bytes - 1
+let page_words = page_bytes / 8
+
+(* The page layout: words, then their tags from [tags_at]. *)
+let tags_at = page_bytes
+let page_length = page_bytes + page_words
+
+let unmapped_tag = '\000'
+let int_tag = '\001'
+let flt = '\002'
+
+(* A chunk holds [chunk_pages] pages (1 MiB of addresses); the directory
+   holds at most [max_chunks] chunks (4 GiB). *)
+let chunk_bits = 9
+let chunk_pages = 1 lsl chunk_bits
+let chunk_mask = chunk_pages - 1
+let chunk_shift = page_bits + chunk_bits
+let max_chunks = 1 lsl 12
+let directory_reach = max_chunks lsl chunk_shift
+
+(* The page of every unmapped address: all tags [unmapped], never written. *)
+let no_page = Bytes.make page_length '\000'
+let no_chunk = Array.make chunk_pages no_page
+
+let[@inline] tag_index a = tags_at + ((a land page_mask) lsr 3)
+
+(* --- regions --- *)
+
 type region = {
   base : int;
   limit : int; (* base + size; size is a multiple of 8 *)
   loc : Srp_alias.Location.t;
-  words : Bytes.t; (* word i is at byte address base + 8i *)
-  tags : Bytes.t; (* byte i is [flt] while word i holds a float store *)
   stack : bool; (* placed by [alloc_at] *)
 }
 
@@ -48,22 +98,117 @@ type t = {
   mutable last_stack : region; (* last [alloc_at] region hit, or [no_region] *)
   mutable last_other : region; (* last other region hit, or [no_region] *)
   mutable brk : int; (* next free address *)
+  mutable dir : Bytes.t array array; (* chunk -> its pages; [no_chunk] if none *)
+  far : (int, Bytes.t) Hashtbl.t; (* page number -> page, outside the reach *)
+  spares : Bytes.t array; (* dropped pages, all tags unmapped: [0, n_spares) *)
+  mutable n_spares : int;
+  mutable resident : int; (* pages in [dir] and [far] *)
 }
-
-let flt = '\001'
 
 (* The empty sentinel: no address falls in it, so it is never a hit. *)
 let no_region =
-  { base = 0; limit = 0; loc = Srp_alias.Location.Heap (-1); words = Bytes.empty;
-    tags = Bytes.empty; stack = false }
+  { base = 0; limit = 0; loc = Srp_alias.Location.Heap (-1); stack = false }
 
-(* A region is one flat buffer; a request beyond this is refused rather
+(* Dropped pages kept for reuse.  Frames that straddle a page boundary
+   free two pages at once; with one spare, the other page would be left
+   to the major heap's collector on every such call. *)
+let max_spares = 2
+
+(* A region is at most this large; a request beyond it is refused rather
    than letting a program's malloc argument size the host's memory. *)
 let max_region_bytes = 1 lsl 27
 
 let create () =
   { bases = Array.make 16 0; regions = Array.make 16 no_region; n = 0;
-    last_stack = no_region; last_other = no_region; brk = 0x1000 }
+    last_stack = no_region; last_other = no_region; brk = 0x1000; dir = [||];
+    far = Hashtbl.create 1; spares = Array.make max_spares no_page; n_spares = 0;
+    resident = 0 }
+
+let resident_pages t = t.resident
+
+(* The page holding [a], or [no_page]. *)
+let[@inline never] far_page t a =
+  match Hashtbl.find t.far (a lsr page_bits) with pg -> pg | exception Not_found -> no_page
+
+let[@inline] page t a =
+  let c = a lsr chunk_shift in
+  let dir = t.dir in
+  if c < Array.length dir then
+    Array.unsafe_get (Array.unsafe_get dir c) ((a lsr page_bits) land chunk_mask)
+  else far_page t a
+
+(* The page holding [a], made resident if it is not. *)
+let acquire t a =
+  let pg = page t a in
+  if pg != no_page then pg
+  else begin
+    let pg =
+      if t.n_spares = 0 then Bytes.make page_length '\000'
+      else begin
+        t.n_spares <- t.n_spares - 1;
+        t.spares.(t.n_spares)
+      end
+    in
+    let c = a lsr chunk_shift in
+    if c < max_chunks then begin
+      let len = Array.length t.dir in
+      if c >= len then begin
+        let dir = Array.make (min max_chunks (max (c + 1) (2 * len))) no_chunk in
+        Array.blit t.dir 0 dir 0 len;
+        t.dir <- dir
+      end;
+      if t.dir.(c) == no_chunk then t.dir.(c) <- Array.make chunk_pages no_page;
+      t.dir.(c).((a lsr page_bits) land chunk_mask) <- pg
+    end
+    else Hashtbl.replace t.far (a lsr page_bits) pg;
+    t.resident <- t.resident + 1;
+    pg
+  end
+
+(* Remove the page [pg] holding [a], whose words are all unmapped, and
+   keep it as a spare if there is room. *)
+let drop t a pg =
+  let c = a lsr chunk_shift in
+  if c < Array.length t.dir then t.dir.(c).((a lsr page_bits) land chunk_mask) <- no_page
+  else Hashtbl.remove t.far (a lsr page_bits);
+  t.resident <- t.resident - 1;
+  if t.n_spares < max_spares then begin
+    t.spares.(t.n_spares) <- pg;
+    t.n_spares <- t.n_spares + 1
+  end
+
+(* Map the [n] bytes at offset [o] of a page: they read zero and are
+   tagged int.  Short spans (frame slots) are set inline. *)
+let map_in pg o n =
+  if n <= 64 then
+    for w = 0 to (n lsr 3) - 1 do
+      set_word pg (o + (8 * w)) 0L;
+      Bytes.unsafe_set pg (tags_at + (o lsr 3) + w) int_tag
+    done
+  else begin
+    Bytes.fill pg o n '\000';
+    Bytes.fill pg (tags_at + (o lsr 3)) (n lsr 3) int_tag
+  end
+
+(* Unmap the [n] bytes at offset [o] of a page. *)
+let unmap_in pg o n =
+  if n <= 64 then
+    for w = 0 to (n lsr 3) - 1 do
+      Bytes.unsafe_set pg (tags_at + (o lsr 3) + w) unmapped_tag
+    done
+  else Bytes.fill pg (tags_at + (o lsr 3)) (n lsr 3) unmapped_tag
+
+(* The bytes of the span [a, limit) that lie in [a]'s page. *)
+let[@inline] in_page a limit = min (limit - a) (page_bytes - (a land page_mask))
+
+(* Map the span [base, limit) (8-aligned ends), page by page. *)
+let map_span t base limit =
+  let a = ref base in
+  while !a < limit do
+    let n = in_page !a limit in
+    map_in (acquire t !a) (!a land page_mask) n;
+    a := !a + n
+  done
 
 (* The error naming a refused size, rounded up to whole words where that
    does not overflow. *)
@@ -87,6 +232,25 @@ let rank t a =
   done;
   !lo
 
+(* Does a neighbour of a region just removed from index [i] (the regions
+   now at [i - 1] and [i]) touch the page that starts at [a]?  Only the
+   removed region's first and last pages can be shared so. *)
+let shared t i a =
+  (i > 0 && t.regions.(i - 1).limit > a) || (i < t.n && t.bases.(i) - a < page_bytes)
+
+(* Unmap the span of [r], just removed from index [i] of the table, and
+   drop each of its pages no neighbour shares. *)
+let unmap t r i =
+  let a = ref r.base in
+  while !a < r.limit do
+    let n = in_page !a r.limit in
+    let pg = page t !a in
+    unmap_in pg (!a land page_mask) n;
+    let start = !a land lnot page_mask in
+    if not (shared t i start) then drop t start pg;
+    a := !a + n
+  done
+
 (* Where a region spanning [base, base + size) goes: its index in the
    table, or [-1] if it would overlap the region at or below [base] or
    reach the next one above. *)
@@ -104,10 +268,8 @@ let insert t i ~base ~size ~loc ~stack =
   end;
   Array.blit t.bases i t.bases (i + 1) (t.n - i);
   Array.blit t.regions i t.regions (i + 1) (t.n - i);
-  let r =
-    { base; limit = base + size; loc; words = Bytes.make size '\000';
-      tags = Bytes.make (size / 8) '\000'; stack }
-  in
+  map_span t base (base + size);
+  let r = { base; limit = base + size; loc; stack } in
   t.bases.(i) <- base;
   t.regions.(i) <- r;
   t.n <- t.n + 1;
@@ -153,8 +315,8 @@ let alloc_at t ~base:base64 ~size ~loc =
   ignore (insert t i ~base ~size ~loc ~stack:true);
   base64
 
-(* Remove a region (function frame teardown).  Its words go with it, so a
-   later frame reusing the addresses starts zeroed. *)
+(* Remove a region (function frame teardown).  Its words are unmapped, so
+   a later region at the same addresses starts zeroed. *)
 let free t base64 =
   let base = Int64.to_int base64 in
   let i = rank t base - 1 in
@@ -166,7 +328,8 @@ let free t base64 =
   Array.blit t.bases (i + 1) t.bases i (t.n - i - 1);
   Array.blit t.regions (i + 1) t.regions i (t.n - i - 1);
   t.n <- t.n - 1;
-  t.regions.(t.n) <- no_region
+  t.regions.(t.n) <- no_region;
+  unmap t r i
 
 (* The region [a] falls in, or [no_region]. *)
 let region_of t a : region =
@@ -192,25 +355,22 @@ let unmapped (a : int64) =
   if Int64.to_int a land 7 <> 0 then Value.err "unaligned access at 0x%Lx" a
   else Value.err "wild access at 0x%Lx" a
 
-(* The region of an aligned, mapped access. *)
-let[@inline] access t a =
-  let r = region_of t a in
-  if a land 7 <> 0 || r == no_region then unmapped (Int64.of_int a);
-  r
-
 (* --- native-int addresses: the machine --- *)
 
-let mapped t a = region_of t a != no_region
+let mapped t a = Bytes.unsafe_get (page t a) (tag_index a) <> unmapped_tag
 
 let load_bits t a dst off =
-  let r = access t a in
-  set_int64 dst off (get_word r.words (a - r.base))
+  let pg = page t a in
+  if a land 7 <> 0 || Bytes.unsafe_get pg (tag_index a) = unmapped_tag then
+    unmapped (Int64.of_int a);
+  set_int64 dst off (get_word pg (a land page_mask))
 
 let store_bits t a src off ~float =
-  let r = access t a in
-  let o = a - r.base in
-  set_word r.words o (get_int64 src off);
-  Bytes.unsafe_set r.tags (o lsr 3) (if float then flt else '\000')
+  let pg = page t a in
+  let ti = tag_index a in
+  if a land 7 <> 0 || Bytes.unsafe_get pg ti = unmapped_tag then unmapped (Int64.of_int a);
+  set_word pg (a land page_mask) (get_int64 src off);
+  Bytes.unsafe_set pg ti (if float then flt else int_tag)
 
 (* --- int64 addresses and values: the interpreter --- *)
 
@@ -235,37 +395,39 @@ let location_of_addr t a =
   let r = find t a in
   if r == no_region then None else Some r.loc
 
-(* The byte offset in [r] of an access at [a]; the fault of [unmapped]
-   unless [a] is aligned and in [r] (never in [no_region]). *)
-let[@inline] offset r (a : int64) =
+(* The native address of an access at [a]; the fault of [unmapped] unless
+   [a] is aligned and in [r] (never in [no_region]). *)
+let[@inline] address r (a : int64) =
   let i = Int64.to_int a in
   if i land 7 <> 0 || i < r.base || i >= r.limit then unmapped a;
-  i - r.base
+  i
 
 (* A typed load ([f64]) reinterprets a zero int cell as 0.0 so that
    zero-init behaves type-correctly. *)
-let read r a ~f64 : Value.t =
-  let o = offset r a in
-  let bits = get_word r.words o in
-  if Bytes.unsafe_get r.tags (o lsr 3) = flt then Value.Vflt (Int64.float_of_bits bits)
+let read t r a ~f64 : Value.t =
+  let i = address r a in
+  let pg = page t i in
+  let bits = get_word pg (i land page_mask) in
+  if Bytes.unsafe_get pg (tag_index i) = flt then Value.Vflt (Int64.float_of_bits bits)
   else if f64 && Int64.equal bits 0L then Value.Vflt 0.0
   else Value.Vint bits
 
 let is_f64 = function Mem_ty.F64 -> true | Mem_ty.I64 -> false
 (* The int64 entry points are never inlined: a caller that computed the
    address unboxed would box it once for [find] and again for the access. *)
-let load_in r a mty = read r a ~f64:(is_f64 mty)
-let[@inline never] load t a = read (find t a) a ~f64:false
-let[@inline never] load_typed t a mty = read (find t a) a ~f64:(is_f64 mty)
+let load_in t r a mty = read t r a ~f64:(is_f64 mty)
+let[@inline never] load t a = read t (find t a) a ~f64:false
+let[@inline never] load_typed t a mty = read t (find t a) a ~f64:(is_f64 mty)
 
-let store_in r a (v : Value.t) =
-  let o = offset r a in
+let store_in t r a (v : Value.t) =
+  let i = address r a in
+  let pg = page t i in
   match v with
   | Value.Vint bits ->
-    set_word r.words o bits;
-    Bytes.unsafe_set r.tags (o lsr 3) '\000'
+    set_word pg (i land page_mask) bits;
+    Bytes.unsafe_set pg (tag_index i) int_tag
   | Value.Vflt x ->
-    set_word r.words o (Int64.bits_of_float x);
-    Bytes.unsafe_set r.tags (o lsr 3) flt
+    set_word pg (i land page_mask) (Int64.bits_of_float x);
+    Bytes.unsafe_set pg (tag_index i) flt
 
-let[@inline never] store t a v = store_in (find t a) a v
+let[@inline never] store t a v = store_in t (find t a) a v

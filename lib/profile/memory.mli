@@ -1,12 +1,16 @@
-(** Interpreter/simulator memory: word-addressed regions, each a buffer of
-    raw 64-bit words with a per-word float tag, plus a region table
-    resolving any address back to the abstract {!Location.t} it falls in.
+(** Interpreter/simulator memory: word-addressed regions whose words live
+    in fixed-size pages, each word raw 64 bits with a tag (unmapped, int
+    or float), plus a region table resolving any address back to the
+    abstract {!Location.t} it falls in.
 
-    The region table is what makes alias *profiling* possible: every
-    dynamic indirect access reports which symbol or heap object it actually
-    touched (paper section 3.1).  All memory reads are zero-initialized
-    (calloc semantics), identically in the interpreter and the machine,
-    which keeps differential tests exact.
+    A load or store finds its word's page through a two-level directory
+    and tests the word's tag: no region search.  The region table serves
+    what needs a location or a placement check ({!find}, {!alloc},
+    {!alloc_at}, {!free}).  It is what makes alias *profiling* possible:
+    every dynamic indirect access reports which symbol or heap object it
+    actually touched (paper section 3.1).  All memory reads are
+    zero-initialized (calloc semantics), identically in the interpreter
+    and the machine, which keeps differential tests exact.
 
     The interpreter works in int64 addresses and {!Value.t}; the machine
     in native-int addresses and raw bits.  An int64 address that does not
@@ -34,8 +38,8 @@ val malloc : t -> nbytes:int64 -> loc:Srp_alias.Location.t -> int64
     the new span, or if the region exceeds 128 MiB. *)
 val alloc_at : t -> base:int64 -> size:int -> loc:Srp_alias.Location.t -> int64
 
-(** Remove a region and its words (frame teardown): a later region at the
-    same addresses reads zero.
+(** Remove a region and unmap its words (frame teardown): a later region
+    at the same addresses reads zero.
     @raise Value.Interp_error if no region starts at the address. *)
 val free : t -> int64 -> unit
 
@@ -83,13 +87,13 @@ val found : region -> bool
     @raise Invalid_argument on the sentinel. *)
 val location : region -> Srp_alias.Location.t
 
-(** [load_in (find t a) a mty] is [load_typed t a mty].  A region that
+(** [load_in t (find t a) a mty] is [load_typed t a mty].  A region that
     does not hold [a] faults as an unmapped access. *)
-val load_in : region -> int64 -> Srp_ir.Mem_ty.t -> Value.t
+val load_in : t -> region -> int64 -> Srp_ir.Mem_ty.t -> Value.t
 
-(** [store_in (find t a) a v] is [store t a v].  A region that does not
+(** [store_in t (find t a) a v] is [store t a v].  A region that does not
     hold [a] faults as an unmapped access. *)
-val store_in : region -> int64 -> Value.t -> unit
+val store_in : t -> region -> int64 -> Value.t -> unit
 
 (** {2 Native-int addresses}
 
@@ -113,3 +117,19 @@ val store_bits : t -> int -> Bytes.t -> int -> float:bool -> unit
     does not fit an [int].
     @raise Value.Interp_error always. *)
 val unmapped : int64 -> 'a
+
+(** {2 Pages}
+
+    Diagnostics of the page store, for tests and measurements. *)
+
+(** The bytes of address space one page covers. *)
+val page_bytes : int
+
+(** Pages of addresses at or above this (or below zero) are kept in a
+    hash table instead of the directory. *)
+val directory_reach : int
+
+(** The pages currently resident: those holding at least one word of a
+    live region.  A diagnostic; the page store holds about [page_bytes] of words
+    per resident page. *)
+val resident_pages : t -> int

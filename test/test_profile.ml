@@ -160,19 +160,75 @@ let test_alloc_stops_at_placed_region () =
   let below = Memory.alloc m ~size:0x80 ~loc:(Location.Heap 2) in
   Alcotest.(check int64) "a span ending below it fits" 0x1000L below
 
+(* A page its last region's [free] empties is dropped; mapping it again
+   reads zero, in the directory and above its reach alike. *)
+let test_freed_page_remapped_reads_zero () =
+  let page = Memory.page_bytes in
+  List.iter
+    (fun base ->
+      let m = Memory.create () in
+      let base64 = Int64.of_int base in
+      (* two whole pages, then a region straddling their boundary *)
+      ignore (Memory.alloc_at m ~base:base64 ~size:(2 * page) ~loc:(Location.Heap 0));
+      Alcotest.(check int) "two pages resident" 2 (Memory.resident_pages m);
+      for w = 0 to (2 * page / 8) - 1 do
+        Memory.store m (Int64.add base64 (Int64.of_int (8 * w))) (Value.Vflt 1.5)
+      done;
+      Memory.free m base64;
+      Alcotest.(check int) "both freed pages dropped" 0 (Memory.resident_pages m);
+      let at = Int64.of_int (base + page - 8) in
+      ignore (Memory.alloc_at m ~base:at ~size:16 ~loc:(Location.Heap 1));
+      Alcotest.(check int) "a straddling region maps both pages" 2
+        (Memory.resident_pages m);
+      check_value "below the boundary" (Value.Vint 0L) (Memory.load m at);
+      check_value "above the boundary" (Value.Vint 0L) (Memory.load m (Int64.add at 8L));
+      Alcotest.(check (option string)) "the rest of the page is unmapped"
+        (Some (Fmt.str "wild access at 0x%x" base))
+        (raises_interp (fun () -> Memory.load m base64)))
+    [ 0x4000_0000; Memory.directory_reach - Memory.page_bytes; 1 lsl 40 ]
+
+(* Interpreter-style churn: bump-allocated frames come and go past a
+   long-lived region.  The pages they sweep through are dropped, so the
+   resident count stays at the pages live regions touch. *)
+let test_page_churn_bounded () =
+  let m = Memory.create () in
+  let kept = Memory.alloc m ~size:64 ~loc:(Location.Heap 0) in
+  Memory.store m kept (Value.Vint 42L);
+  let most = ref 0 in
+  for k = 1 to 100_000 do
+    let a = Memory.alloc m ~size:8 ~loc:(Location.Heap k) in
+    let b = Memory.alloc m ~size:40 ~loc:(Location.Heap k) in
+    Memory.store m a (Value.Vint (Int64.of_int k));
+    Memory.store m (Int64.add b 32L) (Value.Vflt 2.0);
+    most := max !most (Memory.resident_pages m);
+    Memory.free m b;
+    Memory.free m a
+  done;
+  (* the long-lived region's page and two under a straddling frame *)
+  Alcotest.(check bool) (Fmt.str "at most 3 pages resident (saw %d)" !most) true (!most <= 3);
+  Alcotest.(check int) "the long-lived region's page is left" 1 (Memory.resident_pages m);
+  check_value "the long-lived region kept its word" (Value.Vint 42L) (Memory.load m kept)
+
 (* --- Memory against a reference model ---
 
    Random alloc / alloc_at / free / load / load_typed / store /
-   location_of_addr scripts run against a naive reference: an association
-   list from base to region, each region an array of [Value.t] words.
+   load_bits / store_bits / location_of_addr scripts run against a naive
+   reference: an association list from base to region, each region an
+   array of [Value.t] words.
    Addresses are drawn relative to the bases handed out so far (so they
    land in, between, in the red zone just past and misaligned inside
    regions, freed ones included), or lie outside the [int] range: fixed
    extremes, and live addresses with bit 63 flipped, which an unchecked
    narrowing to [int] would map onto the live region.  alloc_at bases
-   come from a window of stack-like addresses where spans collide often.
-   Stored floats include -0.0, the infinities and NaNs with payloads; every
-   result is compared bit for bit, and every error by its text. *)
+   come from windows of stack-like addresses where spans collide often,
+   so freed pages are mapped again; a window sits on a page boundary, on
+   the end of the page directory's reach, far above it and across zero.
+   Some regions are larger than a page, and some offsets land near the
+   page boundary after a base.  Loads, stores and [mapped] also go through
+   the machine's native-int entry points, which read the page tags alone,
+   never the region table.  Stored floats include -0.0, the infinities
+   and NaNs with payloads; every result is compared bit for bit, and
+   every error by its text. *)
 
 type mem_addr =
   | Rel of int * int (* region index, byte offset *)
@@ -181,11 +237,13 @@ type mem_addr =
 
 type mem_op =
   | M_alloc of int
-  | M_alloc_at of int * int (* stack slot, size *)
+  | M_alloc_at of int * int * int (* window, stack slot, size *)
   | M_free of mem_addr
   | M_load of mem_addr
   | M_load_f64 of mem_addr
   | M_store of mem_addr * Value.t
+  | M_load_bits of mem_addr (* the machine's native-int entry points *)
+  | M_store_bits of mem_addr * Value.t
   | M_where of mem_addr
 
 (* bit-exact: NaN payloads and the sign of zero are part of a value *)
@@ -200,16 +258,32 @@ let pp_mem_addr ppf = function
 
 let pp_mem_op ppf = function
   | M_alloc n -> Fmt.pf ppf "alloc %d" n
-  | M_alloc_at (k, n) -> Fmt.pf ppf "alloc_at slot %d size %d" k n
+  | M_alloc_at (w, k, n) -> Fmt.pf ppf "alloc_at window %d slot %d size %d" w k n
   | M_free a -> Fmt.pf ppf "free %a" pp_mem_addr a
   | M_load a -> Fmt.pf ppf "load %a" pp_mem_addr a
   | M_load_f64 a -> Fmt.pf ppf "load_f64 %a" pp_mem_addr a
   | M_store (a, v) -> Fmt.pf ppf "store %a %s" pp_mem_addr a (show_value v)
+  | M_load_bits a -> Fmt.pf ppf "load_bits %a" pp_mem_addr a
+  | M_store_bits (a, v) -> Fmt.pf ppf "store_bits %a %s" pp_mem_addr a (show_value v)
   | M_where a -> Fmt.pf ppf "where %a" pp_mem_addr a
+
+(* The bases alloc_at draws from: a stack-like window whose spans cross a
+   page boundary, one straddling the end of the page directory's reach,
+   one far above it, and one crossing address zero. *)
+let alloc_at_windows =
+  [| 0x4000_0000L; Int64.of_int (Memory.directory_reach + 64);
+     Int64.of_int ((1 lsl 40) + Memory.page_bytes); 96L |]
 
 let arb_mem_ops =
   let open QCheck.Gen in
-  let rel = pair (int_range 0 7) (oneof [ return 0; int_range (-16) 72 ]) in
+  let page = Memory.page_bytes in
+  let rel =
+    pair (int_range 0 7)
+      (frequency
+         [ (4, return 0); (4, int_range (-16) 72);
+           (1, int_range (page - 24) (page + 24)) ])
+  in
+  let size = frequency [ (6, int_range 0 48); (1, int_range 0 (2 * page + 64)) ] in
   let addr =
     frequency
       [ (8, map (fun (i, o) -> Rel (i, o)) rel);
@@ -218,7 +292,9 @@ let arb_mem_ops =
          map (fun a -> Abs a)
            (oneofl
               [ 0x7fff_ffff_ffff_fff8L; Int64.min_int; Int64.max_int;
-                0x4000_0000_0000_0000L; -8L; 0L ])) ]
+                0x4000_0000_0000_0000L; -8L; 0L;
+                Int64.of_int (Memory.directory_reach - 8);
+                Int64.of_int Memory.directory_reach ])) ]
   in
   let value =
     oneof
@@ -231,12 +307,20 @@ let arb_mem_ops =
   in
   let op =
     frequency
-      [ (2, map (fun n -> M_alloc n) (int_range 0 48));
-        (3, map2 (fun k n -> M_alloc_at (k, n)) (int_range 0 40) (int_range 0 48));
+      [ (2, map (fun n -> M_alloc n) size);
+        (3,
+         map3
+           (fun w k n -> M_alloc_at (w, k, n))
+           (frequency [ (3, return 0); (1, return 1); (1, return 2) ])
+           (int_range 0 40) size);
+        (* small spans only, so they stay below the first bump address *)
+        (1, map2 (fun k n -> M_alloc_at (3, k, n)) (int_range 0 40) (int_range 0 48));
         (2, map (fun a -> M_free a) addr);
         (4, map (fun a -> M_load a) addr);
         (2, map (fun a -> M_load_f64 a) addr);
         (4, map2 (fun a v -> M_store (a, v)) addr value);
+        (3, map (fun a -> M_load_bits a) addr);
+        (3, map2 (fun a v -> M_store_bits (a, v)) addr value);
         (2, map (fun a -> M_where a) addr) ]
   in
   QCheck.make
@@ -273,6 +357,13 @@ let prop_memory_model =
         bases := Array.append !bases [| base |]
       in
       let round n = max 8 ((n + 7) / 8 * 8) in
+      (* the machine narrows an address to an int before it reaches
+         [Memory]; one no int holds faults there *)
+      let native a f =
+        let i = Int64.to_int a in
+        if Int64.equal (Int64.of_int i) a then f i else Memory.unmapped a
+      in
+      let word = Bytes.create 8 in
       let real f = match f () with v -> Ok v | exception Value.Interp_error e -> Error e in
       let show = function Ok v -> show_value v | Error e -> "error: " ^ e in
       let agree k what want got =
@@ -294,8 +385,8 @@ let prop_memory_model =
                 then agree k what "a free span" "an overlap")
               !live;
             add base size loc
-          | M_alloc_at (slot, n) ->
-            let base = Int64.sub 0x4000_0000L (Int64.of_int (4 * slot)) in
+          | M_alloc_at (window, slot, n) ->
+            let base = Int64.sub alloc_at_windows.(window) (Int64.of_int (4 * slot)) in
             let size = round n in
             let loc = Location.Heap k in
             let want =
@@ -350,12 +441,48 @@ let prop_memory_model =
             let want = Result.map (fun (r, w) -> r.words.(w) <- v; v) (access a) in
             let got = real (fun () -> Memory.store m a v; v) in
             agree k what (show want) (show got)
+          | M_load_bits a ->
+            let a = addr_of a in
+            let bits = function
+              | Value.Vint i -> i
+              | Value.Vflt x -> Int64.bits_of_float x
+            in
+            let str = function Ok b -> Fmt.str "0x%Lx" b | Error e -> "error: " ^ e in
+            let want = Result.map (fun (r, w) -> bits r.words.(w)) (access a) in
+            let got =
+              real (fun () ->
+                  native a (fun i ->
+                      Memory.load_bits m i word 0;
+                      Bytes.get_int64_ne word 0))
+            in
+            agree k what (str want) (str got)
+          | M_store_bits (a, v) ->
+            let a = addr_of a in
+            let want = Result.map (fun (r, w) -> r.words.(w) <- v; v) (access a) in
+            let got =
+              real (fun () ->
+                  native a (fun i ->
+                      let bits, float =
+                        match v with
+                        | Value.Vint b -> (b, false)
+                        | Value.Vflt x -> (Int64.bits_of_float x, true)
+                      in
+                      Bytes.set_int64_ne word 0 bits;
+                      Memory.store_bits m i word 0 ~float;
+                      v))
+            in
+            agree k what (show want) (show got)
           | M_where a ->
             let a = addr_of a in
             let str = Option.fold ~none:"none" ~some:Location.to_string in
             agree k what
               (str (Option.map (fun (_, r) -> r.mloc) (find a)))
-              (str (Memory.location_of_addr m a)))
+              (str (Memory.location_of_addr m a));
+            let i = Int64.to_int a in
+            if Int64.equal (Int64.of_int i) a then
+              agree k (what ^ " (mapped)")
+                (string_of_bool (find a <> None))
+                (string_of_bool (Memory.mapped m i)))
         ops;
       true)
 
@@ -471,6 +598,9 @@ let suite =
     Alcotest.test_case "alternating regions" `Quick test_alternating_regions;
     Alcotest.test_case "alloc stops at a placed region" `Quick
       test_alloc_stops_at_placed_region;
+    Alcotest.test_case "freed page re-mapped reads zero" `Quick
+      test_freed_page_remapped_reads_zero;
+    Alcotest.test_case "page churn stays bounded" `Quick test_page_churn_bounded;
     QCheck_alcotest.to_alcotest prop_memory_model;
     Alcotest.test_case "profile counts and targets" `Quick test_profile_counts_and_targets;
     Alcotest.test_case "profile block counts" `Quick test_profile_block_counts;
