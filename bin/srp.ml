@@ -156,6 +156,15 @@ let with_source_errors file f =
       exit 1
     | None -> raise e)
 
+(* A malformed SRP_BENCH_JOBS (the worker pool's size) is a user error:
+   checked before any work starts, it prints its message and exits 2. *)
+let check_bench_jobs () =
+  match Srp_driver.Experiments.bench_jobs () with
+  | Ok _ -> ()
+  | Error msg ->
+    Fmt.epr "error: %s@." msg;
+    exit 2
+
 (* Build a trivial single-input workload out of a source file so the
    pipeline's profile-then-compile flow applies unchanged. *)
 let workload_of_file path =
@@ -226,6 +235,7 @@ let serve_cmd =
                    artifacts are evicted beyond it")
   in
   let run capacity trace_spans =
+    check_bench_jobs ();
     let lookup name =
       List.find_opt
         (fun w -> w.Workload.name = name)
@@ -314,19 +324,7 @@ let bench_cmd =
     Arg.(value & flag
          & info [ "compare" ]
              ~doc:"diff two srp-bench-v1 documents (OLD.json NEW.json) per \
-                   kernel and level; exit 1 on any counter regression \
-                   beyond the thresholds")
-  in
-  let cycle_threshold_arg =
-    Arg.(value & opt float 2.0
-         & info [ "cycle-threshold" ] ~docv:"PCT"
-             ~doc:"allowed % growth of cycle counters (cycles, \
-                   data_access_cycles, rse_cycles) under --compare")
-  in
-  let counter_threshold_arg =
-    Arg.(value & opt float 0.0
-         & info [ "counter-threshold" ] ~docv:"PCT"
-             ~doc:"allowed % growth of every other counter under --compare")
+                   kernel and level; exit 1 if any counter differs")
   in
   let parse_doc path =
     match J.of_string (read_file path) with
@@ -335,21 +333,18 @@ let bench_cmd =
       Fmt.epr "error: %s: %s@." path e;
       exit 2
   in
-  let run_compare ~old_path ~new_path ~cycle_pct ~counter_pct =
-    let thresholds =
-      { Srp_driver.Report.Compare.cycle_pct; counter_pct }
-    in
+  let run_compare ~old_path ~new_path =
     match
-      Srp_driver.Report.Compare.compare_docs ~thresholds
-        ~old_doc:(parse_doc old_path) ~new_doc:(parse_doc new_path) ()
+      Srp_driver.Report.Compare.compare_docs ~old_doc:(parse_doc old_path)
+        ~new_doc:(parse_doc new_path)
     with
     | Error e ->
       Fmt.epr "error: %s@." e;
       exit 2
-    | Ok [] -> Fmt.pr "no regressions (%s -> %s)@." old_path new_path
-    | Ok regs ->
-      Fmt.pr "%d counter regression(s):@.%s@?" (List.length regs)
-        (Srp_driver.Report.Compare.render regs);
+    | Ok [] -> Fmt.pr "no differences (%s -> %s)@." old_path new_path
+    | Ok diffs ->
+      Fmt.pr "%d counter difference(s):@.%s@?" (List.length diffs)
+        (Srp_driver.Report.Compare.render diffs);
       exit 1
   in
   (* The paper sweep over the selection — every registry workload for
@@ -397,17 +392,17 @@ let bench_cmd =
       Fmt.pr "%a@." Srp_obs.Site_hist.pp_top_missers spec.Pipeline.site_stats
     end
   in
-  let run name second ablations json out compare trace_spans cycle_pct
-      counter_pct =
+  let run name second ablations json out compare trace_spans =
     if compare then
       match second with
-      | Some new_path ->
-        run_compare ~old_path:name ~new_path ~cycle_pct ~counter_pct
+      | Some new_path -> run_compare ~old_path:name ~new_path
       | None ->
         Fmt.epr "error: --compare needs OLD.json and NEW.json@.";
         exit 2
-    else
+    else begin
+      check_bench_jobs ();
       with_spans trace_spans (fun () -> run_sweep ~name ~ablations ~json ~out)
+    end
   in
   Cmd.v
     (Cmd.info "bench"
@@ -416,8 +411,7 @@ let bench_cmd =
              (--json/-o for the srp-bench-v1 document), or diff two bench \
              documents with --compare")
     Term.(const run $ name_arg $ second_arg $ ablation_arg $ json_arg
-          $ out_arg $ compare_arg $ trace_spans_arg $ cycle_threshold_arg
-          $ counter_threshold_arg)
+          $ out_arg $ compare_arg $ trace_spans_arg)
 
 let report_cmd =
   let spanfile_arg =

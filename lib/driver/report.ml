@@ -315,27 +315,12 @@ module Span_report = struct
       Ok (Buffer.contents buf)
 end
 
-(* --- `srp bench --compare`: regression gate over two srp-bench-v1 docs --- *)
+(* --- `srp bench --compare`: exact gate over two srp-bench-v1 docs --- *)
 
 module Compare = struct
-  type thresholds = {
-    cycle_pct : float;  (** allowed % growth of the cycle counters *)
-    counter_pct : float;  (** allowed % growth of every other counter *)
-  }
-
-  (* Cycle counts wobble with code layout, so they get slack by default;
-     event counts (loads, checks, ALAT traffic) are deterministic here
-     and any growth is a real change. *)
-  let default_thresholds = { cycle_pct = 2.0; counter_pct = 0.0 }
-
-  let cycle_counters = [ "cycles"; "data_access_cycles"; "rse_cycles" ]
-
-  (* l1_hits is the one counter where *more* is better and growth is
-     covered by loads_retired + l1_misses anyway; comparing it "new >
-     old = regression" would invert its meaning. *)
-  let ignored_counters = [ "l1_hits" ]
-
-  type regression = {
+  (* The simulator is deterministic, so every counter is exact: any
+     difference, up or down, is reported. *)
+  type difference = {
     r_bench : string;
     r_side : string; (* "baseline" | "alat" *)
     r_counter : string;
@@ -362,49 +347,33 @@ module Compare = struct
 
   (* Compare one counters object pair; missing fields on the new side are
      errors (a counter vanished), not silently skipped. *)
-  let compare_counters ~thresholds ~bench ~side (old_c : J.t) (new_c : J.t) :
-      (regression list, string) result =
+  let compare_counters ~bench ~side (old_c : J.t) (new_c : J.t) :
+      (difference list, string) result =
     match old_c with
     | J.Obj fields ->
       List.fold_left
         (fun acc (counter, old_v) ->
           match acc with
           | Error _ -> acc
-          | Ok regs -> (
-            if List.mem counter ignored_counters then Ok regs
-            else
-              match old_v, Option.bind (J.member counter new_c) J.to_int_opt with
-              | J.Int old_v, Some new_v ->
-                let pct =
-                  if List.mem counter cycle_counters then thresholds.cycle_pct
-                  else thresholds.counter_pct
-                in
-                let limit =
-                  float_of_int old_v *. (1.0 +. (pct /. 100.0))
-                in
-                if new_v > old_v && float_of_int new_v > limit then
-                  Ok
-                    ({ r_bench = bench; r_side = side; r_counter = counter;
-                       r_old = old_v; r_new = new_v;
-                       r_delta_pct =
-                         100.0
-                         *. float_of_int (new_v - old_v)
-                         /. float_of_int (max 1 old_v) }
-                    :: regs)
-                else Ok regs
-              | J.Int _, None ->
-                Error
-                  (Fmt.str "%s/%s: counter %S missing from new document" bench
-                     side counter)
-              | _ -> Ok regs))
+          | Ok diffs -> (
+            match old_v, Option.bind (J.member counter new_c) J.to_int_opt with
+            | J.Int old_v, Some new_v when new_v <> old_v ->
+              Ok
+                ({ r_bench = bench; r_side = side; r_counter = counter;
+                   r_old = old_v; r_new = new_v;
+                   r_delta_pct =
+                     100.0 *. float_of_int (new_v - old_v) /. float_of_int (max 1 old_v) }
+                :: diffs)
+            | J.Int _, None ->
+              Error (Fmt.str "%s/%s: counter %S missing from new document" bench side counter)
+            | _ -> Ok diffs))
         (Ok []) fields
     | _ -> Error (Fmt.str "%s/%s: counters are not an object" bench side)
 
   (* Diff two srp-bench-v1 documents per kernel x level.  A benchmark
      present in [old_doc] but absent from [new_doc] is an error — a
-     silently dropped kernel must not read as "no regressions". *)
-  let compare_docs ?(thresholds = default_thresholds) ~(old_doc : J.t)
-      ~(new_doc : J.t) () : (regression list, string) result =
+     silently dropped kernel must not read as "no differences". *)
+  let compare_docs ~(old_doc : J.t) ~(new_doc : J.t) : (difference list, string) result =
     match bench_index old_doc, bench_index new_doc with
     | Error e, _ -> Error ("old: " ^ e)
     | _, Error e -> Error ("new: " ^ e)
@@ -417,7 +386,7 @@ module Compare = struct
         (fun acc name ->
           match acc with
           | Error _ -> acc
-          | Ok regs -> (
+          | Ok diffs -> (
             match Hashtbl.find_opt new_tbl name with
             | None ->
               Error (Fmt.str "benchmark %S missing from new document" name)
@@ -427,23 +396,22 @@ module Compare = struct
                 match J.member field old_e, J.member field new_e with
                 | Some o, Some n ->
                   Result.bind
-                    (compare_counters ~thresholds ~bench:name ~side:side_name
-                       o n)
+                    (compare_counters ~bench:name ~side:side_name o n)
                     k
                 | _ ->
                   Error (Fmt.str "%s: missing %s" name field)
               in
               match
-                side "baseline" "baseline_counters" @@ fun base_regs ->
-                side "alat" "alat_counters" @@ fun alat_regs ->
-                Ok (base_regs @ alat_regs)
+                side "baseline" "baseline_counters" @@ fun base_diffs ->
+                side "alat" "alat_counters" @@ fun alat_diffs ->
+                Ok (base_diffs @ alat_diffs)
               with
-              | Ok more -> Ok (regs @ more)
+              | Ok more -> Ok (diffs @ more)
               | Error e -> Error e)))
         (Ok []) names
 
-  let render (regs : regression list) : string =
-    if regs = [] then "no regressions\n"
+  let render (diffs : difference list) : string =
+    if diffs = [] then "no differences\n"
     else
       Srp_support.Pp_util.render_table
         ~header:[ "benchmark"; "level"; "counter"; "old"; "new"; "delta %" ]
@@ -451,6 +419,6 @@ module Compare = struct
           (List.map
              (fun r ->
                [ r.r_bench; r.r_side; r.r_counter; string_of_int r.r_old;
-                 string_of_int r.r_new; Fmt.str "+%.2f" r.r_delta_pct ])
-             regs)
+                 string_of_int r.r_new; Fmt.str "%+.2f" r.r_delta_pct ])
+             diffs)
 end

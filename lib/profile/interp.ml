@@ -15,10 +15,14 @@
    An operand is an immediate, a slot or a deferred fault: the address of
    a global is resolved at decoding, and a symbol with no region raises
    only when evaluated, as it did when looked up.  A callee is resolved on
-   the call's first execution.  A direct access (a formal, local or global
-   plus a constant offset) keeps its region and searches the region table
-   only if the offset leaves it; every access finds its region once, for
-   the profile and the load or store alike.
+   the call's first execution.  Every load and store reaches its word by
+   address, through [Memory]'s pages, as the machine does.
+
+   Only the profile needs an access's location.  A direct access (a
+   formal, local or global plus a constant offset inside the symbol) has
+   its symbol's location fixed at decoding.  Any other access (indirect,
+   or direct with an offset that leaves its symbol) asks the region table
+   for one, and only when a profile is being collected.
 
    The profile is collected densely: each site has one record, referenced
    by its loads and stores, holding an execution count and one hit cell
@@ -49,16 +53,16 @@ type operand =
   | Frame of int (* slot holding a formal's or local's base *)
   | Fault of string (* a symbol with no region: raised when evaluated *)
 
-(* A direct access names its region's holder: a frame slot or a global's
-   region, searched only if the address leaves it. *)
 type addr =
   | Direct of { slot : int; off : int64 } (* a formal or local *)
-  | Absolute of { a : int64; region : Memory.region } (* a global *)
+  | Absolute of int64 (* a global *)
   | Indirect of { base : operand; off : int64 }
 
+(* An access's [at] is its location when decoding fixed it, or [None] if
+   the profile must look it up. *)
 type instr =
-  | Load of { dst : int; addr : addr; mty : Mem_ty.t; site : site }
-  | Store of { src : operand; addr : addr; site : site }
+  | Load of { dst : int; addr : addr; mty : Mem_ty.t; site : site; at : Location.t option }
+  | Store of { src : operand; addr : addr; site : site; at : Location.t option }
   | Bin of { dst : int; op : Ops.binop; a : operand; b : operand }
   | Un of { dst : int; op : Ops.unop; a : operand }
   | Mov of { dst : int; src : operand }
@@ -91,9 +95,6 @@ and func = {
   blocks : block array;
   entry : int;
 }
-
-(* A call's slots and the regions of its formals and locals. *)
-type frame = { vals : Value.t array; regions : Memory.region array }
 
 type t = {
   prog : Program.t;
@@ -165,6 +166,7 @@ let decode t (f : Func.t) : func =
       i
   in
   let temp tmp = Tmp (dst tmp, tmp) in
+  let locs = Array.map (fun s -> Location.Sym s) syms in
   (* a frame symbol is found by identity, first occurrence first *)
   let frame_slot s =
     let rec find i = if i = nsyms then None else if syms.(i) == s then Some i else find (i + 1) in
@@ -188,17 +190,23 @@ let decode t (f : Func.t) : func =
     | Ops.Flt x -> Imm (Value.Vflt x)
     | Ops.Sym_addr s -> sym s
   in
-  let addr (a : Ops.addr) =
+  (* an access's address and, if the offset stays inside its symbol, the
+     symbol's location *)
+  let access (a : Ops.addr) =
     let off = Int64.of_int a.Ops.offset in
+    let inside s loc =
+      if Int64.compare off 0L >= 0 && Int64.compare off (Int64.of_int (Symbol.size_bytes s)) < 0
+      then Some loc
+      else None
+    in
     match a.Ops.base with
-    | Ops.Reg r -> Indirect { base = temp r; off }
+    | Ops.Reg r -> (Indirect { base = temp r; off }, None)
     | Ops.Sym s -> (
       match sym s with
-      | Frame slot -> Direct { slot; off }
+      | Frame slot -> (Direct { slot; off }, inside s locs.(slot))
       | Imm (Value.Vint base) ->
-        let a = Int64.add base off in
-        Absolute { a; region = Memory.find t.mem base }
-      | base -> Indirect { base; off })
+        (Absolute (Int64.add base off), inside s (Memory.location t.mem base))
+      | base -> (Indirect { base; off }, None))
   in
   (* block indices: the first block of each label, then labels jumped to
      that have no block *)
@@ -231,9 +239,12 @@ let decode t (f : Func.t) : func =
   let instr (ins : Instr.instr) =
     match ins with
     | Instr.Load { dst = d; addr = a; mty; site; _ } ->
-      Load { dst = dst d; addr = addr a; mty; site = site_of t site }
+      let addr, at = access a in
+      Load { dst = dst d; addr; mty; site = site_of t site; at }
     | Instr.Store { src; addr = a; site; _ } ->
-      Store { src = operand src; addr = addr a; site = site_of t site }
+      let src = operand src in
+      let addr, at = access a in
+      Store { src; addr; site = site_of t site; at }
     | Instr.Bin { dst = d; op; a; b } -> Bin { dst = dst d; op; a = operand a; b = operand b }
     | Instr.Un { dst = d; op; a } -> Un { dst = dst d; op; a = operand a }
     | Instr.Mov { dst = d; src } -> Mov { dst = dst d; src = operand src }
@@ -272,8 +283,7 @@ let decode t (f : Func.t) : func =
   in
   { ir = f; nsyms;
     formal_slots = List.init (List.length (Func.formals f)) Fun.id;
-    sizes = Array.map Symbol.size_bytes syms;
-    locs = Array.map (fun s -> Location.Sym s) syms; nslots = !nslots;
+    sizes = Array.map Symbol.size_bytes syms; locs; nslots = !nslots;
     blocks = Array.of_list (decoded @ absent); entry }
 
 let func_of t name =
@@ -300,9 +310,14 @@ let hit site loc =
       site.cells <- c :: site.cells;
       site.hot <- c
 
-let[@inline] record_access t site r =
-  (* a wild access is not recorded; the load/store itself will fault *)
-  if t.collect_profile && Memory.found r then hit site (Memory.location r)
+(* Record an access at [a] with the location [at] fixed at decoding, or
+   else the region table's.  A wild access is not recorded; the load or
+   store itself faults. *)
+let[@inline] record t site at a =
+  match at with
+  | Some loc -> hit site loc
+  | None -> (
+    match Memory.location t.mem a with loc -> hit site loc | exception Not_found -> ())
 
 (* Add the counters to the profile and zero them. *)
 let flush t =
@@ -336,41 +351,28 @@ let[@inline] spend t =
 let[@inline] eval fr = function
   | Imm v -> v
   | Tmp (i, tmp) ->
-    let v = Array.unsafe_get fr.vals i in
+    let v = Array.unsafe_get fr i in
     if v == undefined then Value.err "read of undefined temp %s" (Temp.to_string tmp);
     v
-  | Frame i -> Array.unsafe_get fr.vals i
+  | Frame i -> Array.unsafe_get fr i
   | Fault msg -> Value.err "%s" msg
 
 let[@inline] address fr = function
-  | Direct { slot; off } -> Int64.add (Value.to_int (Array.unsafe_get fr.vals slot)) off
-  | Absolute { a; _ } -> a
+  | Direct { slot; off } -> Int64.add (Value.to_int (Array.unsafe_get fr slot)) off
+  | Absolute a -> a
   | Indirect { base; off } -> Int64.add (Value.to_int (eval fr base)) off
 
-(* The region of an access at [a] through [addr]. *)
-let[@inline] region t fr addr a =
-  match addr with
-  | Direct { slot; _ } -> Memory.find_from t.mem (Array.unsafe_get fr.regions slot) a
-  | Absolute { region; _ } -> Memory.find_from t.mem region a
-  | Indirect _ -> Memory.find t.mem a
-
 let rec call t (fn : func) (args : Value.t list) : Value.t =
-  (* the frame: formals then locals, each a region *)
-  let vals = Array.make fn.nslots undefined in
-  let regions =
-    Array.init fn.nsyms (fun i ->
-        let r = Memory.alloc_region t.mem ~size:fn.sizes.(i) ~loc:fn.locs.(i) in
-        vals.(i) <- Value.Vint (Memory.base r);
-        r)
-  in
-  let fr = { vals; regions } in
+  (* the frame's slots: formals then locals, each holding its region's base *)
+  let fr = Array.make fn.nslots undefined in
+  for i = 0 to fn.nsyms - 1 do
+    fr.(i) <- Value.Vint (Memory.alloc t.mem ~size:fn.sizes.(i) ~loc:fn.locs.(i))
+  done;
   (* bind arguments into formal memory *)
-  List.iter2
-    (fun i v -> Memory.store_in t.mem regions.(i) (Value.to_int vals.(i)) v)
-    fn.formal_slots args;
+  List.iter2 (fun i v -> Memory.store t.mem (Value.to_int fr.(i)) v) fn.formal_slots args;
   let result = run_block t fn fr fn.entry in
   for i = 0 to fn.nsyms - 1 do
-    Memory.free t.mem (Value.to_int vals.(i))
+    Memory.free t.mem (Value.to_int fr.(i))
   done;
   result
 
@@ -402,29 +404,27 @@ and run_block t fn fr bi : Value.t =
 and exec_instr t fr (ins : instr) : unit =
   spend t;
   match ins with
-  | Load { dst; addr; mty; site } ->
+  | Load { dst; addr; mty; site; at } ->
     let a = address fr addr in
-    let r = region t fr addr a in
-    record_access t site r;
-    fr.vals.(dst) <- Memory.load_in t.mem r a mty
-  | Store { src; addr; site } ->
+    if t.collect_profile then record t site at a;
+    fr.(dst) <- Memory.load_typed t.mem a mty
+  | Store { src; addr; site; at } ->
     let v = eval fr src in
     let a = address fr addr in
-    let r = region t fr addr a in
     (* direct accesses are recorded too: the dynamic mod sets of callees
        (used to speculate across calls) must see a callee's direct global
        stores, not just its indirect ones *)
-    record_access t site r;
-    Memory.store_in t.mem r a v
+    if t.collect_profile then record t site at a;
+    Memory.store t.mem a v
   | Bin { dst; op; a; b } ->
     let va = eval fr a in
     let vb = eval fr b in
-    fr.vals.(dst) <- Value.binop op va vb
-  | Un { dst; op; a } -> fr.vals.(dst) <- Value.unop op (eval fr a)
-  | Mov { dst; src } -> fr.vals.(dst) <- eval fr src
+    fr.(dst) <- Value.binop op va vb
+  | Un { dst; op; a } -> fr.(dst) <- Value.unop op (eval fr a)
+  | Mov { dst; src } -> fr.(dst) <- eval fr src
   | Alloc { dst; nbytes; loc } ->
     let n = Value.to_int (eval fr nbytes) in
-    fr.vals.(dst) <- Value.Vint (Memory.malloc t.mem ~nbytes:n ~loc)
+    fr.(dst) <- Value.Vint (Memory.malloc t.mem ~nbytes:n ~loc)
   | Print { args; float } ->
     let v = List.hd (List.map (eval fr) args) in
     Buffer.add_string t.output
@@ -442,7 +442,7 @@ and exec_instr t fr (ins : instr) : unit =
     let v = call t fn vargs in
     if dst >= 0 then begin
       if v == void then Value.err "void return used as a value in call to %s" callee;
-      fr.vals.(dst) <- v
+      fr.(dst) <- v
     end
   | Promoted ->
     Value.err "interpreter: promoted IR is not interpretable (use the machine simulator)"

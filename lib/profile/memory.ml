@@ -7,32 +7,30 @@
    Representation: the words live in fixed-size pages owned by [t], not
    in the regions.  A page is one [Bytes.t]: [page_words] native-endian
    int64 words, then one tag byte per word ([unmapped], [int_tag] or
-   [flt]).  Words are raw bits: the
-   machine moves them straight to and from its register files
-   ([load_bits], [store_bits]), and the interpreter rebuilds a [Value.t]
-   from bits and tag ([read]).
+   [flt]).  Words are raw bits: the machine moves them straight to and
+   from its register files ([load_bits], [store_bits]), and the
+   interpreter rebuilds a [Value.t] from bits and tag ([load_typed]).
 
    A two-level directory indexed by [a lsr page_bits] finds an address's
    page: a chunk of [chunk_pages] pages, then the page.  Pages at or above
    [directory_reach], or at a negative address, go in a small hash table.
    Where nothing is mapped the directory holds [no_page], whose tags are
-   all [unmapped].  So a load, a store or [mapped] is a page fetch and a
-   tag test; red zones and freed spans fault with the texts of [unmapped]
-   because their tags say so.  Mapping a span zeroes its words and tags
-   them int, so a reused address reads zero.  A page that [free] leaves
-   with no live region's word (only the freed region's neighbours in the
-   table can share its pages) is dropped and kept as one of two spares,
-   which the next new pages reuse.  So a frame that comes and goes, at
-   one address or at fresh ones, allocates no page per call.
+   all [unmapped].  So every load, store or [mapped], the machine's and
+   the interpreter's alike, is a page fetch and a tag test; red zones and
+   freed spans fault with the texts of [unmapped] because their tags say
+   so.  Mapping a span zeroes its words and tags them int, so a reused
+   address reads zero.  A page that [free] leaves with no live region's
+   word (only the freed region's neighbours in the table can share its
+   pages) is dropped and kept as one of two spares, which the next new
+   pages reuse.  So a frame that comes and goes, at one address or at
+   fresh ones, allocates no page per call.
 
-   The region table is for what needs a [Location.t] or a placement
-   check: [find], [alloc], [alloc_at] and [free].  Regions live in one
-   array sorted by base, next to a parallel array of the bases, searched
-   by bisection.  Two last-hit slots sit in front of it: one for regions
-   placed with [alloc_at] (the machine's stack frames) and one for the
-   rest (globals and heap), so a loop alternating between a frame slot and
-   an array hits both.  In the machine, heap regions sit below every stack
-   frame and a new frame just below the live ones, so inserting or
+   No access searches the region table.  It serves what needs a
+   [Location.t] ([location], for the profile) or a placement check
+   ([alloc], [alloc_at], [free]).  Regions live in one array sorted by
+   base, next to a parallel array of the bases, searched by bisection
+   behind one last-hit slot.  In the machine, heap regions sit below every
+   stack frame and a new frame just below the live ones, so inserting or
    removing a region shifts at most the live frames: the call depth.
 
    Addresses are native ints inside; the int64 entry points treat an
@@ -88,15 +86,13 @@ type region = {
   base : int;
   limit : int; (* base + size; size is a multiple of 8 *)
   loc : Srp_alias.Location.t;
-  stack : bool; (* placed by [alloc_at] *)
 }
 
 type t = {
   mutable bases : int array; (* [bases.(i) = regions.(i).base], ascending *)
   mutable regions : region array;
   mutable n : int; (* live entries *)
-  mutable last_stack : region; (* last [alloc_at] region hit, or [no_region] *)
-  mutable last_other : region; (* last other region hit, or [no_region] *)
+  mutable last : region; (* last region [location] found, or [no_region] *)
   mutable brk : int; (* next free address *)
   mutable dir : Bytes.t array array; (* chunk -> its pages; [no_chunk] if none *)
   far : (int, Bytes.t) Hashtbl.t; (* page number -> page, outside the reach *)
@@ -106,8 +102,7 @@ type t = {
 }
 
 (* The empty sentinel: no address falls in it, so it is never a hit. *)
-let no_region =
-  { base = 0; limit = 0; loc = Srp_alias.Location.Heap (-1); stack = false }
+let no_region = { base = 0; limit = 0; loc = Srp_alias.Location.Heap (-1) }
 
 (* Dropped pages kept for reuse.  Frames that straddle a page boundary
    free two pages at once; with one spare, the other page would be left
@@ -120,7 +115,7 @@ let max_region_bytes = 1 lsl 27
 
 let create () =
   { bases = Array.make 16 0; regions = Array.make 16 no_region; n = 0;
-    last_stack = no_region; last_other = no_region; brk = 0x1000; dir = [||];
+    last = no_region; brk = 0x1000; dir = [||];
     far = Hashtbl.create 1; spares = Array.make max_spares no_page; n_spares = 0;
     resident = 0 }
 
@@ -260,7 +255,7 @@ let slot_for t ~base ~size =
   else if i < t.n && t.bases.(i) < base + size then -1
   else i
 
-let insert t i ~base ~size ~loc ~stack =
+let insert t i ~base ~size ~loc =
   if t.n = Array.length t.bases then begin
     let grow a fill = Array.append a (Array.make (Array.length a) fill) in
     t.bases <- grow t.bases 0;
@@ -269,26 +264,21 @@ let insert t i ~base ~size ~loc ~stack =
   Array.blit t.bases i t.bases (i + 1) (t.n - i);
   Array.blit t.regions i t.regions (i + 1) (t.n - i);
   map_span t base (base + size);
-  let r = { base; limit = base + size; loc; stack } in
   t.bases.(i) <- base;
-  t.regions.(i) <- r;
-  t.n <- t.n + 1;
-  r
+  t.regions.(i) <- { base; limit = base + size; loc };
+  t.n <- t.n + 1
 
 (* Allocate a fresh region.  The span must not reach a region placed
    above the break by [alloc_at]. *)
-let alloc_region t ~size ~loc =
+let alloc t ~size ~loc =
   let size = region_size size in
   let base = t.brk in
   let i = slot_for t ~base ~size in
   if i < 0 then
     Value.err "alloc: %d bytes at 0x%x would overlap another region" size base;
-  let r = insert t i ~base ~size ~loc ~stack:false in
+  insert t i ~base ~size ~loc;
   t.brk <- base + size + 8 (* red zone *);
-  r
-
-let base r = Int64.of_int r.base
-let alloc t ~size ~loc = base (alloc_region t ~size ~loc)
+  Int64.of_int base
 
 (* A program's [malloc]: the size is checked as the int64 the program
    passed, before it is narrowed to an [int].  Inlined, so the machine
@@ -312,7 +302,7 @@ let alloc_at t ~base:base64 ~size ~loc =
     Value.err "alloc_at: base 0x%Lx is outside the address space" base64;
   let i = slot_for t ~base ~size in
   if i < 0 then Value.err "alloc_at: overlap at 0x%Lx" base64;
-  ignore (insert t i ~base ~size ~loc ~stack:true);
+  insert t i ~base ~size ~loc;
   base64
 
 (* Remove a region (function frame teardown).  Its words are unmapped, so
@@ -323,31 +313,12 @@ let free t base64 =
   if i < 0 || t.bases.(i) <> base || not (Int64.equal (Int64.of_int base) base64) then
     Value.err "free of unknown region at 0x%Lx" base64;
   let r = t.regions.(i) in
-  if t.last_stack == r then t.last_stack <- no_region;
-  if t.last_other == r then t.last_other <- no_region;
+  if t.last == r then t.last <- no_region;
   Array.blit t.bases (i + 1) t.bases i (t.n - i - 1);
   Array.blit t.regions (i + 1) t.regions i (t.n - i - 1);
   t.n <- t.n - 1;
   t.regions.(t.n) <- no_region;
   unmap t r i
-
-(* The region [a] falls in, or [no_region]. *)
-let region_of t a : region =
-  let r = t.last_other in
-  if a >= r.base && a < r.limit then r
-  else
-    let r = t.last_stack in
-    if a >= r.base && a < r.limit then r
-    else
-      let i = rank t a - 1 in
-      if i < 0 then no_region
-      else
-        let r = t.regions.(i) in
-        if a >= r.limit then no_region
-        else begin
-          if r.stack then t.last_stack <- r else t.last_other <- r;
-          r
-        end
 
 (* The fault of a plain access at [a], which is unaligned or in no region
    (an int64 that does not fit an int is in none). *)
@@ -372,56 +343,55 @@ let store_bits t a src off ~float =
   set_word pg (a land page_mask) (get_int64 src off);
   Bytes.unsafe_set pg ti (if float then flt else int_tag)
 
-(* --- int64 addresses and values: the interpreter --- *)
+(* --- int64 addresses and values: the interpreter and the profile --- *)
 
-(* The region [a] falls in, or [no_region]: an int64 that does not fit
+(* The location of the region [a] falls in.  An int64 that does not fit
    an int is in none. *)
-let find t (a : int64) =
+let location t (a : int64) =
   let i = Int64.to_int a in
-  if Int64.equal (Int64.of_int i) a then region_of t i else no_region
+  if not (Int64.equal (Int64.of_int i) a) then raise Not_found;
+  let r = t.last in
+  if i >= r.base && i < r.limit then r.loc
+  else
+    let k = rank t i - 1 in
+    if k < 0 then raise Not_found;
+    let r = t.regions.(k) in
+    if i >= r.limit then raise Not_found;
+    t.last <- r;
+    r.loc
 
-(* [r] itself when [a] falls in it, without touching the last-hit slots. *)
-let find_from t r (a : int64) =
+(* The native address of a plain access at [a]: the fault of [unmapped]
+   if it does not fit an int. *)
+let[@inline] native (a : int64) =
   let i = Int64.to_int a in
-  if i >= r.base && i < r.limit && Int64.equal (Int64.of_int i) a then r else find t a
-
-let found r = r != no_region
-
-let location r =
-  if r == no_region then invalid_arg "Memory.location: no region";
-  r.loc
-
-let location_of_addr t a =
-  let r = find t a in
-  if r == no_region then None else Some r.loc
-
-(* The native address of an access at [a]; the fault of [unmapped] unless
-   [a] is aligned and in [r] (never in [no_region]). *)
-let[@inline] address r (a : int64) =
-  let i = Int64.to_int a in
-  if i land 7 <> 0 || i < r.base || i >= r.limit then unmapped a;
+  if not (Int64.equal (Int64.of_int i) a) then unmapped a;
   i
 
-(* A typed load ([f64]) reinterprets a zero int cell as 0.0 so that
-   zero-init behaves type-correctly. *)
-let read t r a ~f64 : Value.t =
-  let i = address r a in
+(* The page of the word at [i]; the fault of [unmapped] unless [i] is
+   aligned and mapped. *)
+let[@inline] word_page t i =
   let pg = page t i in
+  if i land 7 <> 0 || Bytes.unsafe_get pg (tag_index i) = unmapped_tag then
+    unmapped (Int64.of_int i);
+  pg
+
+(* A typed load ([F64]) reinterprets a zero int cell as 0.0 so that
+   zero-init behaves type-correctly. *)
+let load_typed t a mty : Value.t =
+  let i = native a in
+  let pg = word_page t i in
   let bits = get_word pg (i land page_mask) in
   if Bytes.unsafe_get pg (tag_index i) = flt then Value.Vflt (Int64.float_of_bits bits)
-  else if f64 && Int64.equal bits 0L then Value.Vflt 0.0
-  else Value.Vint bits
+  else
+    match mty with
+    | Mem_ty.F64 when Int64.equal bits 0L -> Value.Vflt 0.0
+    | Mem_ty.F64 | Mem_ty.I64 -> Value.Vint bits
 
-let is_f64 = function Mem_ty.F64 -> true | Mem_ty.I64 -> false
-(* The int64 entry points are never inlined: a caller that computed the
-   address unboxed would box it once for [find] and again for the access. *)
-let load_in t r a mty = read t r a ~f64:(is_f64 mty)
-let[@inline never] load t a = read t (find t a) a ~f64:false
-let[@inline never] load_typed t a mty = read t (find t a) a ~f64:(is_f64 mty)
+let load t a = load_typed t a Mem_ty.I64
 
-let store_in t r a (v : Value.t) =
-  let i = address r a in
-  let pg = page t i in
+let store t a (v : Value.t) =
+  let i = native a in
+  let pg = word_page t i in
   match v with
   | Value.Vint bits ->
     set_word pg (i land page_mask) bits;
@@ -429,5 +399,3 @@ let store_in t r a (v : Value.t) =
   | Value.Vflt x ->
     set_word pg (i land page_mask) (Int64.bits_of_float x);
     Bytes.unsafe_set pg (tag_index i) flt
-
-let[@inline never] store t a v = store_in t (find t a) a v

@@ -3,14 +3,15 @@
     or float), plus a region table resolving any address back to the
     abstract {!Location.t} it falls in.
 
-    A load or store finds its word's page through a two-level directory
-    and tests the word's tag: no region search.  The region table serves
-    what needs a location or a placement check ({!find}, {!alloc},
-    {!alloc_at}, {!free}).  It is what makes alias *profiling* possible:
-    every dynamic indirect access reports which symbol or heap object it
-    actually touched (paper section 3.1).  All memory reads are
-    zero-initialized (calloc semantics), identically in the interpreter
-    and the machine, which keeps differential tests exact.
+    Every load or store, the interpreter's and the machine's alike, finds
+    its word's page through a two-level directory and tests the word's
+    tag: no region search.  The region table serves only what needs a
+    location or a placement check ({!location}, {!alloc}, {!alloc_at},
+    {!free}).  It is what makes alias *profiling* possible: every dynamic
+    access whose target is not known statically reports which symbol or
+    heap object it actually touched (paper section 3.1).  All memory reads
+    are zero-initialized (calloc semantics), identically in the
+    interpreter and the machine, which keeps differential tests exact.
 
     The interpreter works in int64 addresses and {!Value.t}; the machine
     in native-int addresses and raw bits.  An int64 address that does not
@@ -43,57 +44,23 @@ val alloc_at : t -> base:int64 -> size:int -> loc:Srp_alias.Location.t -> int64
     @raise Value.Interp_error if no region starts at the address. *)
 val free : t -> int64 -> unit
 
-(** The abstract location an address falls in, if any. *)
-val location_of_addr : t -> int64 -> Srp_alias.Location.t option
+(** The abstract location of the region an address falls in (red zones
+    are in none).  It allocates nothing.
+    @raise Not_found if the address is in no region. *)
+val location : t -> int64 -> Srp_alias.Location.t
 
 (** The word at an address: [Vflt] if a float was stored there last,
     [Vint] otherwise.
     @raise Value.Interp_error on wild or unaligned accesses. *)
 val load : t -> int64 -> Value.t
 
-(** Typed load: a zero cell read at F64 yields 0.0. *)
+(** Typed load: a zero cell read at F64 yields 0.0.
+    @raise Value.Interp_error on wild or unaligned accesses. *)
 val load_typed : t -> int64 -> Srp_ir.Mem_ty.t -> Value.t
 
 (** Store a value's bits, tagging the word float for a [Vflt].
     @raise Value.Interp_error on wild or unaligned accesses. *)
 val store : t -> int64 -> Value.t -> unit
-
-(** {2 Region handles}
-
-    The interpreter's entry points: it finds an access's region once, for
-    the profile and the access alike, and keeps the region of a frame
-    slot or a global to skip the search for a direct access. *)
-
-(** A region, or the sentinel for an address in none. *)
-type region
-
-(** {!alloc} returning the new region. *)
-val alloc_region : t -> size:int -> loc:Srp_alias.Location.t -> region
-
-(** A region's base address. *)
-val base : region -> int64
-
-(** The region an address falls in; the sentinel if none. *)
-val find : t -> int64 -> region
-
-(** [find_from t r a] is [r] when [a] falls in it, else [find t a].  [r]
-    must be live. *)
-val find_from : t -> region -> int64 -> region
-
-(** Is the region not the sentinel? *)
-val found : region -> bool
-
-(** The abstract location of a found region.
-    @raise Invalid_argument on the sentinel. *)
-val location : region -> Srp_alias.Location.t
-
-(** [load_in t (find t a) a mty] is [load_typed t a mty].  A region that
-    does not hold [a] faults as an unmapped access. *)
-val load_in : t -> region -> int64 -> Srp_ir.Mem_ty.t -> Value.t
-
-(** [store_in t (find t a) a v] is [store t a v].  A region that does not
-    hold [a] faults as an unmapped access. *)
-val store_in : t -> region -> int64 -> Value.t -> unit
 
 (** {2 Native-int addresses}
 

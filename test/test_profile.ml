@@ -7,6 +7,10 @@ module Value = Srp_profile.Value
 module Alias_profile = Srp_profile.Alias_profile
 module Location = Srp_alias.Location
 
+(* The location of the region an address falls in, if any. *)
+let location_of_addr m a =
+  match Memory.location m a with l -> Some l | exception Not_found -> None
+
 let test_memory_regions () =
   let m = Memory.create () in
   let sym =
@@ -16,11 +20,11 @@ let test_memory_regions () =
   in
   let base = Memory.alloc m ~size:32 ~loc:(Location.Sym sym) in
   Alcotest.(check bool) "aligned" true (Int64.rem base 8L = 0L);
-  (match Memory.location_of_addr m (Int64.add base 24L) with
+  (match location_of_addr m (Int64.add base 24L) with
   | Some (Location.Sym s) -> Alcotest.(check string) "inside region" "x" (Srp_ir.Symbol.name s)
   | _ -> Alcotest.fail "expected the region");
   Alcotest.(check (option reject)) "past the end is nobody's" None
-    (Option.map (fun _ -> ()) (Memory.location_of_addr m (Int64.add base 32L)))
+    (Option.map (fun _ -> ()) (location_of_addr m (Int64.add base 32L)))
 
 let test_memory_zero_init () =
   let m = Memory.create () in
@@ -103,7 +107,7 @@ let test_freed_region_is_wild () =
     (Some "wild access at 0x8008")
     (raises_interp (fun () -> Memory.store m addr (Value.Vint 1L)));
   Alcotest.(check bool) "no location after free" true
-    (Memory.location_of_addr m addr = None);
+    (location_of_addr m addr = None);
   (* freeing a region the cache does not point at leaves the cache valid *)
   let b2 = Memory.alloc_at m ~base:0x9000L ~size:8 ~loc:(Location.Heap 2) in
   Memory.store m other (Value.Vint 9L);
@@ -141,8 +145,8 @@ let test_alternating_regions () =
     check_value "b" (Value.Vflt (float_of_int (100 + w))) (Memory.load m (at b w))
   done;
   Alcotest.(check bool) "locations follow the regions" true
-    (Memory.location_of_addr m (at a 7) = Some (Location.Heap 0)
-    && Memory.location_of_addr m (at b 0) = Some (Location.Heap 1))
+    (location_of_addr m (at a 7) = Some (Location.Heap 0)
+    && location_of_addr m (at b 0) = Some (Location.Heap 1))
 
 (* Bump allocation must stop at a region placed above the break rather
    than run through it: in the machine, that is the heap growing into the
@@ -156,7 +160,7 @@ let test_alloc_stops_at_placed_region () =
     (raises_interp (fun () -> Memory.alloc m ~size:0x200 ~loc:(Location.Heap 1)));
   check_value "placed region intact" (Value.Vint 42L) (Memory.load m placed);
   Alcotest.(check bool) "placed region still located" true
-    (Memory.location_of_addr m placed = Some (Location.Heap 0));
+    (location_of_addr m placed = Some (Location.Heap 0));
   let below = Memory.alloc m ~size:0x80 ~loc:(Location.Heap 2) in
   Alcotest.(check int64) "a span ending below it fits" 0x1000L below
 
@@ -212,7 +216,7 @@ let test_page_churn_bounded () =
 (* --- Memory against a reference model ---
 
    Random alloc / alloc_at / free / load / load_typed / store /
-   load_bits / store_bits / location_of_addr scripts run against a naive
+   load_bits / store_bits / location scripts run against a naive
    reference: an association list from base to region, each region an
    array of [Value.t] words.
    Addresses are drawn relative to the bases handed out so far (so they
@@ -477,7 +481,7 @@ let prop_memory_model =
             let str = Option.fold ~none:"none" ~some:Location.to_string in
             agree k what
               (str (Option.map (fun (_, r) -> r.mloc) (find a)))
-              (str (Memory.location_of_addr m a));
+              (str (location_of_addr m a));
             let i = Int64.to_int a in
             if Int64.equal (Int64.of_int i) a then
               agree k (what ^ " (mapped)")
@@ -920,7 +924,12 @@ let test_fuel_mid_loop_profile () =
 
 (* The interpreter's faults, each raised by a one-block [main] built by
    hand, keep their texts; a jump to a label with no block still counts
-   the entry in the profile. *)
+   the entry in the profile.  So do the locations of direct accesses: a
+   constant offset inside its symbol is recorded as the symbol, even when
+   unaligned (then it faults); one that leaves its symbol is recorded as
+   whatever region it lands in, or not at all in a red zone.  Regions are
+   laid out from 0x1000, each followed by an 8-byte red zone: globals
+   first, then the frame's locals in [Func.locals] order. *)
 let test_interp_fault_texts () =
   let open Srp_ir in
   let fault build =
@@ -940,7 +949,7 @@ let test_interp_fault_texts () =
     let it = Srp_profile.Interp.create prog in
     let text =
       match Srp_profile.Interp.run it with
-      | _ -> "no fault"
+      | v -> Fmt.str "exit %Ld" v
       | exception Value.Interp_error e -> e
       | exception Invalid_argument e -> "invalid: " ^ e
     in
@@ -980,7 +989,64 @@ let test_interp_fault_texts () =
   Alcotest.(check string) "jump to no block"
     (Fmt.str "invalid: Func.find_block: main has no block gone%d" !gone) text;
   Alcotest.(check int) "its entry is counted" 1
-    (Alias_profile.block_count p ~func:"main" ~label_id:!gone)
+    (Alias_profile.block_count p ~func:"main" ~label_id:!gone);
+  (* a site's count and its (location, hits) targets *)
+  let touches p site =
+    ( Alias_profile.count p site,
+      List.map
+        (fun l -> (Location.to_string l, Alias_profile.touch_count p site l))
+        (Location.Set.elements (Alias_profile.targets p site)) )
+  in
+  let check_site what p site want =
+    Alcotest.(check (pair int (list (pair string int)))) what want (touches p site)
+  in
+  let load ?(dst = Temp.Gen.fresh (Temp.Gen.create ()) Mem_ty.I64) s offset site =
+    Instr.Load { dst; addr = { Ops.base = Ops.Sym s; offset }; mty = Mem_ty.I64; site;
+                 promo = Instr.P_none }
+  in
+  let local main sym name =
+    let s = sym name Symbol.Local in
+    Func.add_local main s;
+    s
+  in
+  (* a global array's interior: arr spans 0x1000-0x101f *)
+  let arr = ref "" in
+  let text, p =
+    fault (fun prog _ _ _ b ->
+        let a =
+          Symbol.Gen.fresh prog.Program.sym_gen ~name:"arr" ~storage:Symbol.Global
+            ~mty:Mem_ty.I64 ~size_bytes:32 ~is_scalar:false
+        in
+        Program.add_global prog a Program.Init_zero;
+        arr := Location.to_string (Location.Sym a);
+        List.iter (Block.append b) [ load a 16 1; load a 12 2 ])
+  in
+  Alcotest.(check string) "unaligned interior offset" "unaligned access at 0x100c" text;
+  check_site "interior offset: the array" p 1 (1, [ (!arr, 1) ]);
+  check_site "unaligned interior offset: recorded, then faults" p 2 (1, [ (!arr, 1) ]);
+  (* x spans 0x1000-0x1007; its red zone follows *)
+  let text, p =
+    fault (fun _ _ sym main b -> Block.append b (load (local main sym "x") 8 1))
+  in
+  Alcotest.(check string) "offset into a red zone" "wild access at 0x1008" text;
+  check_site "red zone: not recorded" p 1 (0, []);
+  (* x spans 0x1000-0x1007 and y 0x1010-0x1017: x + 16 is y *)
+  let y = ref "" in
+  let text, p =
+    fault (fun _ _ sym main b ->
+        let ys = local main sym "y" in
+        let xs = local main sym "x" in
+        y := Location.to_string (Location.Sym ys);
+        let v = Func.fresh_temp main Mem_ty.I64 in
+        List.iter (Block.append b)
+          [ Instr.Store { src = Ops.Int 7L; addr = Ops.addr_of_sym ys; mty = Mem_ty.I64;
+                          site = 1 };
+            load ~dst:v xs 16 2 ];
+        b.Block.term <- Instr.Ret (Some (Ops.Temp v)))
+  in
+  Alcotest.(check string) "offset into the neighbour reads it" "exit 7" text;
+  check_site "neighbour: the store" p 1 (1, [ (!y, 1) ]);
+  check_site "neighbour: the load" p 2 (1, [ (!y, 1) ])
 
 (* The interpreter checks a malloc size as the int64 the program passed:
    (1 << 63) + 8 is negative, and 1 << 62 fits no region. *)
@@ -1006,7 +1072,7 @@ let test_alloc_at_wide_base () =
     | _ -> None
     | exception Value.Interp_error e -> Some e);
   Alcotest.(check bool) "nothing placed at 0x1000" true
-    (Memory.location_of_addr m 0x1000L = None)
+    (location_of_addr m 0x1000L = None)
 
 let suite =
   suite

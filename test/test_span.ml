@@ -447,78 +447,69 @@ let bench_doc ?(name = "k") ?(cycles = 1000) ?(loads = 50) ?(l1_hits = 40)
                ("baseline_counters", counters);
                ("alat_counters", counters) ] ]) ]
 
-let compare_ok ?thresholds ~old_doc ~new_doc () =
-  match Report.Compare.compare_docs ?thresholds ~old_doc ~new_doc () with
-  | Ok regs -> regs
+let compare_ok ~old_doc ~new_doc =
+  match Report.Compare.compare_docs ~old_doc ~new_doc with
+  | Ok diffs -> diffs
   | Error e -> Alcotest.failf "compare errored: %s" e
 
 let test_compare_self_clean () =
   let doc = bench_doc () in
-  let regs = compare_ok ~old_doc:doc ~new_doc:doc () in
-  Alcotest.(check int) "self-compare is clean" 0 (List.length regs);
-  Alcotest.(check string) "render says so" "no regressions\n"
-    (Report.Compare.render regs)
+  let diffs = compare_ok ~old_doc:doc ~new_doc:doc in
+  Alcotest.(check int) "self-compare is clean" 0 (List.length diffs);
+  Alcotest.(check string) "render says so" "no differences\n"
+    (Report.Compare.render diffs)
 
-let test_compare_cycle_slack () =
-  (* +1% cycles sits inside the default 2% slack; +10% does not *)
+let test_compare_cycles_exact () =
+  (* the simulator is deterministic: one extra cycle is a difference *)
   let old_doc = bench_doc ~cycles:1000 () in
-  Alcotest.(check int) "wobble tolerated" 0
-    (List.length
-       (compare_ok ~old_doc ~new_doc:(bench_doc ~cycles:1010 ()) ()));
-  let regs = compare_ok ~old_doc ~new_doc:(bench_doc ~cycles:1100 ()) () in
-  (* both sides of the benchmark regressed *)
-  Alcotest.(check int) "real growth flagged on both sides" 2
-    (List.length regs);
-  let r = List.hd regs in
+  let diffs = compare_ok ~old_doc ~new_doc:(bench_doc ~cycles:1001 ()) in
+  (* both sides of the benchmark moved *)
+  Alcotest.(check int) "one cycle flagged on both sides" 2 (List.length diffs);
+  let r = List.hd diffs in
   Alcotest.(check string) "counter named" "cycles" r.Report.Compare.r_counter;
-  Alcotest.(check bool) "delta positive" true
-    (r.Report.Compare.r_delta_pct > 9.0);
+  Alcotest.(check (float 1e-9)) "delta" 0.1 r.Report.Compare.r_delta_pct;
   Alcotest.(check bool) "render table mentions it" true
-    (contains ~needle:"cycles" (Report.Compare.render regs))
+    (contains ~needle:"cycles" (Report.Compare.render diffs))
 
 let test_compare_event_counters_strict () =
-  (* non-cycle counters default to zero slack: +1 load is a regression *)
+  (* +1 load is a difference *)
   let old_doc = bench_doc ~loads:50 () in
-  let regs = compare_ok ~old_doc ~new_doc:(bench_doc ~loads:51 ()) () in
-  Alcotest.(check int) "one extra load flagged" 2 (List.length regs);
+  let diffs = compare_ok ~old_doc ~new_doc:(bench_doc ~loads:51 ()) in
+  Alcotest.(check int) "one extra load flagged" 2 (List.length diffs);
   Alcotest.(check string) "loads named" "loads_retired"
-    (List.hd regs).Report.Compare.r_counter;
-  (* ...unless the caller grants slack *)
-  let lax =
-    { Report.Compare.default_thresholds with Report.Compare.counter_pct = 5.0 }
-  in
-  Alcotest.(check int) "threshold is configurable" 0
-    (List.length
-       (compare_ok ~thresholds:lax ~old_doc
-          ~new_doc:(bench_doc ~loads:51 ()) ()))
+    (List.hd diffs).Report.Compare.r_counter
 
-let test_compare_improvements_and_l1_hits () =
-  (* shrinking counters never regress; l1_hits growth is ignored *)
+let test_compare_falls_and_l1_hits () =
+  (* a counter that falls is a difference too, and l1_hits is compared
+     like every other counter *)
   let old_doc = bench_doc ~cycles:1000 ~loads:50 ~l1_hits:40 () in
   let new_doc = bench_doc ~cycles:900 ~loads:45 ~l1_hits:999 () in
-  Alcotest.(check int) "improvement is clean" 0
-    (List.length (compare_ok ~old_doc ~new_doc ()))
+  let diffs = compare_ok ~old_doc ~new_doc in
+  let named c = List.filter (fun r -> r.Report.Compare.r_counter = c) diffs in
+  Alcotest.(check int) "three counters on two sides" 6 (List.length diffs);
+  Alcotest.(check int) "cycles fell" 2 (List.length (named "cycles"));
+  Alcotest.(check int) "loads fell" 2 (List.length (named "loads_retired"));
+  Alcotest.(check int) "l1_hits grew" 2 (List.length (named "l1_hits"));
+  Alcotest.(check bool) "a fall renders negative" true
+    (contains ~needle:"-10.00" (Report.Compare.render diffs))
 
 let test_compare_missing_is_error () =
   let old_doc = bench_doc ~name:"k" () in
-  (* a dropped kernel must not read as "no regressions" *)
-  (match
-     Report.Compare.compare_docs ~old_doc
-       ~new_doc:(bench_doc ~name:"other" ()) ()
-   with
+  (* a dropped kernel must not read as "no differences" *)
+  (match Report.Compare.compare_docs ~old_doc ~new_doc:(bench_doc ~name:"other" ()) with
   | Error e ->
     Alcotest.(check bool) "names the kernel" true (contains ~needle:"k" e)
   | Ok _ -> Alcotest.fail "missing benchmark accepted");
   (* a vanished counter is an error too *)
   let old_doc = bench_doc ~extra:[ ("checks_retired", J.Int 7) ] () in
-  (match Report.Compare.compare_docs ~old_doc ~new_doc:(bench_doc ()) () with
+  (match Report.Compare.compare_docs ~old_doc ~new_doc:(bench_doc ()) with
   | Error e ->
     Alcotest.(check bool) "names the counter" true
       (contains ~needle:"checks_retired" e)
   | Ok _ -> Alcotest.fail "missing counter accepted");
   (* schema mismatches are errors, not empty diffs *)
   match
-    Report.Compare.compare_docs ~old_doc:(J.Obj []) ~new_doc:(bench_doc ()) ()
+    Report.Compare.compare_docs ~old_doc:(J.Obj []) ~new_doc:(bench_doc ())
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "schema-less document accepted"
@@ -546,10 +537,10 @@ let suite =
     Alcotest.test_case "report: surfaces truncation" `Quick
       test_report_counts_truncation;
     Alcotest.test_case "compare: self is clean" `Quick test_compare_self_clean;
-    Alcotest.test_case "compare: cycle slack" `Quick test_compare_cycle_slack;
+    Alcotest.test_case "compare: cycles exact" `Quick test_compare_cycles_exact;
     Alcotest.test_case "compare: strict event counters" `Quick
       test_compare_event_counters_strict;
-    Alcotest.test_case "compare: improvements ignored" `Quick
-      test_compare_improvements_and_l1_hits;
+    Alcotest.test_case "compare: falls and l1_hits flagged" `Quick
+      test_compare_falls_and_l1_hits;
     Alcotest.test_case "compare: missing data errors" `Quick
       test_compare_missing_is_error ]
