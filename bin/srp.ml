@@ -4,7 +4,7 @@
      compile   parse + promote a MiniC file and dump IR or assembly
      run       compile and execute on the machine simulator
      profile   interpret a MiniC file and dump its alias profile
-     ssa       print the speculative memory-SSA form (chi/mu, figure 5/6 style)
+     ssa       print the promoter's speculative SSA form (figure 6 style)
      bench     run a workload (or the full sweep: Figures 8-11) at two
                levels and compare counters; --compare diffs two bench
                documents as a regression gate
@@ -284,25 +284,20 @@ let profile_cmd =
 let ssa_cmd =
   let run file =
     with_source_errors file @@ fun () ->
-    let src = read_file file in
-    let prog = Srp_frontend.Lower.compile_source src in
-    (* profile for the speculative flags *)
-    let prog_p = Srp_frontend.Lower.compile_source src in
-    let _, _, profile = Srp_profile.Interp.run_program prog_p in
-    let mgr = Srp_alias.Manager.build prog in
-    let modref = Srp_alias.Modref.compute mgr prog in
-    let policy =
-      Srp_ssa.Spec_policy.create prog (Srp_ssa.Spec_policy.Profile profile)
-    in
-    List.iter
-      (fun f ->
-        let annot = Srp_ssa.Annot.compute ~mgr ~modref ~policy f in
-        let ssa = Srp_ssa.Ssa_form.build ~annot f in
-        Fmt.pr "%a@." Srp_ssa.Ssa_form.pp ssa)
-      (Srp_ir.Program.funcs prog)
+    let w = workload_of_file file in
+    let prog = Srp_frontend.Lower.compile_source w.Workload.source in
+    let profile = Pipeline.train_profile w in
+    Option.iter
+      (fun config ->
+        Fmt.pr "%a@?" Srp_core.Promote.pp_forms
+          (Srp_core.Promote.round1_forms config prog))
+      (Pipeline.config_of_level Pipeline.Alat (Some profile))
   in
   Cmd.v
-    (Cmd.info "ssa" ~doc:"print the speculative memory-SSA form (chi_s/mu_s)")
+    (Cmd.info "ssa"
+       ~doc:"print the promoter's speculative SSA form at alat: per \
+             round-1 candidate its scope and ledger, Phis, h-versions and \
+             chi/chi_s kills")
     Term.(const run $ file_arg)
 
 let bench_cmd =

@@ -2,9 +2,12 @@
    and 6) on a real program.
 
    The points-to set of [p] computed by the compiler is {a, b}; the alias
-   profile observes only {b}.  Updates of [a] at the store through [p]
-   are therefore marked chi_s (speculative) and the rename step ignores
-   them — exactly the example of Figure 6.
+   profile observes only {b}.  The store through [p] is therefore a chi_s
+   on [a] (conflict probability 0) and the promoter's speculative rename
+   ignores it: both loads of [a] read one h-version, and a check is
+   planned after the store — exactly the example of Figure 6.  Without
+   the profile the same store is a hard chi and the second load starts a
+   new version.
 
    Run with: dune exec examples/alias_speculation.exe *)
 
@@ -34,32 +37,25 @@ let () =
     Srp_profile.Alias_profile.pp profile;
 
   let prog = Srp_frontend.Lower.compile_source source in
-  let mgr = Srp_alias.Manager.build prog in
-  let f = Srp_ir.Program.find_func prog "main" in
+  let pp_form config =
+    Srp_core.Promote.pp_forms Fmt.stdout
+      (Srp_core.Promote.round1_forms config prog)
+  in
 
-  (* without the profile: every chi is real *)
-  let conservative = Srp_ssa.Spec_policy.create prog Srp_ssa.Spec_policy.Never in
-  let modref = Srp_alias.Modref.compute mgr prog in
-  let annot_c = Srp_ssa.Annot.compute ~mgr ~modref ~policy:conservative f in
-  let ssa_c = Srp_ssa.Ssa_form.build ~annot:annot_c f in
-  Fmt.pr "=== traditional renaming (chi on both a and b) ===@.%a@."
-    Srp_ssa.Ssa_form.pp ssa_c;
+  (* without the profile: the store through p is a hard chi on a *)
+  Fmt.pr "=== traditional renaming (conservative: chi on a) ===@.";
+  pp_form Srp_core.Config.conservative;
 
   (* with the profile: the update of a becomes chi_s and is ignored *)
-  let speculative =
-    Srp_ssa.Spec_policy.create prog (Srp_ssa.Spec_policy.Profile profile)
-  in
-  let annot_s = Srp_ssa.Annot.compute ~mgr ~modref ~policy:speculative f in
-  let ssa_s = Srp_ssa.Ssa_form.build ~annot:annot_s f in
-  Fmt.pr "=== speculative renaming (chi_s on a: ignored, checked) ===@.%a@."
-    Srp_ssa.Ssa_form.pp ssa_s;
+  Fmt.pr "@.=== speculative renaming (alat: chi_s on a, ignored and checked) ===@.";
+  pp_form (Srp_core.Config.alat ~profile);
 
   (* and the resulting promotion *)
   let ir = Srp_frontend.Lower.compile_source source in
   let r = Srp_core.Promote.run ~config:(Srp_core.Config.alat ~profile) ir in
   let s = r.Srp_core.Promote.stats in
   Fmt.pr
-    "promotion on the speculative form: %d loads eliminated, %d check statements@."
+    "@.promotion on the speculative form: %d loads eliminated, %d check statements@."
     (s.Srp_core.Ssapre.loads_eliminated_direct + s.Srp_core.Ssapre.loads_eliminated_indirect)
     s.Srp_core.Ssapre.checks_inserted;
   Fmt.pr "@.=== promoted IR (main) ===@.%a@." Srp_ir.Func.pp

@@ -1,59 +1,42 @@
-(* Interprocedural mod/ref summaries: for every function, the set of
-   locations it (transitively) may store to and may load from.  Used to
-   place chi/mu around call sites.  Only locations visible across a call
-   boundary matter: globals, heap objects, and address-taken locals (a
-   callee's private local cannot be named by the caller). *)
+(* Interprocedural mod summaries: for every function, the set of
+   locations it (transitively) may store to.  Used to place a chi at each
+   call site.  Only locations visible across a call boundary matter:
+   globals, heap objects, and address-taken locals (a callee's private
+   local cannot be named by the caller). *)
 
 open Srp_ir
 
-type summary = { mod_set : Location.Set.t; ref_set : Location.Set.t }
-
-type t = (string, summary) Hashtbl.t
-
-let empty_summary = { mod_set = Location.Set.empty; ref_set = Location.Set.empty }
+type t = (string, Location.Set.t) Hashtbl.t
 
 let visible loc =
   match loc with
   | Location.Heap _ -> true
   | Location.Sym s -> Symbol.is_global s || Symbol.addr_taken s
 
-let restrict s =
-  { mod_set = Location.Set.filter visible s.mod_set;
-    ref_set = Location.Set.filter visible s.ref_set }
+let mod_of (t : t) name =
+  match Hashtbl.find_opt t name with Some s -> s | None -> Location.Set.empty
 
-let find (t : t) name =
-  match Hashtbl.find_opt t name with Some s -> s | None -> empty_summary
-
-(* One local pass over [f]: direct effects plus current callee summaries. *)
-let local_summary (mgr : Manager.t) (t : t) (f : Func.t) : summary =
+(* One local pass over [f]: direct stores plus current callee summaries. *)
+let local_summary (mgr : Manager.t) (t : t) (f : Func.t) : Location.Set.t =
   let fname = Func.name f in
   let mod_set = ref Location.Set.empty in
-  let ref_set = ref Location.Set.empty in
-  let touch_addr set (addr : Ops.addr) mty =
-    match addr.Ops.base with
-    | Ops.Sym s -> set := Location.Set.add (Location.Sym s) !set
-    | Ops.Reg r ->
-      set := Location.Set.union (Manager.points_to mgr ~func:fname ~mty r) !set
-  in
   Func.iter_instrs
     (fun _ ins ->
       match ins with
-      | Instr.Load { addr; mty; _ }
-      | Instr.Check { addr; mty; _ }
-      | Instr.Sw_check { addr; mty; _ } ->
-        touch_addr ref_set addr mty
-      | Instr.Store { addr; mty; _ } -> touch_addr mod_set addr mty
+      | Instr.Store { addr; mty; _ } -> (
+        match addr.Ops.base with
+        | Ops.Sym s -> mod_set := Location.Set.add (Location.Sym s) !mod_set
+        | Ops.Reg r ->
+          mod_set :=
+            Location.Set.union (Manager.points_to mgr ~func:fname ~mty r) !mod_set)
       | Instr.Call { callee; _ } ->
-        if not (Program.is_builtin callee) then begin
-          let s = find t callee in
-          mod_set := Location.Set.union s.mod_set !mod_set;
-          ref_set := Location.Set.union s.ref_set !ref_set
-        end
-      | Instr.Bin _ | Instr.Un _ | Instr.Mov _ | Instr.Alloc _ | Instr.Invala _
-        ->
+        if not (Program.is_builtin callee) then
+          mod_set := Location.Set.union (mod_of t callee) !mod_set
+      | Instr.Load _ | Instr.Check _ | Instr.Sw_check _ | Instr.Bin _
+      | Instr.Un _ | Instr.Mov _ | Instr.Alloc _ | Instr.Invala _ ->
         ())
     f;
-  restrict { mod_set = !mod_set; ref_set = !ref_set }
+  Location.Set.filter visible !mod_set
 
 (* Fixpoint over the call graph (handles recursion). *)
 let compute (mgr : Manager.t) (prog : Program.t) : t =
@@ -64,18 +47,11 @@ let compute (mgr : Manager.t) (prog : Program.t) : t =
     List.iter
       (fun f ->
         let fname = Func.name f in
-        let old = find t fname in
         let s = local_summary mgr t f in
-        if not
-             (Location.Set.equal old.mod_set s.mod_set
-             && Location.Set.equal old.ref_set s.ref_set)
-        then begin
+        if not (Location.Set.equal (mod_of t fname) s) then begin
           Hashtbl.replace t fname s;
           changed := true
         end)
       (Program.funcs prog)
   done;
   t
-
-let mod_of t name = (find t name).mod_set
-let ref_of t name = (find t name).ref_set

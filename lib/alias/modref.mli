@@ -1,22 +1,15 @@
-(** Interprocedural mod/ref summaries: for every function, the locations it
-    (transitively) may store to and load from, used to place chi/mu around
-    call sites.  Only locations visible across a call boundary matter —
-    globals, heap objects, and address-taken locals; a callee's private
-    local cannot be named by its caller.  Recursion is handled by a
-    fixpoint over the call graph. *)
+(** Interprocedural mod summaries: for every function, the locations it
+    (transitively) may store to, used to place a chi at each call site.
+    Only locations visible across a call boundary matter — globals, heap
+    objects, and address-taken locals; a callee's private local cannot be
+    named by its caller.  Recursion is handled by a fixpoint over the call
+    graph. *)
 
 open Srp_ir
-
-type summary = { mod_set : Location.Set.t; ref_set : Location.Set.t }
 
 type t
 
 val compute : Manager.t -> Program.t -> t
 
-val find : t -> string -> summary
-
 (** Locations [name] may (transitively) write. *)
 val mod_of : t -> string -> Location.Set.t
-
-(** Locations [name] may (transitively) read. *)
-val ref_of : t -> string -> Location.Set.t

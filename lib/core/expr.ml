@@ -146,7 +146,7 @@ let store_relation ~(mgr : Manager.t) ~func ~(fp : Location.Set.t) (k : key)
 type collect_ctx = {
   mgr : Manager.t;
   modref : Modref.t;
-  policy : Srp_ssa.Spec_policy.t;
+  policy : Spec_policy.t;
   style : Config.check_style;
   cascade : bool; (* allow promotion across address-temp checks (sec. 2.4) *)
   (* expected-value speculation gating: [Some thr] marks a kill
@@ -176,7 +176,7 @@ let store_kill_spec ctx ~direct ~site ~n_targets inter =
       Location.Set.fold
         (fun loc acc ->
           Float.max acc
-            (Srp_ssa.Spec_policy.store_conflict_prob ctx.policy ~site ~n_targets
+            (Spec_policy.store_conflict_prob ctx.policy ~site ~n_targets
                loc))
         inter 0.0
     in
@@ -193,7 +193,7 @@ let call_kill_spec ctx ~callee ~site inter =
       Location.Set.fold
         (fun loc acc ->
           Float.max acc
-            (Srp_ssa.Spec_policy.call_conflict_prob ctx.policy ~callee ~site loc))
+            (Spec_policy.call_conflict_prob ctx.policy ~callee ~site loc))
         inter 0.0
     in
     let spec =

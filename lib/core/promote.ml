@@ -29,20 +29,46 @@ type pressure = {
   spill_traffic : int; (* projected stacked registers beyond the RSE pool *)
 }
 
-let policy_of_config (prog : Program.t) (config : Config.t) : Srp_ssa.Spec_policy.t =
-  let mode =
-    match config.Config.policy with
-    | Config.Spec_never -> Srp_ssa.Spec_policy.Never
-    | Config.Spec_heuristic -> Srp_ssa.Spec_policy.Heuristic
-    | Config.Spec_profile p -> Srp_ssa.Spec_policy.Profile p
-  in
-  Srp_ssa.Spec_policy.create prog mode
-
 let block_count_fn (config : Config.t) =
   match config.Config.policy with
   | Config.Spec_profile p ->
     fun ~func ~label_id -> Srp_profile.Alias_profile.block_count p ~func ~label_id
   | Config.Spec_never | Config.Spec_heuristic -> fun ~func:_ ~label_id:_ -> 0
+
+(* A promotion round's candidates of [f], in the order they are assessed
+   and committed: direct references, then indirect ones. *)
+let candidates f = Expr.candidates ~indirect:false f @ Expr.candidates ~indirect:true f
+
+(* The contexts SSAPRE reads for the candidates of one function, built as
+   every round of [run] builds them: [contexts config prog] runs the
+   whole-program alias and mod analyses and the speculation policy once;
+   applying the result to a function adds its CFG. *)
+let contexts (config : Config.t) (prog : Program.t) :
+    Func.t -> Ssapre.codemotion_ctx * Expr.collect_ctx =
+  let module Stats = Srp_obs.Stats in
+  let mgr = Stats.time ~pass:"promote" "alias" (fun () -> Manager.build prog) in
+  let modref =
+    Stats.time ~pass:"promote" "modref" (fun () -> Modref.compute mgr prog)
+  in
+  let policy = Spec_policy.create prog config.Config.policy in
+  let cm_ctx =
+    { Ssapre.config; profile_hot = block_count_fn config;
+      site_gen = prog.Program.site_gen }
+  in
+  (* Probability gating needs measured frequencies: it is live only for
+     the profiled ALAT level.  The heuristic policy's synthetic 0/1
+     verdicts carry no expectation to price, so alat-heuristic keeps the
+     binary pipeline. *)
+  let prob_gate =
+    match (config.Config.policy, config.Config.check_style) with
+    | Config.Spec_profile _, Config.Alat when config.Config.prob ->
+      Some config.Config.spec_threshold
+    | _ -> None
+  in
+  fun f ->
+    ( cm_ctx,
+      { Expr.mgr; modref; policy; style = config.Config.check_style;
+        cascade = config.Config.cascade; prob_gate; cfg = Cfg.build f } )
 
 (* The one verdict on a candidate's ledger.  A candidate with no work is
    declined.  The expected-value gate is the paper's section 3.1 rule,
@@ -168,10 +194,7 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
       Hashtbl.replace per_func (Func.name f) s;
       s
   in
-  let cm_ctx =
-    { Ssapre.config; profile_hot = block_count_fn config;
-      site_gen = prog.Program.site_gen }
-  in
+  let block_count = block_count_fn config in
   (* Dynamic RSE-overflow proxy per function: the RSE spills and fills a
      resident frame around every overflowing call beneath it, so a leaf
      pays at its own entry count while a caller's frame is churned by its
@@ -181,8 +204,7 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
      the benefit side is weighted in; [max 1] keeps the comparison
      static-per-occurrence under the profile-free policies. *)
   let entry_count f =
-    cm_ctx.Ssapre.profile_hot ~func:(Func.name f)
-      ~label_id:(Label.id (Func.entry f))
+    block_count ~func:(Func.name f) ~label_id:(Label.id (Func.entry f))
   in
   let max_entry =
     List.fold_left (fun acc f -> max acc (entry_count f)) 0 (Program.funcs prog)
@@ -206,35 +228,14 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
     incr round;
     Stats.incr (Stats.counter ~pass:"promote" "rounds");
     (* fresh whole-program analyses: each round makes new temps *)
-    let mgr = Stats.time ~pass:"promote" "alias" (fun () -> Manager.build prog) in
-    let modref =
-      Stats.time ~pass:"promote" "modref" (fun () -> Modref.compute mgr prog)
-    in
-    let policy = policy_of_config prog config in
+    let contexts_of = contexts config prog in
     let round_work = ref false in
     Stats.time ~pass:"promote" "ssapre" (fun () ->
         List.iter
           (fun f ->
-            let keys =
-              Expr.candidates ~indirect:false f @ Expr.candidates ~indirect:true f
-            in
+            let keys = candidates f in
             if keys <> [] then begin
-              let cfg = Cfg.build f in
-              (* Probability gating needs measured frequencies: it is
-                 live only for the profiled ALAT level.  The heuristic
-                 policy's synthetic 0/1 verdicts carry no expectation to
-                 price, so alat-heuristic keeps the binary pipeline. *)
-              let prob_gate =
-                match (config.Config.policy, config.Config.check_style) with
-                | Config.Spec_profile _, Config.Alat
-                  when config.Config.prob ->
-                  Some config.Config.spec_threshold
-                | _ -> None
-              in
-              let collect =
-                { Expr.mgr; modref; policy; style = config.Config.check_style;
-                  cascade = config.Config.cascade; prob_gate; cfg }
-              in
+              let cm_ctx, collect = contexts_of f in
               let before = (func_stats f).Ssapre.exprs_promoted in
               (match Option.bind estimator (fun e -> e (Func.name f)) with
               | Some est ->
@@ -280,3 +281,47 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
     (total.Ssapre.loads_eliminated_direct + total.Ssapre.loads_eliminated_indirect);
   { stats = total;
     per_func = Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_func [] }
+
+(* --- the speculative SSA form --- *)
+
+type form = {
+  fn : Func.t;
+  key : Expr.key;
+  scope : Expr.collect_ctx;
+  ledger : Ssapre.assessment;
+  prepared : Ssapre.prepared;
+}
+
+(* Round 1 of [run] on [prog] with nothing committed: every candidate in
+   [run]'s order, each prepared against the unedited function under the
+   scope [choose_scope] commits. *)
+let round1_forms (config : Config.t) (prog : Program.t) : form list =
+  let contexts_of = contexts config prog in
+  List.concat_map
+    (fun f ->
+      match candidates f with
+      | [] -> []
+      | keys ->
+        let cm_ctx, collect = contexts_of f in
+        List.map
+          (fun key ->
+            let scope, ledger = choose_scope cm_ctx collect f key in
+            { fn = f; key; scope; ledger;
+              prepared = Ssapre.prepare cm_ctx scope f key })
+          keys)
+    (Program.funcs prog)
+
+let pp_forms ppf (forms : form list) =
+  ignore
+    (List.fold_left
+       (fun last fm ->
+         let name = Func.name fm.fn in
+         if last <> Some name then Fmt.pf ppf "func %s:@." name;
+         Fmt.pf ppf "  %a: scope %s, saved %d, bill %d@." Expr.pp_key fm.key
+           (match fm.scope.Expr.prob_gate with
+           | None | Some 0.0 -> "binary"
+           | Some thr -> Fmt.str "p<=%g" thr)
+           fm.ledger.Ssapre.as_saved fm.ledger.Ssapre.as_bill;
+         Ssapre.pp_prepared ppf fm.prepared;
+         Some name)
+       None forms)

@@ -52,6 +52,32 @@ val run :
     {!Srp_ir.Machine_model.spill_cost} x [spill_occ]. *)
 val accepts : ?pool:int * int -> Ssapre.assessment -> bool
 
-(**/**)
+(** [contexts config prog f]: the contexts SSAPRE reads for the
+    candidates of [f], built as every round of {!run} builds them.  The
+    whole-program alias and mod analyses and the speculation policy run
+    once per [contexts config prog]. *)
+val contexts :
+  Config.t -> Srp_ir.Program.t -> Srp_ir.Func.t ->
+  Ssapre.codemotion_ctx * Expr.collect_ctx
 
-val policy_of_config : Srp_ir.Program.t -> Config.t -> Srp_ssa.Spec_policy.t
+(** One candidate's speculative SSA form (paper sections 3.1-3.3): the
+    SSAPRE analysis the promoter commits from, with the ledger that
+    decides it. *)
+type form = {
+  fn : Srp_ir.Func.t;
+  key : Expr.key;
+  scope : Expr.collect_ctx;
+      (** the scope the promoter commits: the threshold or binary
+          verdict on which kills are chi_s *)
+  ledger : Ssapre.assessment;
+  prepared : Ssapre.prepared;  (** Phis, versions and check plans *)
+}
+
+(** Round 1 of {!run} on [prog] with nothing committed: every candidate
+    in {!run}'s order, prepared against the unedited program. *)
+val round1_forms : Config.t -> Srp_ir.Program.t -> form list
+
+(** Per candidate: its scope and ledger (saved, bill), then block by
+    block each Phi with its operand per predecessor and each occurrence
+    and kill with its h-version ({!Ssapre.pp_prepared}). *)
+val pp_forms : Format.formatter -> form list -> unit

@@ -741,7 +741,7 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) : assessment =
   let p = prepare ctx collect f key in
   let weight node =
-    Srp_ssa.Spec_policy.occurrence_weight collect.Expr.policy
+    Spec_policy.occurrence_weight collect.Expr.policy
       ~block_count:(p.p_block_count node)
   in
   let lat = Machine_model.load_latency key.Expr.mty in
@@ -931,3 +931,82 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
 let run_expr (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) (stats : stats) : unit =
   codemotion ctx f key stats (prepare ctx collect f key)
+
+(* --- the speculative SSA form, printed --- *)
+
+(* The h-version at each occurrence and speculative kill of a prepared
+   candidate, by (node, instruction index): the version a use reads or
+   starts, the version a def starts, the version a chi_s leaves current.
+   Hard kills, and a chi_s crossed with no version current, have none. *)
+let event_versions (a : analysis) : (int * int, int) Hashtbl.t =
+  let tbl = Hashtbl.create 16 in
+  let set v (node, idx) = Hashtbl.replace tbl (node, idx) v.v_id in
+  List.iter
+    (fun v ->
+      (match v.v_def with
+      | VD_load { node; idx; _ } | VD_store { node; idx; _ } -> set v (node, idx)
+      | VD_phi _ -> ());
+      List.iter (fun (node, idx, _) -> set v (node, idx)) v.v_uses;
+      List.iter (fun (node, idx, _, _, _) -> set v (node, idx)) v.v_spec_kills)
+    a.versions;
+  tbl
+
+(* One candidate's form, block by block in the style of the paper's
+   Figure 6: each Phi with its operand per predecessor (a version or
+   bot), then each occurrence and kill beside its instruction.  A use or
+   def shows its h-version; a hard kill shows as chi; a speculative one as
+   chi_s with its conflict probability and the version it keeps, marked
+   "check" when a check statement is planned after it. *)
+let pp_prepared ppf (p : prepared) =
+  let a = p.p_a in
+  let versions = event_versions a in
+  let checked =
+    List.concat_map
+      (fun pl -> List.map (fun (node, idx, _, _, _) -> (node, idx)) pl.pl_checks)
+      p.p_plans
+  in
+  let pp_opnd ppf (pred, o) =
+    Fmt.pf ppf "%a: %s" Label.pp (Cfg.label a.cfg pred)
+      (match o with
+      | Some (O_ver { ver; _ }) -> Fmt.str "h%d" ver
+      | Some (O_bot | O_uninsertable) -> "bot"
+      | None -> "?")
+  in
+  for node = 0 to Cfg.num_nodes a.cfg - 1 do
+    if a.phis.(node) <> None || a.events.(node) <> [] then begin
+      let blk = Cfg.block a.cfg node in
+      Fmt.pf ppf "    %a:@." Label.pp (Block.label blk);
+      Option.iter
+        (fun phi ->
+          Fmt.pf ppf "      h%d = phi(%a)@." phi.phi_ver
+            (Fmt.list ~sep:(Fmt.any ", ") pp_opnd)
+            (List.map
+               (fun pred -> (pred, List.assoc_opt pred phi.operands))
+               (Cfg.preds a.cfg node)))
+        a.phis.(node);
+      let instrs = Array.of_list blk.Block.instrs in
+      List.iter
+        (fun (ev : Expr.event) ->
+          let idx =
+            match ev with
+            | Expr.Use { idx; _ } | Expr.Def { idx; _ } | Expr.Kill { idx; _ } ->
+              idx
+          in
+          let h =
+            match Hashtbl.find_opt versions (node, idx) with
+            | Some v -> Fmt.str "h%d" v
+            | None -> "bot"
+          in
+          let note =
+            match ev with
+            | Expr.Use _ -> "use " ^ h
+            | Expr.Def _ -> "def " ^ h
+            | Expr.Kill { spec = false; _ } -> "chi"
+            | Expr.Kill { spec = true; prob; _ } ->
+              Fmt.str "chi_s p=%.3g, keeps %s%s" prob h
+                (if List.mem (node, idx) checked then ", check" else "")
+          in
+          Fmt.pf ppf "      %a  [%s]@." Instr.pp instrs.(idx) note)
+        a.events.(node)
+    end
+  done

@@ -157,16 +157,7 @@ let pressure_fn (prog : Program.t) :
       List.map
         (fun f ->
           let s = Codegen.select_func f in
-          ( Func.name f,
-            Regalloc.estimate
-              { Regalloc.code = s.Codegen.sel_code;
-                nivregs = s.Codegen.sel_nivregs;
-                nfvregs = s.Codegen.sel_nfvregs;
-                live_in = s.Codegen.sel_live_in;
-                flive_in = s.Codegen.sel_flive_in;
-                pinned = s.Codegen.sel_pinned;
-                fpinned = s.Codegen.sel_fpinned;
-                spill_base = s.Codegen.sel_frame_bytes } ))
+          (Func.name f, Regalloc.estimate (Codegen.regalloc_input s)))
         (Program.funcs prog)
     in
     List.iter

@@ -3,14 +3,14 @@
    location), plus execution counts.
 
    This is the feedback the speculative compiler consumes (paper section
-   3.1), upgraded from target *sets* to target *frequencies*: a chi/mu on
+   3.1), upgraded from target *sets* to target *frequencies*: a chi on
    location L at site s is marked speculative not just when the profile
    says s never touched L, but — under the expected-value gate — when it
    touched L rarely enough that the saved load latency beats the expected
-   check/recovery cost.  The set semantics are recoverable ([targets],
-   [may_touch]) and every legacy answer is preserved: a location is a
-   member iff its hit count is nonzero.  Serializable to a simple text
-   format so train-input profiles can be saved and replayed. *)
+   check/recovery cost.  The set semantics are recoverable ([targets]):
+   a location is a member iff its hit count is nonzero.  Serializable to
+   a simple text format so train-input profiles can be saved and
+   replayed. *)
 
 open Srp_ir
 module Location = Srp_alias.Location
@@ -83,18 +83,14 @@ let targets t site =
     (fun loc n acc -> if n > 0 then Location.Set.add loc acc else acc)
     (hit_map t site) Location.Set.empty
 
-(* The speculation predicate: according to the profile, can the access at
-   [site] touch [loc]?  Sites never executed under the training input are
-   treated as "never touches anything", the aggressive choice the paper
-   makes (such chi become speculative; a mis-speculation check catches the
-   rare cases where the ref input disagrees). *)
-let may_touch t site loc = touch_count t site loc > 0
-
 (* Observed conflict frequency: the fraction of [site]'s training
    executions that touched [loc].  Degenerate inputs (hand-written or v1
    profiles where hits exist without a count) fall back to the binary
-   verdict so probability 0 always coincides with legacy may_touch =
-   false. *)
+   verdict, so the rate is 0 exactly when [touch_count] is 0.  A site
+   never executed under the training input touches nothing: the
+   aggressive choice the paper makes (its kills become chi_s, and a
+   mis-speculation check catches the rare cases where the ref input
+   disagrees). *)
 let conflict_rate t site loc =
   let h = touch_count t site loc in
   if h <= 0 then 0.0

@@ -3,7 +3,7 @@
     location), plus execution counts and per-block execution counts.
 
     This is the feedback the speculative compiler consumes (paper section
-    3.1): a chi/mu on location L at site s becomes {e chi_s}/{e mu_s}
+    3.1): a chi on location L at site s becomes a {e chi_s}
     (speculative) when the profile says s touches L never — or, under the
     expected-value gate, rarely enough that the saved load latency beats
     the expected check/recovery cost.  Set semantics are recoverable: a
@@ -54,14 +54,9 @@ val touch_count : t -> Site.t -> Location.t -> int
 
 (** Observed conflict frequency in [0, 1]: the fraction of [site]'s
     training executions that touched [loc].  0 exactly when
-    {!may_touch} is false. *)
+    {!touch_count} is 0: a never-executed site touches nothing, the
+    aggressive choice the paper makes. *)
 val conflict_rate : t -> Site.t -> Location.t -> float
-
-(** The speculation predicate: per the profile, can the access at [site]
-    touch [loc]?  Never-executed sites answer [false] — the aggressive
-    choice the paper makes; a mis-speculation check repairs the rare
-    disagreements. *)
-val may_touch : t -> Site.t -> Location.t -> bool
 
 (** All recorded sites, sorted. *)
 val sites : t -> Site.t list

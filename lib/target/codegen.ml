@@ -573,14 +573,18 @@ let select_func (f : Func.t) : selected =
     sel_frame_bytes = frame_bytes;
     sel_slot_of_sym = ctx.slot_of_sym }
 
+(* What the allocator (and its pressure estimate) reads of a selected
+   function: spill slots go past the symbol slots. *)
+let regalloc_input (s : selected) : Regalloc.input =
+  { Regalloc.code = s.sel_code; nivregs = s.sel_nivregs;
+    nfvregs = s.sel_nfvregs; live_in = s.sel_live_in;
+    flive_in = s.sel_flive_in; pinned = s.sel_pinned;
+    fpinned = s.sel_fpinned; spill_base = s.sel_frame_bytes }
+
 let alloc_func ?(ra = Regalloc.default_policy) (s : selected) : allocated =
   let res =
     Srp_obs.Stats.time ~pass:"target" "regalloc" (fun () ->
-        Regalloc.run ~policy:ra
-          { Regalloc.code = s.sel_code; nivregs = s.sel_nivregs;
-            nfvregs = s.sel_nfvregs; live_in = s.sel_live_in;
-            flive_in = s.sel_flive_in; pinned = s.sel_pinned;
-            fpinned = s.sel_fpinned; spill_base = s.sel_frame_bytes })
+        Regalloc.run ~policy:ra (regalloc_input s))
   in
   (* spill slots live past the symbol slots; splitting may grow the frame,
      slot coloring keeps the growth to the peak overlap *)

@@ -177,7 +177,6 @@ int main() { p = &g; writes_both(); return reads_g(); }
   Alcotest.(check (list string)) "writes_g mods g" [ "g" ] (names (Modref.mod_of mr "writes_g"));
   Alcotest.(check (list string)) "writes_both mods g,h" [ "g"; "h" ]
     (names (Modref.mod_of mr "writes_both"));
-  Alcotest.(check (list string)) "reads_g refs g" [ "g" ] (names (Modref.ref_of mr "reads_g"));
   Alcotest.(check (list string)) "reads_g mods nothing" [] (names (Modref.mod_of mr "reads_g"))
 
 let test_modref_recursion () =

@@ -703,32 +703,19 @@ let test_charge_rse_overflow () =
     (over.Counters.cycles - fits.Counters.cycles)
 
 (* The promoter's ledger for the direct candidate on the global g in
-   [src]'s main, under [config] (whose [profile], if any, supplies the
-   block counts) with optional probability gate [prob_gate]. *)
+   [src]'s main, in the contexts [Promote.run] builds under [config]
+   (whose profile, if any, supplies the block counts and, at alat, a
+   probability gate at the default threshold of 1). *)
 let global_g prog =
   fst
     (List.find
        (fun (s, _) -> Srp_ir.Symbol.name s = "g")
        (Srp_ir.Program.globals prog))
 
-let assess_g ~config ?profile ?prob_gate src =
+let assess_g ~config src =
   let prog = Srp_frontend.Lower.compile_source src in
   let f = Srp_ir.Program.find_func prog "main" in
-  let mgr = Srp_alias.Manager.build prog in
-  let collect =
-    { Srp_core.Expr.mgr; modref = Srp_alias.Modref.compute mgr prog;
-      policy = Srp_core.Promote.policy_of_config prog config;
-      style = config.Srp_core.Config.check_style; cascade = false; prob_gate;
-      cfg = Srp_ir.Cfg.build f }
-  in
-  let ctx =
-    { Srp_core.Ssapre.config;
-      profile_hot =
-        (match profile with
-        | Some p -> Srp_profile.Alias_profile.block_count p
-        | None -> fun ~func:_ ~label_id:_ -> 0);
-      site_gen = prog.Srp_ir.Program.site_gen }
-  in
+  let ctx, collect = Srp_core.Promote.contexts config prog f in
   let is_g (k : Srp_core.Expr.key) =
     match k.Srp_core.Expr.base with
     | Ops.Sym s -> Srp_ir.Symbol.name s = "g"
@@ -788,7 +775,7 @@ let test_charge_assess_check () =
     List.init (execs + 1) (fun hits ->
         let profile = profile hits in
         let config = Srp_core.Config.alat ~profile in
-        let a = assess_g ~config ~profile ~prob_gate:1.0 src in
+        let a = assess_g ~config src in
         let prob = float_of_int hits /. float_of_int execs in
         let bill =
           int_of_float

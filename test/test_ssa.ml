@@ -1,13 +1,16 @@
-(* Tests for the speculative memory-SSA layer: chi/mu annotation, the
-   speculation policy, SSA construction and its verifier. *)
+(* Tests for the promoter's speculative SSA form (paper sections
+   3.1-3.3): the chi/chi_s kills each candidate sees, the h-versions
+   SSAPRE's speculative rename gives its occurrences, the Phis at merges,
+   and the form `srp ssa` prints. *)
 
 open Srp_frontend
-module Location = Srp_alias.Location
-module Manager = Srp_alias.Manager
+module Cfg = Srp_ir.Cfg
+module Dominance = Srp_ir.Dominance
+module Expr = Srp_core.Expr
+module Ssapre = Srp_core.Ssapre
+module Promote = Srp_core.Promote
+module Config = Srp_core.Config
 module Modref = Srp_alias.Modref
-module Spec_policy = Srp_ssa.Spec_policy
-module Annot = Srp_ssa.Annot
-module Ssa_form = Srp_ssa.Ssa_form
 
 let figure5_src = {|
 int a; int b;
@@ -24,95 +27,143 @@ int main() {
 }
 |}
 
-let build_ssa ?profile src =
+(* The alias profile of [src] on its own (train) run. *)
+let train src =
+  let _, _, profile = Srp_profile.Interp.run_program (Lower.compile_source src) in
+  profile
+
+(* The prepared form of the direct candidate on global [name] in main,
+   in the contexts [Promote.run] builds under [config]; [binary] narrows
+   the scope to the binary verdict (only p = 0 kills are chi_s).  The
+   symbol need not be loaded anywhere. *)
+let prepare_global ?(binary = false) ~config src name =
   let prog = Lower.compile_source src in
-  let mgr = Manager.build prog in
-  let modref = Modref.compute mgr prog in
-  let mode =
-    match profile with
-    | Some p -> Spec_policy.Profile p
-    | None -> Spec_policy.Never
-  in
-  let policy = Spec_policy.create prog mode in
   let f = Srp_ir.Program.find_func prog "main" in
-  let annot = Annot.compute ~mgr ~modref ~policy f in
-  (prog, annot, Ssa_form.build ~annot f)
+  let cm_ctx, collect = Promote.contexts config prog f in
+  let collect =
+    if binary then { collect with Expr.prob_gate = Some 0.0 } else collect
+  in
+  let sym, _ =
+    List.find
+      (fun (s, _) -> Srp_ir.Symbol.name s = name)
+      (Srp_ir.Program.globals prog)
+  in
+  Ssapre.prepare cm_ctx collect f
+    { Expr.base = Srp_ir.Ops.Sym sym; offset = 0; mty = Srp_ir.Mem_ty.I64 }
 
-(* collect all chi effects across the function *)
-let all_chis (f : Srp_ir.Func.t) (annot : Annot.t) =
-  let acc = ref [] in
-  List.iter
-    (fun blk ->
-      List.iteri
-        (fun idx _ ->
-          let a = Annot.get annot (Srp_ir.Block.label blk, idx) in
-          acc := a.Annot.chi @ !acc)
-        blk.Srp_ir.Block.instrs)
-    (Srp_ir.Func.blocks f);
-  !acc
+(* The round-1 form of the candidate on symbol [name], as `srp ssa`
+   prints it. *)
+let form ~config src name =
+  let is_name (fm : Promote.form) =
+    match fm.Promote.key.Expr.base with
+    | Srp_ir.Ops.Sym s -> Srp_ir.Symbol.name s = name
+    | Srp_ir.Ops.Reg _ -> false
+  in
+  match
+    List.filter is_name (Promote.round1_forms config (Lower.compile_source src))
+  with
+  | [ fm ] -> fm.Promote.prepared
+  | fms -> Alcotest.failf "expected one candidate on %s, got %d" name (List.length fms)
 
+let events (p : Ssapre.prepared) =
+  List.concat_map
+    (fun node -> List.map (fun ev -> (node, ev)) p.Ssapre.p_a.Ssapre.events.(node))
+    (List.init (Cfg.num_nodes p.Ssapre.p_a.Ssapre.cfg) Fun.id)
+
+let instr_at (p : Ssapre.prepared) node idx =
+  List.nth (Cfg.block p.Ssapre.p_a.Ssapre.cfg node).Srp_ir.Block.instrs idx
+
+(* The h-version of every use, in block order. *)
+let use_versions p =
+  let versions = Ssapre.event_versions p.Ssapre.p_a in
+  List.filter_map
+    (fun (node, (ev : Expr.event)) ->
+      match ev with
+      | Expr.Use { idx; _ } -> Hashtbl.find_opt versions (node, idx)
+      | Expr.Def _ | Expr.Kill _ -> None)
+    (events p)
+
+(* Every kill as (node, idx, spec, prob). *)
+let kills p =
+  List.filter_map
+    (fun (node, (ev : Expr.event)) ->
+      match ev with
+      | Expr.Kill { idx; spec; prob; _ } -> Some (node, idx, spec, prob)
+      | Expr.Use _ | Expr.Def _ -> None)
+    (events p)
+
+let distinct l = List.length (List.sort_uniq compare l)
+
+(* Without a profile the store through p is a hard chi on both of its
+   may-targets. *)
 let test_chi_on_both_targets () =
-  let prog, annot, _ = build_ssa figure5_src in
-  let f = Srp_ir.Program.find_func prog "main" in
-  let chis = all_chis f annot in
-  let names = List.map (fun (e : Annot.eff) -> Location.to_string e.Annot.loc) chis in
-  Alcotest.(check bool) "chi on a" true (List.mem "a" names);
-  Alcotest.(check bool) "chi on b" true (List.mem "b" names);
-  (* without a profile nothing is speculative *)
-  Alcotest.(check bool) "no speculative chi" false
-    (List.exists (fun (e : Annot.eff) -> e.Annot.spec) chis)
+  List.iter
+    (fun name ->
+      match kills (prepare_global ~config:Config.conservative figure5_src name) with
+      | [ (_, _, spec, _) ] -> Alcotest.(check bool) ("hard chi on " ^ name) false spec
+      | ks -> Alcotest.failf "expected one kill on %s, got %d" name (List.length ks))
+    [ "a"; "b" ]
 
+(* Trained with sel = 0, p only ever points at b: the store is a chi_s on
+   a with conflict probability 0, while on b it carries p = 1 and stays a
+   hard chi under the binary verdict (the paper's Figure 5). *)
 let test_chi_speculative_with_profile () =
-  (* train with sel = 0: p only ever points at b -> chi on a becomes
-     speculative, chi on b stays real (the paper's Figure 5) *)
-  let pprog = Lower.compile_source figure5_src in
-  let _, _, profile = Srp_profile.Interp.run_program pprog in
-  let prog, annot, _ = build_ssa ~profile figure5_src in
-  let f = Srp_ir.Program.find_func prog "main" in
-  let chis = all_chis f annot in
-  let spec_of name =
-    List.filter_map
-      (fun (e : Annot.eff) ->
-        if Location.to_string e.Annot.loc = name then Some e.Annot.spec else None)
-      chis
+  let config = Config.alat ~profile:(train figure5_src) in
+  let kill name =
+    match kills (prepare_global ~binary:true ~config figure5_src name) with
+    | [ (_, _, spec, prob) ] -> (spec, prob)
+    | ks -> Alcotest.failf "expected one kill on %s, got %d" name (List.length ks)
   in
-  Alcotest.(check (list bool)) "chi_s on a" [ true ] (spec_of "a");
-  Alcotest.(check (list bool)) "real chi on b" [ false ] (spec_of "b")
+  Alcotest.(check (pair bool (float 0.0))) "chi_s on a" (true, 0.0) (kill "a");
+  Alcotest.(check (pair bool (float 0.0))) "real chi on b" (false, 1.0) (kill "b")
 
+(* A hard chi renumbers: the load after it starts a new version. *)
 let test_ssa_versions () =
-  let _, _, ssa = build_ssa figure5_src in
-  Srp_ssa.Ssa_verify.check ssa;
-  (* the two loads of a must see different versions (the chi renumbered) *)
-  let versions = ref [] in
-  let cfg = ssa.Ssa_form.cfg in
-  for node = 0 to Srp_ir.Cfg.num_nodes cfg - 1 do
-    let blk = Srp_ir.Cfg.block cfg node in
-    List.iteri
-      (fun idx ins ->
-        match ins with
-        | Srp_ir.Instr.Load { addr = { Srp_ir.Ops.base = Srp_ir.Ops.Sym s; _ }; _ }
-          when Srp_ir.Symbol.name s = "a" -> (
-          match (Ssa_form.instr_ssa ssa (Srp_ir.Block.label blk, idx)).Ssa_form.use with
-          | Some (_, v) -> versions := v :: !versions
-          | None -> ())
-        | _ -> ())
-      blk.Srp_ir.Block.instrs
-  done;
-  match List.sort_uniq compare !versions with
-  | [ _; _ ] -> () (* two distinct versions: the chi intervened *)
-  | vs -> Alcotest.failf "expected 2 distinct versions of a, got %d" (List.length vs)
+  let p = form ~config:Config.conservative figure5_src "a" in
+  Alcotest.(check int) "two loads of a" 2 (List.length (use_versions p));
+  Alcotest.(check int) "two distinct versions of a" 2 (distinct (use_versions p));
+  Alcotest.(check int) "two versions in all" 2
+    (List.length p.Ssapre.p_a.Ssapre.versions)
 
+(* Speculative rename ignores the chi_s: both loads of a read the one
+   version, which the chi_s keeps, and a check is planned after it (the
+   paper's Figure 6). *)
+let test_spec_rename_shares_version () =
+  let p = form ~config:(Config.alat ~profile:(train figure5_src)) figure5_src "a" in
+  Alcotest.(check int) "one version in all" 1
+    (List.length p.Ssapre.p_a.Ssapre.versions);
+  (match use_versions p with
+  | [ v1; v2 ] -> Alcotest.(check int) "both loads share a version" v1 v2
+  | vs -> Alcotest.failf "expected two loads of a, got %d" (List.length vs));
+  match kills p with
+  | [ (node, idx, true, prob) ] ->
+    Alcotest.(check (float 0.0)) "conflict probability" 0.0 prob;
+    Alcotest.(check (option int)) "the chi_s keeps the version"
+      (Some (List.hd (use_versions p)))
+      (Hashtbl.find_opt (Ssapre.event_versions p.Ssapre.p_a) (node, idx));
+    Alcotest.(check bool) "check planned" true
+      (List.exists
+         (fun pl ->
+           List.exists (fun (n, i, _, _, _) -> n = node && i = idx) pl.Ssapre.pl_checks)
+         p.Ssapre.p_plans)
+  | ks -> Alcotest.failf "expected one chi_s, got %d kills" (List.length ks)
+
+let phis (p : Ssapre.prepared) =
+  List.filter_map Fun.id (Array.to_list p.Ssapre.p_a.Ssapre.phis)
+
+(* p is stored in both arms: its versions merge through a Phi with a
+   version from each predecessor. *)
 let test_ssa_phi_at_merge () =
-  let _, _, ssa = build_ssa figure5_src in
-  (* p is stored in both arms: its versions must merge through a phi *)
-  let has_p_phi = ref false in
-  for node = 0 to Srp_ir.Cfg.num_nodes ssa.Ssa_form.cfg - 1 do
+  match phis (form ~config:Config.conservative figure5_src "p") with
+  | [ phi ] ->
+    Alcotest.(check int) "two operands" 2 (List.length phi.Ssapre.operands);
     List.iter
-      (fun (p : Ssa_form.phi) ->
-        if Location.to_string p.Ssa_form.phi_loc = "p" then has_p_phi := true)
-      (Ssa_form.phis_of_node ssa node)
-  done;
-  Alcotest.(check bool) "phi for p at the merge" true !has_p_phi
+      (fun (_, o) ->
+        match o with
+        | Ssapre.O_ver _ -> ()
+        | Ssapre.O_bot | Ssapre.O_uninsertable -> Alcotest.fail "bottom operand")
+      phi.Ssapre.operands
+  | l -> Alcotest.failf "expected one phi for p, got %d" (List.length l)
 
 let test_ssa_loop_phi () =
   let src = {|
@@ -124,47 +175,27 @@ int main() {
   return 0;
 }
 |} in
-  let _, _, ssa = build_ssa src in
-  Srp_ssa.Ssa_verify.check ssa;
-  let phi_locs = ref [] in
-  for node = 0 to Srp_ir.Cfg.num_nodes ssa.Ssa_form.cfg - 1 do
-    List.iter
-      (fun (p : Ssa_form.phi) ->
-        phi_locs := Location.to_string p.Ssa_form.phi_loc :: !phi_locs)
-      (Ssa_form.phis_of_node ssa node)
-  done;
-  Alcotest.(check bool) "loop phi for g" true (List.mem "g" !phi_locs);
-  Alcotest.(check bool) "loop phi for i" true (List.mem "i.1" !phi_locs)
-
-let test_mu_on_indirect_load () =
-  let src = {|
-int a; int b;
-int* p;
-int sel;
-int main() {
-  if (sel == 1) { p = &a; } else { p = &b; }
-  int v = *p;
-  return v;
-}
-|} in
-  let prog = Lower.compile_source src in
-  let mgr = Manager.build prog in
-  let modref = Modref.compute mgr prog in
-  let policy = Spec_policy.create prog Spec_policy.Never in
-  let f = Srp_ir.Program.find_func prog "main" in
-  let annot = Annot.compute ~mgr ~modref ~policy f in
-  let mus = ref [] in
   List.iter
-    (fun blk ->
-      List.iteri
-        (fun idx _ ->
-          let a = Annot.get annot (Srp_ir.Block.label blk, idx) in
-          mus := a.Annot.mu @ !mus)
-        blk.Srp_ir.Block.instrs)
-    (Srp_ir.Func.blocks f);
-  let names = List.map (fun (e : Annot.eff) -> Location.to_string e.Annot.loc) !mus in
-  Alcotest.(check bool) "mu on a" true (List.mem "a" names);
-  Alcotest.(check bool) "mu on b" true (List.mem "b" names)
+    (fun name ->
+      let p = form ~config:Config.conservative src name in
+      let a = p.Ssapre.p_a in
+      let headers =
+        List.map (fun l -> l.Srp_ir.Loops.header) (Srp_ir.Loops.find a.Ssapre.cfg a.Ssapre.dom)
+      in
+      Alcotest.(check bool) ("loop-header phi for " ^ name) true
+        (List.exists (fun phi -> List.mem phi.Ssapre.phi_node headers) (phis p)))
+    [ "g"; "i.1" ]
+
+let call_kill_on_g ~config src =
+  let p = form ~config src "g" in
+  match
+    List.filter
+      (fun (node, idx, _, _) ->
+        match instr_at p node idx with Srp_ir.Instr.Call _ -> true | _ -> false)
+      (kills p)
+  with
+  | [ (_, _, spec, prob) ] -> (spec, prob)
+  | ks -> Alcotest.failf "expected one call kill on g, got %d" (List.length ks)
 
 let test_call_chi_from_modref () =
   let src = {|
@@ -172,20 +203,12 @@ int g;
 void writer() { g = 5; }
 int main() { g = 1; writer(); return g; }
 |} in
-  let prog = Lower.compile_source src in
-  let mgr = Manager.build prog in
-  let modref = Modref.compute mgr prog in
-  let policy = Spec_policy.create prog Spec_policy.Never in
-  let f = Srp_ir.Program.find_func prog "main" in
-  let annot = Annot.compute ~mgr ~modref ~policy f in
-  let chis = all_chis f annot in
-  Alcotest.(check bool) "call has chi on g" true
-    (List.exists (fun (e : Annot.eff) -> Location.to_string e.Annot.loc = "g") chis)
+  Alcotest.(check bool) "call is a hard chi on g" false
+    (fst (call_kill_on_g ~config:Config.conservative src))
 
+(* A callee whose static mod set includes g but which never touches it
+   in training: the call's chi on g is a chi_s under the profile. *)
 let test_dyn_mod_speculation () =
-  (* a callee whose static mod set includes g but which never dynamically
-     touches it: the call's chi on g should be speculative under the
-     profile *)
   let src = {|
 int g; int scratch;
 int* p;
@@ -198,49 +221,157 @@ int main() {
   return 0;
 }
 |} in
-  let pprog = Lower.compile_source src in
-  let _, _, profile = Srp_profile.Interp.run_program pprog in
   let prog = Lower.compile_source src in
-  let mgr = Manager.build prog in
-  let modref = Modref.compute mgr prog in
+  let modref = Modref.compute (Srp_alias.Manager.build prog) prog in
   Alcotest.(check bool) "static mod includes g" true
-    (Location.Set.exists
-       (fun l -> Location.to_string l = "g")
+    (Srp_alias.Location.Set.exists
+       (fun l -> Srp_alias.Location.to_string l = "g")
        (Modref.mod_of modref "cb"));
-  let policy = Spec_policy.create prog (Spec_policy.Profile profile) in
-  let f = Srp_ir.Program.find_func prog "main" in
-  let annot = Annot.compute ~mgr ~modref ~policy f in
-  let chis = all_chis f annot in
-  let g_spec =
-    List.filter_map
-      (fun (e : Annot.eff) ->
-        if Location.to_string e.Annot.loc = "g" then Some e.Annot.spec else None)
-      chis
+  Alcotest.(check (pair bool (float 0.0))) "call chi_s on g, p = 0" (true, 0.0)
+    (call_kill_on_g ~config:(Config.alat ~profile:(train src)) src)
+
+(* Well-formedness of one candidate's form: each Phi has one operand per
+   CFG predecessor, each version is defined once, and every use,
+   operand and crossed chi_s of a version sits where its definition
+   dominates. *)
+let check_form (fm : Promote.form) =
+  let a = fm.Promote.prepared.Ssapre.p_a in
+  let what = Fmt.str "%s %a" (Srp_ir.Func.name fm.Promote.fn) Expr.pp_key fm.Promote.key in
+  let by_id = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      if Hashtbl.mem by_id v.Ssapre.v_id then
+        Alcotest.failf "%s: h%d defined twice" what v.Ssapre.v_id;
+      Hashtbl.replace by_id v.Ssapre.v_id v)
+    a.Ssapre.versions;
+  let def_point v =
+    match v.Ssapre.v_def with
+    | Ssapre.VD_load { node; idx; _ } | Ssapre.VD_store { node; idx; _ } -> (node, idx)
+    | Ssapre.VD_phi phi -> (phi.Ssapre.phi_node, -1)
   in
-  Alcotest.(check (list bool)) "call chi_s on g" [ true ] g_spec
+  let dominates (n0, i0) (n1, i1) =
+    if n0 = n1 then i0 < i1 else Dominance.dominates a.Ssapre.dom n0 n1
+  in
+  let check_reach v point =
+    if not (dominates (def_point v) point) then
+      Alcotest.failf "%s: h%d does not dominate (%d, %d)" what v.Ssapre.v_id
+        (fst point) (snd point)
+  in
+  List.iter
+    (fun v ->
+      List.iter (fun (node, idx, _) -> check_reach v (node, idx)) v.Ssapre.v_uses;
+      List.iter (fun (node, idx, _, _, _) -> check_reach v (node, idx)) v.Ssapre.v_spec_kills)
+    a.Ssapre.versions;
+  Array.iteri
+    (fun node -> function
+      | None -> ()
+      | Some phi ->
+        (match Hashtbl.find_opt by_id phi.Ssapre.phi_ver with
+        | Some { Ssapre.v_def = Ssapre.VD_phi p; _ } when p == phi -> ()
+        | _ -> Alcotest.failf "%s: phi at node %d has no version of its own" what node);
+        let preds = List.sort compare (Cfg.preds a.Ssapre.cfg node) in
+        Alcotest.(check (list int))
+          (what ^ ": one phi operand per predecessor")
+          preds
+          (List.sort compare (List.map fst phi.Ssapre.operands));
+        List.iter
+          (fun (pred, o) ->
+            match o with
+            | Ssapre.O_ver { ver; _ } -> (
+              match Hashtbl.find_opt by_id ver with
+              | Some v -> check_reach v (pred, max_int)
+              | None -> Alcotest.failf "%s: phi operand h%d is undefined" what ver)
+            | Ssapre.O_bot | Ssapre.O_uninsertable -> ())
+          phi.Ssapre.operands)
+    a.Ssapre.phis
 
 let test_ssa_verify_all_kernels () =
   List.iter
     (fun (w : Srp_driver.Workload.t) ->
-      let prog = Lower.compile_source w.Srp_driver.Workload.source in
-      let mgr = Manager.build prog in
-      let modref = Modref.compute mgr prog in
-      let policy = Spec_policy.create prog Spec_policy.Heuristic in
+      let module P = Srp_driver.Pipeline in
       List.iter
-        (fun f ->
-          let annot = Annot.compute ~mgr ~modref ~policy f in
-          let ssa = Ssa_form.build ~annot f in
-          Srp_ssa.Ssa_verify.check ssa)
-        (Srp_ir.Program.funcs prog))
+        (fun (level, profile) ->
+          match P.config_of_level level profile with
+          | Some config ->
+            let forms =
+              Promote.round1_forms config (Lower.compile_source w.Srp_driver.Workload.source)
+            in
+            if forms = [] then Alcotest.failf "%s: no candidates" w.Srp_driver.Workload.name;
+            List.iter check_form forms
+          | None -> ())
+        [ (P.Alat, Some (P.train_profile w)); (P.Alat_heuristic, None) ])
     (Srp_workloads.Registry.all ())
+
+(* `srp ssa` on the Figure 5 source: both loads of a print one version,
+   and the store through p prints as a chi_s with p = 0 that keeps it
+   and plans a check.  Skipped outside the dune sandbox, like the other
+   CLI tests. *)
+let test_cli_ssa () =
+  let bin = Filename.concat (Filename.concat ".." "bin") "srp.exe" in
+  if Sys.file_exists bin then begin
+    let src = Filename.temp_file "srp_ssa_cli" ".mc" in
+    let out = Filename.temp_file "srp_ssa_cli" ".txt" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove src;
+        Sys.remove out)
+    @@ fun () ->
+    let oc = open_out src in
+    output_string oc figure5_src;
+    close_out oc;
+    let rc =
+      Sys.command
+        (Fmt.str "%s ssa %s >%s" (Filename.quote bin) (Filename.quote src)
+           (Filename.quote out))
+    in
+    Alcotest.(check int) "exit code" 0 rc;
+    let ic = open_in_bin out in
+    let lines = String.split_on_char '\n' (really_input_string ic (in_channel_length ic)) in
+    close_in ic;
+    (* candidate a's section: from its header to the next candidate *)
+    let rec section = function
+      | [] -> []
+      | l :: rest when String.starts_with ~prefix:"  [a].i64:" l ->
+        let rec take = function
+          | l :: rest when not (String.starts_with ~prefix:"  [" l) -> l :: take rest
+          | _ -> []
+        in
+        take rest
+      | _ :: rest -> section rest
+    in
+    let sec = section lines in
+    let contains sub l =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length l && (String.sub l i n = sub || go (i + 1)) in
+      go 0
+    in
+    (* the note at the end of an event line, without its brackets *)
+    let note l =
+      let i = String.rindex l '[' in
+      String.sub l (i + 1) (String.length l - i - 2)
+    in
+    match List.filter (contains "load.i64 [a]") sec with
+    | [ l1; l2 ] -> (
+      Alcotest.(check string) "both loads of a share a version" (note l1) (note l2);
+      let h = String.sub (note l1) 4 (String.length (note l1) - 4) in
+      match List.filter (contains "store.i64 7,") sec with
+      | [ st ] ->
+        Alcotest.(check string) "the store through p"
+          (Fmt.str "chi_s p=0, keeps %s, check" h)
+          (note st)
+      | l -> Alcotest.failf "expected one store through p, got %d" (List.length l))
+    | l -> Alcotest.failf "expected two loads of a in its section, got %d" (List.length l)
+  end
 
 let suite =
   [ Alcotest.test_case "chi on both may-targets" `Quick test_chi_on_both_targets;
     Alcotest.test_case "chi_s from the profile (Figure 5)" `Quick test_chi_speculative_with_profile;
     Alcotest.test_case "chi renumbers versions" `Quick test_ssa_versions;
+    Alcotest.test_case "speculative rename shares a version (Figure 6)" `Quick
+      test_spec_rename_shares_version;
     Alcotest.test_case "phi at merges" `Quick test_ssa_phi_at_merge;
     Alcotest.test_case "loop phis" `Quick test_ssa_loop_phi;
-    Alcotest.test_case "mu on indirect loads" `Quick test_mu_on_indirect_load;
     Alcotest.test_case "call chi from mod/ref" `Quick test_call_chi_from_modref;
     Alcotest.test_case "dynamic-mod call speculation" `Quick test_dyn_mod_speculation;
-    Alcotest.test_case "ssa verifies on all kernels" `Slow test_ssa_verify_all_kernels ]
+    Alcotest.test_case "ssa verifies on all kernels" `Slow test_ssa_verify_all_kernels;
+    Alcotest.test_case "srp ssa prints the Figure 6 form" `Quick test_cli_ssa ]
