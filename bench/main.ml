@@ -88,6 +88,18 @@ let () =
              (Srp_core.Promote.run
                 ~config:(Srp_core.Config.alat ~profile) p)))
   in
+  (* one promotion as a matrix cell runs it: the pipeline's alat config
+     and pressure estimator over a clone of the input-applied program *)
+  let test_promote_alat =
+    let config =
+      Option.get (Pipeline.config_of_level Pipeline.Alat (Some profile))
+    in
+    Test.make ~name:"core: promote mcf at alat"
+      (Staged.stage (fun () ->
+           let ir = Srp_ir.Program.clone trained in
+           ignore
+             (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn ir) ir)))
+  in
   let test_codegen =
     Test.make ~name:"target: codegen (mcf)"
       (Staged.stage
@@ -254,7 +266,8 @@ let () =
   in
   List.iter
     (fun t -> benchmark t)
-    [ test_parse; test_steens; test_andersen; test_interp; test_promote; test_codegen;
+    [ test_parse; test_steens; test_andersen; test_interp; test_promote; test_promote_alat;
+      test_codegen;
       test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;
       test_mem_alternate;

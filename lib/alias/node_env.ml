@@ -47,14 +47,6 @@ let fresh_anon t =
 
 let count t = t.count
 
-(* Decode a node id back to a location, if it denotes memory. *)
-let location_of_node t id =
-  let key = List.nth t.keys (t.count - 1 - id) in
-  match key with
-  | K_sym sid -> Some (Location.Sym (Hashtbl.find t.sym_of_id sid))
-  | K_heap site -> Some (Location.Heap site)
-  | K_temp _ | K_ret _ | K_anon _ -> None
-
 (* All (node id, location) pairs. *)
 let memory_nodes t =
   let acc = ref [] in

@@ -13,6 +13,9 @@ type t = {
   env : Node_env.t;
   uf : Srp_support.Union_find.t;
   alpha : (int, int) Hashtbl.t; (* representative -> points-to node *)
+  class_locs : (int, Location.Set.t) Hashtbl.t;
+      (* representative -> the memory locations of its class; filled once
+         the constraints are solved, since queries never unify *)
 }
 
 let reg t n =
@@ -55,7 +58,10 @@ let run (prog : Program.t) : t =
   (* Pre-register all symbols so the node table covers them even if a
      symbol is never referenced. *)
   List.iter (fun s -> ignore (Node_env.node_of_sym env s)) (Program.all_symbols prog);
-  let t = { env; uf = Srp_support.Union_find.create 64; alpha = Hashtbl.create 64 } in
+  let t =
+    { env; uf = Srp_support.Union_find.create 64; alpha = Hashtbl.create 64;
+      class_locs = Hashtbl.create 0 }
+  in
   let pt n = points_to_node t n in
   (* value node of an operand within function [fname] *)
   let operand_node fname (o : Ops.operand) : int option =
@@ -147,7 +153,16 @@ let run (prog : Program.t) : t =
       (Func.blocks f)
   in
   List.iter process_func (Program.funcs prog);
-  t
+  let class_locs = Hashtbl.create 64 in
+  List.iter
+    (fun (id, loc) ->
+      let r = Srp_support.Union_find.find t.uf (reg t id) in
+      let cur =
+        Option.value ~default:Location.Set.empty (Hashtbl.find_opt class_locs r)
+      in
+      Hashtbl.replace class_locs r (Location.Set.add loc cur))
+    (Node_env.memory_nodes env);
+  { t with class_locs }
 
 (* --- queries --- *)
 
@@ -160,13 +175,7 @@ let points_to_of_node (t : t) node : Location.Set.t =
   | None -> Location.Set.empty
   | Some target ->
     let rt = Srp_support.Union_find.find t.uf (reg t target) in
-    List.fold_left
-      (fun acc (id, loc) ->
-        if Srp_support.Union_find.find t.uf (reg t id) = rt then
-          Location.Set.add loc acc
-        else acc)
-      Location.Set.empty
-      (Node_env.memory_nodes t.env)
+    Option.value ~default:Location.Set.empty (Hashtbl.find_opt t.class_locs rt)
 
 let points_to_of_temp (t : t) ~func tmp =
   points_to_of_node t (Node_env.node_of_temp t.env ~func tmp)

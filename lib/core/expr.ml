@@ -11,8 +11,13 @@
      cascaded failure" (section 4).
 
    Occurrences are collected by a fresh scan of the function for each
-   expression (positions go stale as soon as the rewriter runs, so nothing
-   is cached across expressions). *)
+   expression: positions go stale as soon as the rewriter runs, so no
+   event list outlives the analysis of its expression.  What does not go
+   stale is cached for one promotion round, the life of a [collect_ctx]:
+   the alias manager memoizes every points-to answer, and the CFG and its
+   dominator tree are built once per function (the rewriter edits
+   instruction lists, never blocks or edges).  Within one expression its
+   footprint is computed once and shared by every block's scan. *)
 
 open Srp_ir
 module Location = Srp_alias.Location
@@ -61,7 +66,9 @@ type event =
          value.  0 for hard kills and under the binary-verdict policy;
          under probability gating, spec kills carry 0 < prob <=
          spec_threshold and the assessor debits their expected
-         check-recovery cost from the candidate's benefit. *)
+         check-recovery cost from the candidate's benefit.  A cascade
+         kill carries the probability its pointer's cell is overwritten
+         ([cascade_conflict_prob]). *)
       prob : float;
       store : (Ops.addr * Ops.operand) option; (* for software checks *)
       (* cascade crossing (paper section 2.4): the kill is a check of our
@@ -120,10 +127,10 @@ let candidates ~indirect (f : Func.t) : key list =
 
 (* Does a store to [store_addr] possibly write the cell of [k]?
    [`Exact] when provably the same cell, [`No] when provably distinct,
-   [`Maybe] otherwise. *)
+   [`Maybe store_fp] otherwise, with the store's own footprint. *)
 let store_relation ~(mgr : Manager.t) ~func ~(fp : Location.Set.t) (k : key)
     (store_addr : Ops.addr) (store_mty : Mem_ty.t) :
-    [ `Exact | `No | `Maybe ] =
+    [ `Exact | `No | `Maybe of Location.Set.t ] =
   let same_base =
     match k.base, store_addr.Ops.base with
     | Ops.Sym s1, Ops.Sym s2 -> Symbol.equal s1 s2
@@ -140,7 +147,7 @@ let store_relation ~(mgr : Manager.t) ~func ~(fp : Location.Set.t) (k : key)
       | Ops.Reg r -> Manager.points_to mgr ~func ~mty:store_mty r
     in
     if Location.Set.is_empty (Location.Set.inter fp store_fp) then `No
-    else `Maybe
+    else `Maybe store_fp
   end
 
 type collect_ctx = {
@@ -156,6 +163,7 @@ type collect_ctx = {
      pre-probability pipeline. *)
   prob_gate : float option;
   cfg : Cfg.t;
+  dom : Dominance.t; (* of [cfg], valid for the whole round *)
 }
 
 (* Is a may-aliasing *store* checkable (speculative) under the configured
@@ -201,10 +209,13 @@ let call_kill_spec ctx ~callee ~site inter =
     in
     (spec, p)
 
-(* Events of expression [k] in block [node], in order. *)
-let events_in_block (ctx : collect_ctx) (k : key) (node : int) : event list =
+(* Events of expression [k], whose footprint is [fp], in block [node], in
+   order.  [price_cascade] (default true) prices each cascade kill with
+   [cascade_conflict_prob]; that function scans the pointer's cell with it
+   off, so a cycle of pointer checks cannot recurse. *)
+let rec events_in_block ?(price_cascade = true) (ctx : collect_ctx)
+    ~(fp : Location.Set.t) (k : key) (node : int) : event list =
   let func = Func.name (Cfg.func ctx.cfg) in
-  let fp = footprint ~mgr:ctx.mgr ~func k in
   let blk = Cfg.block ctx.cfg node in
   let acc = ref [] in
   List.iteri
@@ -241,24 +252,23 @@ let events_in_block (ctx : collect_ctx) (k : key) (node : int) : event list =
           acc := Kill { idx; spec = false; prob = 0.0; store = None; cascade = None } :: !acc
         else if is_base_redef then begin
           ignore kind;
-          if ctx.cascade && ctx.style = Config.Alat then
+          if ctx.cascade && ctx.style = Config.Alat then begin
+            let prob =
+              if price_cascade then cascade_conflict_prob ctx addr mty else 0.0
+            in
             acc :=
-              Kill { idx; spec = true; prob = 0.0; store = None; cascade = Some addr }
+              Kill { idx; spec = true; prob; store = None; cascade = Some addr }
               :: !acc
+          end
           else acc := Kill { idx; spec = false; prob = 0.0; store = None; cascade = None } :: !acc
         end
       | Instr.Store { src; addr; mty; site } -> (
         match store_relation ~mgr:ctx.mgr ~func ~fp k addr mty with
         | `Exact -> acc := Def { idx; src } :: !acc
         | `No -> ()
-        | `Maybe ->
+        | `Maybe store_fp ->
           (* speculative iff the policy says this store touches none of the
              expression's possible cells *)
-          let store_fp =
-            match addr.Ops.base with
-            | Ops.Sym s -> Location.Set.singleton (Location.Sym s)
-            | Ops.Reg r -> Manager.points_to ctx.mgr ~func ~mty r
-          in
           let inter = Location.Set.inter fp store_fp in
           let n_targets = Location.Set.cardinal store_fp in
           let spec, prob =
@@ -291,3 +301,21 @@ let events_in_block (ctx : collect_ctx) (k : key) (node : int) : event list =
       | Instr.Invala _ -> ())
     blk.Block.instrs;
   List.rev !acc
+
+(* The conflict probability of a cascade kill: a chk.a on the pointer
+   fails when the pointer's own cell [addr] was overwritten, so the kill
+   is priced at the largest profiled probability among the speculative
+   kills of that cell in the function. *)
+and cascade_conflict_prob (ctx : collect_ctx) (addr : Ops.addr) (mty : Mem_ty.t)
+    : float =
+  let cell = key_of_addr addr mty in
+  let fp = footprint ~mgr:ctx.mgr ~func:(Func.name (Cfg.func ctx.cfg)) cell in
+  let p = ref 0.0 in
+  for node = 0 to Cfg.num_nodes ctx.cfg - 1 do
+    List.iter
+      (function
+        | Kill { spec = true; prob; _ } -> p := Float.max !p prob
+        | Use _ | Def _ | Kill _ -> ())
+      (events_in_block ~price_cascade:false ctx ~fp cell node)
+  done;
+  !p

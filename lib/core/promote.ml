@@ -66,9 +66,11 @@ let contexts (config : Config.t) (prog : Program.t) :
     | _ -> None
   in
   fun f ->
+    let cfg = Cfg.build f in
     ( cm_ctx,
       { Expr.mgr; modref; policy; style = config.Config.check_style;
-        cascade = config.Config.cascade; prob_gate; cfg = Cfg.build f } )
+        cascade = config.Config.cascade; prob_gate; cfg;
+        dom = Dominance.compute cfg } )
 
 (* The one verdict on a candidate's ledger.  A candidate with no work is
    declined.  The expected-value gate is the paper's section 3.1 rule,
@@ -102,21 +104,32 @@ let accepts ?pool (a : Ssapre.assessment) =
    hard) and is judged on its own ledger, but a binary scope that still
    carries checks rests on the very traffic estimates the bill just
    flagged as conflict-heavy, so the candidate stays declined.  The legacy
-   path (prob_gate = None) takes none of this machinery. *)
-let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
-    Expr.collect_ctx * Ssapre.assessment =
-  let a_p = Ssapre.assess cm_ctx collect f key in
+   path (prob_gate = None) takes none of this machinery.
+
+   The choice carries the committed scope's own ledger beside the gate's,
+   and its prepared form: committing that form is committing the scope,
+   as long as the function is in the state [choose_scope] saw. *)
+type choice = {
+  scope : Expr.collect_ctx; (* the scope committed *)
+  gate : Ssapre.assessment; (* the ledger the verdict and ranking read *)
+  ledger : Ssapre.assessment; (* the committed scope's own ledger *)
+  prepared : Ssapre.prepared; (* the committed scope's form *)
+}
+
+let choose_scope cm_ctx (collect : Expr.collect_ctx) f key : choice =
+  let ((a_p, _) as thr_form) = Ssapre.assess cm_ctx collect f key in
+  let pick scope gate (ledger, prepared) = { scope; gate; ledger; prepared } in
   match collect.Expr.prob_gate with
-  | None -> (collect, a_p)
+  | None -> pick collect a_p thr_form
   | Some thr ->
     let collect_bin = { collect with Expr.prob_gate = Some 0.0 } in
-    let a_b =
-      if thr = 0.0 then a_p else Ssapre.assess cm_ctx collect_bin f key
+    let ((a_b, _) as bin_form) =
+      if thr = 0.0 then thr_form else Ssapre.assess cm_ctx collect_bin f key
     in
     if not (accepts a_p) then
-      if a_b.Ssapre.as_bill > 0 then (collect_bin, a_p) else (collect_bin, a_b)
-    else if Ssapre.net a_p > Ssapre.net a_b then (collect, a_p)
-    else (collect_bin, a_p)
+      pick collect_bin (if a_b.Ssapre.as_bill > 0 then a_p else a_b) bin_form
+    else if Ssapre.net a_p > Ssapre.net a_b then pick collect a_p thr_form
+    else pick collect_bin a_p bin_form
 
 (* Pressure-gated candidate selection (the vpr/twolf fix): assess every
    candidate without editing, rank by net saved latency, and accept
@@ -132,41 +145,41 @@ let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
    Float candidates are not RSE-stacked; past the threshold they keep the
    occurrence-weighted memory-spill comparison (lat_fp beats a spill
    round-trip, so fp promotion stays profitable, matching the paper's
-   fp-heavy kernels).  Accepted candidates commit through the unchanged
-   [run_expr] in original candidate order, so temp and site generation
-   stay deterministic. *)
+   fp-heavy kernels).  Accepted candidates commit in original candidate
+   order, so temp and site generation stay deterministic.  The first
+   commit reuses its assessed form, since nothing has edited the function
+   yet; every later one prepares afresh, because an earlier commit's edits
+   move the instruction positions the assessed plans name. *)
 let select_gated cm_ctx collect f keys ~(est : pressure)
     ~(overflow_calls : int) ~(claimed : int ref * int ref) stats : unit =
-  let assessed =
-    List.mapi
-      (fun i key ->
-        let chosen, asmt = choose_scope cm_ctx collect f key in
-        (i, key, chosen, asmt))
-      keys
-  in
+  let assessed = List.mapi (fun i key -> (i, key, choose_scope cm_ctx collect f key)) keys in
   let ranked =
     List.stable_sort
-      (fun (_, _, _, a) (_, _, _, b) -> Int.compare (Ssapre.net b) (Ssapre.net a))
+      (fun (_, _, a) (_, _, b) -> Int.compare (Ssapre.net b.gate) (Ssapre.net a.gate))
       assessed
   in
   let ci, cf = claimed in
   let accepted = Hashtbl.create 8 in
   List.iter
-    (fun (i, key, _, asmt) ->
+    (fun (i, key, c) ->
       let counter, base, spill_occ =
         match key.Expr.mty with
         | Mem_ty.I64 -> (ci, est.peak_int, overflow_calls)
-        | Mem_ty.F64 -> (cf, est.peak_fp, asmt.Ssapre.as_occ)
+        | Mem_ty.F64 -> (cf, est.peak_fp, c.gate.Ssapre.as_occ)
       in
-      if accepts ~pool:(base + !counter + 1, spill_occ) asmt then begin
+      if accepts ~pool:(base + !counter + 1, spill_occ) c.gate then begin
         incr counter;
         Hashtbl.replace accepted i ()
       end)
     ranked;
+  let edited = ref false in
   List.iter
-    (fun (i, key, chosen_collect, _) ->
-      if Hashtbl.mem accepted i then
-        Ssapre.run_expr cm_ctx chosen_collect f key stats)
+    (fun (i, key, c) ->
+      if Hashtbl.mem accepted i then begin
+        if !edited then Ssapre.run_expr cm_ctx c.scope f key stats
+        else Ssapre.codemotion cm_ctx f key stats c.prepared;
+        edited := true
+      end)
     assessed
 
 (* Promote every function of [prog] in place.  [pressure] is the
@@ -250,12 +263,14 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
                    pressure feature, and composes with no-pressure.  With
                    prob_gate = None [choose_scope] returns the input
                    collect and a zero-bill ledger, so this is the exact
-                   legacy path. *)
+                   legacy path.  Each candidate is chosen against the
+                   function as the previous commits left it, so its form
+                   commits as prepared. *)
                 List.iter
                   (fun key ->
-                    let chosen, asmt = choose_scope cm_ctx collect f key in
-                    if accepts asmt then
-                      Ssapre.run_expr cm_ctx chosen f key (func_stats f))
+                    let c = choose_scope cm_ctx collect f key in
+                    if accepts c.gate then
+                      Ssapre.codemotion cm_ctx f key (func_stats f) c.prepared)
                   keys);
               if (func_stats f).Ssapre.exprs_promoted > before then
                 round_work := true
@@ -284,17 +299,11 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
 
 (* --- the speculative SSA form --- *)
 
-type form = {
-  fn : Func.t;
-  key : Expr.key;
-  scope : Expr.collect_ctx;
-  ledger : Ssapre.assessment;
-  prepared : Ssapre.prepared;
-}
+type form = { fn : Func.t; key : Expr.key; choice : choice }
 
 (* Round 1 of [run] on [prog] with nothing committed: every candidate in
-   [run]'s order, each prepared against the unedited function under the
-   scope [choose_scope] commits. *)
+   [run]'s order, in the form [choose_scope] prepared for the scope it
+   commits, with that scope's own ledger. *)
 let round1_forms (config : Config.t) (prog : Program.t) : form list =
   let contexts_of = contexts config prog in
   List.concat_map
@@ -305,9 +314,7 @@ let round1_forms (config : Config.t) (prog : Program.t) : form list =
         let cm_ctx, collect = contexts_of f in
         List.map
           (fun key ->
-            let scope, ledger = choose_scope cm_ctx collect f key in
-            { fn = f; key; scope; ledger;
-              prepared = Ssapre.prepare cm_ctx scope f key })
+            { fn = f; key; choice = choose_scope cm_ctx collect f key })
           keys)
     (Program.funcs prog)
 
@@ -317,11 +324,12 @@ let pp_forms ppf (forms : form list) =
        (fun last fm ->
          let name = Func.name fm.fn in
          if last <> Some name then Fmt.pf ppf "func %s:@." name;
+         let c = fm.choice in
          Fmt.pf ppf "  %a: scope %s, saved %d, bill %d@." Expr.pp_key fm.key
-           (match fm.scope.Expr.prob_gate with
+           (match c.scope.Expr.prob_gate with
            | None | Some 0.0 -> "binary"
            | Some thr -> Fmt.str "p<=%g" thr)
-           fm.ledger.Ssapre.as_saved fm.ledger.Ssapre.as_bill;
-         Ssapre.pp_prepared ppf fm.prepared;
+           c.ledger.Ssapre.as_saved c.ledger.Ssapre.as_bill;
+         Ssapre.pp_prepared ppf c.prepared;
          Some name)
        None forms)

@@ -52,6 +52,10 @@ val run :
     {!Srp_ir.Machine_model.spill_cost} x [spill_occ]. *)
 val accepts : ?pool:int * int -> Ssapre.assessment -> bool
 
+(** A round's candidates of a function, in the order {!run} assesses and
+    commits them: direct references, then indirect ones. *)
+val candidates : Srp_ir.Func.t -> Expr.key list
+
 (** [contexts config prog f]: the contexts SSAPRE reads for the
     candidates of [f], built as every round of {!run} builds them.  The
     whole-program alias and mod analyses and the speculation policy run
@@ -60,21 +64,37 @@ val contexts :
   Config.t -> Srp_ir.Program.t -> Srp_ir.Func.t ->
   Ssapre.codemotion_ctx * Expr.collect_ctx
 
-(** One candidate's speculative SSA form (paper sections 3.1-3.3): the
-    SSAPRE analysis the promoter commits from, with the ledger that
-    decides it. *)
-type form = {
-  fn : Srp_ir.Func.t;
-  key : Expr.key;
-  scope : Expr.collect_ctx;
-      (** the scope the promoter commits: the threshold or binary
-          verdict on which kills are chi_s *)
-  ledger : Ssapre.assessment;
-  prepared : Ssapre.prepared;  (** Phis, versions and check plans *)
+(** A candidate's scope choice ({!choose_scope}). *)
+type choice = {
+  scope : Expr.collect_ctx;  (** the scope the promoter commits *)
+  gate : Ssapre.assessment;
+      (** the ledger the verdict ({!accepts}) and the ranking read: the
+          threshold scope's, or the binary scope's when that is judged on
+          its own *)
+  ledger : Ssapre.assessment;  (** the committed scope's own ledger *)
+  prepared : Ssapre.prepared;
+      (** the committed scope's form, prepared against the function as
+          [choose_scope] saw it *)
 }
 
+(** [choose_scope cm_ctx collect f key]: under probability gating, assess
+    [key] at the configured threshold and at the binary verdict and pick
+    the scope to commit (the one that nets more, ties to binary); without
+    gating, the one scope [collect] names.  Committing [prepared] with
+    {!Ssapre.codemotion} is committing the choice, as long as nothing has
+    edited [f] since. *)
+val choose_scope :
+  Ssapre.codemotion_ctx -> Expr.collect_ctx -> Srp_ir.Func.t -> Expr.key -> choice
+
+(** One candidate's speculative SSA form (paper sections 3.1-3.3): the
+    SSAPRE analysis the promoter commits from ([choice.prepared]: Phis,
+    versions and check plans), with the scope and ledger that decide
+    it. *)
+type form = { fn : Srp_ir.Func.t; key : Expr.key; choice : choice }
+
 (** Round 1 of {!run} on [prog] with nothing committed: every candidate
-    in {!run}'s order, prepared against the unedited program. *)
+    in {!run}'s order, in the form {!choose_scope} prepared against the
+    unedited program for the scope it commits. *)
 val round1_forms : Config.t -> Srp_ir.Program.t -> form list
 
 (** Per candidate: its scope and ledger (saved, bill), then block by

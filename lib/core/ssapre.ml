@@ -600,9 +600,10 @@ type prepared = {
 let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) : prepared =
   let cfg = collect.Expr.cfg in
-  let dom = Dominance.compute cfg in
+  let dom = collect.Expr.dom in
   let n = Cfg.num_nodes cfg in
-  let events = Array.init n (fun i -> Expr.events_in_block collect key i) in
+  let fp = Expr.footprint ~mgr:collect.Expr.mgr ~func:(Func.name f) key in
+  let events = Array.init n (fun i -> Expr.events_in_block collect ~fp key i) in
   let phis = insert_phis cfg dom events in
   let a = { cfg; dom; key; events; phis; versions = [] } in
   rename a;
@@ -737,8 +738,11 @@ let check_price ~lat ((_, _, _, cascade, p) : kill) =
   in
   Machine_model.check_issue_cost +. (p *. float_of_int recover)
 
+(* [assess] prepares the candidate and prices the form; the form comes
+   back with its ledger, so a caller that commits it need not prepare
+   again while the function is unedited. *)
 let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
-    (key : Expr.key) : assessment =
+    (key : Expr.key) : assessment * prepared =
   let p = prepare ctx collect f key in
   let weight node =
     Spec_policy.occurrence_weight collect.Expr.policy
@@ -756,8 +760,9 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
             bill := !bill +. (float_of_int (weight node) *. check_price ~lat k))
           pl.pl_checks)
     p.p_plans;
-  { as_saved = !occ * lat; as_bill = int_of_float (Float.ceil !bill);
-    as_occ = !occ; as_work = p.p_plans <> [] }
+  ( { as_saved = !occ * lat; as_bill = int_of_float (Float.ceil !bill);
+      as_occ = !occ; as_work = p.p_plans <> [] },
+    p )
 
 (* The rewriting half: commit a prepared candidate's plans to the
    function.  Must run against the same function state [prepare] saw. *)

@@ -288,6 +288,80 @@ let test_soundness_kernels () =
         (Srp_ir.Program.funcs prog))
     (Srp_workloads.Registry.all ())
 
+(* Every (function, temp, cell type) query [prog] can ask: each temp a
+   function defines or reads, under both cell types. *)
+let all_queries prog =
+  List.concat_map
+    (fun f ->
+      let seen = Hashtbl.create 64 in
+      Srp_ir.Func.iter_instrs
+        (fun _ ins ->
+          List.iter
+            (fun t -> Hashtbl.replace seen (Srp_ir.Temp.id t) t)
+            (Srp_ir.Instr.defs ins @ Srp_ir.Instr.uses ins))
+        f;
+      Hashtbl.fold
+        (fun _ t acc ->
+          List.map (fun mty -> (Srp_ir.Func.name f, t, mty)) Srp_ir.Mem_ty.[ I64; F64 ]
+          @ acc)
+        seen [])
+    (Srp_ir.Program.funcs prog)
+  |> List.sort compare
+
+let shuffle rng l =
+  List.map (fun x -> (Random.State.bits rng, x)) l
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+(* [mgr] answers every query of [prog], asked twice in a shuffled order
+   (the second time from its memo table), as [fresh] answers it asked
+   once: memoizing changes no answer. *)
+let check_memo what rng mgr fresh prog =
+  let queries = all_queries prog in
+  let ask m (func, t, mty) = Manager.points_to m ~func ~mty t in
+  let expected = Hashtbl.create 256 in
+  List.iter (fun q -> Hashtbl.replace expected q (ask fresh q)) queries;
+  if Hashtbl.fold (fun _ s n -> if Location.Set.is_empty s then n else n + 1) expected 0 = 0
+  then Alcotest.failf "%s: every one of %d queries points nowhere" what (List.length queries);
+  List.iter
+    (fun pass ->
+      List.iter
+        (fun ((func, t, mty) as q) ->
+          if not (Location.Set.equal (Hashtbl.find expected q) (ask mgr q)) then
+            Alcotest.failf "%s, pass %d: points_to %s %a.%a differs from a fresh build"
+              what pass func Srp_ir.Temp.pp t Srp_ir.Mem_ty.pp mty)
+        (shuffle rng queries))
+    [ 1; 2 ]
+
+(* The promoter's alias queries are memoized for a round: on every
+   kernel, the applied program and the program after one promotion round
+   answer as a fresh build does.  A manager built before the round,
+   asked about the temps the round made, answers as a fresh build of the
+   unpromoted program does: nothing (each round's analyses are built on
+   the program as that round starts). *)
+let test_points_to_memo () =
+  let rng = Random.State.make [| 26 |] in
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let name = w.Srp_driver.Workload.name in
+      let prog = compile w.Srp_driver.Workload.source in
+      Srp_driver.Workload.apply_input prog w.Srp_driver.Workload.train;
+      let before = Manager.build prog in
+      let unpromoted = Srp_ir.Program.clone prog in
+      check_memo (name ^ " applied") rng before (Manager.build unpromoted) prog;
+      let config =
+        Option.get
+          (Srp_driver.Pipeline.config_of_level Srp_driver.Pipeline.Alat
+             (Some (Srp_driver.Pipeline.train_profile w)))
+      in
+      ignore
+        (Srp_core.Promote.run
+           ~config:{ config with Srp_core.Config.max_rounds = 1 } prog);
+      check_memo (name ^ " promoted") rng (Manager.build prog) (Manager.build prog) prog;
+      check_memo (name ^ " promoted, pre-round manager") rng before
+        (Manager.build unpromoted) prog)
+    (Srp_workloads.Registry.all ())
+
 let suite =
   [ Alcotest.test_case "steensgaard two targets" `Quick test_steensgaard_two_targets;
     Alcotest.test_case "andersen two targets" `Quick test_andersen_two_targets;
@@ -299,4 +373,5 @@ let suite =
     Alcotest.test_case "mod/ref recursion" `Quick test_modref_recursion;
     Alcotest.test_case "mod/ref hides private locals" `Quick test_modref_private_locals_hidden;
     Alcotest.test_case "static soundness vs dynamic profile" `Quick test_soundness_vs_profile;
-    Alcotest.test_case "soundness on all kernels (train)" `Slow test_soundness_kernels ]
+    Alcotest.test_case "soundness on all kernels (train)" `Slow test_soundness_kernels;
+    Alcotest.test_case "memoized points-to equals a fresh build" `Slow test_points_to_memo ]

@@ -722,7 +722,7 @@ let assess_g ~config src =
     | Ops.Reg _ -> false
   in
   match List.filter is_g (Srp_core.Expr.candidates ~indirect:false f) with
-  | [ key ] -> Srp_core.Ssapre.assess ctx collect f key
+  | [ key ] -> fst (Srp_core.Ssapre.assess ctx collect f key)
   | keys -> Alcotest.failf "expected one candidate on g, got %d" (List.length keys)
 
 (* The promoter's benefit side: g + g has one redundant integer load,
@@ -807,6 +807,96 @@ let test_charge_assess_check () =
     (Model.check_issue_cost
     +. (0.25 *. float_of_int (Model.check_recovery_penalty + Model.lat_l1)))
     (Srp_core.Ssapre.check_price ~lat:Model.lat_l1 (0, 0, None, Some cell, 0.25))
+
+(* The cascade kill's price.  Round 1 promotes the pointer p across the
+   store through pp, which the profile says repoints p on [hits] of its
+   [execs] executions, and plants a check of p after it.  In round 2 the
+   candidate *p crosses that check (paper section 2.4): a cascade kill,
+   priced at the largest conflict probability among the speculative
+   kills of p's own cell, P = hits / execs.  A failed chk.a also pays
+   check_recovery_penalty, so the ledger must bill
+   ceil(w x (check_issue_cost + P x (check_recovery_penalty + lat_l1)))
+   per cascade check of block weight w, and the committed chk.a follows
+   the verdict. *)
+let test_charge_assess_cascade () =
+  let src =
+    "int a; int b; int *p; int **pp; int *r; int sel; int sum;
+     int main() { int i; p = &a; a = 100;
+    \  if (sel == 5) { pp = &p; } else { pp = &r; }
+    \  for (i = 0; i < 40; i = i + 1) { sum = sum + *p; *pp = &b; sum = sum + *p; }
+    \  print_int(sum); return 0; }"
+  in
+  let execs = 40 in
+  let config hits =
+    let prog = Srp_frontend.Lower.compile_source src in
+    let _, _, profile = Srp_profile.Interp.run_program prog in
+    let p_sym =
+      fst
+        (List.find
+           (fun (s, _) -> Srp_ir.Symbol.name s = "p")
+           (Srp_ir.Program.globals prog))
+    in
+    Srp_ir.Func.iter_instrs
+      (fun _ ins ->
+        match ins with
+        | Srp_ir.Instr.Store { addr = { Ops.base = Ops.Reg _; _ }; site; _ } ->
+          Alcotest.(check int) "store executions" execs
+            (Srp_profile.Alias_profile.count profile site);
+          Srp_profile.Alias_profile.add_hits profile site
+            (Srp_alias.Location.Sym p_sym) hits
+        | _ -> ())
+      (Srp_ir.Program.find_func prog "main");
+    Srp_core.Config.alat_cascade ~profile
+  in
+  let verdicts =
+    List.init 13 (fun hits ->
+        let config = config hits in
+        let prog = Srp_frontend.Lower.compile_source src in
+        ignore
+          (Srp_core.Promote.run
+             ~config:{ config with Srp_core.Config.max_rounds = 1 } prog);
+        let f = Srp_ir.Program.find_func prog "main" in
+        let ctx, collect = Srp_core.Promote.contexts config prog f in
+        let cascade_probs (form : Srp_core.Ssapre.prepared) =
+          Array.to_list form.Srp_core.Ssapre.p_a.Srp_core.Ssapre.events
+          |> List.concat_map
+               (List.filter_map (function
+                 | Srp_core.Expr.Kill { cascade = Some _; prob; _ } -> Some prob
+                 | _ -> None))
+        in
+        let tag = Fmt.str "P = %d/%d: %s" hits execs in
+        match
+          List.filter_map
+            (fun key ->
+              let a, form = Srp_core.Ssapre.assess ctx collect f key in
+              match cascade_probs form with [] -> None | ps -> Some (a, ps))
+            (Srp_core.Expr.candidates ~indirect:true f)
+        with
+        | [ (a, [ prob ]) ] ->
+          let p = float_of_int hits /. float_of_int execs in
+          Alcotest.(check (float 1e-12)) (tag "cascade kill probability") p prob;
+          let bill =
+            int_of_float
+              (Float.ceil
+                 (float_of_int execs
+                 *. (Model.check_issue_cost
+                    +. (p *. float_of_int (Model.check_recovery_penalty + Model.lat_l1)))))
+          in
+          Alcotest.(check int) (tag "bill") bill a.Srp_core.Ssapre.as_bill;
+          let accept = a.Srp_core.Ssapre.as_saved - bill > 0 in
+          Alcotest.(check bool) (tag "verdict") accept (Srp_core.Promote.accepts a);
+          let r =
+            Srp_core.Promote.run ~config (Srp_frontend.Lower.compile_source src)
+          in
+          Alcotest.(check int) (tag "committed chk.a")
+            (if accept then 1 else 0)
+            r.Srp_core.Promote.stats.Srp_core.Ssapre.chk_a_inserted;
+          accept
+        | l -> Alcotest.failf "%s" (tag (Fmt.str "%d cascade candidates" (List.length l))))
+  in
+  Alcotest.(check (list bool)) "accepts up to P = 8/40, declines from 9/40"
+    (List.init 13 (fun hits -> hits < 9))
+    verdicts
 
 (* --- machine vs interpreter differential on hand-written programs --- *)
 
@@ -968,6 +1058,8 @@ let suite =
     Alcotest.test_case "charge: rse overflow" `Quick test_charge_rse_overflow;
     Alcotest.test_case "charge: promoter prices lat_l1" `Quick test_charge_assess_l1;
     Alcotest.test_case "charge: promoter prices a check" `Quick test_charge_assess_check;
+    Alcotest.test_case "charge: promoter prices a cascade check" `Quick
+      test_charge_assess_cascade;
     Alcotest.test_case "machine arith (vs interp)" `Quick test_machine_arith;
     Alcotest.test_case "machine control flow (vs interp)" `Quick test_machine_control;
     Alcotest.test_case "machine heap/structs (vs interp)" `Quick test_machine_heap_structs;

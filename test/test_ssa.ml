@@ -62,7 +62,7 @@ let form ~config src name =
   match
     List.filter is_name (Promote.round1_forms config (Lower.compile_source src))
   with
-  | [ fm ] -> fm.Promote.prepared
+  | [ fm ] -> fm.Promote.choice.Promote.prepared
   | fms -> Alcotest.failf "expected one candidate on %s, got %d" name (List.length fms)
 
 let events (p : Ssapre.prepared) =
@@ -235,7 +235,7 @@ int main() {
    operand and crossed chi_s of a version sits where its definition
    dominates. *)
 let check_form (fm : Promote.form) =
-  let a = fm.Promote.prepared.Ssapre.p_a in
+  let a = fm.Promote.choice.Promote.prepared.Ssapre.p_a in
   let what = Fmt.str "%s %a" (Srp_ir.Func.name fm.Promote.fn) Expr.pp_key fm.Promote.key in
   let by_id = Hashtbl.create 16 in
   List.iter
@@ -300,6 +300,127 @@ let test_ssa_verify_all_kernels () =
             List.iter check_form forms
           | None -> ())
         [ (P.Alat, Some (P.train_profile w)); (P.Alat_heuristic, None) ])
+    (Srp_workloads.Registry.all ())
+
+(* The profiled alat config of kernel [w], and [w]'s program with its
+   train input applied, as the promote stage sees them. *)
+let alat_kernel (w : Srp_driver.Workload.t) =
+  let module P = Srp_driver.Pipeline in
+  let config = Option.get (P.config_of_level P.Alat (Some (P.train_profile w))) in
+  let prog = Lower.compile_source w.Srp_driver.Workload.source in
+  Srp_driver.Workload.apply_input prog w.Srp_driver.Workload.train;
+  (config, prog)
+
+(* `srp ssa` prints each candidate's committed scope beside that scope's
+   own ledger: every printed saved and bill is what [Ssapre.assess] gives
+   on the printed scope. *)
+let check_printed_ledgers what config prog =
+  let contexts_of = Promote.contexts config prog in
+  List.iter
+    (fun (fm : Promote.form) ->
+      let cm_ctx, _ = contexts_of fm.Promote.fn in
+      let a, _ =
+        Ssapre.assess cm_ctx fm.Promote.choice.Promote.scope fm.Promote.fn fm.Promote.key
+      in
+      (* the first line names the function, the second the candidate *)
+      let header =
+        List.nth (String.split_on_char '\n' (Fmt.str "%a" Promote.pp_forms [ fm ])) 1
+      in
+      let expected = Fmt.str "saved %d, bill %d" a.Ssapre.as_saved a.Ssapre.as_bill in
+      if not (String.ends_with ~suffix:expected header) then
+        Alcotest.failf "%s: %S prints another ledger than its scope's (%s)" what header
+          expected)
+    (Promote.round1_forms config prog)
+
+(* On the 10 kernels at alat the gate's ledger and the committed scope's
+   agree, so a synthesized case pins the difference.  g is loaded, a
+   store through p (never g in training) runs, g is loaded, a store
+   through q (always g) runs, and g is loaded.  The threshold scope
+   crosses both stores (saved 2 x lat_l1, bill ceil(2 x check_issue_cost
+   + lat_l1)); the binary scope crosses only the first (saved lat_l1,
+   bill ceil(check_issue_cost)).  Both net lat_l1 - 1 = 1, so the tie
+   commits the binary scope, and `srp ssa` must print its ledger. *)
+let test_printed_ledger_is_the_scopes () =
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let config, prog = alat_kernel w in
+      check_printed_ledgers w.Srp_driver.Workload.name config prog)
+    (Srp_workloads.Registry.all ());
+  let src =
+    "int g; int h; int *p; int *q;
+     int main() { int x; p = &g; p = &h; q = &h; q = &g;
+    \  x = g; *p = 1; x = x + g; *q = 1; x = x + g; print_int(x); return 0; }"
+  in
+  let config = Config.alat ~profile:(train src) in
+  let prog = Lower.compile_source src in
+  check_printed_ledgers "synthesized" config prog;
+  let gate_and_ledger =
+    let f = Srp_ir.Program.find_func prog "main" in
+    let cm_ctx, collect = Promote.contexts config prog f in
+    List.filter_map
+      (fun (k : Expr.key) ->
+        match k.Expr.base with
+        | Srp_ir.Ops.Sym s when Srp_ir.Symbol.name s = "g" ->
+          let c = Promote.choose_scope cm_ctx collect f k in
+          let pair (a : Ssapre.assessment) = (a.Ssapre.as_saved, a.Ssapre.as_bill) in
+          Some (c.Promote.scope.Expr.prob_gate, pair c.Promote.gate, pair c.Promote.ledger)
+        | _ -> None)
+      (Promote.candidates f)
+  in
+  let lat = Srp_ir.Machine_model.lat_l1 in
+  let cost = Srp_ir.Machine_model.check_issue_cost in
+  let ceil x = int_of_float (Float.ceil x) in
+  Alcotest.(check (list (triple (option (float 0.0)) (pair int int) (pair int int))))
+    "g: binary scope committed, gate read at the threshold"
+    [ ( Some 0.0,
+        (2 * lat, ceil ((2.0 *. cost) +. float_of_int lat)),
+        (lat, ceil cost) ) ]
+    gate_and_ledger
+
+(* The promoter commits the form [choose_scope] prepared instead of
+   preparing it again.  Round 1 of the no-pressure path at alat, step by
+   step on every kernel: each committed form prints the same as a fresh
+   [Ssapre.prepare] of its scope on the same function state, and the
+   round commits what [Promote.run] commits. *)
+let test_committed_form_is_fresh () =
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let name = w.Srp_driver.Workload.name in
+      let config, prog = alat_kernel w in
+      let config =
+        Srp_driver.Pipeline.apply_ablation Srp_driver.Pipeline.No_pressure
+          { config with Config.max_rounds = 1 }
+      in
+      let reference = Srp_ir.Program.clone prog in
+      let contexts_of = Promote.contexts config prog in
+      let stats = Ssapre.empty_stats () in
+      List.iter
+        (fun f ->
+          let keys = Promote.candidates f in
+          if keys <> [] then begin
+            let cm_ctx, collect = contexts_of f in
+            List.iter
+              (fun key ->
+                let c = Promote.choose_scope cm_ctx collect f key in
+                if Promote.accepts c.Promote.gate then begin
+                  let fresh = Ssapre.prepare cm_ctx c.Promote.scope f key in
+                  Alcotest.(check string)
+                    (Fmt.str "%s %s %a" name (Srp_ir.Func.name f) Expr.pp_key key)
+                    (Fmt.str "%a" Ssapre.pp_prepared fresh)
+                    (Fmt.str "%a" Ssapre.pp_prepared c.Promote.prepared);
+                  Ssapre.codemotion cm_ctx f key stats c.Promote.prepared
+                end)
+              keys
+          end)
+        (Srp_ir.Program.funcs prog);
+      let r = Promote.run ~config reference in
+      Alcotest.(check (list int)) (name ^ ": committed as Promote.run commits")
+        (let s = r.Promote.stats in
+         Ssapre.[ s.exprs_promoted; s.checks_inserted; s.loads_inserted; s.arms;
+                  s.loads_eliminated_direct; s.loads_eliminated_indirect ])
+        Ssapre.[ stats.exprs_promoted; stats.checks_inserted; stats.loads_inserted;
+                 stats.arms; stats.loads_eliminated_direct;
+                 stats.loads_eliminated_indirect ])
     (Srp_workloads.Registry.all ())
 
 (* `srp ssa` on the Figure 5 source: both loads of a print one version,
@@ -374,4 +495,8 @@ let suite =
     Alcotest.test_case "call chi from mod/ref" `Quick test_call_chi_from_modref;
     Alcotest.test_case "dynamic-mod call speculation" `Quick test_dyn_mod_speculation;
     Alcotest.test_case "ssa verifies on all kernels" `Slow test_ssa_verify_all_kernels;
-    Alcotest.test_case "srp ssa prints the Figure 6 form" `Quick test_cli_ssa ]
+    Alcotest.test_case "srp ssa prints the Figure 6 form" `Quick test_cli_ssa;
+    Alcotest.test_case "printed ledger is the committed scope's" `Slow
+      test_printed_ledger_is_the_scopes;
+    Alcotest.test_case "committed form equals a fresh prepare" `Slow
+      test_committed_form_is_fresh ]
