@@ -1,8 +1,8 @@
 (* The benchmark harness: the ablations from DESIGN.md (rows A-H) and
    the speculation-threshold sweep, then a Bechamel micro-benchmark group
-   over the compiler phases and the simulator's issue logic, memory and
-   per-site histogram.  Figures 8-11 and the srp-bench-v1 document come
-   from `srp bench`.
+   over the compiler phases and the simulator's issue logic, memory,
+   per-site histogram and event-trace sink.  Figures 8-11 and the
+   srp-bench-v1 document come from `srp bench`.
 
    Usage: dune exec bench/main.exe [-- --quick]
    (--quick runs the micro-benchmarks only) *)
@@ -194,6 +194,31 @@ let () =
                  else Srp_obs.Site_hist.Stores_retired)
             done))
   in
+  (* the event-trace sink as the machine drives it: each event asks
+     [admit] first, then builds and emits a retire record.  Written, the
+     records go through the sink's buffer to /dev/null; past the bound,
+     nothing is built *)
+  let trace_events sink =
+    for pc = 0 to 9_999 do
+      if Srp_obs.Trace.admit sink then
+        Srp_obs.Trace.emit sink ~cycle:pc "i"
+          [ ("f", Srp_obs.Json.String "main"); ("pc", Srp_obs.Json.Int pc);
+            ("op", Srp_obs.Json.String "ld.a") ]
+    done
+  in
+  let devnull = open_out_bin Filename.null in
+  let test_trace_written =
+    Test.make ~name:"obs: 10k trace events written"
+      (Staged.stage
+         (let sink = Srp_obs.Trace.create ~limit:max_int devnull in
+          fun () -> trace_events sink))
+  in
+  let test_trace_dropped =
+    Test.make ~name:"obs: 10k trace events past the bound"
+      (Staged.stage
+         (let sink = Srp_obs.Trace.create ~limit:0 devnull in
+          fun () -> trace_events sink))
+  in
   (* the simulator's issue logic on hand-built programs: bundle-wise
      dispersal of an ALU loop, and a pointer chase whose every iteration
      stalls on the scoreboard *)
@@ -271,5 +296,5 @@ let () =
       test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;
       test_mem_alternate;
-      test_site_hist ];
+      test_site_hist; test_trace_written; test_trace_dropped ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

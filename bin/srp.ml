@@ -71,6 +71,12 @@ let trace_arg =
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"stream a bounded per-cycle event trace (JSON lines) to FILE")
 
+(* The closing message's drop count: the N of the file's
+   {"ev":"truncated","dropped":N} record. *)
+let pp_dropped ppf sink =
+  let n = Srp_obs.Trace.dropped sink in
+  if n > 0 then Fmt.pf ppf ", %d dropped" n
+
 (* Run [f] with an optional trace sink streaming to [path]. *)
 let with_trace path f =
   match path with
@@ -82,9 +88,8 @@ let with_trace path f =
       ~finally:(fun () ->
         Srp_obs.Trace.close sink;
         close_out oc;
-        Fmt.epr "trace written to %s (%d events%s)@." path
-          (Srp_obs.Trace.emitted sink)
-          (if Srp_obs.Trace.truncated sink then ", truncated" else ""))
+        Fmt.epr "trace written to %s (%d events%a)@." path
+          (Srp_obs.Trace.emitted sink) pp_dropped sink)
       (fun () -> f (Some sink))
 
 let trace_spans_arg =
@@ -139,9 +144,8 @@ let with_timeline path ~interval f =
       ~finally:(fun () ->
         Srp_obs.Trace.close sink;
         close_out oc;
-        Fmt.epr "timeline written to %s (%d rows%s)@." path
-          (Srp_obs.Trace.emitted sink)
-          (if Srp_obs.Trace.truncated sink then ", truncated" else ""))
+        Fmt.epr "timeline written to %s (%d rows%a)@." path
+          (Srp_obs.Trace.emitted sink) pp_dropped sink)
       (fun () -> f (Some tl))
 
 (* Run [f] over the MiniC source in [file]: a front-end error in it

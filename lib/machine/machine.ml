@@ -39,7 +39,13 @@
    bundle apart from its operands is decoded once per program, in
    [resolve_funcs]: each pc's issue class, each bundle's packed dispersal
    ports and stop bit, and the site a split stall of the bundle is charged
-   to. *)
+   to.
+
+   Observation only reads machine state.  With no event trace ([Trace])
+   attached, a trace call site tests one [None]; with one, it asks the
+   sink to admit the event before it builds the record, so an event past
+   the sink's bound costs one drop count.  A timeline row is built only
+   when it is due and its sink admits it. *)
 
 open Srp_target
 module Value = Srp_profile.Value
@@ -223,9 +229,16 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
    is charged to the IR site that caused it. *)
 let ev m ~site e = Site_hist.record m.site_stats ~site e
 
-(* Every call site tests [traced] before building its field list, so an
-   unobserved run builds no trace records at all. *)
-let traced m = m.trace != None
+(* Every trace call site asks [admit_event] before it builds its field
+   list, so a run with no sink builds no record, and an event past the
+   sink's bound costs one drop count ([Trace.admit]) and no record.
+   [admit_event] counts that drop itself: each [true] must be followed by
+   exactly one [tr], or the sink's [emitted] and [dropped] stop being
+   exact. *)
+let admit_event m =
+  match m.trace with
+  | None -> false
+  | Some sink -> Trace.admit sink
 
 let tr m kind fields =
   match m.trace with
@@ -272,11 +285,14 @@ let timeline_row m tl =
 
 (* Timeline hook: fires on every cycle advance, read-only — it cannot
    perturb a counter (the on/off differential test holds the machine
-   bit-identical either way).  The state is read only when a row is due:
-   the ALAT occupancy and the RSE clean count are scans. *)
+   bit-identical either way).  The state is read only when a row is due
+   and its sink will write it: the ALAT occupancy and the RSE clean count
+   are scans. *)
 let sample m =
   match m.timeline with
-  | Some tl when Timeline.due tl ~cycle:m.cycle -> timeline_row m tl
+  | Some tl
+    when Timeline.due tl ~cycle:m.cycle && Timeline.admit tl ~cycle:m.cycle ->
+    timeline_row m tl
   | _ -> ()
 
 let new_group m =
@@ -309,7 +325,8 @@ let stall_until m ~ready ~mem_src =
     m.cycle <- ready;
     if mem_src then
       m.c.Counters.data_access_cycles <- m.c.Counters.data_access_cycles + stall;
-    if traced m then tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
+    if admit_event m then
+      tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
     sample m
   end
 
@@ -334,7 +351,8 @@ let enter_bundle m rf pc word =
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
     ev m ~site:rf.split_site.(pc / 3) Srp_obs.Site_hist.Split_stalls;
-    if traced m then tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
+    if admit_event m then
+      tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
     new_group m
   end;
   m.group_bundles <- m.group_bundles + 1;
@@ -523,13 +541,13 @@ let arm m tag a site =
   | Some victim_site ->
     m.c.Counters.alat_evictions <- m.c.Counters.alat_evictions + 1;
     ev m ~site:victim_site Site_hist.Alat_evictions;
-    if traced m then
+    if admit_event m then
       tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
 
 (* ld.sa's deferred fault: the destination gets a NaT and loses its ALAT
    entry. *)
 let defer_fault m fr (dst : Insn.dest) site =
-  if traced m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
+  if admit_event m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
   (* IA-64: a deferred fault also invalidates any matching ALAT entry, so
      a later ld.c on this register misses and reloads instead of
      validating a stale entry left by a previous occupant of the (possibly
@@ -564,7 +582,7 @@ let load_at m fr (kind : Insn.ld_kind) (dst : Insn.dest) a site =
   | Insn.K_ld -> do_load m fr dst a site
   | Insn.K_ld_a ->
     do_load m fr dst a site;
-    if traced m then
+    if admit_event m then
       tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
     arm m (alat_tag fr dst) a site
   | Insn.K_ld_sa ->
@@ -577,7 +595,7 @@ let load_at m fr (kind : Insn.ld_kind) (dst : Insn.dest) a site =
   | Insn.K_ld_c { clear } ->
     let tag = alat_tag fr dst in
     if not (ld_c_hits m fr tag dst site ~clear) then begin
-      if traced m then
+      if admit_event m then
         tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
       do_load m fr dst a site;
       if not clear then arm m tag a site
@@ -590,7 +608,8 @@ let load_wild m fr (kind : Insn.ld_kind) (dst : Insn.dest) (v : int64) site =
   | Insn.K_ld_sa -> defer_fault m fr dst site
   | Insn.K_ld_c { clear } ->
     if not (ld_c_hits m fr (alat_tag fr dst) dst site ~clear) then begin
-      if traced m then tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex64 v)) ];
+      if admit_event m then
+        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex64 v)) ];
       Memory.unmapped v
     end
   | Insn.K_ld | Insn.K_ld_a -> Memory.unmapped v
@@ -629,12 +648,12 @@ let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
   bind_args fr func.Insn.formals args;
   (* RSE charge for the new register frame *)
   let spill = Rse.call m.rse m.c ~nregs:func.Insn.nregs in
-  if spill > 0 && traced m then
+  if spill > 0 && admit_event m then
     tr m "rse.spill" [ ("regs", J.Int spill); ("f", J.String func.Insn.name) ];
   advance_cycles m spill;
   let result = exec_from m fr 0 in
   let fill = Rse.ret m.rse m.c in
-  if fill > 0 && traced m then tr m "rse.fill" [ ("regs", J.Int fill) ];
+  if fill > 0 && admit_event m then tr m "rse.fill" [ ("regs", J.Int fill) ];
   advance_cycles m fill;
   Alat.purge_frame m.alat ~frame:fr.uid;
   Memory.free m.mem frame_base;
@@ -653,7 +672,7 @@ and exec_from m fr pc : Value.t option =
   let ins = Array.unsafe_get code pc in
   let cls = Array.unsafe_get rf.issue pc in
   (* per-instruction retire record *)
-  if traced m then
+  if admit_event m then
     tr m "i"
       [ ("f", J.String rf.func.Insn.name); ("pc", J.Int pc);
         ("op", J.String (op_name ins)) ];
@@ -732,7 +751,7 @@ and exec_from m fr pc : Value.t option =
         m.c.Counters.alat_store_invalidations + List.length victims;
       (* the invalidation is charged to the load site whose entry died *)
       List.iter (fun vs -> ev m ~site:vs Site_hist.Alat_store_invalidations) victims;
-      if traced m then
+      if admit_event m then
         tr m "alat.inval"
           [ ("site", J.Int site); ("addr", J.String (hex a));
             ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ]);
@@ -746,7 +765,7 @@ and exec_from m fr pc : Value.t option =
       (* branch to recovery: a light trap plus pipeline redirect *)
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
-      if traced m then
+      if admit_event m then
         tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
       advance_cycles m Model.check_recovery_penalty;
       exec_from m fr recovery
@@ -787,7 +806,7 @@ and exec_from m fr pc : Value.t option =
     if taken <> predicted_taken then begin
       m.c.Counters.branch_mispredicts <- m.c.Counters.branch_mispredicts + 1;
       ev m ~site Site_hist.Branch_mispredicts;
-      if traced m then
+      if admit_event m then
         tr m "br.mispredict"
           [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
       advance_cycles m Model.mispredict_penalty
@@ -859,8 +878,8 @@ let run (m : t) : int64 =
   new_group m;
   m.c.Counters.cycles <- m.cycle;
   (match m.timeline with
-  | None -> ()
-  | Some tl -> timeline_row m tl);
+  | Some tl when Timeline.admit tl ~cycle:m.cycle -> timeline_row m tl
+  | _ -> ());
   Srp_obs.Stats.add
     (Srp_obs.Stats.counter ~pass:"machine" "instructions_retired")
     m.c.Counters.instrs_retired;

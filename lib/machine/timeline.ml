@@ -39,6 +39,9 @@ let create ?(interval = 1000) (sink : Srp_obs.Trace.sink) : t =
   { sink; interval; next_at = interval; last_cycle = 0; last_instrs = 0;
     last_l1_misses = 0; last_l2_misses = 0 }
 
+(* The first mark strictly ahead of [cycle], on the interval grid. *)
+let next_mark t cycle = ((cycle / t.interval) + 1) * t.interval
+
 let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
     ~l2_misses =
   let dcycles = cycle - t.last_cycle in
@@ -59,9 +62,21 @@ let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
   t.last_instrs <- instrs;
   t.last_l1_misses <- l1_misses;
   t.last_l2_misses <- l2_misses;
-  (* next mark strictly ahead of [cycle], on the interval grid *)
-  t.next_at <- ((cycle / t.interval) + 1) * t.interval
+  t.next_at <- next_mark t cycle
+
+(* Will the sink write a row at [cycle]?  A refused row moves the next
+   mark as a written one would, so the sink counts exactly one drop per
+   row it would have written.  The [last_*] values stay put: they only
+   feed written rows, and once the sink refuses one it refuses every
+   later one. *)
+let admit t ~cycle =
+  Srp_obs.Trace.admit t.sink
+  || begin
+    t.next_at <- next_mark t cycle;
+    false
+  end
 
 (* Has the cycle crossed the next interval mark?  The machine asks on
-   every cycle advance and reads its state for a [row] only then. *)
+   every cycle advance, and reads its state for a [row] only then and only
+   if the sink [admit]s the row. *)
 let due t ~cycle = cycle >= t.next_at

@@ -22,13 +22,21 @@ type t
 val create : ?interval:int -> Srp_obs.Trace.sink -> t
 
 (** Has [cycle] crossed the next interval mark?  The machine asks on
-    every cycle advance and emits a {!row} when it has. *)
+    every cycle advance and, when it has, asks {!admit} before it builds
+    a {!row}. *)
 val due : t -> cycle:int -> bool
 
+(** [admit t ~cycle] asks the sink whether it will write a row at
+    [cycle] ({!Srp_obs.Trace.admit}), before the machine reads the state
+    the row needs.  A refused row counts one drop and moves the next mark
+    strictly past [cycle], as a written one would.  Each [true] must be
+    followed by exactly one {!row}. *)
+val admit : t -> cycle:int -> bool
+
 (** Emit one row for the machine state at [cycle] and move the next mark
-    strictly past it.  The machine also emits one unconditional closing
-    row at the end of a run, so programs shorter than one interval still
-    produce a timeline. *)
+    strictly past it.  The machine also asks for one closing row at the
+    end of a run, so programs shorter than one interval still produce a
+    timeline. *)
 val row :
   t -> cycle:int -> alat_live:int -> rse_dirty:int -> rse_clean:int ->
   instrs:int -> l1_misses:int -> l2_misses:int -> unit

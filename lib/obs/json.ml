@@ -16,23 +16,55 @@ type t =
 
 (* --- encoding --- *)
 
+(* The encoder walks strings and lists with loops and recursion, not a
+   closure per element or character, and writes integers digit by digit,
+   so the compact encoding of a record with no float allocates nothing
+   beyond the buffer's growth. *)
+
+let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
+
+let escape_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c ->
+    (* the other control characters, all below 0x20 *)
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+    Buffer.add_char buf (hex_digit (Char.code c land 15))
+
+(* Runs of characters that need no escape go to the buffer in one copy. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      escape_char buf c;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+(* The digits of [n <= 0], most significant first.  Working on the
+   negative side gives [min_int] a representation. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf i
+  end
+  else add_neg_digits buf (-i)
 
 (* JSON has no NaN/Infinity; clamp to null like most emitters do. *)
 let float_repr x =
@@ -44,17 +76,17 @@ let float_repr x =
     let short = Printf.sprintf "%.12g" x in
     Some (if float_of_string short = x then short else s)
 
+let nl buf ~indent n =
+  if indent > 0 then begin
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (indent * n) ' ')
+  end
+
 let rec encode buf ~indent ~level (v : t) =
-  let nl n =
-    if indent > 0 then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (indent * n) ' ')
-    end
-  in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float x -> (
     match float_repr x with
     | None -> Buffer.add_string buf "null"
@@ -65,30 +97,48 @@ let rec encode buf ~indent ~level (v : t) =
         Buffer.add_string buf ".0")
   | String s -> escape_string buf s
   | Arr [] -> Buffer.add_string buf "[]"
-  | Arr xs ->
+  | Arr (x :: xs) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        nl (level + 1);
-        encode buf ~indent ~level:(level + 1) x)
-      xs;
-    nl level;
+    encode_item buf ~indent ~level x;
+    encode_items buf ~indent ~level xs;
+    nl buf ~indent level;
     Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj kvs ->
+  | Obj (kv :: kvs) ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, x) ->
-        if i > 0 then Buffer.add_char buf ',';
-        nl (level + 1);
-        escape_string buf k;
-        Buffer.add_char buf ':';
-        if indent > 0 then Buffer.add_char buf ' ';
-        encode buf ~indent ~level:(level + 1) x)
-      kvs;
-    nl level;
+    encode_member buf ~indent ~level kv;
+    encode_members buf ~indent ~level kvs;
+    nl buf ~indent level;
     Buffer.add_char buf '}'
+
+(* An element or a member of a container at [level], on its own line when
+   indenting. *)
+and encode_item buf ~indent ~level x =
+  nl buf ~indent (level + 1);
+  encode buf ~indent ~level:(level + 1) x
+
+and encode_items buf ~indent ~level = function
+  | [] -> ()
+  | x :: xs ->
+    Buffer.add_char buf ',';
+    encode_item buf ~indent ~level x;
+    encode_items buf ~indent ~level xs
+
+and encode_member buf ~indent ~level (k, x) =
+  nl buf ~indent (level + 1);
+  escape_string buf k;
+  Buffer.add_char buf ':';
+  if indent > 0 then Buffer.add_char buf ' ';
+  encode buf ~indent ~level:(level + 1) x
+
+and encode_members buf ~indent ~level = function
+  | [] -> ()
+  | kv :: kvs ->
+    Buffer.add_char buf ',';
+    encode_member buf ~indent ~level kv;
+    encode_members buf ~indent ~level kvs
+
+let to_buffer buf (v : t) = encode buf ~indent:0 ~level:0 v
 
 let to_string ?(indent = 0) (v : t) : string =
   let buf = Buffer.create 256 in

@@ -19,6 +19,10 @@ type t =
     [indent > 0] pretty-prints with that many spaces per level. *)
 val to_string : ?indent:int -> t -> string
 
+(** Append the compact encoding ([to_string] with [indent = 0]) to a
+    buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** Parse a complete document (trailing garbage is an error). *)
 val of_string : string -> (t, string) result
 

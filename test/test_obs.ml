@@ -104,6 +104,77 @@ let test_json_accessors () =
     | Some (J.Arr [ _; s ]) -> J.to_string_opt s
     | _ -> None)
 
+(* The encoder's exact bytes, compact and indented: integers at both ends
+   of the range, escapes, and nesting. *)
+let test_json_exact_strings () =
+  List.iter
+    (fun (expected, v) -> Alcotest.(check string) expected expected (J.to_string v))
+    [ ("-4611686018427387904", J.Int min_int);
+      ("4611686018427387903", J.Int max_int);
+      ("0", J.Int 0);
+      ("-7", J.Int (-7));
+      ("-10", J.Int (-10));
+      ("1000", J.Int 1000);
+      ({|"say \"hi\""|}, J.String {|say "hi"|});
+      ({|"a\\b\\"|}, J.String {|a\b\|});
+      ( {|"\u0000\u001f\n\t\r\b\f|} ^ "\x7f\xc3\xa9\"",
+        J.String "\x00\x1f\n\t\r\b\x0c\x7f\xc3\xa9" );
+      ({|{"a":[1,{"b":null,"c":[true,-2.5]}],"d":{},"e":[]}|},
+       J.Obj
+         [ ( "a",
+             J.Arr
+               [ J.Int 1;
+                 J.Obj
+                   [ ("b", J.Null); ("c", J.Arr [ J.Bool true; J.Float (-2.5) ]) ]
+               ] );
+           ("d", J.Obj []); ("e", J.Arr []) ]) ];
+  Alcotest.(check string) "indent 2"
+    "{\n  \"a\": [\n    1,\n    {\n      \"b\": null\n    }\n  ],\n\
+    \  \"c\": [],\n  \"d\": 2.0\n}"
+    (J.to_string ~indent:2
+       (J.Obj
+          [ ("a", J.Arr [ J.Int 1; J.Obj [ ("b", J.Null) ] ]); ("c", J.Arr []);
+            ("d", J.Float 2.0) ]));
+  let buf = Buffer.create 4 in
+  Buffer.add_string buf "x";
+  J.to_buffer buf (J.Arr [ J.Int min_int; J.String "\"" ]);
+  Alcotest.(check string) "to_buffer appends the compact form"
+    ("x" ^ J.to_string (J.Arr [ J.Int min_int; J.String "\"" ]))
+    (Buffer.contents buf)
+
+(* Any value with finite floats survives encode-then-parse, compact and
+   indented. *)
+let prop_json_roundtrip =
+  let open QCheck.Gen in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let leaf =
+    oneof
+      [ return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map (fun x -> J.Float x) finite;
+        map (fun s -> J.String s) string ]
+  in
+  let gen =
+    sized
+    @@ fix (fun self n ->
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (3, leaf);
+                 ( 1,
+                   map (fun xs -> J.Arr xs)
+                     (list_size (int_bound 4) (self (n / 2))) );
+                 ( 1,
+                   map (fun kvs -> J.Obj kvs)
+                     (list_size (int_bound 4) (pair string (self (n / 2)))) ) ])
+  in
+  QCheck.Test.make ~count:500 ~name:"json: of_string (to_string v) = v"
+    (QCheck.make ~print:(fun v -> J.to_string v) gen)
+    (fun v ->
+      J.of_string (J.to_string v) = Ok v
+      && J.of_string (J.to_string ~indent:2 v) = Ok v)
+
 (* --- Counters: the field-count guard (satellite a) --- *)
 
 let test_counters_field_guard () =
@@ -390,7 +461,7 @@ let test_trace_bounded () =
       ~input:small.Workload.train small Pipeline.Alat
   in
   let _ = Pipeline.run ~trace:sink c in
-  Alcotest.(check bool) "hit the bound" true (Trace.truncated sink);
+  Alcotest.(check bool) "hit the bound" true (Trace.dropped sink > 0);
   Alcotest.(check int) "emitted stops at limit" limit (Trace.emitted sink);
   Trace.close sink;
   close_out oc;
@@ -479,12 +550,19 @@ let test_trace_untruncated () =
 
 (* --- the unobserved hot path --- *)
 
-let gzip_alat_train () =
-  let w = Srp_workloads.Registry.find "gzip" in
+let alat_train name =
+  let w = Srp_workloads.Registry.find name in
   let small = { w with Workload.ref_ = w.Workload.train } in
   (Pipeline.compile ~profile:(Pipeline.train_profile small)
      ~input:small.Workload.train small Pipeline.Alat)
     .Pipeline.target
+
+(* Minor-heap words per retired instruction of one run of [m]. *)
+let words_per_instr m =
+  let before = Gc.minor_words () in
+  let _ = Srp_machine.Machine.run m in
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Srp_machine.Machine.counters m).C.instrs_retired
 
 (* With no sink attached the machine builds no trace records, hashes
    nothing and keeps no per-access tables; its register files hold
@@ -496,15 +574,28 @@ let gzip_alat_train () =
    That was 10-16 words per instruction with the trace lists, memory
    hashing and tag records in place, under 7 with boxed register files,
    under 4 with boxed memory words, 0.62 with a word and a tag buffer per
-   stack frame, and is 0.55 now. *)
+   stack frame, and is 0.55 now.  A sink past its bound was ~30: every
+   call site built its record for the sink to drop, until the sink
+   admitted each event before the record was built (the next test). *)
 let test_unobserved_allocation () =
-  let target = gzip_alat_train () in
-  let m = Srp_machine.Machine.create target in
-  let before = Gc.minor_words () in
-  let _ = Srp_machine.Machine.run m in
-  let words = Gc.minor_words () -. before in
-  let instrs = (Srp_machine.Machine.counters m).C.instrs_retired in
-  let per_instr = words /. float_of_int instrs in
+  let per_instr =
+    words_per_instr (Srp_machine.Machine.create (alat_train "gzip"))
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f minor words per retired instruction <= 0.6" per_instr)
+    true (per_instr <= 0.6)
+
+(* A saturated sink admits no event, so past its bound the machine
+   builds no record and allocates what an unobserved run does. *)
+let test_saturated_allocation () =
+  let target = alat_train "gzip" in
+  let oc = open_out_bin Filename.null in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  let sink = Trace.create ~limit:10 oc in
+  let per_instr = words_per_instr (Srp_machine.Machine.create ~trace:sink target) in
+  Trace.close sink;
+  Alcotest.(check int) "the sink wrote its limit" 10 (Trace.emitted sink);
+  Alcotest.(check bool) "and dropped the rest" true (Trace.dropped sink > 0);
   Alcotest.(check bool)
     (Fmt.str "%.2f minor words per retired instruction <= 0.6" per_instr)
     true (per_instr <= 0.6)
@@ -513,7 +604,7 @@ let test_unobserved_allocation () =
    unbounded sink, the event kinds that mirror a counter appear exactly
    as often as the counter counts. *)
 let test_trace_complete () =
-  let target = gzip_alat_train () in
+  let target = alat_train "gzip" in
   let path = Filename.temp_file "srp_obs_trace" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
@@ -537,7 +628,7 @@ let test_trace_complete () =
   close_in ic;
   let n kind = Option.value ~default:0 (Hashtbl.find_opt kinds kind) in
   let c = Srp_machine.Machine.counters m in
-  Alcotest.(check bool) "the trace was not truncated" false (Trace.truncated sink);
+  Alcotest.(check int) "the trace was not truncated" 0 (Trace.dropped sink);
   Alcotest.(check int) "one i record per retired instruction" c.C.instrs_retired (n "i");
   Alcotest.(check int) "split = split_stalls" c.C.split_stalls (n "split");
   Alcotest.(check int) "br.mispredict = branch_mispredicts" c.C.branch_mispredicts
@@ -549,6 +640,62 @@ let test_trace_complete () =
     (n "chk.a.fail" + n "ld.c.miss");
   Alcotest.(check bool) "the run exercised splits, mispredicts and checks" true
     (c.C.split_stalls > 0 && c.C.branch_mispredicts > 0 && c.C.checks_retired > 0)
+
+(* The first [n] lines of a file, and how many lines it has. *)
+let head_lines path n =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go acc k =
+    match input_line ic with
+    | l -> go (if k < n then l :: acc else acc) (k + 1)
+    | exception End_of_file -> (List.rev acc, k)
+  in
+  go [] 0
+
+(* Admitting before building loses and adds nothing: on every kernel, a
+   trace bounded at 1,000 events is the unbounded trace's first 1,000
+   lines, byte for byte, then one truncation record whose count is the
+   rest of the unbounded trace. *)
+let test_trace_bounded_prefix () =
+  let limit = 1000 in
+  List.iter
+    (fun name ->
+      let target = alat_train name in
+      let bounded = Filename.temp_file "srp_obs_bounded" ".jsonl"
+      and full = Filename.temp_file "srp_obs_full" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove bounded;
+          Sys.remove full)
+      @@ fun () ->
+      let traced ~limit path =
+        let oc = open_out_bin path in
+        let sink = Trace.create ~limit oc in
+        let m = Srp_machine.Machine.create ~trace:sink target in
+        ignore (Srp_machine.Machine.run m);
+        Trace.close sink;
+        close_out oc;
+        sink
+      in
+      let full_sink = traced ~limit:max_int full in
+      let sink = traced ~limit bounded in
+      let total = Trace.emitted full_sink in
+      Alcotest.(check bool)
+        (name ^ ": the run outlasts the bound") true (total > limit);
+      let prefix, _ = head_lines full limit in
+      let lines, n = head_lines bounded (limit + 1) in
+      Alcotest.(check int) (name ^ ": limit + truncated record") (limit + 1) n;
+      Alcotest.(check (list string))
+        (name ^ ": bounded trace = unbounded prefix")
+        prefix
+        (List.filteri (fun i _ -> i < limit) lines);
+      Alcotest.(check string)
+        (name ^ ": truncation record counts the rest")
+        (Fmt.str {|{"ev":"truncated","dropped":%d}|} (total - limit))
+        (List.nth lines limit);
+      Alcotest.(check int)
+        (name ^ ": dropped") (total - limit) (Trace.dropped sink))
+    (Srp_workloads.Registry.names ())
 
 (* --- ablation wiring (satellite b) --- *)
 
@@ -748,6 +895,53 @@ let test_cli_run_json () =
         (" --ablation no-prob --ablation no-sched", [ "no-sched"; "no-prob" ]) ]
   end
 
+(* `srp run --trace` on a loop that outlasts the default 100,000-event
+   bound: the closing message's drop count is the truncation record's.
+   Skipped outside the dune sandbox, like the test above. *)
+let test_cli_trace_drops () =
+  let bin = Filename.concat (Filename.concat ".." "bin") "srp.exe" in
+  if Sys.file_exists bin then begin
+    let src = Filename.temp_file "srp_obs_cli" ".minic" in
+    let trace = Filename.temp_file "srp_obs_cli" ".jsonl" in
+    let err = Filename.temp_file "srp_obs_cli" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ src; trace; err ])
+    @@ fun () ->
+    let oc = open_out src in
+    output_string oc
+      "int main() {\n\
+      \  int i; int s; s = 0;\n\
+      \  for (i = 0; i < 30000; i = i + 1) { s = s + i; }\n\
+      \  print_int(s);\n\
+      \  return 0;\n\
+       }\n";
+    close_out oc;
+    let rc =
+      Sys.command
+        (Fmt.str "%s run %s --trace %s >/dev/null 2>%s" (Filename.quote bin)
+           (Filename.quote src) (Filename.quote trace) (Filename.quote err))
+    in
+    Alcotest.(check int) "exit code" 0 rc;
+    let ic = open_in_bin err in
+    let msg = input_line ic in
+    close_in ic;
+    let prefix = Fmt.str "trace written to %s (100000 events, " trace in
+    Alcotest.(check bool) ("message " ^ msg) true
+      (String.starts_with ~prefix msg);
+    let rest = String.length msg - String.length prefix in
+    let n =
+      Scanf.sscanf (String.sub msg (String.length prefix) rest) "%d dropped)%!"
+        Fun.id
+    in
+    let lines, count = head_lines trace 100_001 in
+    Alcotest.(check int) "100,000 events + truncated record" 100_001 count;
+    Alcotest.(check bool) "a drop was reported" true (n > 0);
+    Alcotest.(check (option int)) "reported drops = truncation record's" (Some n)
+      (Option.bind
+         (J.member "dropped" (parse_ok (List.nth lines 100_000)))
+         J.to_int_opt)
+  end
+
 (* A MiniC error on the command line reads FILE:LINE:COL: message and
    exits 1, not as an uncaught exception.  Skipped outside the dune
    sandbox, like the test above. *)
@@ -807,6 +1001,8 @@ let suite =
       test_json_parse_unicode_escape;
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json: accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json: exact encodings" `Quick test_json_exact_strings;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "counters: field-count guard" `Quick
       test_counters_field_guard;
     Alcotest.test_case "counters: pp prints all fields" `Quick
@@ -833,6 +1029,10 @@ let suite =
       test_unobserved_allocation;
     Alcotest.test_case "trace: guarded emission is complete" `Quick
       test_trace_complete;
+    Alcotest.test_case "hot path: saturated-sink allocation bound" `Quick
+      test_saturated_allocation;
+    Alcotest.test_case "trace: bounded = unbounded prefix, every kernel" `Quick
+      test_trace_bounded_prefix;
     Alcotest.test_case "ablation: names round-trip" `Quick
       test_ablation_names_roundtrip;
     Alcotest.test_case "ablation: config overrides" `Quick
@@ -846,6 +1046,8 @@ let suite =
     Alcotest.test_case "emit: sweep ablation reaches alat builds" `Quick
       test_sweep_ablation;
     Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json;
+    Alcotest.test_case "cli: run --trace reports its drops" `Quick
+      test_cli_trace_drops;
     Alcotest.test_case "cli: source error position" `Quick
       test_cli_source_error;
     Alcotest.test_case "cli: malformed SRP_BENCH_JOBS" `Quick

@@ -379,6 +379,38 @@ let test_timeline_rows () =
       r.Pipeline.counters.C.l1_misses l1_sum
   | [] -> Alcotest.fail "empty timeline"
 
+(* A row is built only when its sink admits it: a timeline bounded at 5
+   lines writes an unbounded timeline's first 5, and counts every later
+   row as dropped. *)
+let test_timeline_bounded () =
+  let w = Srp_workloads.Registry.find "gzip" in
+  let small = { w with Workload.ref_ = w.Workload.train } in
+  let c =
+    Pipeline.compile ~profile:(Pipeline.train_profile small)
+      ~input:small.Workload.train small Pipeline.Alat
+  in
+  let sampled ~limit =
+    let path = Filename.temp_file "srp_timeline" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    let oc = open_out_bin path in
+    let sink = Trace.create ~limit oc in
+    let timeline = Srp_machine.Timeline.create sink in
+    ignore (Pipeline.run ~timeline c);
+    Trace.close sink;
+    close_out oc;
+    (String.split_on_char '\n' (read_file path), sink)
+  in
+  let full, full_sink = sampled ~limit:max_int in
+  let lines, sink = sampled ~limit:5 in
+  let rows = Trace.emitted full_sink in
+  Alcotest.(check bool) "the run samples more than 5 rows" true (rows > 5);
+  Alcotest.(check (list string)) "the first 5 lines, then the truncation record"
+    (List.filteri (fun i _ -> i < 5) full
+    @ [ Fmt.str {|{"ev":"truncated","dropped":%d}|} (rows - 5); "" ])
+    lines;
+  Alcotest.(check int) "dropped = unbounded rows - 5" (rows - 5)
+    (Trace.dropped sink)
+
 let test_timeline_bad_interval () =
   let sink = Trace.create stdout in
   Alcotest.check_raises "interval 0 rejected"
@@ -528,6 +560,8 @@ let suite =
     Alcotest.test_case "differential: observability off = on" `Slow
       test_observability_differential;
     Alcotest.test_case "timeline: rows + window sums" `Slow test_timeline_rows;
+    Alcotest.test_case "timeline: bounded = unbounded prefix" `Quick
+      test_timeline_bounded;
     Alcotest.test_case "timeline: bad interval" `Quick
       test_timeline_bad_interval;
     Alcotest.test_case "report: renders pipeline spans" `Slow
