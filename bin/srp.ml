@@ -196,9 +196,8 @@ let compile_cmd =
     | Some r ->
       let s = r.Srp_core.Promote.stats in
       Fmt.epr
-        "promotion: %d exprs, %d direct + %d indirect loads eliminated, %d checks, %d invala.e@."
-        s.Srp_core.Ssapre.exprs_promoted s.loads_eliminated_direct
-        s.loads_eliminated_indirect s.checks_inserted s.invala_inserted
+        "promotion: %d exprs, %d checks, %d invala.e@."
+        s.Srp_core.Ssapre.exprs_promoted s.checks_inserted s.invala_inserted
     | None -> ())
   in
   Cmd.v (Cmd.info "compile" ~doc:"compile a MiniC file and dump IR/assembly")

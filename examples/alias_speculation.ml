@@ -54,9 +54,7 @@ let () =
   let ir = Srp_frontend.Lower.compile_source source in
   let r = Srp_core.Promote.run ~config:(Srp_core.Config.alat ~profile) ir in
   let s = r.Srp_core.Promote.stats in
-  Fmt.pr
-    "@.promotion on the speculative form: %d loads eliminated, %d check statements@."
-    (s.Srp_core.Ssapre.loads_eliminated_direct + s.Srp_core.Ssapre.loads_eliminated_indirect)
+  Fmt.pr "@.promotion on the speculative form: %d check statements@."
     s.Srp_core.Ssapre.checks_inserted;
   Fmt.pr "@.=== promoted IR (main) ===@.%a@." Srp_ir.Func.pp
     (Srp_ir.Program.find_func ir "main")

@@ -75,9 +75,6 @@ type analysis = {
 (* --- statistics --- *)
 
 type stats = {
-  mutable loads_eliminated_direct : int;
-  mutable loads_eliminated_indirect : int;
-  mutable eliminated_sites : Site.t list;
   mutable checks_inserted : int;
   mutable sw_checks_inserted : int;
   mutable invala_inserted : int;
@@ -89,15 +86,11 @@ type stats = {
 }
 
 let empty_stats () =
-  { loads_eliminated_direct = 0; loads_eliminated_indirect = 0;
-    eliminated_sites = []; checks_inserted = 0; sw_checks_inserted = 0;
-    invala_inserted = 0; loads_inserted = 0; ld_sa_inserted = 0; arms = 0;
-    chk_a_inserted = 0; exprs_promoted = 0 }
+  { checks_inserted = 0; sw_checks_inserted = 0; invala_inserted = 0;
+    loads_inserted = 0; ld_sa_inserted = 0; arms = 0; chk_a_inserted = 0;
+    exprs_promoted = 0 }
 
 let add_stats a b =
-  a.loads_eliminated_direct <- a.loads_eliminated_direct + b.loads_eliminated_direct;
-  a.loads_eliminated_indirect <- a.loads_eliminated_indirect + b.loads_eliminated_indirect;
-  a.eliminated_sites <- b.eliminated_sites @ a.eliminated_sites;
   a.checks_inserted <- a.checks_inserted + b.checks_inserted;
   a.sw_checks_inserted <- a.sw_checks_inserted + b.sw_checks_inserted;
   a.invala_inserted <- a.invala_inserted + b.invala_inserted;
@@ -824,13 +817,6 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
         end)
       p.p_invala_edges;
     (* per-version rewrites *)
-    let count_elim site =
-      (match key.Expr.base with
-      | Ops.Sym _ -> stats.loads_eliminated_direct <- stats.loads_eliminated_direct + 1
-      | Ops.Reg _ ->
-        stats.loads_eliminated_indirect <- stats.loads_eliminated_indirect + 1);
-      stats.eliminated_sites <- site :: stats.eliminated_sites
-    in
     let instr_at node idx = List.nth (Cfg.block cfg node).Block.instrs idx in
     let load_site node idx =
       match instr_at node idx with
@@ -857,8 +843,7 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
               { dst = t_e; addr; mty; site; kind = Instr.C_ld_c { clear = false };
                 recovery = [] };
             Instr.Mov { dst; src = Ops.Temp t_e } ]
-      else add_replace (edit node) idx [ Instr.Mov { dst; src = Ops.Temp t_e } ];
-      count_elim site
+      else add_replace (edit node) idx [ Instr.Mov { dst; src = Ops.Temp t_e } ]
     in
     let emit_check (node, idx, store_info, cascade_cell, _prob) =
       match ctx.config.Config.check_style with
@@ -918,11 +903,6 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
                   { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ]
           end
           else add_after (edit node) idx [ Instr.Mov { dst = t_e; src } ]
-        | VD_phi phi when wba phi ->
-          (* The eliminated-load counters count each reload of a
-             will-be-avail Phi version twice; the committed Figure 9
-             figures carry that count. *)
-          List.iter (fun (_, (node, idx, _)) -> count_elim (load_site node idx)) pl.pl_uses
         | VD_phi _ -> ());
         List.iter
           (fun (save, (node, idx, dst)) ->

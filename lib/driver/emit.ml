@@ -19,14 +19,6 @@ module Site_hist = Srp_obs.Site_hist
 let promotion_json (s : Srp_core.Ssapre.stats) : J.t =
   J.Obj
     [ ("exprs_promoted", J.Int s.Srp_core.Ssapre.exprs_promoted);
-      ("loads_eliminated_direct", J.Int s.Srp_core.Ssapre.loads_eliminated_direct);
-      ("loads_eliminated_indirect",
-       J.Int s.Srp_core.Ssapre.loads_eliminated_indirect);
-      ("eliminated_sites",
-       J.Arr
-         (List.map
-            (fun s -> J.Int (Srp_ir.Site.to_int s))
-            s.Srp_core.Ssapre.eliminated_sites));
       ("checks_inserted", J.Int s.Srp_core.Ssapre.checks_inserted);
       ("sw_checks_inserted", J.Int s.Srp_core.Ssapre.sw_checks_inserted);
       ("invala_inserted", J.Int s.Srp_core.Ssapre.invala_inserted);
@@ -117,9 +109,8 @@ let bench_entry_json (r : Experiments.bench_result) : J.t =
       ("figure8", Report.fig8_json (Report.figure8_row ~name ~base ~spec));
       ("figure9",
        Report.fig9_json
-         (Report.figure9_row ~name
-            ~base:(Experiments.promote_stats r.Experiments.base)
-            ~spec:(Experiments.promote_stats r.Experiments.spec)));
+         (Report.figure9_row ~name ~base:r.Experiments.base
+            ~spec:r.Experiments.spec));
       ("figure10", Report.fig10_json (Report.figure10_row ~name ~spec));
       ("figure11", Report.fig11_json (Report.figure11_row ~name ~base ~spec));
       ("baseline_counters", C.to_json base);

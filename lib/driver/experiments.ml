@@ -16,11 +16,6 @@ type bench_result = {
 
 exception Output_mismatch of string
 
-let promote_stats (r : Pipeline.run_result) : Srp_core.Ssapre.stats =
-  match r.Pipeline.compiled.Pipeline.promote with
-  | Some p -> p.Srp_core.Promote.stats
-  | None -> Srp_core.Ssapre.empty_stats ()
-
 (* A count read from the environment: unset or empty is [default];
    any other value must be an integer >= [min], or the error names the
    variable and the value.  [lookup] stands in for the environment in
@@ -173,8 +168,7 @@ let figure9 (rs : bench_result list) : string =
   let rows =
     List.map
       (fun r ->
-        Report.figure9_row ~name:r.w.Workload.name
-          ~base:(promote_stats r.base) ~spec:(promote_stats r.spec))
+        Report.figure9_row ~name:r.w.Workload.name ~base:r.base ~spec:r.spec)
       rs
   in
   Report.render_figure9 rows

@@ -97,6 +97,88 @@ let test_figure_rows_well_formed () =
   Alcotest.(check bool) "misspec ratio is a percentage" true
     (f10.Report.misspec_ratio >= 0.0 && f10.Report.misspec_ratio <= 100.0)
 
+(* Figure 9 classifies every load the machine retires: on each kernel at
+   baseline and at alat, the direct and the indirect loads sum to
+   loads_retired, so no retired load falls on a site its build's IR does
+   not name. *)
+let test_figure9_total () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (l, r) ->
+          let d, i = Report.retired_loads_by_class r in
+          Alcotest.(check int)
+            (Fmt.str "%s at %s: direct + indirect" name (Pipeline.level_name l))
+            r.Pipeline.counters.C.loads_retired (d + i))
+        (run_train (Srp_workloads.Registry.find name)
+           [ Pipeline.Baseline; Pipeline.Alat ]))
+    (Srp_workloads.Registry.names ())
+
+(* The Figure 5 shape in a loop, with one direct and one indirect
+   candidate.  Trained with sel = 0, p only ever points at b and r at
+   t[1], so every alat check hits.  Counted by hand:
+   - baseline, direct: sel once, a once per iteration (its reload after
+     *p is a software check, no load) = 1 + 10 = 11;
+   - baseline, indirect: slots[sel] once, *r twice per iteration = 21;
+   - alat: sel and one hoisted ld.sa of a = 2 direct; slots[sel] and one
+     hoisted ld.sa of *r = 2 indirect; the ld.c checks all hit.
+   So 9 direct and 19 indirect loads are reduced. *)
+let figure9_src = {|
+int a; int b;
+int t[4];
+int* p;
+int* slots[2];
+int sel;
+int main() {
+  int i;
+  int s = 0;
+  if (sel == 1) { p = &a; } else { p = &b; }
+  slots[0] = &t[1];
+  slots[1] = &a;
+  int* r = slots[sel];
+  for (i = 0; i < 10; i = i + 1) {
+    s = s + a + *r;
+    *p = i;
+    s = s + a + *r;
+  }
+  print_int(s);
+  return 0;
+}
+|}
+
+let test_figure9_by_hand () =
+  let w =
+    { Workload.name = "fig9"; description = ""; source = figure9_src;
+      train = []; ref_ = [] }
+  in
+  let base = Pipeline.profile_compile_run w Pipeline.Baseline in
+  let spec = Pipeline.profile_compile_run w Pipeline.Alat in
+  Alcotest.(check (pair int int)) "baseline (direct, indirect)" (11, 21)
+    (Report.retired_loads_by_class base);
+  Alcotest.(check (pair int int)) "alat (direct, indirect)" (2, 2)
+    (Report.retired_loads_by_class spec);
+  let row = Report.figure9_row ~name:"fig9" ~base ~spec in
+  Alcotest.(check (pair int int)) "reduced (direct, indirect)" (9, 19)
+    (row.Report.direct_reduced, row.Report.indirect_reduced);
+  Alcotest.(check (float 1e-9)) "direct share" (100.0 *. 9.0 /. 28.0)
+    row.Report.direct_pct;
+  Alcotest.(check (float 1e-9)) "indirect share" (100.0 *. 19.0 /. 28.0)
+    row.Report.indirect_pct
+
+(* Promote.choose_scope ranks a candidate on its threshold-scope ledger
+   even when the binary scope commits.  Ranking on the committed ledger
+   instead reorders vpr's pressure-gated acceptances and spills a third
+   more of its register stack (rse_spilled_regs 360,002); these are vpr's
+   ref-input numbers at alat under gate-ledger ranking. *)
+let test_vpr_gate_ledger_ranking () =
+  let r =
+    Pipeline.profile_compile_run (Srp_workloads.Registry.find "vpr")
+      Pipeline.Alat
+  in
+  Alcotest.(check int) "max_stacked_regs" 26 r.Pipeline.counters.C.max_stacked_regs;
+  Alcotest.(check int) "rse_spilled_regs" 240_002
+    r.Pipeline.counters.C.rse_spilled_regs
+
 (* The ablation suite on one workload: every row A-H renders, and the
    nine distinct builds behind its sixteen row sides are each simulated
    exactly once. *)
@@ -138,5 +220,9 @@ let suite =
       Alcotest.test_case "checks only in alat" `Slow test_checks_only_in_alat;
       Alcotest.test_case "gzip mis-speculates on ref" `Slow test_profile_input_sensitivity;
       Alcotest.test_case "figure rows well-formed" `Slow test_figure_rows_well_formed;
+      Alcotest.test_case "figure 9 classes every retired load" `Slow test_figure9_total;
+      Alcotest.test_case "figure 9 by hand (Figure 5 shape)" `Slow test_figure9_by_hand;
+      Alcotest.test_case "vpr at alat: register stack under gate-ledger ranking"
+        `Slow test_vpr_gate_ledger_ranking;
       Alcotest.test_case "ablation suite runs each build once" `Slow
         test_ablation_suite_runs_once ]

@@ -462,7 +462,7 @@ let test_report_counts_truncation () =
 (* --- bench --compare: the srp-bench-v1 regression checker --- *)
 
 let bench_doc ?(name = "k") ?(cycles = 1000) ?(loads = 50) ?(l1_hits = 40)
-    ?(extra = []) () =
+    ?(indirect_reduced = 19) ?(extra = []) () =
   let counters =
     J.Obj
       ([ ("cycles", J.Int cycles);
@@ -470,12 +470,23 @@ let bench_doc ?(name = "k") ?(cycles = 1000) ?(loads = 50) ?(l1_hits = 40)
          ("l1_hits", J.Int l1_hits) ]
       @ extra)
   in
+  let reduced = 9 + indirect_reduced in
   J.Obj
     [ ("schema", J.String "srp-bench-v1");
       ("benchmarks",
        J.Arr
          [ J.Obj
              [ ("name", J.String name);
+               ("figure9",
+                J.Obj
+                  [ ("benchmark", J.String name);
+                    ("direct_pct", J.Float (100.0 *. 9.0 /. float_of_int reduced));
+                    ("indirect_pct",
+                     J.Float
+                       (100.0 *. float_of_int indirect_reduced
+                       /. float_of_int reduced));
+                    ("direct_loads_reduced", J.Int 9);
+                    ("indirect_loads_reduced", J.Int indirect_reduced) ]);
                ("baseline_counters", counters);
                ("alat_counters", counters) ] ]) ]
 
@@ -524,6 +535,26 @@ let test_compare_falls_and_l1_hits () =
   Alcotest.(check int) "l1_hits grew" 2 (List.length (named "l1_hits"));
   Alcotest.(check bool) "a fall renders negative" true
     (contains ~needle:"-10.00" (Report.Compare.render diffs))
+
+(* Figure 9 rests on per-site attribution, which no global counter pins,
+   so its integer fields are compared exactly too. *)
+let test_compare_figure9 () =
+  let old_doc = bench_doc () in
+  let diffs = compare_ok ~old_doc ~new_doc:(bench_doc ~indirect_reduced:20 ()) in
+  match diffs with
+  | [ r ] ->
+    Alcotest.(check string) "side" "figure9" r.Report.Compare.r_side;
+    Alcotest.(check string) "field" "indirect_loads_reduced"
+      r.Report.Compare.r_counter;
+    Alcotest.(check (pair int int)) "old, new" (19, 20)
+      (r.Report.Compare.r_old, r.Report.Compare.r_new);
+    (* a class whose loads grew is negative; its delta is relative to
+       the size of the old value *)
+    let grew = bench_doc ~indirect_reduced:(-10) () in
+    (match compare_ok ~old_doc:grew ~new_doc:(bench_doc ~indirect_reduced:(-5) ()) with
+    | [ r ] -> Alcotest.(check (float 1e-9)) "delta" 50.0 r.Report.Compare.r_delta_pct
+    | ds -> Alcotest.failf "expected one difference, got %d" (List.length ds))
+  | _ -> Alcotest.failf "expected one difference, got %d" (List.length diffs)
 
 let test_compare_missing_is_error () =
   let old_doc = bench_doc ~name:"k" () in
@@ -576,5 +607,7 @@ let suite =
       test_compare_event_counters_strict;
     Alcotest.test_case "compare: falls and l1_hits flagged" `Quick
       test_compare_falls_and_l1_hits;
+    Alcotest.test_case "compare: figure 9 fields exact" `Quick
+      test_compare_figure9;
     Alcotest.test_case "compare: missing data errors" `Quick
       test_compare_missing_is_error ]

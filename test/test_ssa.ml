@@ -377,6 +377,19 @@ let test_printed_ledger_is_the_scopes () =
         (lat, ceil cost) ) ]
     gate_and_ledger
 
+(* The load sites of the unpromoted [prog], each with its address class
+   (direct?). *)
+let original_load_sites prog =
+  let sites = Hashtbl.create 64 in
+  List.iter
+    (Srp_ir.Func.iter_instrs (fun _ ins ->
+         match ins with
+         | Srp_ir.Instr.Load { site; addr; _ } ->
+           Hashtbl.replace sites site (Srp_ir.Ops.is_direct addr)
+         | _ -> ()))
+    (Srp_ir.Program.funcs prog);
+  sites
+
 (* The promoter commits the form [choose_scope] prepared instead of
    preparing it again.  Round 1 of the no-pressure path at alat, step by
    step on every kernel: each committed form prints the same as a fresh
@@ -392,6 +405,7 @@ let test_committed_form_is_fresh () =
           { config with Config.max_rounds = 1 }
       in
       let reference = Srp_ir.Program.clone prog in
+      let original = Srp_ir.Program.clone prog in
       let contexts_of = Promote.contexts config prog in
       let stats = Ssapre.empty_stats () in
       List.iter
@@ -414,13 +428,29 @@ let test_committed_form_is_fresh () =
           end)
         (Srp_ir.Program.funcs prog);
       let r = Promote.run ~config reference in
+      (* the original-site loads left, direct and indirect *)
+      let sites = original_load_sites original in
+      let left p =
+        let d = ref 0 and i = ref 0 in
+        List.iter
+          (Srp_ir.Func.iter_instrs (fun _ ins ->
+               match ins with
+               | Srp_ir.Instr.Load { site; _ } -> (
+                 match Hashtbl.find_opt sites site with
+                 | Some true -> incr d
+                 | Some false -> incr i
+                 | None -> ())
+               | _ -> ()))
+          (Srp_ir.Program.funcs p);
+        [ !d; !i ]
+      in
       Alcotest.(check (list int)) (name ^ ": committed as Promote.run commits")
         (let s = r.Promote.stats in
-         Ssapre.[ s.exprs_promoted; s.checks_inserted; s.loads_inserted; s.arms;
-                  s.loads_eliminated_direct; s.loads_eliminated_indirect ])
-        Ssapre.[ stats.exprs_promoted; stats.checks_inserted; stats.loads_inserted;
-                 stats.arms; stats.loads_eliminated_direct;
-                 stats.loads_eliminated_indirect ])
+         Ssapre.[ s.exprs_promoted; s.checks_inserted; s.loads_inserted; s.arms ]
+         @ left reference)
+        (Ssapre.[ stats.exprs_promoted; stats.checks_inserted; stats.loads_inserted;
+                  stats.arms ]
+         @ left prog))
     (Srp_workloads.Registry.all ())
 
 (* `srp ssa` on the Figure 5 source: both loads of a print one version,
