@@ -72,10 +72,6 @@ let () =
     Test.make ~name:"frontend: parse+typecheck+lower (mcf)"
       (Staged.stage (fun () -> ignore (parsed_prog ())))
   in
-  let test_steens =
-    Test.make ~name:"alias: steensgaard (mcf)"
-      (Staged.stage (fun () -> ignore (Srp_alias.Steensgaard.run prog)))
-  in
   let test_andersen =
     Test.make ~name:"alias: andersen (mcf)"
       (Staged.stage (fun () -> ignore (Srp_alias.Andersen.run prog)))
@@ -291,7 +287,7 @@ let () =
   in
   List.iter
     (fun t -> benchmark t)
-    [ test_parse; test_steens; test_andersen; test_interp; test_promote; test_promote_alat;
+    [ test_parse; test_andersen; test_interp; test_promote; test_promote_alat;
       test_codegen;
       test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;

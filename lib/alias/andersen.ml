@@ -1,6 +1,6 @@
 (* Andersen-style subset-based (inclusion) points-to analysis: the
-   flow-insensitive but directional analysis that upgrades the ORC
-   baseline's precision beyond Steensgaard's equivalence classes.
+   flow-insensitive but directional analysis behind every alias query of
+   the promoter.
 
    Standard worklist formulation: points-to sets over memory nodes, copy
    edges, and complex load/store constraints discovered as sets grow. *)

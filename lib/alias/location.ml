@@ -26,8 +26,6 @@ let pp ppf = function
 
 let to_string l = Fmt.str "%a" pp l
 
-let is_heap = function Heap _ -> true | Sym _ -> false
-
 let mty = function
   | Sym s -> Some (Symbol.mty s)
   | Heap _ -> None (* heap cells may hold either; never filtered by type *)

@@ -1,8 +1,7 @@
-(* Shared node universe for the points-to analyses.  Nodes stand for the
-   *content* of an entity: a symbol's cell(s), a heap object's cells, a
-   temp's value, or a function's return value.  Both Steensgaard and
-   Andersen build the same node table so their results can be compared
-   (the ablation benches do exactly that). *)
+(* Andersen's node table.  Nodes stand for the *content* of an entity: a
+   symbol's cell(s), a heap object's cells, a temp's value, a function's
+   return value, or an analysis-internal value.  [memory_nodes] maps the
+   first two back to the abstract locations queries answer with. *)
 
 open Srp_ir
 
@@ -44,8 +43,6 @@ let node_of_ret t func = node t (K_ret func)
 let fresh_anon t =
   let id = t.count in
   node t (K_anon id)
-
-let count t = t.count
 
 (* All (node id, location) pairs. *)
 let memory_nodes t =

@@ -397,45 +397,47 @@ module Compare = struct
         (Ok []) fields
     | _ -> Error (Fmt.str "%s/%s: counters are not an object" bench side)
 
+  (* The canonical ablation list a sweep's alat builds ran with. *)
+  let ablations (doc : J.t) : (string list, string) result =
+    match Option.bind (J.member "ablations" doc) J.to_list_opt with
+    | Some l -> Ok (List.filter_map J.to_string_opt l)
+    | None -> Error "missing \"ablations\" list"
+
   (* Diff two srp-bench-v1 documents per kernel x level.  A benchmark
      present in [old_doc] but absent from [new_doc] is an error — a
-     silently dropped kernel must not read as "no differences". *)
+     silently dropped kernel must not read as "no differences".  So are
+     two sweeps of different builds: their counters differ by design. *)
   let compare_docs ~(old_doc : J.t) ~(new_doc : J.t) : (difference list, string) result =
-    match bench_index old_doc, bench_index new_doc with
-    | Error e, _ -> Error ("old: " ^ e)
-    | _, Error e -> Error ("new: " ^ e)
-    | Ok old_tbl, Ok new_tbl ->
+    let ( let* ) = Result.bind in
+    let tagged side r = Result.map_error (fun e -> side ^ ": " ^ e) r in
+    let* old_tbl = tagged "old" (bench_index old_doc) in
+    let* new_tbl = tagged "new" (bench_index new_doc) in
+    let* old_abl = tagged "old" (ablations old_doc) in
+    let* new_abl = tagged "new" (ablations new_doc) in
+    let show l = "[" ^ String.concat ", " l ^ "]" in
+    if old_abl <> new_abl then
+      Error (Fmt.str "ablations differ: old %s, new %s" (show old_abl) (show new_abl))
+    else
       let names =
         Hashtbl.fold (fun name _ acc -> name :: acc) old_tbl []
         |> List.sort compare
       in
       List.fold_left
         (fun acc name ->
-          match acc with
-          | Error _ -> acc
-          | Ok diffs -> (
-            match Hashtbl.find_opt new_tbl name with
-            | None ->
-              Error (Fmt.str "benchmark %S missing from new document" name)
-            | Some new_e -> (
-              let old_e = Hashtbl.find old_tbl name in
-              let side side_name field k =
-                match J.member field old_e, J.member field new_e with
-                | Some o, Some n ->
-                  Result.bind
-                    (compare_counters ~bench:name ~side:side_name o n)
-                    k
-                | _ ->
-                  Error (Fmt.str "%s: missing %s" name field)
-              in
-              match
-                side "baseline" "baseline_counters" @@ fun base_diffs ->
-                side "alat" "alat_counters" @@ fun alat_diffs ->
-                side "figure9" "figure9" @@ fun fig9_diffs ->
-                Ok (base_diffs @ alat_diffs @ fig9_diffs)
-              with
-              | Ok more -> Ok (diffs @ more)
-              | Error e -> Error e)))
+          let* diffs = acc in
+          match Hashtbl.find_opt new_tbl name with
+          | None -> Error (Fmt.str "benchmark %S missing from new document" name)
+          | Some new_e ->
+            let old_e = Hashtbl.find old_tbl name in
+            let side side_name field =
+              match J.member field old_e, J.member field new_e with
+              | Some o, Some n -> compare_counters ~bench:name ~side:side_name o n
+              | _ -> Error (Fmt.str "%s: missing %s" name field)
+            in
+            let* base_diffs = side "baseline" "baseline_counters" in
+            let* alat_diffs = side "alat" "alat_counters" in
+            let* fig9_diffs = side "figure9" "figure9" in
+            Ok (diffs @ base_diffs @ alat_diffs @ fig9_diffs))
         (Ok []) names
 
   let render (diffs : difference list) : string =

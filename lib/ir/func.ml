@@ -44,8 +44,6 @@ let fresh_block ?(hint = "bb") t =
 
 let fresh_temp t mty = Temp.Gen.fresh t.temp_gen mty
 
-let num_blocks t = List.length t.blocks
-
 (* Predecessor map over labels. *)
 let predecessors t =
   let preds = Label.Tbl.create 16 in

@@ -123,10 +123,6 @@ let site = function
     Some site
   | Bin _ | Un _ | Mov _ | Invala _ -> None
 
-let term_site = function
-  | Br { site; _ } -> Some site
-  | Jump _ | Ret _ -> None
-
 let pp_promo ppf = function
   | P_none -> ()
   | P_ld_a -> Fmt.string ppf " !ld.a"

@@ -31,25 +31,10 @@ let addr_of_temp t = { base = Reg t; offset = 0 }
 
 let is_direct a = match a.base with Sym _ -> true | Reg _ -> false
 
-let binop_is_float = function
-  | FAdd | FSub | FMul | FDiv | FEq | FNe | FLt | FLe | FGt | FGe -> true
-  | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr
-  | Eq | Ne | Lt | Le | Gt | Ge -> false
-
 (* Result type of a binop: float compares produce integer 0/1. *)
 let binop_result_mty = function
   | FAdd | FSub | FMul | FDiv -> Mem_ty.F64
   | _ -> Mem_ty.I64
-
-let unop_result_mty = function
-  | Neg | Not | F2I -> Mem_ty.I64
-  | FNeg | I2F -> Mem_ty.F64
-
-let operand_mty = function
-  | Temp t -> Temp.mty t
-  | Int _ -> Mem_ty.I64
-  | Flt _ -> Mem_ty.F64
-  | Sym_addr _ -> Mem_ty.I64
 
 let pp_binop ppf op =
   let s =
@@ -82,10 +67,3 @@ let pp_addr ppf a =
   | Sym s, off -> Fmt.pf ppf "[%a+%d]" Symbol.pp s off
   | Reg t, 0 -> Fmt.pf ppf "[%a]" Temp.pp t
   | Reg t, off -> Fmt.pf ppf "[%a+%d]" Temp.pp t off
-
-let equal_addr a b =
-  a.offset = b.offset
-  && (match a.base, b.base with
-     | Sym s1, Sym s2 -> Symbol.equal s1 s2
-     | Reg t1, Reg t2 -> Temp.equal t1 t2
-     | Sym _, Reg _ | Reg _, Sym _ -> false)

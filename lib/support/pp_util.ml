@@ -4,13 +4,7 @@
 let pp_list ?(sep = ", ") pp_elt ppf xs =
   Fmt.(list ~sep:(fun ppf () -> string ppf sep) pp_elt) ppf xs
 
-let pp_array ?(sep = ", ") pp_elt ppf xs =
-  pp_list ~sep pp_elt ppf (Array.to_list xs)
-
 let to_string pp x = Fmt.str "%a" pp x
-
-(* Percentage with one decimal, e.g. [4.3%]. *)
-let pp_pct ppf x = Fmt.pf ppf "%.1f%%" x
 
 (* Right-pad [s] to [width] with spaces (for fixed-width report tables). *)
 let pad width s =

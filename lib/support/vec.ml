@@ -82,8 +82,6 @@ let exists p t =
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 
-let to_array t = Array.init t.len (fun i -> t.data.(i))
-
 let of_list ~dummy xs =
   let t = create ~dummy in
   List.iter (push t) xs;

@@ -462,7 +462,7 @@ let test_report_counts_truncation () =
 (* --- bench --compare: the srp-bench-v1 regression checker --- *)
 
 let bench_doc ?(name = "k") ?(cycles = 1000) ?(loads = 50) ?(l1_hits = 40)
-    ?(indirect_reduced = 19) ?(extra = []) () =
+    ?(indirect_reduced = 19) ?(ablations = []) ?(extra = []) () =
   let counters =
     J.Obj
       ([ ("cycles", J.Int cycles);
@@ -473,6 +473,7 @@ let bench_doc ?(name = "k") ?(cycles = 1000) ?(loads = 50) ?(l1_hits = 40)
   let reduced = 9 + indirect_reduced in
   J.Obj
     [ ("schema", J.String "srp-bench-v1");
+      ("ablations", J.Arr (List.map (fun a -> J.String a) ablations));
       ("benchmarks",
        J.Arr
          [ J.Obj
@@ -577,6 +578,33 @@ let test_compare_missing_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "schema-less document accepted"
 
+(* Sweeps of different builds differ by design: comparing them is an
+   error that names both ablation lists, not a table of counter diffs.
+   A document without the list cannot say which build it measured. *)
+let test_compare_ablations_match () =
+  let old_doc = bench_doc () in
+  (match
+     Report.Compare.compare_docs ~old_doc
+       ~new_doc:(bench_doc ~ablations:[ "no-prob" ] ())
+   with
+  | Error e ->
+    Alcotest.(check bool) "names the new build's ablation" true
+      (contains ~needle:"no-prob" e)
+  | Ok _ -> Alcotest.fail "different ablations accepted");
+  let without_list =
+    match old_doc with
+    | J.Obj fields -> J.Obj (List.remove_assoc "ablations" fields)
+    | _ -> assert false
+  in
+  (match Report.Compare.compare_docs ~old_doc:without_list ~new_doc:old_doc with
+  | Error e ->
+    Alcotest.(check bool) "names the missing list" true
+      (contains ~needle:"ablations" e)
+  | Ok _ -> Alcotest.fail "document without ablations accepted");
+  let same = bench_doc ~ablations:[ "cascade"; "no-prob" ] () in
+  Alcotest.(check int) "equal lists compare clean" 0
+    (List.length (compare_ok ~old_doc:same ~new_doc:same))
+
 let suite =
   [ Alcotest.test_case "span: file shape" `Quick test_span_file_shape;
     Alcotest.test_case "span: exception-safe" `Quick test_span_exception_safe;
@@ -610,4 +638,6 @@ let suite =
     Alcotest.test_case "compare: figure 9 fields exact" `Quick
       test_compare_figure9;
     Alcotest.test_case "compare: missing data errors" `Quick
-      test_compare_missing_is_error ]
+      test_compare_missing_is_error;
+    Alcotest.test_case "compare: ablations must match" `Quick
+      test_compare_ablations_match ]

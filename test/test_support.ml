@@ -1,5 +1,5 @@
-(* Tests for the support library: growable vectors, union-find, the PRNG
-   and the table renderer. *)
+(* Tests for the support library: growable vectors, the PRNG and the
+   table renderer. *)
 
 open Srp_support
 
@@ -42,69 +42,6 @@ let test_vec_clear () =
   Alcotest.(check bool) "empty after clear" true (Vec.is_empty v);
   Vec.push v 9;
   Alcotest.(check int) "reusable" 9 (Vec.get v 0)
-
-let test_uf_basic () =
-  let uf = Union_find.create 10 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 2 3);
-  Alcotest.(check bool) "0~1" true (Union_find.equiv uf 0 1);
-  Alcotest.(check bool) "0!~2" false (Union_find.equiv uf 0 2);
-  ignore (Union_find.union uf 1 2);
-  Alcotest.(check bool) "0~3 transitively" true (Union_find.equiv uf 0 3)
-
-let test_uf_grow () =
-  let uf = Union_find.create 2 in
-  ignore (Union_find.union uf 0 1);
-  let r_before = Union_find.find uf 0 in
-  Union_find.ensure uf 100;
-  (* growth must not change existing representatives *)
-  Alcotest.(check int) "rep stable after ensure" r_before (Union_find.find uf 0);
-  Alcotest.(check bool) "0~1 still" true (Union_find.equiv uf 0 1);
-  ignore (Union_find.union uf 50 99);
-  Alcotest.(check bool) "new elements work" true (Union_find.equiv uf 50 99);
-  Alcotest.(check bool) "disjoint" false (Union_find.equiv uf 0 99)
-
-let test_uf_classes () =
-  let uf = Union_find.create 6 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  ignore (Union_find.union uf 3 4);
-  let classes = Union_find.classes uf in
-  let sizes = List.map (fun (_, m) -> List.length m) classes |> List.sort compare in
-  Alcotest.(check (list int)) "class sizes" [ 1; 2; 3 ] sizes
-
-(* Property: union-find equivalence is exactly the reflexive-transitive
-   closure of the union operations. *)
-let prop_uf_closure =
-  QCheck.Test.make ~name:"union-find matches naive closure" ~count:200
-    QCheck.(list (pair (int_bound 19) (int_bound 19)))
-    (fun pairs ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> ignore (Union_find.union uf a b)) pairs;
-      (* naive: adjacency + floyd-warshall style closure *)
-      let reach = Array.make_matrix 20 20 false in
-      for i = 0 to 19 do
-        reach.(i).(i) <- true
-      done;
-      List.iter
-        (fun (a, b) ->
-          reach.(a).(b) <- true;
-          reach.(b).(a) <- true)
-        pairs;
-      for k = 0 to 19 do
-        for i = 0 to 19 do
-          for j = 0 to 19 do
-            if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
-          done
-        done
-      done;
-      let ok = ref true in
-      for i = 0 to 19 do
-        for j = 0 to 19 do
-          if Union_find.equiv uf i j <> reach.(i).(j) then ok := false
-        done
-      done;
-      !ok)
 
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -160,10 +97,6 @@ let suite =
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec set/iter" `Quick test_vec_set_iter;
     Alcotest.test_case "vec clear" `Quick test_vec_clear;
-    Alcotest.test_case "uf basic" `Quick test_uf_basic;
-    Alcotest.test_case "uf grow keeps reps" `Quick test_uf_grow;
-    Alcotest.test_case "uf classes" `Quick test_uf_classes;
-    QCheck_alcotest.to_alcotest prop_uf_closure;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng pick/shuffle" `Quick test_rng_pick_shuffle;
