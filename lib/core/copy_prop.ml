@@ -16,6 +16,17 @@
 
 open Srp_ir
 
+(* [a] with its base temp resolved: to another temp, or to a symbol when
+   the pointer is a known symbol address (the access becomes direct). *)
+let subst_addr resolve (a : Ops.addr) : Ops.addr =
+  match a.Ops.base with
+  | Ops.Sym _ -> a
+  | Ops.Reg r -> (
+    match resolve (Ops.Temp r) with
+    | Ops.Temp r' -> { a with Ops.base = Ops.Reg r' }
+    | Ops.Sym_addr s -> { Ops.base = Ops.Sym s; offset = a.Ops.offset }
+    | Ops.Int _ | Ops.Flt _ -> a)
+
 let run (f : Func.t) : unit =
   (* count static definitions per temp *)
   let def_counts = Expr.temp_def_counts f in
@@ -45,52 +56,13 @@ let run (f : Func.t) : unit =
         | None -> o)
       | Ops.Int _ | Ops.Flt _ | Ops.Sym_addr _ -> o
   in
-  let subst_operand (o : Ops.operand) : Ops.operand = resolve o in
-  let subst_addr (a : Ops.addr) : Ops.addr =
-    match a.Ops.base with
-    | Ops.Sym _ -> a
-    | Ops.Reg r -> (
-      match resolve (Ops.Temp r) with
-      | Ops.Temp r' -> { a with Ops.base = Ops.Reg r' }
-      | Ops.Sym_addr s ->
-        (* the pointer is a known symbol address: the access is direct *)
-        { Ops.base = Ops.Sym s; offset = a.Ops.offset }
-      | Ops.Int _ | Ops.Flt _ -> a)
-  in
-  let subst_instr (ins : Instr.instr) : Instr.instr =
-    match ins with
-    | Instr.Load { dst; addr; mty; site; promo } ->
-      Instr.Load { dst; addr = subst_addr addr; mty; site; promo }
-    | Instr.Store { src; addr; mty; site } ->
-      Instr.Store { src = subst_operand src; addr = subst_addr addr; mty; site }
-    | Instr.Bin { dst; op; a; b } ->
-      Instr.Bin { dst; op; a = subst_operand a; b = subst_operand b }
-    | Instr.Un { dst; op; a } -> Instr.Un { dst; op; a = subst_operand a }
-    | Instr.Mov { dst; src } -> Instr.Mov { dst; src = subst_operand src }
-    | Instr.Call { dst; callee; args; site } ->
-      Instr.Call { dst; callee; args = List.map subst_operand args; site }
-    | Instr.Alloc { dst; nbytes; site } ->
-      Instr.Alloc { dst; nbytes = subst_operand nbytes; site }
-    | Instr.Check { dst; addr; mty; site; kind; recovery } ->
-      Instr.Check { dst; addr = subst_addr addr; mty; site; kind; recovery }
-    | Instr.Invala _ -> ins
-    | Instr.Sw_check { dst; addr; store_addr; stored; mty; site } ->
-      Instr.Sw_check
-        { dst; addr = subst_addr addr; store_addr = subst_addr store_addr;
-          stored = subst_operand stored; mty; site }
-  in
-  let subst_term (t : Instr.terminator) : Instr.terminator =
-    match t with
-    | Instr.Jump _ -> t
-    | Instr.Br { cond; ifso; ifnot; site } ->
-      Instr.Br { cond = subst_operand cond; ifso; ifnot; site }
-    | Instr.Ret (Some o) -> Instr.Ret (Some (subst_operand o))
-    | Instr.Ret None -> t
-  in
   List.iter
     (fun blk ->
-      blk.Block.instrs <- List.map subst_instr blk.Block.instrs;
-      blk.Block.term <- subst_term blk.Block.term)
+      blk.Block.instrs <-
+        List.map
+          (Instr.map_operands ~operand:resolve ~addr:(subst_addr resolve))
+          blk.Block.instrs;
+      blk.Block.term <- Instr.map_term_operands resolve blk.Block.term)
     (Func.blocks f)
 
 (* Block-local copy propagation with *multi-definition* sources (promotion
@@ -120,37 +92,8 @@ let run_local (f : Func.t) : unit =
       | Ops.Temp t -> ( match Temp.Tbl.find_opt alias t with Some v -> v | None -> o)
       | _ -> o
     in
-    let res_addr (a : Ops.addr) =
-      match a.Ops.base with
-      | Ops.Sym _ -> a
-      | Ops.Reg r -> (
-        match Temp.Tbl.find_opt alias r with
-        | Some (Ops.Temp r') -> { a with Ops.base = Ops.Reg r' }
-        | Some (Ops.Sym_addr s) -> { Ops.base = Ops.Sym s; offset = a.Ops.offset }
-        | Some _ | None -> a)
-    in
     let rewrite (ins : Instr.instr) : Instr.instr =
-      let ins' =
-        match ins with
-        | Instr.Load { dst; addr; mty; site; promo } ->
-          Instr.Load { dst; addr = res_addr addr; mty; site; promo }
-        | Instr.Store { src; addr; mty; site } ->
-          Instr.Store { src = res src; addr = res_addr addr; mty; site }
-        | Instr.Bin { dst; op; a; b } -> Instr.Bin { dst; op; a = res a; b = res b }
-        | Instr.Un { dst; op; a } -> Instr.Un { dst; op; a = res a }
-        | Instr.Mov { dst; src } -> Instr.Mov { dst; src = res src }
-        | Instr.Call { dst; callee; args; site } ->
-          Instr.Call { dst; callee; args = List.map res args; site }
-        | Instr.Alloc { dst; nbytes; site } ->
-          Instr.Alloc { dst; nbytes = res nbytes; site }
-        | Instr.Check { dst; addr; mty; site; kind; recovery } ->
-          Instr.Check { dst; addr = res_addr addr; mty; site; kind; recovery }
-        | Instr.Invala _ -> ins
-        | Instr.Sw_check { dst; addr; store_addr; stored; mty; site } ->
-          Instr.Sw_check
-            { dst; addr = res_addr addr; store_addr = res_addr store_addr;
-              stored = res stored; mty; site }
-      in
+      let ins' = Instr.map_operands ~operand:res ~addr:(subst_addr res) ins in
       List.iter kill_temp (Instr.defs ins');
       (match ins' with
       | Instr.Mov { dst; src = (Ops.Temp _ | Ops.Sym_addr _) as src } ->
@@ -159,12 +102,6 @@ let run_local (f : Func.t) : unit =
       ins'
     in
     blk.Block.instrs <- List.map rewrite blk.Block.instrs;
-    blk.Block.term <-
-      (match blk.Block.term with
-      | Instr.Jump _ as t -> t
-      | Instr.Br { cond; ifso; ifnot; site } ->
-        Instr.Br { cond = res cond; ifso; ifnot; site }
-      | Instr.Ret (Some o) -> Instr.Ret (Some (res o))
-      | Instr.Ret None as t -> t)
+    blk.Block.term <- Instr.map_term_operands res blk.Block.term
   in
   List.iter subst_in_block (Func.blocks f)

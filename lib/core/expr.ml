@@ -11,9 +11,10 @@
      cascaded failure" (section 4).
 
    Occurrences are collected by a fresh scan of the function for each
-   expression: positions go stale as soon as the rewriter runs, so no
-   event list outlives the analysis of its expression.  What does not go
-   stale is cached for one promotion round, the life of a [collect_ctx]:
+   expression, all on the function as the round found it: the rewriter
+   edits a function once per round, after every candidate is scanned,
+   at the positions the events name.  What the edits leave valid is
+   cached for one promotion round, the life of a [collect_ctx]:
    the alias manager memoizes every points-to answer, and the CFG and its
    dominator tree are built once per function (the rewriter edits
    instruction lists, never blocks or edges).  Within one expression its

@@ -107,8 +107,9 @@ let accepts ?pool (a : Ssapre.assessment) =
    path (prob_gate = None) takes none of this machinery.
 
    The choice carries the committed scope's own ledger beside the gate's,
-   and its prepared form: committing that form is committing the scope,
-   as long as the function is in the state [choose_scope] saw.
+   and its prepared form: committing that form is committing the scope
+   ([Ssapre.commit] refuses a form prepared on another state of the
+   function).
 
    The gate ledger is load-bearing where the binary scope commits:
    ranking the third branch on [a_b] instead moves vpr at alat from
@@ -137,74 +138,108 @@ let choose_scope cm_ctx (collect : Expr.collect_ctx) f key : choice =
     else if Ssapre.net a_p > Ssapre.net a_b then pick collect a_p thr_form
     else pick collect_bin a_p bin_form
 
-(* Pressure-gated candidate selection (the vpr/twolf fix): assess every
-   candidate without editing, rank by net saved latency, and accept
-   greedily through [accepts] — free while the projected co-resident
-   stack (estimator projection + registers already claimed by accepted
-   promotions, across rounds) stays within the RSE pool.  Above the pool,
-   an integer candidate pays the RSE's marginal price: one more frame
-   register costs a spill plus a fill around every overflowing call while
-   the function is resident, so [spill_occ] is [overflow_calls] — the
-   dynamic call traffic the driver's caller measured from the training
-   profile — not a per-occurrence charge (a load eliminated a thousand
-   times per call amortizes its register; a once-per-call load does not).
-   Float candidates are not RSE-stacked; past the threshold they keep the
-   occurrence-weighted memory-spill comparison (lat_fp beats a spill
-   round-trip, so fp promotion stays profitable, matching the paper's
-   fp-heavy kernels).  Accepted candidates commit in original candidate
-   order, so temp and site generation stay deterministic.  The first
-   commit reuses its assessed form, since nothing has edited the function
-   yet; every later one prepares afresh, because an earlier commit's edits
-   move the instruction positions the assessed plans name. *)
-let select_gated cm_ctx collect f keys ~(est : pressure)
-    ~(overflow_calls : int) ~(claimed : int ref * int ref) stats : unit =
+type budget = {
+  est : pressure;
+  overflow_calls : int;
+  claimed : int ref * int ref; (* integer, fp *)
+}
+
+(* [overflow_calls] is the dynamic RSE-overflow proxy: the RSE spills and fills a resident frame
+   around every overflowing call beneath it, so a leaf pays at its own
+   entry count while a caller's frame is churned by its descendants'
+   calls.  Without a call graph, call-making functions are charged the
+   busiest entry count in the program (their descendants can only be
+   among those functions).  Training counts, the same unit the benefit
+   side is weighted in; [max 1] keeps the comparison
+   static-per-occurrence under the profile-free policies. *)
+let budgets ?pressure (config : Config.t) (prog : Program.t) :
+    Func.t -> budget option =
+  match pressure with
+  | Some estimate when config.Config.pressure ->
+    let block_count = block_count_fn config in
+    let entry_count f =
+      block_count ~func:(Func.name f) ~label_id:(Label.id (Func.entry f))
+    in
+    let max_entry =
+      List.fold_left (fun acc f -> max acc (entry_count f)) 0 (Program.funcs prog)
+    in
+    let overflow_calls f =
+      let makes_calls =
+        List.exists
+          (fun b ->
+            List.exists
+              (function Instr.Call _ -> true | _ -> false)
+              b.Block.instrs)
+          (Func.blocks f)
+      in
+      let own = entry_count f in
+      max 1 (if makes_calls then max own max_entry else own)
+    in
+    let table =
+      List.map
+        (fun f ->
+          ( Func.name f,
+            Option.map
+              (fun est -> { est; overflow_calls = overflow_calls f; claimed = (ref 0, ref 0) })
+              (estimate (Func.name f)) ))
+        (Program.funcs prog)
+    in
+    fun f -> Option.join (List.assoc_opt (Func.name f) table)
+  | Some _ | None -> fun _ -> None
+
+(* Candidate selection, one path with or without the pressure gate: every
+   candidate of [f] is assessed ([choose_scope]) on [f] as it stands,
+   ranked by net saved latency, and accepted greedily through [accepts].
+   Without a budget the verdict is the ledger's alone, so the ranking
+   does not matter.  With one, it is free while the projected co-resident
+   stack (estimator projection + registers already claimed) stays within
+   the RSE pool.  Above the pool, an integer candidate pays the RSE's
+   marginal price: one more frame register costs a spill plus a fill
+   around every overflowing call while the function is resident, so
+   [spill_occ] is [overflow_calls], not a per-occurrence charge (a load
+   eliminated a thousand times per call amortizes its register; a
+   once-per-call load does not).  Float candidates are not RSE-stacked;
+   past the threshold they keep the occurrence-weighted memory-spill
+   comparison (lat_fp beats a spill round-trip, so fp promotion stays
+   profitable, matching the paper's fp-heavy kernels).  The accepted
+   candidates come back in candidate order, each with its choice, for
+   one [Ssapre.commit]. *)
+let select ?budget cm_ctx collect f keys : (Expr.key * choice) list =
   let assessed = List.mapi (fun i key -> (i, key, choose_scope cm_ctx collect f key)) keys in
   let ranked =
     List.stable_sort
       (fun (_, _, a) (_, _, b) -> Int.compare (Ssapre.net b.gate) (Ssapre.net a.gate))
       assessed
   in
-  let ci, cf = claimed in
-  let accepted = Hashtbl.create 8 in
-  List.iter
-    (fun (i, key, c) ->
-      let counter, base, spill_occ =
-        match key.Expr.mty with
-        | Mem_ty.I64 -> (ci, est.peak_int, overflow_calls)
-        | Mem_ty.F64 -> (cf, est.peak_fp, c.gate.Ssapre.as_occ)
-      in
-      if accepts ~pool:(base + !counter + 1, spill_occ) c.gate then begin
-        incr counter;
-        Hashtbl.replace accepted i ()
-      end)
-    ranked;
-  let edited = ref false in
-  List.iter
-    (fun (i, key, c) ->
-      if Hashtbl.mem accepted i then begin
-        if !edited then Ssapre.run_expr cm_ctx c.scope f key stats
-        else Ssapre.codemotion cm_ctx f key stats c.prepared;
-        edited := true
-      end)
-    assessed
+  let accepted =
+    List.filter
+      (fun (_, key, c) ->
+        match budget with
+        | None -> accepts c.gate
+        | Some b ->
+          let ci, cf = b.claimed in
+          let counter, base, spill_occ =
+            match key.Expr.mty with
+            | Mem_ty.I64 -> (ci, b.est.peak_int, b.overflow_calls)
+            | Mem_ty.F64 -> (cf, b.est.peak_fp, c.gate.Ssapre.as_occ)
+          in
+          accepts ~pool:(base + !counter + 1, spill_occ) c.gate
+          && (incr counter; true))
+      ranked
+  in
+  List.map (fun (_, key, c) -> (key, c))
+    (List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) accepted)
 
 (* Promote every function of [prog] in place.  [pressure] is the
    per-function estimator callback; the gate is active only when both the
-   config enables it and a callback is supplied — otherwise the behavior
-   is bit-identical to promote-everything. *)
+   config enables it and a callback is supplied — otherwise every
+   candidate that passes its own ledger verdict is promoted.  Each round
+   selects every function's candidates on the function as the previous
+   round left it, and commits them in one batch. *)
 let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
   let total = Ssapre.empty_stats () in
   let per_func = Hashtbl.create 8 in
-  let estimator = if config.Config.pressure then pressure else None in
-  let claimed : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 8 in
-  let claimed_for f =
-    match Hashtbl.find_opt claimed (Func.name f) with
-    | Some c -> c
-    | None ->
-      let c = (ref 0, ref 0) in
-      Hashtbl.replace claimed (Func.name f) c;
-      c
-  in
+  let budget_of = budgets ?pressure config prog in
   let func_stats f =
     match Hashtbl.find_opt per_func (Func.name f) with
     | Some s -> s
@@ -212,33 +247,6 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
       let s = Ssapre.empty_stats () in
       Hashtbl.replace per_func (Func.name f) s;
       s
-  in
-  let block_count = block_count_fn config in
-  (* Dynamic RSE-overflow proxy per function: the RSE spills and fills a
-     resident frame around every overflowing call beneath it, so a leaf
-     pays at its own entry count while a caller's frame is churned by its
-     descendants' calls.  Without a call graph, charge call-making
-     functions the busiest entry count in the program (their descendants
-     can only be among those functions).  Training counts, the same unit
-     the benefit side is weighted in; [max 1] keeps the comparison
-     static-per-occurrence under the profile-free policies. *)
-  let entry_count f =
-    block_count ~func:(Func.name f) ~label_id:(Label.id (Func.entry f))
-  in
-  let max_entry =
-    List.fold_left (fun acc f -> max acc (entry_count f)) 0 (Program.funcs prog)
-  in
-  let overflow_calls f =
-    let makes_calls =
-      List.exists
-        (fun b ->
-          List.exists
-            (function Instr.Call _ -> true | _ -> false)
-            b.Block.instrs)
-        (Func.blocks f)
-    in
-    let own = entry_count f in
-    max 1 (if makes_calls then max own max_entry else own)
   in
   let module Stats = Srp_obs.Stats in
   let continue_ = ref true in
@@ -255,31 +263,13 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
             let keys = candidates f in
             if keys <> [] then begin
               let cm_ctx, collect = contexts_of f in
-              let before = (func_stats f).Ssapre.exprs_promoted in
-              (match Option.bind estimator (fun e -> e (Func.name f)) with
-              | Some est ->
-                select_gated cm_ctx collect f keys ~est
-                  ~overflow_calls:(overflow_calls f) ~claimed:(claimed_for f)
-                  (func_stats f)
-              | None ->
-                (* No pressure gate (or no estimate for this function):
-                   the legacy promote-everything path — but the
-                   expected-value verdict still applies under probability
-                   gating; it belongs to the prob feature, not the
-                   pressure feature, and composes with no-pressure.  With
-                   prob_gate = None [choose_scope] returns the input
-                   collect and a zero-bill ledger, so this is the exact
-                   legacy path.  Each candidate is chosen against the
-                   function as the previous commits left it, so its form
-                   commits as prepared. *)
-                List.iter
-                  (fun key ->
-                    let c = choose_scope cm_ctx collect f key in
-                    if accepts c.gate then
-                      Ssapre.codemotion cm_ctx f key (func_stats f) c.prepared)
-                  keys);
-              if (func_stats f).Ssapre.exprs_promoted > before then
-                round_work := true
+              let stats = func_stats f in
+              let before = stats.Ssapre.exprs_promoted in
+              Ssapre.commit cm_ctx f stats
+                (List.map
+                   (fun (key, c) -> (key, c.prepared))
+                   (select ?budget:(budget_of f) cm_ctx collect f keys));
+              if stats.Ssapre.exprs_promoted > before then round_work := true
             end)
           (Program.funcs prog));
     (* expose this round's promotion temps as address bases for the next *)
@@ -305,8 +295,8 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
 type form = { fn : Func.t; key : Expr.key; choice : choice }
 
 (* Round 1 of [run] on [prog] with nothing committed: every candidate in
-   [run]'s order, in the form [choose_scope] prepared for the scope it
-   commits, with that scope's own ledger. *)
+   [run]'s order with its choice on the unedited program, so exactly the
+   forms round 1 selects from and commits. *)
 let round1_forms (config : Config.t) (prog : Program.t) : form list =
   let contexts_of = contexts config prog in
   List.concat_map

@@ -36,7 +36,8 @@ type pressure = {
     class pressure stays within {!Srp_ir.Machine_model.rse_pool} — above
     it a candidate must still out-pay its spill round-trip.  Without the
     callback (or with [config.pressure = false], the no-pressure
-    ablation) promotion is bit-identical to promote-everything. *)
+    ablation) every candidate that passes its own ledger verdict
+    ({!accepts} without a pool) is promoted. *)
 val run :
   ?config:Config.t ->
   ?pressure:(string -> pressure option) ->
@@ -72,19 +73,34 @@ type choice = {
           threshold scope's, or the binary scope's when that is judged on
           its own *)
   ledger : Ssapre.assessment;  (** the committed scope's own ledger *)
-  prepared : Ssapre.prepared;
-      (** the committed scope's form, prepared against the function as
-          [choose_scope] saw it *)
+  prepared : Ssapre.prepared;  (** the committed scope's form *)
 }
 
 (** [choose_scope cm_ctx collect f key]: under probability gating, assess
     [key] at the configured threshold and at the binary verdict and pick
     the scope to commit (the one that nets more, ties to binary); without
     gating, the one scope [collect] names.  Committing [prepared] with
-    {!Ssapre.codemotion} is committing the choice, as long as nothing has
-    edited [f] since. *)
+    {!Ssapre.commit} is committing the choice. *)
 val choose_scope :
   Ssapre.codemotion_ctx -> Expr.collect_ctx -> Srp_ir.Func.t -> Expr.key -> choice
+
+(** The pressure gate's state for one function: its estimate and the
+    registers accepted promotions have claimed, across rounds. *)
+type budget
+
+(** [budgets ?pressure config prog f]: [f]'s budget as {!run} keeps it,
+    or [None] when the gate is off for [f]. *)
+val budgets :
+  ?pressure:(string -> pressure option) -> Config.t -> Srp_ir.Program.t ->
+  Srp_ir.Func.t -> budget option
+
+(** [select ?budget cm_ctx collect f keys]: the candidates {!run}
+    accepts among [keys], in order, each chosen ({!choose_scope}) on [f]
+    as it stands; with a budget, greedily by net saving through the
+    pool test, claiming a register per acceptance. *)
+val select :
+  ?budget:budget -> Ssapre.codemotion_ctx -> Expr.collect_ctx -> Srp_ir.Func.t ->
+  Expr.key list -> (Expr.key * choice) list
 
 (** One candidate's speculative SSA form (paper sections 3.1-3.3): the
     SSAPRE analysis the promoter commits from ([choice.prepared]: Phis,
@@ -93,8 +109,9 @@ val choose_scope :
 type form = { fn : Srp_ir.Func.t; key : Expr.key; choice : choice }
 
 (** Round 1 of {!run} on [prog] with nothing committed: every candidate
-    in {!run}'s order, in the form {!choose_scope} prepared against the
-    unedited program for the scope it commits. *)
+    in {!run}'s order, with the scope, ledger and form {!choose_scope}
+    gives it on the unedited program, exactly the forms round 1 selects
+    and commits from. *)
 val round1_forms : Config.t -> Srp_ir.Program.t -> form list
 
 (** Per candidate: its scope and ledger (saved, bill), then block by

@@ -482,40 +482,54 @@ let compute_arms (a : analysis) ~alat : unit =
 
 (* --- rewriting --- *)
 
+(* What a commit does at one instruction of the pristine block: replace
+   it, insert after it, or upgrade the check there to chk.a with reloads
+   appended to its recovery (the cascade crossing). *)
+type at_instr =
+  | Replace of Instr.instr list
+  | After of Instr.instr list
+  | Recover of Instr.instr list
+
 type edit = {
-  mutable replace : (int, Instr.instr list) Hashtbl.t; (* idx -> replacement *)
-  mutable after : (int, Instr.instr list) Hashtbl.t; (* idx -> insert after *)
+  at : (int, at_instr) Hashtbl.t; (* pristine idx -> edit *)
   mutable at_end : Instr.instr list; (* before terminator *)
 }
 
-let fresh_edit () = { replace = Hashtbl.create 4; after = Hashtbl.create 4; at_end = [] }
+(* Record [x] at instruction [idx].  One candidate edits an instruction
+   at most once (each event belongs to one version), so a second edit is
+   a later candidate's, composed as committing them in turn would: its
+   insertions go right after the instruction, before the earlier ones',
+   and its cascade reload after theirs.  Nothing else composes. *)
+let add (e : edit) idx x =
+  Hashtbl.replace e.at idx
+    (match (Hashtbl.find_opt e.at idx, x) with
+    | None, _ -> x
+    | Some (After a), After b -> After (b @ a)
+    | Some (Recover a), Recover b -> Recover (a @ b)
+    | Some (Replace _ | After _ | Recover _), _ ->
+      invalid_arg (Fmt.str "Ssapre: a second edit at instruction %d" idx))
 
-let add_replace e idx ins =
-  Hashtbl.replace e.replace idx ins
-
-let add_after e idx ins =
-  let cur = try Hashtbl.find e.after idx with Not_found -> [] in
-  Hashtbl.replace e.after idx (cur @ ins)
-
-let apply_edits (cfg : Cfg.t) (edits : edit option array) : unit =
+let apply_edits (cfg : Cfg.t) (edits : edit array) : unit =
   Array.iteri
-    (fun node edit ->
-      match edit with
-      | None -> ()
-      | Some e ->
-        let blk = Cfg.block cfg node in
-        let out = ref [] in
-        List.iteri
-          (fun idx ins ->
-            (match Hashtbl.find_opt e.replace idx with
-            | Some repl -> out := List.rev_append repl !out
-            | None -> out := ins :: !out);
-            match Hashtbl.find_opt e.after idx with
-            | Some post -> out := List.rev_append post !out
-            | None -> ())
-          blk.Block.instrs;
-        out := List.rev_append e.at_end !out;
-        blk.Block.instrs <- List.rev !out)
+    (fun node e ->
+      let blk = Cfg.block cfg node in
+      let out = ref [] in
+      List.iteri
+        (fun idx ins ->
+          match (Hashtbl.find_opt e.at idx, ins) with
+          | None, _ -> out := ins :: !out
+          | Some (Replace repl), _ -> out := List.rev_append repl !out
+          | Some (After post), _ -> out := List.rev_append post (ins :: !out)
+          | Some (Recover reloads), Instr.Check c ->
+            out :=
+              Instr.Check
+                { c with kind = Instr.C_chk_a { clear = false };
+                  recovery = c.recovery @ reloads }
+              :: !out
+          | Some (Recover _), _ ->
+            invalid_arg (Fmt.str "Ssapre: chk.a upgrade of a non-check at %d" idx))
+        blk.Block.instrs;
+      blk.Block.instrs <- List.rev (List.rev_append e.at_end !out))
     edits
 
 (* --- the driver for one expression --- *)
@@ -577,7 +591,7 @@ let plan_version (a : analysis) (v : vinfo) : plan =
     { pl_v = v; pl_uses = List.map (fun u -> (false, u)) v.v_uses;
       pl_checks = v.v_spec_kills }
 
-(* The analysis half of [run_expr]: everything up to (and including) the
+(* The analysis half of the driver: everything up to (and including) the
    check plans, with no edits, no fresh temps and no fresh sites — safe
    to run purely for candidate ranking and discard.  There is work to do
    exactly when some version is needed, i.e. when [p_plans] is not
@@ -588,7 +602,12 @@ type prepared = {
   p_invala_edges : (int * phi) list;
   p_plans : plan list; (* one per needed version, in version order *)
   p_block_count : int -> int; (* training executions of a node *)
+  p_instrs : Instr.instr list array;
+      (* each node's instruction list as prepared on, by identity: an edit
+         replaces the list, so [commit] can tell a stale form *)
 }
+
+let instr_lists cfg = Array.init (Cfg.num_nodes cfg) (fun i -> (Cfg.block cfg i).Block.instrs)
 
 let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
     (key : Expr.key) : prepared =
@@ -688,7 +707,7 @@ let prepare (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
       List.filter_map
         (fun v -> if v.v_need then Some (plan_version a v) else None)
         a.versions;
-    p_block_count = block_count }
+    p_block_count = block_count; p_instrs = instr_lists cfg }
 
 (* The promotion ledger of one candidate, priced off its check plans.
 
@@ -757,27 +776,17 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
       as_occ = !occ; as_work = p.p_plans <> [] },
     p )
 
-(* The rewriting half: commit a prepared candidate's plans to the
-   function.  Must run against the same function state [prepare] saw. *)
-let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
-    (stats : stats) (p : prepared) : unit =
+(* The rewriting half: record a prepared candidate's plans in [edits] at
+   the pristine positions they name. *)
+let codemotion (ctx : codemotion_ctx) (edits : edit array) (f : Func.t)
+    (key : Expr.key) (stats : stats) (p : prepared) : unit =
   let a = p.p_a in
   let cfg = a.cfg in
-  let n = Cfg.num_nodes cfg in
   if p.p_plans <> [] then begin
     stats.exprs_promoted <- stats.exprs_promoted + 1;
     let mty = key.Expr.mty in
     let addr = Expr.addr_of_key key in
     let t_e = Func.fresh_temp f mty in
-    let edits = Array.make n None in
-    let edit node =
-      match edits.(node) with
-      | Some e -> e
-      | None ->
-        let e = fresh_edit () in
-        edits.(node) <- Some e;
-        e
-    in
     let fresh_site () = Site.Gen.fresh ctx.site_gen in
     (* a Phi version that nothing consumes gets neither insertions nor
        invalidations *)
@@ -802,8 +811,8 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
               Instr.P_ld_a
             else Instr.P_none
           in
-          (edit pred).at_end <-
-            (edit pred).at_end
+          edits.(pred).at_end <-
+            edits.(pred).at_end
             @ [ Instr.Load { dst = t_e; addr; mty; site = fresh_site (); promo } ];
           stats.loads_inserted <- stats.loads_inserted + 1;
           if promo = Instr.P_ld_sa then stats.ld_sa_inserted <- stats.ld_sa_inserted + 1
@@ -812,7 +821,7 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
     List.iter
       (fun (pred, phi) ->
         if phi_needed phi then begin
-          (edit pred).at_end <- (edit pred).at_end @ [ Instr.Invala { dst = t_e } ];
+          edits.(pred).at_end <- edits.(pred).at_end @ [ Instr.Invala { dst = t_e } ];
           stats.invala_inserted <- stats.invala_inserted + 1
         end)
       p.p_invala_edges;
@@ -829,27 +838,29 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
     let rewrite_save v node idx dst =
       let promo = if v.v_arm && alat then Instr.P_ld_a else Instr.P_none in
       if promo = Instr.P_ld_a then stats.arms <- stats.arms + 1;
-      add_replace (edit node) idx
-        [ Instr.Load { dst = t_e; addr; mty; site = load_site node idx; promo };
-          Instr.Mov { dst; src = Ops.Temp t_e } ]
+      add edits.(node) idx
+        (Replace
+           [ Instr.Load { dst = t_e; addr; mty; site = load_site node idx; promo };
+             Instr.Mov { dst; src = Ops.Temp t_e } ])
     in
     (* rewrite a redundant load: a register move, or an ld.c check when the
        version is lazy (reached through an invala.e path) *)
     let rewrite_reload v node idx dst =
       let site = load_site node idx in
-      if v.v_lazy && alat then
-        add_replace (edit node) idx
-          [ Instr.Check
-              { dst = t_e; addr; mty; site; kind = Instr.C_ld_c { clear = false };
-                recovery = [] };
-            Instr.Mov { dst; src = Ops.Temp t_e } ]
-      else add_replace (edit node) idx [ Instr.Mov { dst; src = Ops.Temp t_e } ]
+      add edits.(node) idx
+        (Replace
+           (if v.v_lazy && alat then
+              [ Instr.Check
+                  { dst = t_e; addr; mty; site; kind = Instr.C_ld_c { clear = false };
+                    recovery = [] };
+                Instr.Mov { dst; src = Ops.Temp t_e } ]
+            else [ Instr.Mov { dst; src = Ops.Temp t_e } ]))
     in
     let emit_check (node, idx, store_info, cascade_cell, _prob) =
       match ctx.config.Config.check_style with
       | Config.Alat -> (
         match cascade_cell with
-        | Some _ -> (
+        | Some _ ->
           (* Cascade crossing (Figure 4): the kill is the pointer's own
              check statement.  Upgrade it in place to chk.a; its recovery
              routine reloads the pointer (the generic part of chk.a
@@ -857,33 +868,25 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
              chk.a hit means the pointer did not change, so the promoted
              data value is still addressed correctly (data aliasing has its
              own ld.c checks). *)
-          match instr_at node idx with
-          | Instr.Check
-              { dst = pdst; addr = paddr; mty = pmty; site = psite; kind = _;
-                recovery = prev } ->
-            add_replace (edit node) idx
-              [ Instr.Check
-                  { dst = pdst; addr = paddr; mty = pmty; site = psite;
-                    kind = Instr.C_chk_a { clear = false };
-                    recovery =
-                      prev
-                      @ [ Instr.Load
-                            { dst = t_e; addr; mty; site = fresh_site ();
-                              promo = Instr.P_ld_a } ] } ];
-            stats.chk_a_inserted <- stats.chk_a_inserted + 1
-          | _ -> () (* the pointer check moved; stay conservative *))
+          add edits.(node) idx
+            (Recover
+               [ Instr.Load
+                   { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ]);
+          stats.chk_a_inserted <- stats.chk_a_inserted + 1
         | None ->
-          add_after (edit node) idx
-            [ Instr.Check
-                { dst = t_e; addr; mty; site = fresh_site ();
-                  kind = Instr.C_ld_c { clear = false }; recovery = [] } ];
+          add edits.(node) idx
+            (After
+               [ Instr.Check
+                   { dst = t_e; addr; mty; site = fresh_site ();
+                     kind = Instr.C_ld_c { clear = false }; recovery = [] } ]);
           stats.checks_inserted <- stats.checks_inserted + 1)
       | Config.Software -> (
         match store_info with
         | Some (store_addr, stored) ->
-          add_after (edit node) idx
-            [ Instr.Sw_check
-                { dst = t_e; addr; store_addr; stored; mty; site = fresh_site () } ];
+          add edits.(node) idx
+            (After
+               [ Instr.Sw_check
+                   { dst = t_e; addr; store_addr; stored; mty; site = fresh_site () } ]);
           stats.sw_checks_inserted <- stats.sw_checks_inserted + 1
         | None -> ())
       | Config.No_speculation -> ()
@@ -898,24 +901,41 @@ let codemotion (ctx : codemotion_ctx) (f : Func.t) (key : Expr.key)
           if v.v_arm && alat then begin
             (* arm after the store with an advanced load (Figure 1(b)) *)
             stats.arms <- stats.arms + 1;
-            add_after (edit node) idx
-              [ Instr.Load
-                  { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ]
+            add edits.(node) idx
+              (After
+                 [ Instr.Load
+                     { dst = t_e; addr; mty; site = fresh_site (); promo = Instr.P_ld_a } ])
           end
-          else add_after (edit node) idx [ Instr.Mov { dst = t_e; src } ]
+          else add edits.(node) idx (After [ Instr.Mov { dst = t_e; src } ])
         | VD_phi _ -> ());
         List.iter
           (fun (save, (node, idx, dst)) ->
             if save then rewrite_save v node idx dst else rewrite_reload v node idx dst)
           pl.pl_uses;
         List.iter emit_check pl.pl_checks)
-      p.p_plans;
-    apply_edits cfg edits
+      p.p_plans
   end
 
-let run_expr (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
-    (key : Expr.key) (stats : stats) : unit =
-  codemotion ctx f key stats (prepare ctx collect f key)
+(* Commit the accepted candidates of [f], all prepared on [f] as it
+   stands, as one batch of edits applied once.  Temps and sites are drawn
+   in candidate order, so the result is what committing them one at a
+   time, each prepared afresh, gives. *)
+let commit (ctx : codemotion_ctx) (f : Func.t) (stats : stats)
+    (forms : (Expr.key * prepared) list) : unit =
+  match forms with
+  | [] -> ()
+  | (_, p0) :: _ ->
+    let cfg = p0.p_a.cfg in
+    let edits =
+      Array.init (Cfg.num_nodes cfg) (fun _ -> { at = Hashtbl.create 4; at_end = [] })
+    in
+    List.iter
+      (fun (key, p) ->
+        if p.p_a.cfg != cfg || not (Array.for_all2 ( == ) (instr_lists cfg) p.p_instrs)
+        then invalid_arg "Ssapre.commit: a form prepared on another state of the function";
+        codemotion ctx edits f key stats p)
+      forms;
+    apply_edits cfg edits
 
 (* --- the speculative SSA form, printed --- *)
 

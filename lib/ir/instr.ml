@@ -112,6 +112,29 @@ let term_uses = function
   | Ret (Some o) -> operand_temps o
   | Ret None -> []
 
+(* [ins] with every operand it reads passed through [operand] and every
+   address through [addr]; what it defines, and a check's recovery,
+   unchanged. *)
+let map_operands ~operand ~addr = function
+  | Load r -> Load { r with addr = addr r.addr }
+  | Store r -> Store { r with src = operand r.src; addr = addr r.addr }
+  | Bin r -> Bin { r with a = operand r.a; b = operand r.b }
+  | Un r -> Un { r with a = operand r.a }
+  | Mov r -> Mov { r with src = operand r.src }
+  | Call r -> Call { r with args = List.map operand r.args }
+  | Alloc r -> Alloc { r with nbytes = operand r.nbytes }
+  | Check r -> Check { r with addr = addr r.addr }
+  | Invala _ as ins -> ins
+  | Sw_check r ->
+    Sw_check
+      { r with addr = addr r.addr; store_addr = addr r.store_addr;
+        stored = operand r.stored }
+
+let map_term_operands operand = function
+  | Jump _ as t -> t
+  | Br r -> Br { r with cond = operand r.cond }
+  | Ret o -> Ret (Option.map operand o)
+
 let successors = function
   | Jump l -> [ l ]
   | Br { ifso; ifnot; _ } -> [ ifso; ifnot ]

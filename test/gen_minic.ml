@@ -8,7 +8,9 @@
 
    The shapes are chosen to stress the promotion machinery: scalar globals
    with their addresses escaping into pointers, stores through ambiguous
-   pointers between re-reads, nested control flow, and helper calls. *)
+   pointers between re-reads, nested control flow, helper calls, and a
+   closing stretch of pointer-to-pointer loads and stores and pointer
+   arguments. *)
 
 module Rng = Srp_support.Rng
 
@@ -216,6 +218,34 @@ let helper ctx i =
   ctx.indent <- 0;
   line ctx "}"
 
+(* The pointer helper: reads and writes through its pointer argument, so
+   the points-to analysis must bind each actual to the formal. *)
+let pointer_helper ctx =
+  line ctx "int hp(int* x) {";
+  line ctx "  checksum = checksum + *x;";
+  line ctx "  *x = *x + 1;";
+  line ctx "  return *x;";
+  line ctx "}"
+
+(* Pointer-to-pointer traffic, emitted after main's random statements so
+   it draws nothing before them: a pointer loaded through [pp] is read
+   and written through in a loop (a cascade shape for the promoter), then
+   a fresh address is stored through [pp] and read back through the
+   pointer it repointed, and [hp] gets pointer actuals. *)
+let pointer_chain ctx =
+  let pk = ptr ctx and pj = ptr ctx in
+  line ctx "pp = &%s;" pk;
+  line ctx "{ int j;";
+  line ctx "  for (j = 0; j < %d; j = j + 1) {" (1 + Rng.int ctx.rng 3);
+  line ctx "    int* q = *pp;";
+  line ctx "    checksum = checksum + *q;";
+  line ctx "    *q = *q + %d;" (Rng.int ctx.rng 5);
+  line ctx "    checksum = checksum + *q + hp(%s);" pj;
+  line ctx "  }";
+  line ctx "}";
+  line ctx "*pp = &gq;";
+  line ctx "checksum = checksum + *%s + hp(&%s);" pk (scalar ctx)
+
 (* Generate a full program from a seed. *)
 let program ?(n_scalars = 4) ?(n_fscalars = 2) ?(n_arrays = 2) ?(n_ptrs = 3)
     ?(n_helpers = 2) ~seed () : string =
@@ -236,10 +266,13 @@ let program ?(n_scalars = 4) ?(n_fscalars = 2) ?(n_arrays = 2) ?(n_ptrs = 3)
   for i = 0 to n_ptrs - 1 do
     line ctx "int* p%d;" i
   done;
+  line ctx "int** pp;";
+  line ctx "int gq;";
   line ctx "int checksum;";
   for i = 0 to n_helpers - 1 do
     helper ctx i
   done;
+  pointer_helper ctx;
   line ctx "int main() {";
   ctx.indent <- 1;
   (* initialize every pointer before any use *)
@@ -251,6 +284,7 @@ let program ?(n_scalars = 4) ?(n_fscalars = 2) ?(n_arrays = 2) ?(n_ptrs = 3)
   for _ = 1 to n do
     stmt ctx
   done;
+  pointer_chain ctx;
   line ctx "print_int(checksum);";
   for i = 0 to n_scalars - 1 do
     line ctx "print_int(g%d);" i

@@ -104,6 +104,36 @@ let run_seed_matrix ?(combos = default_combos) seed =
         (level_configs profile))
     combos
 
+(* The promoter configurations the batch check sweeps: the default, the
+   cascade crossing, no pressure gate, the binary verdict, and cascade
+   without the gate. *)
+let batch_combos =
+  Pipeline.[ []; [ Cascade ]; [ No_pressure ]; [ No_prob ]; [ Cascade; No_pressure ] ]
+
+(* Every promoting level of the sweep under every configuration of
+   [combos] promotes seed [seed]'s program in one batch per function
+   exactly as committing one candidate at a time does
+   ([Test_ssa.check_batch_is_sequential]). *)
+let check_batch_seed ?(combos = batch_combos) seed =
+  let src = Gen_minic.program ~seed () in
+  let _, _, profile = interp_reference src in
+  let prog = Srp_frontend.Lower.compile_source src in
+  List.iter
+    (fun ablations ->
+      List.iter
+        (fun (name, level, profile) ->
+          Option.iter
+            (fun config ->
+              let config = List.fold_left (Fun.flip Pipeline.apply_ablation) config ablations in
+              ignore
+                (Test_ssa.check_batch_is_sequential
+                   (Fmt.str "seed %d %s [%s]" seed name
+                      (String.concat " " (List.map Pipeline.ablation_name ablations)))
+                   config prog))
+            (Pipeline.config_of_level level profile))
+        (level_configs profile))
+    combos
+
 let test_batch lo hi () =
   for seed = lo to hi do
     run_seed seed
@@ -112,6 +142,11 @@ let test_batch lo hi () =
 let test_matrix_batch lo hi () =
   for seed = lo to hi do
     run_seed_matrix seed
+  done
+
+let test_batch_is_sequential lo hi () =
+  for seed = lo to hi do
+    check_batch_seed seed
   done
 
 (* The count for a test name: a malformed value shows as "?" and fails
@@ -134,22 +169,23 @@ let test_env_count () =
       (Some "0", 1, expect_error "0" 1) ]
 
 (* SRP_FUZZ_ITERS=N runs N extra seeds through the full level x
-   ablation matrix — off (0) in the default test run, used by the
-   non-blocking CI fuzz jobs and for local soak testing; a malformed
-   count fails the sweep.  SRP_FUZZ_ABLATION=NAME adds the named
-   ablation to every matrix entry (e.g. no-split focuses the sweep on
-   the closed-interval allocator), so each ablation can get its own CI
+   ablation matrix and the batch check — off (0) in the default test
+   run, used by the non-blocking CI fuzz jobs and for local soak testing;
+   a malformed count fails the sweep.  SRP_FUZZ_ABLATION=NAME adds the
+   named ablation to every entry of both (e.g. no-split focuses the sweep
+   on the closed-interval allocator), so each ablation can get its own CI
    soak; an unknown name fails the sweep. *)
 let fuzz_iters = Experiments.env_count "SRP_FUZZ_ITERS" ~default:0 ~min:0
 
 let fuzz_combos () =
   match Sys.getenv_opt "SRP_FUZZ_ABLATION" with
-  | None | Some "" -> default_combos
+  | None | Some "" -> Fun.id
   | Some name -> (
     match Pipeline.parse_ablation name with
     | Ok a ->
-      List.sort_uniq compare
-        (List.map (fun c -> Pipeline.canonical_ablations (a :: c)) default_combos)
+      fun combos ->
+        List.sort_uniq compare
+          (List.map (fun c -> Pipeline.canonical_ablations (a :: c)) combos)
     | Error e -> Alcotest.failf "SRP_FUZZ_ABLATION: %s" e)
 
 let test_fuzz_sweep () =
@@ -158,7 +194,8 @@ let test_fuzz_sweep () =
   in
   let combos = fuzz_combos () in
   for seed = 10_000 to 10_000 + iters - 1 do
-    run_seed_matrix ~combos seed
+    run_seed_matrix ~combos:(combos default_combos) seed;
+    check_batch_seed ~combos:(combos batch_combos) seed
   done
 
 (* A couple of adversarial hand-picked shapes the generator rarely hits. *)
@@ -227,6 +264,8 @@ let suite =
       (test_matrix_batch 1 10);
     Alcotest.test_case "matrix differential seeds 11-30 (layout x bundle)" `Slow
       (test_matrix_batch 11 30);
+    Alcotest.test_case "batch promotion = one commit at a time, seeds 1-30" `Quick
+      (test_batch_is_sequential 1 30);
     Alcotest.test_case
       (Fmt.str "fuzz sweep (SRP_FUZZ_ITERS=%s)" (count_label fuzz_iters))
       `Quick test_fuzz_sweep;

@@ -377,81 +377,160 @@ let test_printed_ledger_is_the_scopes () =
         (lat, ceil cost) ) ]
     gate_and_ledger
 
-(* The load sites of the unpromoted [prog], each with its address class
-   (direct?). *)
-let original_load_sites prog =
-  let sites = Hashtbl.create 64 in
+(* [Promote.run] read one commit at a time, the test-local reference
+   for its one batch per function: every round, each candidate of each
+   function, in [Promote.candidates] order, is chosen afresh on the
+   function as the previous commits left it and committed alone.  Under
+   the pressure gate the accepted set is the gate's, which ranks every
+   candidate before anything commits; otherwise each fresh choice's own
+   verdict decides.  The rounds end as [Promote.run]'s do. *)
+let promote_sequentially ?pressure (config : Config.t) prog =
+  let funcs () = Srp_ir.Program.funcs prog in
+  let budget_of = Promote.budgets ?pressure config prog in
+  let stats = Ssapre.empty_stats () in
+  let rec round n =
+    let contexts_of = Promote.contexts config prog in
+    let before = stats.Ssapre.exprs_promoted in
+    List.iter
+      (fun f ->
+        let keys = Promote.candidates f in
+        if keys <> [] then begin
+          let cm_ctx, collect = contexts_of f in
+          let gated =
+            Option.map
+              (fun budget -> Promote.select ~budget cm_ctx collect f keys)
+              (budget_of f)
+          in
+          List.iter
+            (fun key ->
+              let c = Promote.choose_scope cm_ctx collect f key in
+              let accepted =
+                match gated with
+                | None -> Promote.accepts c.Promote.gate
+                | Some gated -> List.exists (fun (k, _) -> Expr.equal_key k key) gated
+              in
+              if accepted then Ssapre.commit cm_ctx f stats [ (key, c.Promote.prepared) ])
+            keys
+        end)
+      (funcs ());
+    List.iter Srp_core.Copy_prop.run (funcs ());
+    List.iter Srp_core.Copy_prop.run_local (funcs ());
+    if stats.Ssapre.exprs_promoted > before && n < config.Config.max_rounds then
+      round (n + 1)
+  in
+  round 1;
+  List.iter
+    (fun f ->
+      Srp_core.Check_cleanup.run f;
+      f.Srp_ir.Func.ssa_temps <- false)
+    (funcs ());
+  stats
+
+(* [Promote.run] on a copy of [prog], with the pipeline's pressure
+   estimate, promotes what [promote_sequentially] does: the same IR text
+   and the same statistics.  Returns the promoted copy. *)
+let check_batch_is_sequential what config prog =
+  let promote promote_fn =
+    let p = Srp_ir.Program.clone prog in
+    let stats = promote_fn ~pressure:(Srp_driver.Pipeline.pressure_fn p) config p in
+    (p, stats)
+  in
+  let batch, batch_stats =
+    promote (fun ~pressure config p -> (Promote.run ~config ~pressure p).Promote.stats)
+  in
+  let seq, seq_stats =
+    promote (fun ~pressure config p -> promote_sequentially ~pressure config p)
+  in
+  let lines p = String.split_on_char '\n' (Fmt.str "%a" Srp_ir.Program.pp p) in
+  let rec first_difference n = function
+    | l :: ls, m :: ms when l = m -> first_difference (n + 1) (ls, ms)
+    | [], [] -> ()
+    | ls, ms ->
+      let hd = function l :: _ -> l | [] -> "(end)" in
+      Alcotest.failf "%s: promoted IR line %d: %S one at a time, %S in a batch" what n
+        (hd ls) (hd ms)
+  in
+  first_difference 1 (lines seq, lines batch);
+  if seq_stats <> batch_stats then Alcotest.failf "%s: statistics differ" what;
+  batch
+
+(* One batch per function is committing the accepted candidates one at
+   a time: on every kernel at the three promoting levels, with and
+   without the pressure gate. *)
+let test_batch_is_sequential () =
+  let module P = Srp_driver.Pipeline in
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let profiled, prog = alat_kernel w in
+      List.iter
+        (fun (level, config) ->
+          List.iter
+            (fun ablations ->
+              let config = List.fold_left (Fun.flip P.apply_ablation) config ablations in
+              ignore
+                (check_batch_is_sequential
+                   (Fmt.str "%s at %s [%s]" w.Srp_driver.Workload.name level
+                      (String.concat " " (List.map P.ablation_name ablations)))
+                   config prog))
+            [ []; [ P.No_pressure ] ])
+        [ ("alat", profiled); ("baseline", Config.baseline);
+          ("alat-heuristic", Config.alat_heuristic) ])
+    (Srp_workloads.Registry.all ())
+
+(* Two fields behind one cascade pointer: both data cells are promoted
+   across the pointer's check, so the one chk.a recovers the pointer and
+   then reloads both, in commit order.  Trained with sel = 0 (pp never
+   repoints p); run with sel = 5, every recovery fires. *)
+let two_field_cascade_src = {|
+int a[2]; int b[2];
+int* p;
+int** pp;
+int* r;
+int sel;
+int checksum;
+int main() {
+  int i;
+  p = &a[0];
+  a[0] = 100; a[1] = 7; b[0] = 3; b[1] = 4;
+  if (sel == 5) { pp = &p; } else { pp = &r; }
+  for (i = 0; i < 40; i = i + 1) {
+    checksum = checksum + p[0] + p[1];
+    *pp = &b[0];
+    checksum = checksum + p[0] * 3 + p[1];
+  }
+  print_int(checksum); print_int(p[0]); print_int(p[1]);
+  return 0;
+}
+|}
+
+let test_cascade_recovery_composes () =
+  let config = Config.alat_cascade ~profile:(train two_field_cascade_src) in
+  let prog = Lower.compile_source two_field_cascade_src in
+  Srp_ir.Program.set_global_init prog "sel" (Srp_ir.Program.Init_ints [| 5L |]);
+  let _, expected, _ = Srp_profile.Interp.run_program (Srp_ir.Program.clone prog) in
+  let promoted = check_batch_is_sequential "two-field cascade" config prog in
+  let recoveries = ref [] in
   List.iter
     (Srp_ir.Func.iter_instrs (fun _ ins ->
          match ins with
-         | Srp_ir.Instr.Load { site; addr; _ } ->
-           Hashtbl.replace sites site (Srp_ir.Ops.is_direct addr)
+         | Srp_ir.Instr.Check { kind = Srp_ir.Instr.C_chk_a _; recovery; _ } ->
+           recoveries :=
+             List.map
+               (function
+                 | Srp_ir.Instr.Load { addr; _ } -> addr.Srp_ir.Ops.offset
+                 | _ -> -1)
+               recovery
+             :: !recoveries
          | _ -> ()))
-    (Srp_ir.Program.funcs prog);
-  sites
-
-(* The promoter commits the form [choose_scope] prepared instead of
-   preparing it again.  Round 1 of the no-pressure path at alat, step by
-   step on every kernel: each committed form prints the same as a fresh
-   [Ssapre.prepare] of its scope on the same function state, and the
-   round commits what [Promote.run] commits. *)
-let test_committed_form_is_fresh () =
-  List.iter
-    (fun (w : Srp_driver.Workload.t) ->
-      let name = w.Srp_driver.Workload.name in
-      let config, prog = alat_kernel w in
-      let config =
-        Srp_driver.Pipeline.apply_ablation Srp_driver.Pipeline.No_pressure
-          { config with Config.max_rounds = 1 }
-      in
-      let reference = Srp_ir.Program.clone prog in
-      let original = Srp_ir.Program.clone prog in
-      let contexts_of = Promote.contexts config prog in
-      let stats = Ssapre.empty_stats () in
-      List.iter
-        (fun f ->
-          let keys = Promote.candidates f in
-          if keys <> [] then begin
-            let cm_ctx, collect = contexts_of f in
-            List.iter
-              (fun key ->
-                let c = Promote.choose_scope cm_ctx collect f key in
-                if Promote.accepts c.Promote.gate then begin
-                  let fresh = Ssapre.prepare cm_ctx c.Promote.scope f key in
-                  Alcotest.(check string)
-                    (Fmt.str "%s %s %a" name (Srp_ir.Func.name f) Expr.pp_key key)
-                    (Fmt.str "%a" Ssapre.pp_prepared fresh)
-                    (Fmt.str "%a" Ssapre.pp_prepared c.Promote.prepared);
-                  Ssapre.codemotion cm_ctx f key stats c.Promote.prepared
-                end)
-              keys
-          end)
-        (Srp_ir.Program.funcs prog);
-      let r = Promote.run ~config reference in
-      (* the original-site loads left, direct and indirect *)
-      let sites = original_load_sites original in
-      let left p =
-        let d = ref 0 and i = ref 0 in
-        List.iter
-          (Srp_ir.Func.iter_instrs (fun _ ins ->
-               match ins with
-               | Srp_ir.Instr.Load { site; _ } -> (
-                 match Hashtbl.find_opt sites site with
-                 | Some true -> incr d
-                 | Some false -> incr i
-                 | None -> ())
-               | _ -> ()))
-          (Srp_ir.Program.funcs p);
-        [ !d; !i ]
-      in
-      Alcotest.(check (list int)) (name ^ ": committed as Promote.run commits")
-        (let s = r.Promote.stats in
-         Ssapre.[ s.exprs_promoted; s.checks_inserted; s.loads_inserted; s.arms ]
-         @ left reference)
-        (Ssapre.[ stats.exprs_promoted; stats.checks_inserted; stats.loads_inserted;
-                  stats.arms ]
-         @ left prog))
-    (Srp_workloads.Registry.all ())
+    (Srp_ir.Program.funcs promoted);
+  Alcotest.(check (list (list int))) "one chk.a reloads p[0], then p[1]" [ [ 0; 8 ] ]
+    !recoveries;
+  let _, got, c =
+    Srp_machine.Machine.run_program (Srp_target.Codegen.gen_program promoted)
+  in
+  Alcotest.(check string) "recovered output" expected got;
+  Alcotest.(check bool) "the recovery ran" true
+    (c.Srp_machine.Counters.check_failures > 0)
 
 (* `srp ssa` on the Figure 5 source: both loads of a print one version,
    and the store through p prints as a chi_s with p = 0 that keeps it
@@ -528,5 +607,7 @@ let suite =
     Alcotest.test_case "srp ssa prints the Figure 6 form" `Quick test_cli_ssa;
     Alcotest.test_case "printed ledger is the committed scope's" `Slow
       test_printed_ledger_is_the_scopes;
-    Alcotest.test_case "committed form equals a fresh prepare" `Slow
-      test_committed_form_is_fresh ]
+    Alcotest.test_case "batch commit equals one commit at a time" `Slow
+      test_batch_is_sequential;
+    Alcotest.test_case "cascade recovery composes across candidates" `Quick
+      test_cascade_recovery_composes ]
