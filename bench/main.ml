@@ -191,15 +191,20 @@ let () =
             done))
   in
   (* the event-trace sink as the machine drives it: each event asks
-     [admit] first, then builds and emits a retire record.  Written, the
-     records go through the sink's buffer to /dev/null; past the bound,
-     nothing is built *)
+     [admit] first, then writes a retire record field by field into the
+     sink's buffer, which goes to /dev/null; past the bound, nothing is
+     written *)
+  let module Trace = Srp_obs.Trace in
+  let k_f = Trace.key "f" and k_pc = Trace.key "pc" and k_op = Trace.key "op" in
   let trace_events sink =
     for pc = 0 to 9_999 do
-      if Srp_obs.Trace.admit sink then
-        Srp_obs.Trace.emit sink ~cycle:pc "i"
-          [ ("f", Srp_obs.Json.String "main"); ("pc", Srp_obs.Json.Int pc);
-            ("op", Srp_obs.Json.String "ld.a") ]
+      if Trace.admit sink then begin
+        Trace.start sink ~cycle:pc "i";
+        Trace.str sink k_f "main";
+        Trace.int sink k_pc pc;
+        Trace.str sink k_op "ld.a";
+        Trace.finish sink
+      end
     done
   in
   let devnull = open_out_bin Filename.null in
@@ -214,6 +219,28 @@ let () =
       (Staged.stage
          (let sink = Srp_obs.Trace.create ~limit:0 devnull in
           fun () -> trace_events sink))
+  in
+  (* the timeline as the machine drives it, on a fresh sink each run: a
+     row every 1000 cycles, whose issue utilization takes 200 distinct
+     values, so a fifth of the rows print a float text and the rest find
+     it remembered *)
+  let test_timeline_rows =
+    Test.make ~name:"obs: 1k timeline rows written"
+      (Staged.stage (fun () ->
+           let tl =
+             Srp_machine.Timeline.create
+               (Srp_obs.Trace.create ~limit:max_int devnull)
+           in
+           let instrs = ref 0 in
+           for i = 1 to 1_000 do
+             let cycle = i * 1000 in
+             if Srp_machine.Timeline.admit tl ~cycle then begin
+               instrs := !instrs + 1000 + (i mod 200 * 7);
+               Srp_machine.Timeline.row tl ~cycle ~alat_live:(i land 31)
+                 ~rse_dirty:(i land 63) ~rse_clean:0 ~instrs:!instrs
+                 ~l1_misses:(i * 3) ~l2_misses:i
+             end
+           done))
   in
   (* the simulator's issue logic on hand-built programs: bundle-wise
      dispersal of an ALU loop, and a pointer chase whose every iteration
@@ -292,5 +319,6 @@ let () =
       test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;
       test_mem_alternate;
-      test_site_hist; test_trace_written; test_trace_dropped ];
+      test_site_hist; test_trace_written; test_trace_dropped;
+      test_timeline_rows ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

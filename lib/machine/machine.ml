@@ -53,7 +53,6 @@ module Memory = Srp_profile.Memory
 module Location = Srp_alias.Location
 module Site_hist = Srp_obs.Site_hist
 module Trace = Srp_obs.Trace
-module J = Srp_obs.Json
 module Model = Srp_ir.Machine_model
 
 exception Machine_error of string
@@ -229,24 +228,25 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
    is charged to the IR site that caused it. *)
 let ev m ~site e = Site_hist.record m.site_stats ~site e
 
-(* Every trace call site asks [admit_event] before it builds its field
-   list, so a run with no sink builds no record, and an event past the
-   sink's bound costs one drop count ([Trace.admit]) and no record.
-   [admit_event] counts that drop itself: each [true] must be followed by
-   exactly one [tr], or the sink's [emitted] and [dropped] stop being
-   exact. *)
-let admit_event m =
-  match m.trace with
-  | None -> false
-  | Some sink -> Trace.admit sink
-
-let tr m kind fields =
-  match m.trace with
-  | None -> ()
-  | Some sink -> Trace.emit sink ~cycle:m.cycle kind fields
-
-let hex64 v = Printf.sprintf "0x%Lx" v
-let hex a = hex64 (Int64.of_int a)
+(* Every trace call site matches [Some s when Trace.admit s] before it
+   writes a field, so a run with no sink writes no record, and an event
+   past the sink's bound costs one drop count and no record.  Each
+   admitted event is written as exactly one [Trace.start] ... [Trace.finish]
+   record, or the sink's [emitted] and [dropped] stop being exact.  The
+   field keys are encoded once, here. *)
+let k_n = Trace.key "n"
+let k_mem = Trace.key "mem"
+let k_pc = Trace.key "pc"
+let k_stop = Trace.key "stop"
+let k_site = Trace.key "site"
+let k_victim = Trace.key "victim"
+let k_addr = Trace.key "addr"
+let k_regs = Trace.key "regs"
+let k_f = Trace.key "f"
+let k_op = Trace.key "op"
+let k_victims = Trace.key "victims"
+let k_recovery = Trace.key "recovery"
+let k_taken = Trace.key "taken"
 
 let op_name : Insn.insn -> string = function
   | Insn.Movl _ -> "movl"
@@ -273,6 +273,14 @@ let op_name : Insn.insn -> string = function
   | Insn.Alloc _ -> "alloc"
   | Insn.Print _ -> "print"
   | Insn.Nop -> "nop"
+
+(* The per-instruction retire record, kept out of [exec_from]'s body. *)
+let trace_retire s ~cycle rf pc ins =
+  Trace.start s ~cycle "i";
+  Trace.str s k_f rf.func.Insn.name;
+  Trace.int s k_pc pc;
+  Trace.str s k_op (op_name ins);
+  Trace.finish s
 
 (* --- timing helpers --- *)
 
@@ -325,8 +333,13 @@ let stall_until m ~ready ~mem_src =
     m.cycle <- ready;
     if mem_src then
       m.c.Counters.data_access_cycles <- m.c.Counters.data_access_cycles + stall;
-    if admit_event m then
-      tr m "stall" [ ("n", J.Int stall); ("mem", J.Bool mem_src) ];
+    (match m.trace with
+    | Some s when Trace.admit s ->
+      Trace.start s ~cycle:m.cycle "stall";
+      Trace.int s k_n stall;
+      Trace.bool s k_mem mem_src;
+      Trace.finish s
+    | _ -> ());
     sample m
   end
 
@@ -351,8 +364,13 @@ let enter_bundle m rf pc word =
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
     ev m ~site:rf.split_site.(pc / 3) Srp_obs.Site_hist.Split_stalls;
-    if admit_event m then
-      tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
+    (match m.trace with
+    | Some s when Trace.admit s ->
+      Trace.start s ~cycle:m.cycle "split";
+      Trace.int s k_pc pc;
+      Trace.bool s k_stop was_stop;
+      Trace.finish s
+    | _ -> ());
     new_group m
   end;
   m.group_bundles <- m.group_bundles + 1;
@@ -541,13 +559,23 @@ let arm m tag a site =
   | Some victim_site ->
     m.c.Counters.alat_evictions <- m.c.Counters.alat_evictions + 1;
     ev m ~site:victim_site Site_hist.Alat_evictions;
-    if admit_event m then
-      tr m "alat.evict" [ ("site", J.Int site); ("victim", J.Int victim_site) ]
+    match m.trace with
+    | Some s when Trace.admit s ->
+      Trace.start s ~cycle:m.cycle "alat.evict";
+      Trace.int s k_site site;
+      Trace.int s k_victim victim_site;
+      Trace.finish s
+    | _ -> ()
 
 (* ld.sa's deferred fault: the destination gets a NaT and loses its ALAT
    entry. *)
 let defer_fault m fr (dst : Insn.dest) site =
-  if admit_event m then tr m "ld.sa.nat" [ ("site", J.Int site) ];
+  (match m.trace with
+  | Some s when Trace.admit s ->
+    Trace.start s ~cycle:m.cycle "ld.sa.nat";
+    Trace.int s k_site site;
+    Trace.finish s
+  | _ -> ());
   (* IA-64: a deferred fault also invalidates any matching ALAT entry, so
      a later ld.c on this register misses and reloads instead of
      validating a stale entry left by a previous occupant of the (possibly
@@ -576,14 +604,23 @@ let ld_c_hits m fr tag (dst : Insn.dest) site ~clear =
     false
   end
 
+(* [alat.arm] and [ld.c.miss]: a load site and the address it loads. *)
+let trace_load m kind site addr =
+  match m.trace with
+  | Some s when Trace.admit s ->
+    Trace.start s ~cycle:m.cycle kind;
+    Trace.int s k_site site;
+    Trace.hex s k_addr addr;
+    Trace.finish s
+  | _ -> ()
+
 (* A load of every kind at native-int address [a]. *)
 let load_at m fr (kind : Insn.ld_kind) (dst : Insn.dest) a site =
   match kind with
   | Insn.K_ld -> do_load m fr dst a site
   | Insn.K_ld_a ->
     do_load m fr dst a site;
-    if admit_event m then
-      tr m "alat.arm" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+    trace_load m "alat.arm" site (Int64.of_int a);
     arm m (alat_tag fr dst) a site
   | Insn.K_ld_sa ->
     (* control-speculative: defer faults with NaT, no ALAT entry on fault *)
@@ -595,8 +632,7 @@ let load_at m fr (kind : Insn.ld_kind) (dst : Insn.dest) a site =
   | Insn.K_ld_c { clear } ->
     let tag = alat_tag fr dst in
     if not (ld_c_hits m fr tag dst site ~clear) then begin
-      if admit_event m then
-        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex a)) ];
+      trace_load m "ld.c.miss" site (Int64.of_int a);
       do_load m fr dst a site;
       if not clear then arm m tag a site
     end
@@ -608,8 +644,7 @@ let load_wild m fr (kind : Insn.ld_kind) (dst : Insn.dest) (v : int64) site =
   | Insn.K_ld_sa -> defer_fault m fr dst site
   | Insn.K_ld_c { clear } ->
     if not (ld_c_hits m fr (alat_tag fr dst) dst site ~clear) then begin
-      if admit_event m then
-        tr m "ld.c.miss" [ ("site", J.Int site); ("addr", J.String (hex64 v)) ];
+      trace_load m "ld.c.miss" site v;
       Memory.unmapped v
     end
   | Insn.K_ld | Insn.K_ld_a -> Memory.unmapped v
@@ -648,12 +683,22 @@ let rec exec_function m (rf : rfunc) (args : Value.t list) : Value.t option =
   bind_args fr func.Insn.formals args;
   (* RSE charge for the new register frame *)
   let spill = Rse.call m.rse m.c ~nregs:func.Insn.nregs in
-  if spill > 0 && admit_event m then
-    tr m "rse.spill" [ ("regs", J.Int spill); ("f", J.String func.Insn.name) ];
+  (match m.trace with
+  | Some s when spill > 0 && Trace.admit s ->
+    Trace.start s ~cycle:m.cycle "rse.spill";
+    Trace.int s k_regs spill;
+    Trace.str s k_f func.Insn.name;
+    Trace.finish s
+  | _ -> ());
   advance_cycles m spill;
   let result = exec_from m fr 0 in
   let fill = Rse.ret m.rse m.c in
-  if fill > 0 && admit_event m then tr m "rse.fill" [ ("regs", J.Int fill) ];
+  (match m.trace with
+  | Some s when fill > 0 && Trace.admit s ->
+    Trace.start s ~cycle:m.cycle "rse.fill";
+    Trace.int s k_regs fill;
+    Trace.finish s
+  | _ -> ());
   advance_cycles m fill;
   Alat.purge_frame m.alat ~frame:fr.uid;
   Memory.free m.mem frame_base;
@@ -671,11 +716,9 @@ and exec_from m fr pc : Value.t option =
   if word >= 0 then enter_bundle m rf pc word;
   let ins = Array.unsafe_get code pc in
   let cls = Array.unsafe_get rf.issue pc in
-  (* per-instruction retire record *)
-  if admit_event m then
-    tr m "i"
-      [ ("f", J.String rf.func.Insn.name); ("pc", J.Int pc);
-        ("op", J.String (op_name ins)) ];
+  (match m.trace with
+  | Some s when Trace.admit s -> trace_retire s ~cycle:m.cycle rf pc ins
+  | _ -> ());
   match ins with
   | Insn.Movl { dst; imm } ->
     issue_slot m cls;
@@ -751,10 +794,14 @@ and exec_from m fr pc : Value.t option =
         m.c.Counters.alat_store_invalidations + List.length victims;
       (* the invalidation is charged to the load site whose entry died *)
       List.iter (fun vs -> ev m ~site:vs Site_hist.Alat_store_invalidations) victims;
-      if admit_event m then
-        tr m "alat.inval"
-          [ ("site", J.Int site); ("addr", J.String (hex a));
-            ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ]);
+      match m.trace with
+      | Some s when Trace.admit s ->
+        Trace.start s ~cycle:m.cycle "alat.inval";
+        Trace.int s k_site site;
+        Trace.hex s k_addr (Int64.of_int a);
+        Trace.ints s k_victims victims;
+        Trace.finish s
+      | _ -> ());
     exec_from m fr (pc + 1)
   | Insn.Chk_a { tag; recovery; site } ->
     issue_slot m cls;
@@ -765,8 +812,13 @@ and exec_from m fr pc : Value.t option =
       (* branch to recovery: a light trap plus pipeline redirect *)
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
-      if admit_event m then
-        tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
+      (match m.trace with
+      | Some s when Trace.admit s ->
+        Trace.start s ~cycle:m.cycle "chk.a.fail";
+        Trace.int s k_site site;
+        Trace.int s k_recovery recovery;
+        Trace.finish s
+      | _ -> ());
       advance_cycles m Model.check_recovery_penalty;
       exec_from m fr recovery
     end
@@ -806,9 +858,14 @@ and exec_from m fr pc : Value.t option =
     if taken <> predicted_taken then begin
       m.c.Counters.branch_mispredicts <- m.c.Counters.branch_mispredicts + 1;
       ev m ~site Site_hist.Branch_mispredicts;
-      if admit_event m then
-        tr m "br.mispredict"
-          [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
+      (match m.trace with
+      | Some s when Trace.admit s ->
+        Trace.start s ~cycle:m.cycle "br.mispredict";
+        Trace.int s k_site site;
+        Trace.int s k_pc pc;
+        Trace.bool s k_taken taken;
+        Trace.finish s
+      | _ -> ());
       advance_cycles m Model.mispredict_penalty
     end
     else if target <> pc + 1 then new_group m;

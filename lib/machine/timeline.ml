@@ -16,10 +16,19 @@
    The sampler only *reads* machine state — enabling it cannot perturb
    a single counter (the differential test pins this). *)
 
-module J = Srp_obs.Json
+module Trace = Srp_obs.Trace
+
+let k_schema = Trace.key "schema"
+let k_interval = Trace.key "interval"
+let k_alat_live = Trace.key "alat_live"
+let k_rse_dirty = Trace.key "rse_dirty"
+let k_rse_clean = Trace.key "rse_clean"
+let k_issue_util = Trace.key "issue_util"
+let k_l1_misses = Trace.key "l1_misses"
+let k_l2_misses = Trace.key "l2_misses"
 
 type t = {
-  sink : Srp_obs.Trace.sink;
+  sink : Trace.sink;
   interval : int;
   mutable next_at : int; (* first cycle eligible for the next sample *)
   (* previous sample's cumulative values, for the per-window deltas *)
@@ -29,13 +38,17 @@ type t = {
   mutable last_l2_misses : int;
 }
 
-let create ?(interval = 1000) (sink : Srp_obs.Trace.sink) : t =
+let create ?(interval = 1000) (sink : Trace.sink) : t =
   if interval < 1 then
     Fmt.invalid_arg "Timeline.create: interval %d" interval;
   (* header row: lets a reader identify the schema and spacing without
      out-of-band context *)
-  Srp_obs.Trace.emit sink ~cycle:0 "timeline.header"
-    [ ("schema", J.String "srp-timeline-v1"); ("interval", J.Int interval) ];
+  if Trace.admit sink then begin
+    Trace.start sink ~cycle:0 "timeline.header";
+    Trace.str sink k_schema "srp-timeline-v1";
+    Trace.int sink k_interval interval;
+    Trace.finish sink
+  end;
   { sink; interval; next_at = interval; last_cycle = 0; last_instrs = 0;
     last_l1_misses = 0; last_l2_misses = 0 }
 
@@ -51,13 +64,15 @@ let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
       float_of_int (instrs - t.last_instrs)
       /. float_of_int (Srp_ir.Machine_model.issue_width * dcycles)
   in
-  Srp_obs.Trace.emit t.sink ~cycle "timeline"
-    [ ("alat_live", J.Int alat_live);
-      ("rse_dirty", J.Int rse_dirty);
-      ("rse_clean", J.Int rse_clean);
-      ("issue_util", J.Float issue_util);
-      ("l1_misses", J.Int (l1_misses - t.last_l1_misses));
-      ("l2_misses", J.Int (l2_misses - t.last_l2_misses)) ];
+  let s = t.sink in
+  Trace.start s ~cycle "timeline";
+  Trace.int s k_alat_live alat_live;
+  Trace.int s k_rse_dirty rse_dirty;
+  Trace.int s k_rse_clean rse_clean;
+  Trace.float s k_issue_util issue_util;
+  Trace.int s k_l1_misses (l1_misses - t.last_l1_misses);
+  Trace.int s k_l2_misses (l2_misses - t.last_l2_misses);
+  Trace.finish s;
   t.last_cycle <- cycle;
   t.last_instrs <- instrs;
   t.last_l1_misses <- l1_misses;
@@ -70,7 +85,7 @@ let row t ~cycle ~alat_live ~rse_dirty ~rse_clean ~instrs ~l1_misses
    feed written rows, and once the sink refuses one it refuses every
    later one. *)
 let admit t ~cycle =
-  Srp_obs.Trace.admit t.sink
+  Trace.admit t.sink
   || begin
     t.next_at <- next_mark t cycle;
     false

@@ -39,7 +39,7 @@ let escape_char buf c =
     Buffer.add_char buf (hex_digit (Char.code c land 15))
 
 (* Runs of characters that need no escape go to the buffer in one copy. *)
-let escape_string buf s =
+let add_string buf s =
   Buffer.add_char buf '"';
   let start = ref 0 in
   for i = 0 to String.length s - 1 do
@@ -66,15 +66,23 @@ let add_int buf i =
   end
   else add_neg_digits buf (-i)
 
-(* JSON has no NaN/Infinity; clamp to null like most emitters do. *)
-let float_repr x =
-  if not (Float.is_finite x) then None
+(* The printer behind [Printf]'s [%g]; called directly, a float's text
+   costs no format-string interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The text of [Float x].  JSON has no NaN/Infinity; clamp to null like
+   most emitters do.  A finite float prints with 12 significant digits
+   when that text parses back to the same float, else with 17, which
+   always does; the 17-digit text is built only when it is needed.  A
+   whole-number text gets ".0" so it stays a float on re-parse. *)
+let float_text x =
+  if not (Float.is_finite x) then "null"
   else
-    (* shortest representation that still round-trips through
-       float_of_string for the magnitudes we emit *)
-    let s = Printf.sprintf "%.17g" x in
-    let short = Printf.sprintf "%.12g" x in
-    Some (if float_of_string short = x then short else s)
+    let short = format_float "%.12g" x in
+    let s = if float_of_string short = x then short else format_float "%.17g" x in
+    if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
+      s ^ ".0"
+    else s
 
 let nl buf ~indent n =
   if indent > 0 then begin
@@ -87,15 +95,8 @@ let rec encode buf ~indent ~level (v : t) =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
-  | Float x -> (
-    match float_repr x with
-    | None -> Buffer.add_string buf "null"
-    | Some s ->
-      Buffer.add_string buf s;
-      (* make sure a whole-number float stays a float on re-parse *)
-      if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
-        Buffer.add_string buf ".0")
-  | String s -> escape_string buf s
+  | Float x -> Buffer.add_string buf (float_text x)
+  | String s -> add_string buf s
   | Arr [] -> Buffer.add_string buf "[]"
   | Arr (x :: xs) ->
     Buffer.add_char buf '[';
@@ -126,7 +127,7 @@ and encode_items buf ~indent ~level = function
 
 and encode_member buf ~indent ~level (k, x) =
   nl buf ~indent (level + 1);
-  escape_string buf k;
+  add_string buf k;
   Buffer.add_char buf ':';
   if indent > 0 then Buffer.add_char buf ' ';
   encode buf ~indent ~level:(level + 1) x
@@ -137,8 +138,6 @@ and encode_members buf ~indent ~level = function
     Buffer.add_char buf ',';
     encode_member buf ~indent ~level kv;
     encode_members buf ~indent ~level kvs
-
-let to_buffer buf (v : t) = encode buf ~indent:0 ~level:0 v
 
 let to_string ?(indent = 0) (v : t) : string =
   let buf = Buffer.create 256 in

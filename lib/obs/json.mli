@@ -19,9 +19,16 @@ type t =
     [indent > 0] pretty-prints with that many spaces per level. *)
 val to_string : ?indent:int -> t -> string
 
-(** Append the compact encoding ([to_string] with [indent = 0]) to a
-    buffer. *)
-val to_buffer : Buffer.t -> t -> unit
+(** The pieces of the compact encoding, for writers that build a record
+    straight into a buffer ({!Trace}): [add_int buf i] appends the
+    encoding of [Int i], [add_string buf s] that of [String s] (quoted
+    and escaped), and [float_text x] is the encoding of [Float x] — the
+    [%.12g] text if it parses back to [x], else the [%.17g] text, with
+    [".0"] added to a whole number; [null] if [x] is not finite. *)
+val add_int : Buffer.t -> int -> unit
+
+val add_string : Buffer.t -> string -> unit
+val float_text : float -> string
 
 (** Parse a complete document (trailing garbage is an error). *)
 val of_string : string -> (t, string) result

@@ -119,6 +119,14 @@ let test_json_exact_strings () =
       ({|"a\\b\\"|}, J.String {|a\b\|});
       ( {|"\u0000\u001f\n\t\r\b\f|} ^ "\x7f\xc3\xa9\"",
         J.String "\x00\x1f\n\t\r\b\x0c\x7f\xc3\xa9" );
+      (* floats: the %.12g text when it round-trips, else the %.17g text *)
+      ("-0.0", J.Float (-0.0));
+      ("4.94065645841e-324", J.Float 5e-324);
+      ("1e+21", J.Float 1e21);
+      ("2.0", J.Float 2.0);
+      ("0.080666666666666664", J.Float 0.080666666666666664);
+      ("1.2345678901234568e+17", J.Float 123456789012345678.0);
+      ("null", J.Float Float.nan);
       ({|{"a":[1,{"b":null,"c":[true,-2.5]}],"d":{},"e":[]}|},
        J.Obj
          [ ( "a",
@@ -137,9 +145,10 @@ let test_json_exact_strings () =
             ("d", J.Float 2.0) ]));
   let buf = Buffer.create 4 in
   Buffer.add_string buf "x";
-  J.to_buffer buf (J.Arr [ J.Int min_int; J.String "\"" ]);
-  Alcotest.(check string) "to_buffer appends the compact form"
-    ("x" ^ J.to_string (J.Arr [ J.Int min_int; J.String "\"" ]))
+  J.add_int buf min_int;
+  J.add_string buf "\"";
+  Alcotest.(check string) "add_int and add_string append the compact form"
+    ("x" ^ J.to_string (J.Int min_int) ^ J.to_string (J.String "\""))
     (Buffer.contents buf)
 
 (* Any value with finite floats survives encode-then-parse, compact and
@@ -174,6 +183,93 @@ let prop_json_roundtrip =
     (fun v ->
       J.of_string (J.to_string v) = Ok v
       && J.of_string (J.to_string ~indent:2 v) = Ok v)
+
+(* One field of a trace record, as the direct writer takes it. *)
+type field =
+  | F_int of int
+  | F_str of string
+  | F_bool of bool
+  | F_float of float
+  | F_ints of int list
+  | F_hex of int64
+
+(* The writer's field, and the [Json.t] it must encode as. *)
+let write_field sink k = function
+  | F_int i -> Trace.int sink k i
+  | F_str s -> Trace.str sink k s
+  | F_bool b -> Trace.bool sink k b
+  | F_float x -> Trace.float sink k x
+  | F_ints is -> Trace.ints sink k is
+  | F_hex v -> Trace.hex sink k v
+
+let field_json = function
+  | F_int i -> J.Int i
+  | F_str s -> J.String s
+  | F_bool b -> J.Bool b
+  | F_float x -> J.Float x
+  | F_ints is -> J.Arr (List.map (fun i -> J.Int i) is)
+  | F_hex v -> J.String (Printf.sprintf "0x%Lx" v)
+
+(* The direct writer is the generic encoder, byte for byte: every line a
+   sink writes is [Json.to_string] of the same record as an [Obj], plus a
+   newline.  Several records share one sink, and floats come partly from
+   a small pool, so the sink's remembered float texts are hit, [-0.0]
+   beside [0.0] among them. *)
+let prop_trace_writer_is_encoder =
+  let open QCheck.Gen in
+  let int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let str =
+    oneof
+      [ string; string_printable;
+        oneofl [ {|say "hi"|}; {|a\b\|}; "\x00\x1f\n\t\r\b\x0c\x7f"; "" ] ]
+  in
+  let float =
+    oneof
+      [ float;
+        oneofl
+          [ -0.0; 0.0; 5e-324; 1e21; 2.0; 0.080666666666666664; Float.nan;
+            Float.infinity ] ]
+  in
+  let hex =
+    oneof
+      [ int64; map Int64.of_int int;
+        oneofl [ 0L; 15L; 16L; -1L; Int64.min_int; Int64.max_int ] ]
+  in
+  let field =
+    oneof
+      [ map (fun i -> F_int i) int; map (fun s -> F_str s) str;
+        map (fun b -> F_bool b) bool; map (fun x -> F_float x) float;
+        map (fun is -> F_ints is) (list_size (int_bound 3) int);
+        map (fun v -> F_hex v) hex ]
+  in
+  let record = triple int str (list_size (int_bound 6) (pair str field)) in
+  let print (cycle, kind, fields) =
+    J.to_string
+      (J.Obj
+         (("c", J.Int cycle) :: ("ev", J.String kind)
+         :: List.map (fun (k, f) -> (k, field_json f)) fields))
+  in
+  QCheck.Test.make ~count:300 ~name:"trace: direct writer = Json encoder"
+    (QCheck.make
+       ~print:(fun rs -> String.concat "\n" (List.map print rs))
+       (list_size (int_range 1 4) record))
+    (fun records ->
+      let path = Filename.temp_file "srp_obs_writer" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let oc = open_out_bin path in
+      let sink = Trace.create oc in
+      List.iter
+        (fun (cycle, kind, fields) ->
+          assert (Trace.admit sink);
+          Trace.start sink ~cycle kind;
+          List.iter (fun (k, f) -> write_field sink (Trace.key k) f) fields;
+          Trace.finish sink)
+        records;
+      Trace.close sink;
+      close_out oc;
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      String.equal written
+        (String.concat "" (List.map (fun r -> print r ^ "\n") records)))
 
 (* --- Counters: the field-count guard (satellite a) --- *)
 
@@ -500,8 +596,13 @@ let test_trace_truncation_exact () =
   let limit = 10 and total = 25 in
   let oc = open_out path in
   let sink = Trace.create ~limit oc in
+  let k_i = Trace.key "i" in
   for i = 1 to total do
-    Trace.emit sink ~cycle:i "tick" [ ("i", J.Int i) ]
+    if Trace.admit sink then begin
+      Trace.start sink ~cycle:i "tick";
+      Trace.int sink k_i i;
+      Trace.finish sink
+    end
   done;
   Alcotest.(check int) "emitted caps at limit" limit (Trace.emitted sink);
   Trace.close sink;
@@ -532,7 +633,10 @@ let test_trace_untruncated () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
   let sink = Trace.create oc in
-  Trace.emit sink ~cycle:5 "alat.arm" [ ("site", J.Int 3) ];
+  Alcotest.(check bool) "admitted" true (Trace.admit sink);
+  Trace.start sink ~cycle:5 "alat.arm";
+  Trace.int sink (Trace.key "site") 3;
+  Trace.finish sink;
   Trace.close sink;
   close_out oc;
   let ic = open_in path in
@@ -695,6 +799,49 @@ let test_trace_bounded_prefix () =
         (List.nth lines limit);
       Alcotest.(check int)
         (name ^ ": dropped") (total - limit) (Trace.dropped sink))
+    (Srp_workloads.Registry.names ())
+
+(* The direct writer held to the generic encoder on real traffic: on
+   every kernel, each line of a bounded event trace (its truncation
+   record included) and of a timeline parses, and re-encodes to itself
+   byte for byte. *)
+let test_trace_lines_reencode () =
+  List.iter
+    (fun name ->
+      let target = alat_train name in
+      let trace = Filename.temp_file "srp_obs_trace" ".jsonl"
+      and timeline = Filename.temp_file "srp_obs_timeline" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove trace;
+          Sys.remove timeline)
+      @@ fun () ->
+      let trace_oc = open_out_bin trace and timeline_oc = open_out_bin timeline in
+      let sink = Trace.create ~limit:20_000 trace_oc
+      and tl_sink = Trace.create timeline_oc in
+      let m =
+        Srp_machine.Machine.create ~trace:sink
+          ~timeline:(Srp_machine.Timeline.create ~interval:100 tl_sink)
+          target
+      in
+      ignore (Srp_machine.Machine.run m);
+      Trace.close sink;
+      Trace.close tl_sink;
+      close_out trace_oc;
+      close_out timeline_oc;
+      Alcotest.(check bool) (name ^ ": the trace was truncated") true
+        (Trace.dropped sink > 0);
+      List.iter
+        (fun path ->
+          In_channel.with_open_bin path In_channel.input_lines
+          |> List.iter (fun l ->
+                 match J.of_string l with
+                 | Ok j ->
+                   if J.to_string j <> l then
+                     Alcotest.failf "%s: %s re-encodes as %s" name l
+                       (J.to_string j)
+                 | Error e -> Alcotest.failf "%s: %s does not parse (%s)" name l e))
+        [ trace; timeline ])
     (Srp_workloads.Registry.names ())
 
 (* --- ablation wiring (satellite b) --- *)
@@ -1003,6 +1150,7 @@ let suite =
     Alcotest.test_case "json: accessors" `Quick test_json_accessors;
     Alcotest.test_case "json: exact encodings" `Quick test_json_exact_strings;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_trace_writer_is_encoder;
     Alcotest.test_case "counters: field-count guard" `Quick
       test_counters_field_guard;
     Alcotest.test_case "counters: pp prints all fields" `Quick
@@ -1033,6 +1181,8 @@ let suite =
       test_saturated_allocation;
     Alcotest.test_case "trace: bounded = unbounded prefix, every kernel" `Quick
       test_trace_bounded_prefix;
+    Alcotest.test_case "trace: every kernel's lines re-encode to themselves" `Quick
+      test_trace_lines_reencode;
     Alcotest.test_case "ablation: names round-trip" `Quick
       test_ablation_names_roundtrip;
     Alcotest.test_case "ablation: config overrides" `Quick
