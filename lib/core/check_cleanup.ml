@@ -9,14 +9,26 @@
 
 open Srp_ir
 
+(* A chk.a runs its recovery on a miss, and that recovery reloads the
+   values promoted behind the checked pointer (the cascade crossing).  So
+   the check stays while any of them is live, even when the pointer is
+   dead, and it reads what its recovery reads. *)
 let removable (ins : Instr.instr) (live : Temp.Set.t) =
+  let dead t = not (Temp.Set.mem t live) in
   match ins with
-  | Instr.Check { dst; _ } | Instr.Sw_check { dst; _ } | Instr.Mov { dst; _ }
-  | Instr.Invala { dst } ->
-    not (Temp.Set.mem dst live)
+  | Instr.Check { dst; recovery; _ } ->
+    dead dst && List.for_all (fun r -> List.for_all dead (Instr.defs r)) recovery
+  | Instr.Sw_check { dst; _ } | Instr.Mov { dst; _ } | Instr.Invala { dst } ->
+    dead dst
   | Instr.Load _ | Instr.Store _ | Instr.Bin _ | Instr.Un _ | Instr.Call _
   | Instr.Alloc _ ->
     false
+
+let uses (ins : Instr.instr) =
+  match ins with
+  | Instr.Check { recovery = _ :: _ as recovery; _ } ->
+    Instr.uses ins @ List.concat_map Instr.uses recovery
+  | _ -> Instr.uses ins
 
 (* One liveness + sweep pass; returns true if anything was removed. *)
 let sweep_once (f : Func.t) : bool =
@@ -38,7 +50,7 @@ let sweep_once (f : Func.t) : bool =
     List.fold_left
       (fun live ins ->
         let live = List.fold_left (fun a t -> Temp.Set.remove t a) live (Instr.defs ins) in
-        List.fold_left (fun a t -> Temp.Set.add t a) live (Instr.uses ins))
+        List.fold_left (fun a t -> Temp.Set.add t a) live (uses ins))
       live
       (List.rev blk.Block.instrs)
   in
@@ -74,7 +86,7 @@ let sweep_once (f : Func.t) : bool =
         else begin
           keep := ins :: !keep;
           live := List.fold_left (fun a t -> Temp.Set.remove t a) !live (Instr.defs ins);
-          live := List.fold_left (fun a t -> Temp.Set.add t a) !live (Instr.uses ins)
+          live := List.fold_left (fun a t -> Temp.Set.add t a) !live (uses ins)
         end)
       (List.rev blk.Block.instrs);
     blk.Block.instrs <- !keep

@@ -36,6 +36,17 @@ let reg = { tbl = Hashtbl.create 64; order = [] }
 let lock = Mutex.create ()
 let locked f = Mutex.protect lock f
 
+(* One JSON object per entry; its kind, not its value, picks the shape. *)
+let entry_json e : Json.t =
+  Json.Obj
+    ([ ("pass", Json.String e.pass); ("name", Json.String e.name) ]
+    @
+    match e.kind with
+    | Counter -> [ ("value", Json.Int e.count) ]
+    | Timer -> [ ("seconds", Json.Float e.secs); ("calls", Json.Int e.count) ])
+
+let by_key a b = compare (a.pass, a.name) (b.pass, b.name)
+
 (* --- per-job scopes ---
 
    The process-global registry conflates concurrent daemon jobs: `srp
@@ -50,15 +61,7 @@ let locked f = Mutex.protect lock f
    the waiter's — scope stats mean "work this job performed". *)
 
 module Scope = struct
-  type sentry = {
-    s_pass : string;
-    s_name : string;
-    s_kind : kind;
-    mutable s_count : int;
-    mutable s_secs : float;
-  }
-
-  type t = { stbl : (string * string, sentry) Hashtbl.t }
+  type t = { stbl : (string * string, entry) Hashtbl.t }
 
   let create () = { stbl = Hashtbl.create 16 }
 
@@ -66,32 +69,20 @@ module Scope = struct
     match Hashtbl.find_opt scope.stbl (pass, name) with
     | Some e -> e
     | None ->
-      let e = { s_pass = pass; s_name = name; s_kind = kind; s_count = 0; s_secs = 0.0 } in
+      let e = { pass; name; kind; count = 0; secs = 0.0 } in
       Hashtbl.replace scope.stbl (pass, name) e;
       e
 
-  (* (pass, name, count, seconds), sorted by (pass, name) like the global
-     report. *)
-  let entries scope =
-    Hashtbl.fold (fun _ e acc -> e :: acc) scope.stbl []
-    |> List.sort (fun a b -> compare (a.s_pass, a.s_name) (b.s_pass, b.s_name))
-    |> List.map (fun e -> (e.s_pass, e.s_name, e.s_count, e.s_secs))
-
   let value scope ~pass name =
     match Hashtbl.find_opt scope.stbl (pass, name) with
-    | Some e -> e.s_count
+    | Some e -> e.count
     | None -> 0
 
+  (* sorted by (pass, name) like the global report *)
   let to_json scope : Json.t =
     Json.Arr
-      (List.map
-         (fun (pass, name, count, secs) ->
-           Json.Obj
-             ([ ("pass", Json.String pass); ("name", Json.String name) ]
-             @
-             if secs = 0.0 then [ ("value", Json.Int count) ]
-             else [ ("seconds", Json.Float secs); ("calls", Json.Int count) ]))
-         (entries scope))
+      (Hashtbl.fold (fun _ e acc -> e :: acc) scope.stbl []
+      |> List.sort by_key |> List.map entry_json)
 end
 
 (* The active scope of the calling domain, if any.  Only touched by its
@@ -112,10 +103,13 @@ let with_scope (f : unit -> 'a) : 'a * Scope.t =
   in
   (v, scope)
 
-let scoped ~pass ~name kind (bump : Scope.sentry -> unit) =
+(* Apply [f] to the global entry [e], under the lock, and to the calling
+   domain's entry of the same name in its active scope, if any. *)
+let bump (e : entry) f =
+  locked (fun () -> f e);
   match current_scope () with
   | None -> ()
-  | Some scope -> bump (Scope.entry scope ~pass ~name kind)
+  | Some scope -> f (Scope.entry scope ~pass:e.pass ~name:e.name e.kind)
 
 let reset () =
   locked @@ fun () ->
@@ -134,17 +128,11 @@ let find_or_add ~pass ~name kind =
 
 let counter ~pass name : counter = find_or_add ~pass ~name Counter
 
-let add (c : counter) n =
-  locked (fun () -> c.count <- c.count + n);
-  scoped ~pass:c.pass ~name:c.name c.kind (fun e ->
-      e.Scope.s_count <- e.Scope.s_count + n)
+let add (c : counter) n = bump c (fun e -> e.count <- e.count + n)
 
 let incr c = add c 1
 
-let set_max (c : counter) n =
-  locked (fun () -> if n > c.count then c.count <- n);
-  scoped ~pass:c.pass ~name:c.name c.kind (fun e ->
-      if n > e.Scope.s_count then e.Scope.s_count <- n)
+let set_max (c : counter) n = bump c (fun e -> if n > e.count then e.count <- n)
 
 let value (c : counter) = locked @@ fun () -> c.count
 
@@ -167,19 +155,14 @@ let time ~pass name f =
   Fun.protect
     ~finally:(fun () ->
       let dt = Clock.now () -. t0 in
-      locked (fun () ->
+      bump e (fun e ->
           e.secs <- e.secs +. dt;
-          e.count <- e.count + 1);
-      scoped ~pass ~name Timer (fun s ->
-          s.Scope.s_secs <- s.Scope.s_secs +. dt;
-          s.Scope.s_count <- s.Scope.s_count + 1))
+          e.count <- e.count + 1))
     (fun () -> Span.with_span ~cat:"pass" (pass ^ "." ^ name) f)
 
 (* Sorted, not insertion-ordered: with domains racing to register
    counters, insertion order is run-dependent; (pass, name) is not. *)
-let entries () =
-  locked (fun () -> reg.order)
-  |> List.sort (fun a b -> compare (a.pass, a.name) (b.pass, b.name))
+let entries () = locked (fun () -> reg.order) |> List.sort by_key
 
 let report () : string =
   let rows =
@@ -218,15 +201,4 @@ let report () : string =
     List.iter render rows;
     Buffer.contents buf
 
-let to_json () : Json.t =
-  Json.Arr
-    (List.map
-       (fun e ->
-         Json.Obj
-           ([ ("pass", Json.String e.pass); ("name", Json.String e.name) ]
-           @
-           match e.kind with
-           | Counter -> [ ("value", Json.Int e.count) ]
-           | Timer ->
-             [ ("seconds", Json.Float e.secs); ("calls", Json.Int e.count) ]))
-       (entries ()))
+let to_json () : Json.t = Json.Arr (List.map entry_json (entries ()))

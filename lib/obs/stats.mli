@@ -57,10 +57,6 @@ val reset : unit -> unit
 module Scope : sig
   type t
 
-  (** [(pass, name, count_or_calls, seconds)], sorted by (pass, name);
-      [seconds] is 0 for plain counters. *)
-  val entries : t -> (string * string * int * float) list
-
   (** Counter value / timer call count in this scope; 0 if absent. *)
   val value : t -> pass:string -> string -> int
 

@@ -112,24 +112,17 @@ type stats = {
 let run ?stats (code : Insn.insn array) : Insn.insn array * Insn.bundle array
     =
   let n = Array.length code in
-  (* --- leaders: every control-transfer target starts a bundle --- *)
-  let is_leader = Array.make (max n 1) false in
-  if n > 0 then is_leader.(0) <- true;
-  let mark t = if t >= 0 && t < n then is_leader.(t) <- true in
-  let split_after i = if i + 1 < n then is_leader.(i + 1) <- true in
+  (* --- leaders: every control-transfer target starts a bundle.  A chk.a
+     falls through on a hit without a taken branch, so unlike a block
+     leader the pc after it opens a bundle only when it is a target. --- *)
+  let is_leader = Insn.leaders code in
   Array.iteri
-    (fun i ins ->
-      match ins with
-      | Insn.Br { target } ->
-        mark target;
-        split_after i
-      | Insn.Brc { ifso; ifnot; _ } ->
-        mark ifso;
-        mark ifnot;
-        split_after i
-      | Insn.Chk_a { recovery; _ } -> mark recovery
-      | Insn.Ret _ -> split_after i
+    (fun pc -> function
+      | Insn.Chk_a _ when pc + 1 < n -> is_leader.(pc + 1) <- false
       | _ -> ())
+    code;
+  Array.iter
+    (fun ins -> List.iter (fun t -> is_leader.(t) <- true) (Insn.targets ins))
     code;
   (* --- packing state --- *)
   let out_rev = ref [] in
@@ -262,16 +255,4 @@ let run ?stats (code : Insn.insn array) : Insn.insn array * Insn.bundle array
     assert (p >= 0 && p mod 3 = 0);
     p
   in
-  let out =
-    Array.map
-      (fun ins ->
-        match ins with
-        | Insn.Br { target } -> Insn.Br { target = repos target }
-        | Insn.Brc { cond; ifso; ifnot; site } ->
-          Insn.Brc { cond; ifso = repos ifso; ifnot = repos ifnot; site }
-        | Insn.Chk_a { tag; recovery; site } ->
-          Insn.Chk_a { tag; recovery = repos recovery; site }
-        | ins -> ins)
-      out
-  in
-  (out, bs)
+  (Array.map (Insn.map_targets repos) out, bs)

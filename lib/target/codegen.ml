@@ -70,17 +70,7 @@ let resolve b =
     | Some p -> p
     | None -> Fmt.invalid_arg "Codegen: unresolved label %d" l
   in
-  List.iter
-    (fun idx ->
-      code.(idx) <-
-        (match code.(idx) with
-        | Insn.Br { target } -> Insn.Br { target = pos target }
-        | Insn.Brc { cond; ifso; ifnot; site } ->
-          Insn.Brc { cond; ifso = pos ifso; ifnot = pos ifnot; site }
-        | Insn.Chk_a { tag; recovery; site } ->
-          Insn.Chk_a { tag; recovery = pos recovery; site }
-        | ins -> ins))
-    b.patches;
+  List.iter (fun idx -> code.(idx) <- Insn.map_targets pos code.(idx)) b.patches;
   code
 
 (* --- per-function context --- *)

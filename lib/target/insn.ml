@@ -93,6 +93,51 @@ let is_terminal = function
   | Br _ | Brc _ | Ret _ | Chk_a _ -> true
   | _ -> false
 
+(* --- control flow: the one statement of which pcs an instruction
+   transfers control to.  Every backend pass reads and rewrites targets
+   through these, so the chk.a recovery edge (paper section 2.4) is a
+   branch edge everywhere br and br.cond are. --- *)
+
+(* [Brc] lists the taken side first. *)
+let targets = function
+  | Br { target } -> [ target ]
+  | Brc { ifso; ifnot; _ } -> [ ifso; ifnot ]
+  | Chk_a { recovery; _ } -> [ recovery ]
+  | _ -> []
+
+(* Rebuild the targets through [f]; any other instruction is returned
+   physically unchanged. *)
+let map_targets f ins =
+  match ins with
+  | Br { target } -> Br { target = f target }
+  | Brc r -> Brc { r with ifso = f r.ifso; ifnot = f r.ifnot }
+  | Chk_a r -> Chk_a { r with recovery = f r.recovery }
+  | _ -> ins
+
+(* The pcs control may reach after [code.(pc)]: its targets, and the next
+   pc unless it ends in br / br.cond / br.ret.  A chk.a has both: it falls
+   through on a hit and enters its recovery block on a miss. *)
+let successors (code : insn array) pc =
+  let ins = code.(pc) in
+  match ins with
+  | Br _ | Brc _ | Ret _ -> targets ins
+  | _ -> if pc + 1 < Array.length code then (pc + 1) :: targets ins else targets ins
+
+(* Block leaders: pc 0, every target, and the pc after every terminal. *)
+let leaders (code : insn array) =
+  let n = Array.length code in
+  let is_leader = Array.make n false in
+  let mark t = if t >= 0 && t < n then is_leader.(t) <- true in
+  mark 0;
+  Array.iteri
+    (fun pc ins ->
+      if is_terminal ins then begin
+        List.iter mark (targets ins);
+        mark (pc + 1)
+      end)
+    code;
+  is_leader
+
 (* speculative loads the scheduler hoists preferentially *)
 let is_advanced_load = function
   | Ld { kind = K_ld_a | K_ld_sa; _ } -> true

@@ -46,26 +46,7 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
   if n = 0 then code
   else begin
     (* --- block boundaries --- *)
-    let is_leader = Array.make n false in
-    is_leader.(0) <- true;
-    let mark t = if t < n then is_leader.(t) <- true in
-    let split_after i = if i + 1 < n then is_leader.(i + 1) <- true in
-    Array.iteri
-      (fun i ins ->
-        match ins with
-        | Insn.Br { target } ->
-          mark target;
-          split_after i
-        | Insn.Brc { ifso; ifnot; _ } ->
-          mark ifso;
-          mark ifnot;
-          split_after i
-        | Insn.Chk_a { recovery; _ } ->
-          mark recovery;
-          split_after i
-        | Insn.Ret _ -> split_after i
-        | _ -> ())
-      code;
+    let is_leader = Insn.leaders code in
     let nb = Array.fold_left (fun a l -> if l then a + 1 else a) 0 is_leader in
     let start = Array.make nb 0 in
     let block_of = Array.make n 0 in
@@ -93,23 +74,13 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
       | Insn.Br _ | Insn.Brc _ | Insn.Ret _ -> false
       | _ -> b + 1 < nb
     in
-    (* --- block CFG, chk.a recovery edges included --- *)
-    let succs b =
-      let s = ref [] in
-      for i = start.(b) to bend.(b) - 1 do
-        match code.(i) with
-        | Insn.Chk_a { recovery; _ } -> s := block_of.(recovery) :: !s
-        | _ -> ()
-      done;
-      (match last b with
-      | Insn.Br { target } -> s := block_of.(target) :: !s
-      | Insn.Brc { ifso; ifnot; _ } ->
-        s := block_of.(ifso) :: block_of.(ifnot) :: !s
-      | Insn.Ret _ -> ()
-      | _ -> if b + 1 < nb then s := (b + 1) :: !s);
-      !s
+    (* --- block CFG, chk.a recovery edges included: a chk.a ends its
+       block, so a block's successors are its last instruction's.  A
+       br.cond block lists its taken side first. --- *)
+    let succ =
+      Array.init nb (fun b ->
+          List.map (fun s -> block_of.(s)) (Insn.successors code (bend.(b) - 1)))
     in
-    let succ = Array.init nb succs in
     let pred = Array.make nb [] in
     Array.iteri
       (fun b ss -> List.iter (fun s -> pred.(s) <- b :: pred.(s)) ss)
@@ -168,11 +139,11 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
     Hashtbl.iter
       (fun h (members, latches) ->
         if h <> 0 && not (is_recovery h) then
-          match last h with
-          | Insn.Brc { ifso; _ } when members.(block_of.(ifso)) ->
+          match last h, succ.(h) with
+          | Insn.Brc _, ifso :: _ when members.(ifso) ->
             let br_latch u =
-              match last u with
-              | Insn.Br { target } -> block_of.(target) = h
+              match last u, succ.(u) with
+              | Insn.Br _, [ t ] -> t = h
               | _ -> false
             in
             if List.for_all br_latch !latches then rotated.(h) <- true
@@ -225,9 +196,9 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
         if is_recovery s || rotated.(s) then None else Some s
       end
       else
-        match last b with
-        | Insn.Br { target } -> guard block_of.(target)
-        | Insn.Brc { ifso; ifnot; _ } -> (
+        match last b, succ.(b) with
+        | Insn.Br _, [ t ] -> guard t
+        | Insn.Brc _, [ ifso; ifnot ] -> (
           (* placing the not-taken side next makes the common forward branch
              fall through — but only when not-taken is plausibly the common
              case.  Outside any loop that is the default guess; inside a
@@ -239,11 +210,10 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
              short-circuit dispatch blocks sit after their targets, making
              the common taken branches backward) — keep that order. *)
           match innermost.(b) with
-          | -1 -> guard block_of.(ifnot)
+          | -1 -> guard ifnot
           | h ->
             let members, _ = Hashtbl.find loops h in
-            if members.(block_of.(ifnot)) && not members.(block_of.(ifso))
-            then guard block_of.(ifnot)
+            if members.(ifnot) && not members.(ifso) then guard ifnot
             else None)
         | _ -> None
     in
@@ -314,8 +284,8 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
         let next = if k + 1 < nb then Some order.(k + 1) else None in
         let len = bend.(b) - start.(b) in
         let keep, appended =
-          match last b with
-          | Insn.Br { target } when next = Some block_of.(target) ->
+          match last b, succ.(b) with
+          | Insn.Br _, [ t ] when next = Some t ->
             (len - 1, []) (* jump to the next block: fall through instead *)
           | _ when falls_through b && next <> Some (b + 1) ->
             (len, [ Insn.Br { target = start.(b + 1) } ]) (* severed edge *)
@@ -328,18 +298,5 @@ let run ?stats ~body_len (code : Insn.insn array) : Insn.insn array =
         pos := !pos + keep + List.length appended)
       order;
     let out = Array.of_list (List.rev !rev_out) in
-    Array.map
-      (fun ins ->
-        match ins with
-        | Insn.Br { target } -> Insn.Br { target = newstart.(block_of.(target)) }
-        | Insn.Brc { cond; ifso; ifnot; site } ->
-          Insn.Brc
-            { cond;
-              ifso = newstart.(block_of.(ifso));
-              ifnot = newstart.(block_of.(ifnot));
-              site }
-        | Insn.Chk_a { tag; recovery; site } ->
-          Insn.Chk_a { tag; recovery = newstart.(block_of.(recovery)); site }
-        | ins -> ins)
-      out
+    Array.map (Insn.map_targets (fun t -> newstart.(block_of.(t)))) out
   end

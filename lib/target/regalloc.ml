@@ -41,7 +41,7 @@
    by (frame, physical register), so the register that armed an entry
    (ld.a / ld.sa) must be the one the check consults.  Pinned vregs are
    live from the arming load to their last check/invalidate — not the
-   whole function, as the seed allocator modeled them ([pin_whole]
+   whole function, as the seed allocator modeled them ([Closed] mode
    restores that for comparison).  They are never split or spilled.  Two
    pinned vregs may share a physical register when their subranges are
    disjoint: while a check of temp T is still pending, the check's tag
@@ -65,26 +65,26 @@ type input = {
 }
 
 type mode =
-  | Closed (* one conservative interval per vreg, no splitting *)
+  | Closed
+    (* one conservative interval per vreg, no splitting, pinned vregs
+       live for the whole function: the seed allocator *)
   | Holes (* subranges + webs + second-chance splitting *)
 
 type policy = {
   mode : mode;
   cap_int : int; (* allocatable int registers, sp included (Holes mode) *)
   cap_fp : int;
-  pin_whole : bool; (* seed modeling: pinned live for the whole function *)
 }
 
 (* 96 stacked integer registers is the IA-64 frame ceiling; the float cap
    mirrors it.  Pinned and entry-live values may exceed the cap (they can
    never be spilled), as do the reserved spill scratch registers. *)
-let default_policy =
-  { mode = Holes; cap_int = 96; cap_fp = 96; pin_whole = false }
+let default_policy = { mode = Holes; cap_int = 96; cap_fp = 96 }
 
 (* The no-split ablation reproduces the seed allocator exactly: one
    conservative closed interval per vreg AND whole-function pinned ranges,
    so A/B runs measure the full upgrade, not half of it. *)
-let closed_policy = { default_policy with mode = Closed; pin_whole = true }
+let closed_policy = { default_policy with mode = Closed }
 
 type ra_stats = {
   subranges : int; (* live subranges across both classes *)
@@ -178,14 +178,6 @@ let uses_defs (ins : Insn.insn) : int list * int list * int list * int list =
   | Insn.Nop -> ());
   (!iu, !fu, !idf, !fdf)
 
-let successors (code : Insn.insn array) pc : int list =
-  match code.(pc) with
-  | Insn.Br { target } -> [ target ]
-  | Insn.Brc { cond = _; ifso; ifnot; site = _ } -> [ ifso; ifnot ]
-  | Insn.Ret _ -> []
-  | Insn.Chk_a { recovery; _ } -> [ pc + 1; recovery ]
-  | _ -> if pc + 1 < Array.length code then [ pc + 1 ] else []
-
 (* --- liveness --- *)
 
 let bit row v = row.(v / 63) land (1 lsl (v mod 63)) <> 0
@@ -208,7 +200,7 @@ let compute_liveness (inp : input) :
   let live = Array.init (max n 1) (fun _ -> Array.make words 0) in
   let succs =
     Array.init (max n 1) (fun pc ->
-        if pc < n then successors inp.code pc else [])
+        if pc < n then Insn.successors inp.code pc else [])
   in
   let tmp = Array.make words 0 in
   let changed = ref true in
@@ -352,19 +344,14 @@ let build_entities (inp : input) ~(policy : policy) live subs : entity list =
   List.iter (fun v -> entry.(v) <- true) inp.live_in;
   List.iter (fun f -> entry.(ni + f) <- true) inp.flive_in;
   let subs =
-    if not policy.pin_whole then subs
-    else
-      Array.mapi
-        (fun v l -> if pinned.(v) && l <> [] && n > 0 then [ (0, n - 1) ] else l)
-        subs
-  in
-  let subs =
     match policy.mode with
     | Holes -> subs
     | Closed ->
-      Array.map
-        (function
+      (* the seed allocator: pinned vregs live for the whole function *)
+      Array.mapi
+        (fun v -> function
           | [] -> []
+          | _ when pinned.(v) -> [ (0, n - 1) ]
           | (lo, _) :: _ as l ->
             let hi = List.fold_left (fun a (_, h) -> max a h) lo l in
             [ (lo, hi) ])
@@ -423,7 +410,7 @@ let build_entities (inp : input) ~(policy : policy) live subs : entity list =
                     end
                   done)
               live.(s))
-        (successors inp.code pc)
+        (Insn.successors inp.code pc)
     done);
   let ents = ref [] in
   for v = nv - 1 downto 0 do
@@ -695,11 +682,7 @@ let run ?(policy = default_policy) (inp : input) : result =
     (fun ins ->
       List.iter
         (fun t -> if t >= 0 && t < n then jump_target.(t) <- true)
-        (match ins with
-        | Insn.Br { target } -> [ target ]
-        | Insn.Brc { ifso; ifnot; _ } -> [ ifso; ifnot ]
-        | Insn.Chk_a { recovery; _ } -> [ recovery ]
-        | _ -> []))
+        (Insn.targets ins))
     inp.code;
   let head_reloads = Array.make (max n 1) [] in
   List.iter
@@ -883,16 +866,14 @@ let run ?(policy = default_policy) (inp : input) : result =
         Insn.Ld { kind; dst = d dst; base = iuse base; site }
       | Insn.St { src; base; site } ->
         Insn.St { src = s src; base = iuse base; site }
-      | Insn.Chk_a { tag; recovery; site } ->
-        Insn.Chk_a { tag = d_use tag; recovery; site }
+      | Insn.Chk_a r -> Insn.Chk_a { r with tag = d_use r.tag }
       | Insn.Invala_e { tag } -> Insn.Invala_e { tag = d_use tag }
       | Insn.Sel { dst; cond; if_true; if_false } ->
         Insn.Sel
           { dst = d dst; cond = iuse cond; if_true = s if_true;
             if_false = s if_false }
       | Insn.Br _ as b -> b
-      | Insn.Brc { cond; ifso; ifnot; site } ->
-        Insn.Brc { cond = iuse cond; ifso; ifnot; site }
+      | Insn.Brc r -> Insn.Brc { r with cond = iuse r.cond }
       | Insn.Call { callee; args; ret } ->
         Insn.Call { callee; args = List.map s args; ret = Option.map d ret }
       | Insn.Ret { value } -> Insn.Ret { value = Option.map s value }
@@ -908,18 +889,7 @@ let run ?(policy = default_policy) (inp : input) : result =
   let code = Array.of_list (List.rev !out) in
   (* retarget control flow: a branch to an old pc lands on the reload
      cluster of that pc (inserted spill code never branches) *)
-  Array.iteri
-    (fun i ins ->
-      code.(i) <-
-        (match ins with
-        | Insn.Br { target } -> Insn.Br { target = new_index.(target) }
-        | Insn.Brc { cond; ifso; ifnot; site } ->
-          Insn.Brc
-            { cond; ifso = new_index.(ifso); ifnot = new_index.(ifnot); site }
-        | Insn.Chk_a { tag; recovery; site } ->
-          Insn.Chk_a { tag; recovery = new_index.(recovery); site }
-        | x -> x))
-    code;
+  Array.map_inplace (Insn.map_targets (fun t -> new_index.(t))) code;
   (* entry-point assignment (formals are remapped through this) *)
   let imap = Array.make (max ni 1) (-1) in
   if ni > 0 then imap.(0) <- 0;

@@ -78,16 +78,7 @@ let latency (ins : Insn.insn) : int =
    targets point outside the block; they are clamped to 0 for the trial
    packing (targets never influence template choice or hazards). *)
 let pack_cost (block : Insn.insn array) : int * int =
-  let clamped =
-    Array.map
-      (function
-        | Insn.Br _ -> Insn.Br { target = 0 }
-        | Insn.Brc { cond; site; _ } ->
-          Insn.Brc { cond; ifso = 0; ifnot = 0; site }
-        | Insn.Chk_a { tag; site; _ } -> Insn.Chk_a { tag; recovery = 0; site }
-        | ins -> ins)
-      block
-  in
+  let clamped = Array.map (Insn.map_targets (fun _ -> 0)) block in
   let st = { Bundle.bundles = 0; nops_added = 0; stops = 0 } in
   ignore (Bundle.run ~stats:st clamped);
   (st.Bundle.nops_added, st.Bundle.stops)
@@ -260,27 +251,7 @@ let run ?stats (code : Insn.insn array) :
       | Some s -> s
       | None -> { blocks = 0; moved = 0; hoist = 0 }
     in
-    (* block leaders, exactly layout.ml's rule *)
-    let is_leader = Array.make n false in
-    is_leader.(0) <- true;
-    let mark t = if t < n then is_leader.(t) <- true in
-    let split_after i = if i + 1 < n then is_leader.(i + 1) <- true in
-    Array.iteri
-      (fun i ins ->
-        match ins with
-        | Insn.Br { target } ->
-          mark target;
-          split_after i
-        | Insn.Brc { ifso; ifnot; _ } ->
-          mark ifso;
-          mark ifnot;
-          split_after i
-        | Insn.Chk_a { recovery; _ } ->
-          mark recovery;
-          split_after i
-        | Insn.Ret _ -> split_after i
-        | _ -> ())
-      code;
+    let is_leader = Insn.leaders code in
     let out = Array.copy code in
     let lo = ref 0 in
     for i = 1 to n do

@@ -207,6 +207,64 @@ let test_ablation_suite_runs_once () =
       | _ -> Alcotest.failf "%s: no rows" title)
     Experiments.ablations tables
 
+(* The cascade win (paper section 2.4, Figure 4), on a shape the ten
+   kernels never produce: p = &a; each iteration reads *p, stores through
+   pp, whose points-to set is {p, r}, and reads *p twice more.  Plain alat
+   checks p after the store and reloads *p.  Cascade promotes *p across
+   that check: one chk.a, whose recovery reloads p and then *p.  The
+   profile holds (pp points at r), so the recovery never runs. *)
+let cascade_src = {|
+int a; int b;
+int* p;
+int* r;
+int** pp;
+int sel;
+int main() {
+  int i;
+  int s = 0;
+  a = 3;
+  b = 5;
+  p = &a;
+  if (sel == 7) { pp = &p; } else { pp = &r; }
+  for (i = 0; i < 2000; i = i + 1) {
+    s = s + *p;
+    *pp = &b;
+    s = s + *p + *p;
+  }
+  print_int(s);
+  return 0;
+}
+|}
+
+let test_cascade_wins () =
+  let w =
+    { Workload.name = "cascade"; description = ""; source = cascade_src;
+      train = []; ref_ = [] }
+  in
+  let run ablations = Pipeline.profile_compile_run ~ablations w Pipeline.Alat in
+  let plain = run [] and casc = run [ Pipeline.Cascade ] in
+  let chk_a (r : Pipeline.run_result) =
+    Hashtbl.fold
+      (fun _ (f : Srp_target.Insn.func) n ->
+        Array.fold_left
+          (fun n -> function Srp_target.Insn.Chk_a _ -> n + 1 | _ -> n)
+          n f.Srp_target.Insn.code)
+      r.Pipeline.compiled.Pipeline.target.Srp_target.Insn.funcs 0
+  in
+  let _, out, _ = Test_random.interp_reference cascade_src in
+  Alcotest.(check string) "plain output" out plain.Pipeline.output;
+  Alcotest.(check string) "cascade output" out casc.Pipeline.output;
+  Alcotest.(check (pair int int)) "chk.a (plain, cascade)" (0, 1)
+    (chk_a plain, chk_a casc);
+  Alcotest.(check int) "no check failures" 0
+    casc.Pipeline.counters.C.check_failures;
+  let fewer what get =
+    let p = get plain.Pipeline.counters and c = get casc.Pipeline.counters in
+    if not (c < p) then Alcotest.failf "cascade %s %d, plain %d" what c p
+  in
+  fewer "cycles" (fun c -> c.C.cycles);
+  fewer "loads" (fun c -> c.C.loads_retired)
+
 let kernel_tests =
   List.concat_map
     (fun name ->
@@ -225,4 +283,6 @@ let suite =
       Alcotest.test_case "vpr at alat: register stack under gate-ledger ranking"
         `Slow test_vpr_gate_ledger_ranking;
       Alcotest.test_case "ablation suite runs each build once" `Slow
-        test_ablation_suite_runs_once ]
+        test_ablation_suite_runs_once;
+      Alcotest.test_case "cascade beats plain alat on its shape" `Quick
+        test_cascade_wins ]

@@ -164,6 +164,44 @@ let test_cleanup_check_chain () =
   Alcotest.(check bool) "a consumed check survives" true
     (count_instrs f2 (function Instr.Check _ -> true | _ -> false) >= 1)
 
+let test_cleanup_keeps_cascade_recovery () =
+  (* The checked pointer tp is dead after its chk.a, but the recovery
+     reloads td = *tp, which the return reads: deleting the check would
+     leave td stale after a miss.  A plain ld.c with a dead dst still
+     goes. *)
+  let tg = Temp.Gen.create () in
+  let tp = Temp.Gen.fresh tg Mem_ty.I64 in
+  let td = Temp.Gen.fresh tg Mem_ty.I64 in
+  let tq = Temp.Gen.fresh tg Mem_ty.I64 in
+  let sym_gen = Symbol.Gen.create () in
+  let p =
+    Symbol.Gen.fresh sym_gen ~name:"p" ~storage:Symbol.Global ~mty:Mem_ty.I64
+      ~size_bytes:8 ~is_scalar:true
+  in
+  let check dst kind recovery =
+    Instr.Check
+      { dst; addr = Ops.addr_of_sym p; mty = Mem_ty.I64; site = 9; kind; recovery }
+  in
+  let f, _ =
+    mk_block_func
+      [ check tq (Instr.C_ld_c { clear = false }) [];
+        check tp (Instr.C_chk_a { clear = false })
+          [ Instr.Load
+              { dst = td; addr = Ops.addr_of_temp tp; mty = Mem_ty.I64;
+                site = 10; promo = Instr.P_ld_a } ] ]
+      (Instr.Ret (Some (Ops.Temp td)))
+  in
+  f.Func.ssa_temps <- false;
+  Srp_core.Check_cleanup.run f;
+  Alcotest.(check int) "chk.a kept for its recovery" 1
+    (count_instrs f (function
+      | Instr.Check { kind = Instr.C_chk_a _; _ } -> true
+      | _ -> false));
+  Alcotest.(check int) "dead ld.c removed" 0
+    (count_instrs f (function
+      | Instr.Check { kind = Instr.C_ld_c _; _ } -> true
+      | _ -> false))
+
 (* --- report derivations --- *)
 
 let test_report_math () =
@@ -228,6 +266,8 @@ let suite =
     Alcotest.test_case "cleanup removes dead movs" `Quick test_cleanup_removes_dead_mov;
     Alcotest.test_case "cleanup keeps effects" `Quick test_cleanup_keeps_stores_and_calls;
     Alcotest.test_case "cleanup check chains" `Quick test_cleanup_check_chain;
+    Alcotest.test_case "cleanup keeps a chk.a its recovery needs" `Quick
+      test_cleanup_keeps_cascade_recovery;
     Alcotest.test_case "report derivations" `Quick test_report_math;
     Alcotest.test_case "input generators" `Quick test_input_generators;
     Alcotest.test_case "workload registry" `Quick test_workload_registry ]

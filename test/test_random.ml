@@ -76,7 +76,10 @@ let run_seed seed =
    promoter axes.  Pressure on runs the gated promoter with the
    pipeline's regalloc estimate; no-sched drops the pre-bundle list
    scheduler, which may only move cycle-family counters; no-prob is the
-   binary may-touch verdict.  The last entry turns every ablation on at
+   binary may-touch verdict.  Cascade without the pressure gate is the
+   entry whose builds emit chk.a (under the empty profile: 26 of seeds
+   1-30; gated, none does) and take the recovery edge through regalloc,
+   layout, sched and bundle.  The last entry turns every ablation on at
    once.  All must agree with the interpreter bit for bit — a gate may
    promote less or speculate differently, never compute differently.
    The failure message carries the reproducing seed. *)
@@ -86,7 +89,7 @@ let default_combos =
       [ No_layout; No_sched; No_bundle ]; [ No_sched; No_prob ];
       [ No_split ]; [ No_layout; No_sched; No_bundle; No_split ];
       [ No_pressure ]; [ No_sched; No_split; No_pressure; No_prob ];
-      all_ablations ]
+      [ Cascade; No_pressure ]; all_ablations ]
 
 let run_seed_matrix ?(combos = default_combos) seed =
   let src = Gen_minic.program ~seed () in

@@ -81,11 +81,11 @@ let ends_block = function
   | Insn.Br _ | Insn.Brc _ | Insn.Ret _ | Insn.Chk_a _ -> true
   | _ -> false
 
-(* block extents: leaders are branch/check targets and the instruction
-   after any control transfer *)
-let blocks (code : Insn.insn array) : (int * int) list =
+(* leaders are branch/check targets and the instruction after any
+   control transfer: the rule Insn.leaders states, restated here *)
+let leaders (code : Insn.insn array) : bool array =
   let n = Array.length code in
-  let leader = Array.make (max n 1) false in
+  let leader = Array.make n false in
   if n > 0 then leader.(0) <- true;
   let mark t = if t >= 0 && t < n then leader.(t) <- true in
   Array.iteri
@@ -99,6 +99,12 @@ let blocks (code : Insn.insn array) : (int * int) list =
       | _ -> ());
       if ends_block ins then mark (i + 1))
     code;
+  leader
+
+(* block extents *)
+let blocks (code : Insn.insn array) : (int * int) list =
+  let n = Array.length code in
+  let leader = leaders code in
   let bs = ref [] and lo = ref 0 in
   for i = 1 to n do
     if i = n || leader.(i) then begin
@@ -293,6 +299,25 @@ let prop_terminals_pinned code =
        (fun i -> (not (ends_block code.(i))) || out.(i) = code.(i))
        (Array.init (Array.length code) (fun i -> i))
 
+(* --- Insn's control-flow helpers against the restatement above --- *)
+
+let prop_leaders code = Insn.leaders code = leaders code
+
+let has_target = function
+  | Insn.Br _ | Insn.Brc _ | Insn.Chk_a _ -> true
+  | _ -> false
+
+(* [k] picks the rewrite: an injective shift, or the constant pack_cost
+   clamps to *)
+let prop_map_targets (code, k) =
+  let f t = if k = 0 then 0 else (7 * t) + k in
+  Array.for_all
+    (fun ins ->
+      let ins' = Insn.map_targets f ins in
+      Insn.targets ins' = List.map f (Insn.targets ins)
+      && (has_target ins || ins' == ins))
+    code
+
 let sched_qchecks =
   List.map QCheck_alcotest.to_alcotest
     [ QCheck.Test.make ~count:500 ~name:"per-block permutation" arb_code
@@ -305,7 +330,13 @@ let sched_qchecks =
       QCheck.Test.make ~count:500 ~name:"per-tag ALAT sequences preserved"
         arb_code prop_alat_sequences_preserved;
       QCheck.Test.make ~count:500 ~name:"terminals pinned at their pc"
-        arb_code prop_terminals_pinned ]
+        arb_code prop_terminals_pinned;
+      QCheck.Test.make ~count:500 ~name:"Insn.leaders = restated rule" arb_code
+        prop_leaders;
+      QCheck.Test.make ~count:500
+        ~name:"map_targets maps targets, keeps the rest physically"
+        (QCheck.pair arb_code (QCheck.int_range 0 5))
+        prop_map_targets ]
 
 (* --- deterministic units --- *)
 

@@ -11,6 +11,7 @@
 
 open Srp_driver
 module Stats = Srp_obs.Stats
+module Json = Srp_obs.Json
 
 let levels =
   [ Pipeline.O0; Pipeline.Conservative; Pipeline.Baseline; Pipeline.Alat;
@@ -389,6 +390,35 @@ let test_scope_isolation () =
   Alcotest.(check int) "scope 2 clean of scope 1" 0
     (Stats.Scope.value s2 ~pass:"test_scope" "alpha")
 
+(* A scope renders its entries exactly as the global registry does: the
+   shape follows the entry's kind, so a timer carries "calls" however
+   little time it measured. *)
+let test_scope_json_shape () =
+  let pass = "test_scope_json" in
+  let (), scope =
+    Stats.with_scope (fun () ->
+        Stats.add (Stats.counter ~pass "hits") 3;
+        Stats.time ~pass "tick" (fun () -> ()))
+  in
+  let mine js =
+    match js with
+    | Json.Arr l ->
+      List.filter (fun e -> Json.member "pass" e = Some (Json.String pass)) l
+    | _ -> Alcotest.fail "pass stats are not an array"
+  in
+  let keys e =
+    match e with
+    | Json.Obj kv -> List.map fst kv
+    | _ -> Alcotest.fail "entry is not an object"
+  in
+  let scoped = mine (Stats.Scope.to_json scope) in
+  Alcotest.(check (list (list string))) "scope entry shapes"
+    [ [ "pass"; "name"; "value" ]; [ "pass"; "name"; "seconds"; "calls" ] ]
+    (List.map keys scoped);
+  Alcotest.(check (list (list string))) "same shapes as the global registry"
+    (List.map keys (mine (Stats.to_json ())))
+    (List.map keys scoped)
+
 (* --- store bounds and in-flight dedup --- *)
 
 let test_eviction () =
@@ -475,6 +505,8 @@ let suite =
         test_single_lower;
       Alcotest.test_case "scopes isolate concurrent domains" `Quick
         test_scope_isolation;
+      Alcotest.test_case "scope JSON shaped by kind" `Quick
+        test_scope_json_shape;
       Alcotest.test_case "LRU eviction respects capacity" `Quick test_eviction;
       Alcotest.test_case "racing builds dedup in flight" `Quick
         test_inflight_dedup;

@@ -676,9 +676,10 @@ let regalloc_qchecks =
 (* --- the seed allocator's pinned-vregs bug (regression) --- *)
 
 let test_pinned_narrowing_frees_register () =
-  (* The seed modeled pinned vregs as live for the whole function, so an
-     ALAT temp blocked its register even after its last check.  Narrowed
-     to arm..check, a later value reuses the register. *)
+  (* The seed allocator (closed_policy, kept for the no-split ablation)
+     models pinned vregs as live for the whole function, so an ALAT temp
+     blocks its register even after its last check.  The default policy
+     narrows them to arm..check, so a later value reuses the register. *)
   let code =
     [| Insn.Movl { dst = 1; imm = 5L };
        Insn.St { src = Insn.SReg 1; base = 0; site = 0 };
@@ -690,16 +691,8 @@ let test_pinned_narrowing_frees_register () =
     { Regalloc.code; nivregs = 3; nfvregs = 0; live_in = []; flive_in = [];
       pinned = [ 1 ]; fpinned = []; spill_base = 0 }
   in
-  let wide =
-    Regalloc.run
-      ~policy:{ Regalloc.closed_policy with Regalloc.pin_whole = true }
-      inp
-  in
-  let narrow =
-    Regalloc.run
-      ~policy:{ Regalloc.closed_policy with Regalloc.pin_whole = false }
-      inp
-  in
+  let wide = Regalloc.run ~policy:Regalloc.closed_policy inp in
+  let narrow = Regalloc.run ~policy:Regalloc.default_policy inp in
   Alcotest.(check int) "whole-function pinning blocks a register" 3
     wide.Regalloc.nregs;
   Alcotest.(check int) "narrowed pinning frees it" 2 narrow.Regalloc.nregs
@@ -946,7 +939,7 @@ let check_reloads_dominated (f : Insn.func) =
                 end
               done
             end)
-          (Regalloc.successors code pc)
+          (Insn.successors code pc)
       done
     done;
     List.iter
