@@ -1,7 +1,8 @@
 (* The benchmark harness: the ablations from DESIGN.md (rows A-H) and
    the speculation-threshold sweep, then a Bechamel micro-benchmark group
-   over the compiler phases and the simulator's issue logic, memory,
-   per-site histogram and event-trace sink.  Figures 8-11 and the
+   over the compiler phases, a compile the stage store serves whole, and
+   the simulator's issue logic, memory, per-site histogram and
+   event-trace sink.  Figures 8-11 and the
    srp-bench-v1 document come from `srp bench`.
 
    Usage: dune exec bench/main.exe [-- --quick]
@@ -95,6 +96,22 @@ let () =
            let ir = Srp_ir.Program.clone trained in
            ignore
              (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn ir) ir)))
+  in
+  (* one matrix cell that the stage store serves whole: every stage hits,
+     so what is timed is the driver's own per-compile cost (stage keys,
+     the input's digest, store lookups) *)
+  let test_compile_warm =
+    let gzip = Srp_workloads.Registry.find "gzip" in
+    let cache = Stage.create () in
+    let profile = Pipeline.train_profile ~cache gzip in
+    let compile () =
+      ignore
+        (Pipeline.compile ~cache ~profile ~input:gzip.Workload.ref_ gzip
+           Pipeline.Alat)
+    in
+    compile ();
+    Test.make ~name:"driver: compile gzip at alat, warm store"
+      (Staged.stage compile)
   in
   let test_codegen =
     Test.make ~name:"target: codegen (mcf)"
@@ -315,7 +332,7 @@ let () =
   List.iter
     (fun t -> benchmark t)
     [ test_parse; test_andersen; test_interp; test_promote; test_promote_alat;
-      test_codegen;
+      test_compile_warm; test_codegen;
       test_alat;
       test_dispersal; test_scoreboard; test_mem_stream; test_mem_hop; test_mem_chase;
       test_mem_alternate;

@@ -173,7 +173,8 @@ let check_bench_jobs () =
    pipeline's profile-then-compile flow applies unchanged. *)
 let workload_of_file path =
   { Workload.name = Filename.basename path; description = "user program";
-    source = read_file path; train = []; ref_ = [] }
+    source = read_file path; train = Workload.input [];
+    ref_ = Workload.input [] }
 
 let compile_cmd =
   let run file level asm ablations =
@@ -183,7 +184,7 @@ let compile_cmd =
       match level with Pipeline.Alat -> Some (Pipeline.train_profile w) | _ -> None
     in
     let c =
-      Pipeline.compile ?profile ~ablations ~input:[] w level
+      Pipeline.compile ?profile ~ablations ~input:w.Workload.ref_ w level
     in
     if asm then
       List.iter

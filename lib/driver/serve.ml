@@ -39,8 +39,8 @@ type job = {
 let job_key (j : job) : string =
   Stage.Key.digest
     ([ "serve-job"; j.j_w.Workload.source;
-       Marshal.to_string j.j_w.Workload.train [];
-       Marshal.to_string j.j_w.Workload.ref_ [];
+       Workload.digest j.j_w.Workload.train;
+       Workload.digest j.j_w.Workload.ref_;
        Pipeline.level_name j.j_level ]
     @ List.map Pipeline.ablation_name
         (Pipeline.canonical_ablations j.j_ablations)
@@ -81,7 +81,8 @@ let parse_job ~(lookup : string -> Workload.t option) ~(line_no : int)
         | None -> Error "field \"source\" must be a string"
         | Some source ->
           Ok { Workload.name = "<inline>"; description = "inline source";
-               source; train = []; ref_ = [] })
+               source; train = Workload.input [];
+               ref_ = Workload.input [] })
       | Some _, Some _ -> Error "give either \"workload\" or \"source\", not both"
       | None, None -> Error "job needs a \"workload\" name or inline \"source\""
     in

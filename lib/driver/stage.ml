@@ -9,18 +9,22 @@
    and each stage's output is an immutable artifact addressed by the hash
    of everything that determines it: the stage name, the upstream stage
    keys, and the stage's own inputs (source text, input set, promotion
-   config, backend flags).  The store lives in memory for one process, so
-   no artifact can outlive the code that built it and keys carry no
-   version tags.  Two jobs that share a prefix of that graph share the
-   artifacts — the bench sweep compiles ten kernels at two levels but
-   lowers each source once, and `srp serve` shares the train-input alias
-   profile across every build of a workload.
+   config, backend flags).  An input set enters by the digest it carries
+   (Workload.digest), taken once per input value, so a cache hit costs a
+   few short hashes and never a pass over the input's words.  The store
+   lives in memory for one process, so no artifact can outlive the code
+   that built it and keys carry no version tags.  Two jobs that share a
+   prefix of that graph share the artifacts — the bench sweep compiles ten
+   kernels at two levels but lowers each source once, and `srp serve`
+   shares the train-input alias profile across every build of a workload.
 
    Artifacts are immutable by contract: stages that need to mutate their
-   input (input application, promotion) clone it first (Program.clone).
-   The store is domain-safe and dedupes in-flight builds — when two
-   domains race to the same missing key, one builds and the other waits,
-   so a parallel sweep still lowers each distinct source exactly once. *)
+   input (input application, promotion) clone it first (Program.clone,
+   which copies everything mutable and shares the read-only initializer
+   payloads).  The store is domain-safe and dedupes in-flight builds —
+   when two domains race to the same missing key, one builds and the other
+   waits, so a parallel sweep still lowers each distinct source exactly
+   once. *)
 
 open Srp_ir
 module Alias_profile = Srp_profile.Alias_profile
@@ -62,7 +66,7 @@ module Key = struct
   let lower ~(source : string) = digest [ "lower"; source ]
 
   let apply ~(lower_key : string) (input : Workload.input) =
-    digest [ "apply"; lower_key; Marshal.to_string input [] ]
+    digest [ "apply"; lower_key; Workload.digest input ]
 
   let profile ~(applied_key : string) = digest [ "profile"; applied_key ]
 
@@ -108,6 +112,7 @@ type slot =
 type store = {
   capacity : int;
   tbl : (string, slot) Hashtbl.t;
+  mutable ready : int; (* Ready slots in [tbl] *)
   mutable tick : int; (* LRU clock *)
   mutable hits : int;
   mutable misses : int;
@@ -118,8 +123,9 @@ type store = {
 
 let create ?(capacity = 256) () : store =
   if capacity < 1 then Fmt.invalid_arg "Stage.create: capacity %d" capacity;
-  { capacity; tbl = Hashtbl.create 64; tick = 0; hits = 0; misses = 0;
-    evictions = 0; mu = Mutex.create (); cond = Condition.create () }
+  { capacity; tbl = Hashtbl.create 64; ready = 0; tick = 0; hits = 0;
+    misses = 0; evictions = 0; mu = Mutex.create ();
+    cond = Condition.create () }
 
 let stats (t : store) : cache_stats =
   Mutex.protect t.mu (fun () ->
@@ -130,12 +136,11 @@ let hit_rate (s : cache_stats) : float =
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 
 (* Evict least-recently-used Ready entries down to capacity; Building
-   slots are never evicted (a domain is about to fill them).  Called with
-   the store lock held. *)
+   slots are never evicted (a domain is about to fill them).  The table is
+   scanned only when the running count of Ready slots is over capacity.
+   Called with the store lock held. *)
 let evict_locked (t : store) =
-  let ready = ref 0 in
-  Hashtbl.iter (fun _ -> function Ready _ -> incr ready | Building -> ()) t.tbl;
-  while !ready > t.capacity do
+  while t.ready > t.capacity do
     let victim = ref None in
     Hashtbl.iter
       (fun key -> function
@@ -152,8 +157,8 @@ let evict_locked (t : store) =
       Srp_obs.Stats.incr (Srp_obs.Stats.counter ~pass:"cache" "evictions");
       Srp_obs.Span.instant ~cat:"cache" "cache.evict"
         ~args:[ ("key", Srp_obs.Json.String key) ];
-      decr ready
-    | None -> ready := 0 (* unreachable: ready > capacity >= 1 *)
+      t.ready <- t.ready - 1
+    | None -> assert false (* ready > capacity >= 1 *)
   done
 
 let rec find_or_build (t : store) ~(key : string)
@@ -192,6 +197,7 @@ let rec find_or_build (t : store) ~(key : string)
       Mutex.lock t.mu;
       t.tick <- t.tick + 1;
       Hashtbl.replace t.tbl key (Ready { art; last_use = t.tick });
+      t.ready <- t.ready + 1;
       evict_locked t;
       Condition.broadcast t.cond;
       Mutex.unlock t.mu;

@@ -506,12 +506,16 @@ let lower_program (tp : Typed_ast.tprogram) : Program.t =
       let init =
         match g.Typed_ast.tg_init, ty with
         | None, _ -> Program.Init_zero
-        | Some (Typed_ast.TIscalar e), Ast.Tdouble -> Program.Init_floats [| const_float e |]
-        | Some (Typed_ast.TIscalar e), _ -> Program.Init_ints [| const_int e |]
+        | Some (Typed_ast.TIscalar e), Ast.Tdouble ->
+          Program.Init_floats (Program.Payload.of_array [| const_float e |])
+        | Some (Typed_ast.TIscalar e), _ ->
+          Program.Init_ints (Program.Payload.of_array [| const_int e |])
         | Some (Typed_ast.TIlist es), (Ast.Tarr (Ast.Tdouble, _) | Ast.Tdouble) ->
-          Program.Init_floats (Array.of_list (List.map const_float es))
+          Program.Init_floats
+            (Program.Payload.of_array (Array.of_list (List.map const_float es)))
         | Some (Typed_ast.TIlist es), _ ->
-          Program.Init_ints (Array.of_list (List.map const_int es))
+          Program.Init_ints
+            (Program.Payload.of_array (Array.of_list (List.map const_int es)))
       in
       Program.add_global prog sym init)
     tp.Typed_ast.tp_globals;

@@ -1,10 +1,29 @@
 (* A whole program: global symbols, global initializers, functions, and the
    shared id generators that keep ids dense across the program. *)
 
+(* An initializer's words.  Read-only: built by copying an array, with no
+   setter, so one payload can be shared by every clone of a program and by
+   the workload input it came from, and a digest taken of it stays true. *)
+module Payload : sig
+  type 'a t
+
+  val of_array : 'a array -> 'a t
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+  val iteri : (int -> 'a -> unit) -> 'a t -> unit
+end = struct
+  type 'a t = 'a array
+
+  let of_array = Array.copy
+  let length = Array.length
+  let get = Array.get
+  let iteri = Array.iteri
+end
+
 type global_init =
   | Init_zero
-  | Init_ints of int64 array
-  | Init_floats of float array
+  | Init_ints of int64 Payload.t
+  | Init_floats of float Payload.t
 
 type t = {
   globals : (Symbol.t * global_init) list Stdlib.ref;
@@ -21,15 +40,26 @@ let create () =
 let add_global t s init = t.globals := (s, init) :: !(t.globals)
 let globals t = List.rev !(t.globals)
 
-(* Deep copy, for the staged pipeline's shared artifacts: a cached lowered
+(* Copy for the staged pipeline's shared artifacts: a cached lowered
    program is immutable by contract, so consumers that mutate (input
-   application, promotion) work on a clone.  The IR is pure data — no
-   closures, no custom blocks — so a Marshal round trip is a faithful copy;
+   application, promotion) work on a clone.  Everything mutable is copied
+   — functions, the globals list, [func_order], the id generators — by a
+   Marshal round trip of a shell whose initializers are blanked: the IR is
+   pure data (no closures, no custom blocks), so the copy is faithful, and
    internal sharing (symbols referenced from both the globals list and
-   instruction operands) is preserved within the copy, and identity is by
-   id everywhere, so the clone behaves exactly like a fresh lowering of the
-   same source. *)
-let clone (t : t) : t = Marshal.from_string (Marshal.to_string t []) 0
+   instruction operands) is preserved within it.  The read-only payloads
+   are not copied: the clone's globals get the source's, by position.  The
+   source is only read, never written, even for a moment — other domains
+   may be reading it.  Identity is by id everywhere, so the clone behaves
+   exactly like a fresh lowering of the same source. *)
+let clone (t : t) : t =
+  let globals = !(t.globals) in
+  let blanked = List.map (fun (s, _) -> (s, Init_zero)) globals in
+  let shell = { t with globals = Stdlib.ref blanked } in
+  let c : t = Marshal.from_string (Marshal.to_string shell []) 0 in
+  c.globals :=
+    List.map2 (fun (s, _) (_, init) -> (s, init)) !(c.globals) globals;
+  c
 
 (* Replace a global's initializer (workload input injection). *)
 let set_global_init t name init =

@@ -203,12 +203,12 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
       (match init with
       | Srp_ir.Program.Init_zero -> ()
       | Srp_ir.Program.Init_ints vs ->
-        Array.iteri
+        Srp_ir.Program.Payload.iteri
           (fun i v ->
             Memory.store mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vint v))
           vs
       | Srp_ir.Program.Init_floats vs ->
-        Array.iteri
+        Srp_ir.Program.Payload.iteri
           (fun i v ->
             Memory.store mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vflt v))
           vs))

@@ -134,28 +134,46 @@ let pp ppf t =
 
 let format_header = "srp-profile-v2"
 
+(* Written piece by piece into one buffer: every alat compile saves its
+   profile to fingerprint the promotion config. *)
 let save (t : t) : string =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf format_header;
-  Buffer.add_char buf '\n';
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int n = str (string_of_int n) in
+  str format_header;
+  chr '\n';
   List.iter
     (fun site ->
-      Buffer.add_string buf
-        (Fmt.str "site %d count %d targets" (Site.to_int site) (count t site));
+      str "site ";
+      int (Site.to_int site);
+      str " count ";
+      int (count t site);
+      str " targets";
       Location.Map.iter
         (fun loc hits ->
-          Buffer.add_string buf
-            (match loc with
-            | Location.Sym s -> Fmt.str " sym:%d=%d" (Symbol.id s) hits
-            | Location.Heap h -> Fmt.str " heap:%d=%d" (Site.to_int h) hits))
+          (match loc with
+          | Location.Sym s ->
+            str " sym:";
+            int (Symbol.id s)
+          | Location.Heap h ->
+            str " heap:";
+            int (Site.to_int h));
+          chr '=';
+          int hits)
         (hit_map t site);
-      Buffer.add_char buf '\n')
+      chr '\n')
     (sites t);
   Hashtbl.fold (fun key c acc -> (key, c) :: acc) t.block_counts []
   |> List.sort (fun ((f1, l1), _) ((f2, l2), _) ->
          match String.compare f1 f2 with 0 -> Int.compare l1 l2 | c -> c)
   |> List.iter (fun ((func, label_id), c) ->
-         Buffer.add_string buf (Fmt.str "block %s %d %d\n" func label_id c));
+         str "block ";
+         str func;
+         chr ' ';
+         int label_id;
+         chr ' ';
+         int c;
+         chr '\n');
   Buffer.contents buf
 
 exception Parse_error of string

@@ -122,11 +122,11 @@ let init_global t (s : Symbol.t) (init : Program.global_init) =
   (match init with
   | Program.Init_zero -> ()
   | Program.Init_ints vs ->
-    Array.iteri
+    Program.Payload.iteri
       (fun i v -> Memory.store t.mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vint v))
       vs
   | Program.Init_floats vs ->
-    Array.iteri
+    Program.Payload.iteri
       (fun i v -> Memory.store t.mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vflt v))
       vs)
 

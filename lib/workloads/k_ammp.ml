@@ -75,12 +75,14 @@ let workload : Srp_driver.Workload.t =
     description = "molecular dynamics pair forces: double coordinates re-read across force-cursor stores";
     source;
     train =
-      [ ("n_atoms", Input_gen.scalar_int 300);
-        ("n_steps", Input_gen.scalar_int 6);
-        ("coords", Input_gen.floats ~seed:171 ~n:4096 ~lo:(-4.0) ~hi:4.0);
-        ("neigh", Input_gen.ints ~seed:172 ~n:4096 ~lo:0 ~hi:1000000) ];
+      Srp_driver.Workload.input
+        [ ("n_atoms", Input_gen.scalar_int 300);
+          ("n_steps", Input_gen.scalar_int 6);
+          ("coords", Input_gen.floats ~seed:171 ~n:4096 ~lo:(-4.0) ~hi:4.0);
+          ("neigh", Input_gen.ints ~seed:172 ~n:4096 ~lo:0 ~hi:1000000) ];
     ref_ =
-      [ ("n_atoms", Input_gen.scalar_int 1500);
-        ("n_steps", Input_gen.scalar_int 40);
-        ("coords", Input_gen.floats ~seed:271 ~n:4096 ~lo:(-4.0) ~hi:4.0);
-        ("neigh", Input_gen.ints ~seed:272 ~n:4096 ~lo:0 ~hi:1000000) ] }
+      Srp_driver.Workload.input
+        [ ("n_atoms", Input_gen.scalar_int 1500);
+          ("n_steps", Input_gen.scalar_int 40);
+          ("coords", Input_gen.floats ~seed:271 ~n:4096 ~lo:(-4.0) ~hi:4.0);
+          ("neigh", Input_gen.ints ~seed:272 ~n:4096 ~lo:0 ~hi:1000000) ] }

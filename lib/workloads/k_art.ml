@@ -72,12 +72,14 @@ let workload : Srp_driver.Workload.t =
     description = "neural-network F1 scan: weights re-read across bus-cursor stores";
     source;
     train =
-      [ ("n_neurons", Input_gen.scalar_int 40);
-        ("n_inputs", Input_gen.scalar_int 30);
-        ("n_epochs", Input_gen.scalar_int 4);
-        ("pattern", Input_gen.floats ~seed:181 ~n:1024 ~lo:0.0 ~hi:1.0) ];
+      Srp_driver.Workload.input
+        [ ("n_neurons", Input_gen.scalar_int 40);
+          ("n_inputs", Input_gen.scalar_int 30);
+          ("n_epochs", Input_gen.scalar_int 4);
+          ("pattern", Input_gen.floats ~seed:181 ~n:1024 ~lo:0.0 ~hi:1.0) ];
     ref_ =
-      [ ("n_neurons", Input_gen.scalar_int 140);
-        ("n_inputs", Input_gen.scalar_int 90);
-        ("n_epochs", Input_gen.scalar_int 18);
-        ("pattern", Input_gen.floats ~seed:281 ~n:1024 ~lo:0.0 ~hi:1.0) ] }
+      Srp_driver.Workload.input
+        [ ("n_neurons", Input_gen.scalar_int 140);
+          ("n_inputs", Input_gen.scalar_int 90);
+          ("n_epochs", Input_gen.scalar_int 18);
+          ("pattern", Input_gen.floats ~seed:281 ~n:1024 ~lo:0.0 ~hi:1.0) ] }

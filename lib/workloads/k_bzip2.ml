@@ -77,12 +77,14 @@ let workload : Srp_driver.Workload.t =
     description = "shell-sort block sorting: hot scalars re-read across budget-pointer stores";
     source;
     train =
-      [ ("block_len", Input_gen.scalar_int 600);
-        ("n_passes", Input_gen.scalar_int 2);
-        ("data", Input_gen.ints ~seed:141 ~n:32768 ~lo:0 ~hi:255);
-        ("poke", Input_gen.ints ~seed:142 ~n:256 ~lo:0 ~hi:63) ];
+      Srp_driver.Workload.input
+        [ ("block_len", Input_gen.scalar_int 600);
+          ("n_passes", Input_gen.scalar_int 2);
+          ("data", Input_gen.ints ~seed:141 ~n:32768 ~lo:0 ~hi:255);
+          ("poke", Input_gen.ints ~seed:142 ~n:256 ~lo:0 ~hi:63) ];
     ref_ =
-      [ ("block_len", Input_gen.scalar_int 2600);
-        ("n_passes", Input_gen.scalar_int 4);
-        ("data", Input_gen.ints ~seed:241 ~n:32768 ~lo:0 ~hi:255);
-        ("poke", Input_gen.ints ~seed:242 ~n:256 ~lo:0 ~hi:63) ] }
+      Srp_driver.Workload.input
+        [ ("block_len", Input_gen.scalar_int 2600);
+          ("n_passes", Input_gen.scalar_int 4);
+          ("data", Input_gen.ints ~seed:241 ~n:32768 ~lo:0 ~hi:255);
+          ("poke", Input_gen.ints ~seed:242 ~n:256 ~lo:0 ~hi:63) ] }

@@ -67,14 +67,16 @@ let workload : Srp_driver.Workload.t =
     description = "sparse matvec: stiffness and displacement re-read across excitation-cursor stores";
     source;
     train =
-      [ ("n_rows", Input_gen.scalar_int 200);
-        ("n_steps", Input_gen.scalar_int 6);
-        ("colidx", Input_gen.ints ~seed:191 ~n:24576 ~lo:0 ~hi:1000000);
-        ("rowlen", Input_gen.ints ~seed:192 ~n:4096 ~lo:0 ~hi:1000);
-        ("kvals", Input_gen.floats ~seed:193 ~n:24576 ~lo:(-1.0) ~hi:1.0) ];
+      Srp_driver.Workload.input
+        [ ("n_rows", Input_gen.scalar_int 200);
+          ("n_steps", Input_gen.scalar_int 6);
+          ("colidx", Input_gen.ints ~seed:191 ~n:24576 ~lo:0 ~hi:1000000);
+          ("rowlen", Input_gen.ints ~seed:192 ~n:4096 ~lo:0 ~hi:1000);
+          ("kvals", Input_gen.floats ~seed:193 ~n:24576 ~lo:(-1.0) ~hi:1.0) ];
     ref_ =
-      [ ("n_rows", Input_gen.scalar_int 1800);
-        ("n_steps", Input_gen.scalar_int 24);
-        ("colidx", Input_gen.ints ~seed:291 ~n:24576 ~lo:0 ~hi:1000000);
-        ("rowlen", Input_gen.ints ~seed:292 ~n:4096 ~lo:0 ~hi:1000);
-        ("kvals", Input_gen.floats ~seed:293 ~n:24576 ~lo:(-1.0) ~hi:1.0) ] }
+      Srp_driver.Workload.input
+        [ ("n_rows", Input_gen.scalar_int 1800);
+          ("n_steps", Input_gen.scalar_int 24);
+          ("colidx", Input_gen.ints ~seed:291 ~n:24576 ~lo:0 ~hi:1000000);
+          ("rowlen", Input_gen.ints ~seed:292 ~n:4096 ~lo:0 ~hi:1000);
+          ("kvals", Input_gen.floats ~seed:293 ~n:24576 ~lo:(-1.0) ~hi:1.0) ] }

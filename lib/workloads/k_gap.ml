@@ -72,10 +72,12 @@ let workload : Srp_driver.Workload.t =
     description = "permutation composition: map pointers re-read across cache-cursor stores";
     source;
     train =
-      [ ("degree", Input_gen.scalar_int 48);
-        ("n_products", Input_gen.scalar_int 600);
-        ("seeds", Input_gen.ints ~seed:161 ~n:4096 ~lo:1 ~hi:100000) ];
+      Srp_driver.Workload.input
+        [ ("degree", Input_gen.scalar_int 48);
+          ("n_products", Input_gen.scalar_int 600);
+          ("seeds", Input_gen.ints ~seed:161 ~n:4096 ~lo:1 ~hi:100000) ];
     ref_ =
-      [ ("degree", Input_gen.scalar_int 96);
-        ("n_products", Input_gen.scalar_int 4500);
-        ("seeds", Input_gen.ints ~seed:261 ~n:4096 ~lo:1 ~hi:100000) ] }
+      Srp_driver.Workload.input
+        [ ("degree", Input_gen.scalar_int 96);
+          ("n_products", Input_gen.scalar_int 4500);
+          ("seeds", Input_gen.ints ~seed:261 ~n:4096 ~lo:1 ~hi:100000) ] }

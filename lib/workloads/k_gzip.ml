@@ -101,10 +101,12 @@ let workload : Srp_driver.Workload.t =
     description = "LZ77 hash-chain matching with occasionally-aliased tuning state";
     source;
     train =
-      [ ("input_len", Input_gen.scalar_int 3000);
-        ("data", Input_gen.ints ~seed:101 ~n:16384 ~lo:0 ~hi:15);
-        ("tune_sel", Input_gen.flags ~seed:102 ~n:512 ~p:0.0) ];
+      Srp_driver.Workload.input
+        [ ("input_len", Input_gen.scalar_int 3000);
+          ("data", Input_gen.ints ~seed:101 ~n:16384 ~lo:0 ~hi:15);
+          ("tune_sel", Input_gen.flags ~seed:102 ~n:512 ~p:0.0) ];
     ref_ =
-      [ ("input_len", Input_gen.scalar_int 14000);
-        ("data", Input_gen.ints ~seed:201 ~n:16384 ~lo:0 ~hi:15);
-        ("tune_sel", Input_gen.flags ~seed:202 ~n:512 ~p:0.22) ] }
+      Srp_driver.Workload.input
+        [ ("input_len", Input_gen.scalar_int 14000);
+          ("data", Input_gen.ints ~seed:201 ~n:16384 ~lo:0 ~hi:15);
+          ("tune_sel", Input_gen.flags ~seed:202 ~n:512 ~p:0.22) ] }

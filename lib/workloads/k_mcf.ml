@@ -113,12 +113,14 @@ let workload : Srp_driver.Workload.t =
     description = "network-simplex pricing: heap pointer chasing across pointer-table cursor stores";
     source;
     train =
-      [ ("n_nodes", Input_gen.scalar_int 256);
-        ("n_rounds", Input_gen.scalar_int 4);
-        ("costs", Input_gen.ints ~seed:111 ~n:6144 ~lo:(-40) ~hi:60);
-        ("wiring", Input_gen.ints ~seed:112 ~n:6144 ~lo:0 ~hi:100000) ];
+      Srp_driver.Workload.input
+        [ ("n_nodes", Input_gen.scalar_int 256);
+          ("n_rounds", Input_gen.scalar_int 4);
+          ("costs", Input_gen.ints ~seed:111 ~n:6144 ~lo:(-40) ~hi:60);
+          ("wiring", Input_gen.ints ~seed:112 ~n:6144 ~lo:0 ~hi:100000) ];
     ref_ =
-      [ ("n_nodes", Input_gen.scalar_int 1400);
-        ("n_rounds", Input_gen.scalar_int 12);
-        ("costs", Input_gen.ints ~seed:211 ~n:6144 ~lo:(-40) ~hi:60);
-        ("wiring", Input_gen.ints ~seed:212 ~n:6144 ~lo:0 ~hi:100000) ] }
+      Srp_driver.Workload.input
+        [ ("n_nodes", Input_gen.scalar_int 1400);
+          ("n_rounds", Input_gen.scalar_int 12);
+          ("costs", Input_gen.ints ~seed:211 ~n:6144 ~lo:(-40) ~hi:60);
+          ("wiring", Input_gen.ints ~seed:212 ~n:6144 ~lo:0 ~hi:100000) ] }

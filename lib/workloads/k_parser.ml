@@ -91,12 +91,14 @@ let workload : Srp_driver.Workload.t =
     description = "dictionary hash chains: entry fields re-read across counter-cursor stores";
     source;
     train =
-      [ ("n_words", Input_gen.scalar_int 800);
-        ("n_queries", Input_gen.scalar_int 2500);
-        ("words", Input_gen.ints ~seed:121 ~n:8192 ~lo:1 ~hi:4096);
-        ("queries", Input_gen.ints ~seed:122 ~n:16384 ~lo:1 ~hi:4096) ];
+      Srp_driver.Workload.input
+        [ ("n_words", Input_gen.scalar_int 800);
+          ("n_queries", Input_gen.scalar_int 2500);
+          ("words", Input_gen.ints ~seed:121 ~n:8192 ~lo:1 ~hi:4096);
+          ("queries", Input_gen.ints ~seed:122 ~n:16384 ~lo:1 ~hi:4096) ];
     ref_ =
-      [ ("n_words", Input_gen.scalar_int 4000);
-        ("n_queries", Input_gen.scalar_int 16000);
-        ("words", Input_gen.ints ~seed:221 ~n:8192 ~lo:1 ~hi:4096);
-        ("queries", Input_gen.ints ~seed:222 ~n:16384 ~lo:1 ~hi:4096) ] }
+      Srp_driver.Workload.input
+        [ ("n_words", Input_gen.scalar_int 4000);
+          ("n_queries", Input_gen.scalar_int 16000);
+          ("words", Input_gen.ints ~seed:221 ~n:8192 ~lo:1 ~hi:4096);
+          ("queries", Input_gen.ints ~seed:222 ~n:16384 ~lo:1 ~hi:4096) ] }

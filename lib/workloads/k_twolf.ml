@@ -88,12 +88,14 @@ let workload : Srp_driver.Workload.t =
     description = "annealing placement: temperature re-read across penalty-cursor stores";
     source;
     train =
-      [ ("n_sites", Input_gen.scalar_int 400);
-        ("n_steps", Input_gen.scalar_int 10000);
-        ("layout", Input_gen.ints ~seed:151 ~n:8192 ~lo:0 ~hi:65535);
-        ("picks", Input_gen.ints ~seed:152 ~n:8192 ~lo:0 ~hi:1000000) ];
+      Srp_driver.Workload.input
+        [ ("n_sites", Input_gen.scalar_int 400);
+          ("n_steps", Input_gen.scalar_int 10000);
+          ("layout", Input_gen.ints ~seed:151 ~n:8192 ~lo:0 ~hi:65535);
+          ("picks", Input_gen.ints ~seed:152 ~n:8192 ~lo:0 ~hi:1000000) ];
     ref_ =
-      [ ("n_sites", Input_gen.scalar_int 2500);
-        ("n_steps", Input_gen.scalar_int 90000);
-        ("layout", Input_gen.ints ~seed:251 ~n:8192 ~lo:0 ~hi:65535);
-        ("picks", Input_gen.ints ~seed:252 ~n:8192 ~lo:0 ~hi:1000000) ] }
+      Srp_driver.Workload.input
+        [ ("n_sites", Input_gen.scalar_int 2500);
+          ("n_steps", Input_gen.scalar_int 90000);
+          ("layout", Input_gen.ints ~seed:251 ~n:8192 ~lo:0 ~hi:65535);
+          ("picks", Input_gen.ints ~seed:252 ~n:8192 ~lo:0 ~hi:1000000) ] }

@@ -72,12 +72,14 @@ let workload : Srp_driver.Workload.t =
     description = "placement swaps: cell coordinates re-read across accumulator-cursor stores";
     source;
     train =
-      [ ("n_cells", Input_gen.scalar_int 512);
-        ("n_moves", Input_gen.scalar_int 12000);
-        ("coords", Input_gen.ints ~seed:131 ~n:8192 ~lo:0 ~hi:4095);
-        ("moves", Input_gen.ints ~seed:132 ~n:8192 ~lo:0 ~hi:1000000) ];
+      Srp_driver.Workload.input
+        [ ("n_cells", Input_gen.scalar_int 512);
+          ("n_moves", Input_gen.scalar_int 12000);
+          ("coords", Input_gen.ints ~seed:131 ~n:8192 ~lo:0 ~hi:4095);
+          ("moves", Input_gen.ints ~seed:132 ~n:8192 ~lo:0 ~hi:1000000) ];
     ref_ =
-      [ ("n_cells", Input_gen.scalar_int 3000);
-        ("n_moves", Input_gen.scalar_int 120000);
-        ("coords", Input_gen.ints ~seed:231 ~n:8192 ~lo:0 ~hi:4095);
-        ("moves", Input_gen.ints ~seed:232 ~n:8192 ~lo:0 ~hi:1000000) ] }
+      Srp_driver.Workload.input
+        [ ("n_cells", Input_gen.scalar_int 3000);
+          ("n_moves", Input_gen.scalar_int 120000);
+          ("coords", Input_gen.ints ~seed:231 ~n:8192 ~lo:0 ~hi:4095);
+          ("moves", Input_gen.ints ~seed:232 ~n:8192 ~lo:0 ~hi:1000000) ] }

@@ -298,7 +298,7 @@ int main() {
 |} in
   let w =
     { Workload.name = "split-attrib"; description = "attribution probe";
-      source = src; train = []; ref_ = [] }
+      source = src; train = Workload.input []; ref_ = Workload.input [] }
   in
   let r = Pipeline.profile_compile_run w Pipeline.Alat in
   let c = r.Pipeline.counters in

@@ -221,7 +221,8 @@ int main() {
   let profile = profile_of train_src in
   (* same program with sel = 7 baked in: the alias is real at run time *)
   let prog = compile train_src in
-  Srp_ir.Program.set_global_init prog "sel" (Srp_ir.Program.Init_ints [| 7L |]);
+  Srp_ir.Program.set_global_init prog "sel"
+    Srp_ir.Program.(Init_ints (Payload.of_array [| 7L |]));
   ignore (Promote.run ~config:(Config.alat ~profile) prog);
   let tgt = Srp_target.Codegen.gen_program prog in
   let _, got, counters = Srp_machine.Machine.run_program tgt in
@@ -495,9 +496,11 @@ let test_cascade_recovery_fires () =
   (* profile says pp never repoints p; run with sel=5 where it always does *)
   let profile = profile_of cascade_src in
   let prog = compile cascade_src in
-  Srp_ir.Program.set_global_init prog "sel" (Srp_ir.Program.Init_ints [| 5L |]);
+  Srp_ir.Program.set_global_init prog "sel"
+    Srp_ir.Program.(Init_ints (Payload.of_array [| 5L |]));
   let refp = compile cascade_src in
-  Srp_ir.Program.set_global_init refp "sel" (Srp_ir.Program.Init_ints [| 5L |]);
+  Srp_ir.Program.set_global_init refp "sel"
+    Srp_ir.Program.(Init_ints (Payload.of_array [| 5L |]));
   let _, expected, _ = Srp_profile.Interp.run_program refp in
   ignore (Promote.run ~config:(Config.alat_cascade ~profile) prog);
   let _, got, c = run_on_machine prog in

@@ -149,7 +149,7 @@ int main() {
 let test_figure9_by_hand () =
   let w =
     { Workload.name = "fig9"; description = ""; source = figure9_src;
-      train = []; ref_ = [] }
+      train = Workload.input []; ref_ = Workload.input [] }
   in
   let base = Pipeline.profile_compile_run w Pipeline.Baseline in
   let spec = Pipeline.profile_compile_run w Pipeline.Alat in
@@ -239,7 +239,7 @@ int main() {
 let test_cascade_wins () =
   let w =
     { Workload.name = "cascade"; description = ""; source = cascade_src;
-      train = []; ref_ = [] }
+      train = Workload.input []; ref_ = Workload.input [] }
   in
   let run ablations = Pipeline.profile_compile_run ~ablations w Pipeline.Alat in
   let plain = run [] and casc = run [ Pipeline.Cascade ] in

@@ -231,16 +231,18 @@ let test_report_math () =
 let test_input_generators () =
   (match Srp_workloads.Input_gen.ints ~seed:1 ~n:100 ~lo:(-5) ~hi:5 with
   | Program.Init_ints a ->
-    Alcotest.(check int) "length" 100 (Array.length a);
-    Array.iter
-      (fun v ->
+    Alcotest.(check int) "length" 100 (Program.Payload.length a);
+    Program.Payload.iteri
+      (fun _ v ->
         if Int64.compare v (-5L) < 0 || Int64.compare v 5L > 0 then
           Alcotest.fail "int out of range")
       a
   | _ -> Alcotest.fail "expected ints");
   (match Srp_workloads.Input_gen.flags ~seed:2 ~n:1000 ~p:0.25 with
   | Program.Init_ints a ->
-    let ones = Array.fold_left (fun acc v -> if v = 1L then acc + 1 else acc) 0 a in
+    let ones = ref 0 in
+    Program.Payload.iteri (fun _ v -> if v = 1L then incr ones) a;
+    let ones = !ones in
     Alcotest.(check bool) "flag rate plausible" true (ones > 150 && ones < 350)
   | _ -> Alcotest.fail "expected flags");
   (* determinism: same seed, same data *)

@@ -1074,10 +1074,39 @@ let test_alloc_at_wide_base () =
   Alcotest.(check bool) "nothing placed at 0x1000" true
     (location_of_addr m 0x1000L = None)
 
+(* The saved text of every kernel's train profile, pinned by MD5 and
+   length: the figures were taken from the writer that formatted each
+   line with [Fmt.str], so the [Buffer] writer must give the same bytes
+   (and the promote keys derived from them stay where they were). *)
+let saved_train_profiles =
+  [ ("gzip", "767d3dce60778a6afc06d8c61b95b9ee", 5625);
+    ("vpr", "e5faff2878d1800352338b236ab6400c", 4549);
+    ("mcf", "83c366d29f79d5271337bcdb5d2fb582", 6460);
+    ("parser", "2e316af66dcd4ecdaf4b3f78e19680fe", 4237);
+    ("bzip2", "4ef5e7850ca97100014d2ad06c33c727", 4199);
+    ("twolf", "b060827f05bbf549586e9133b28b0fbd", 6019);
+    ("gap", "4acd00958d90a9ac1ca8bee9742c3133", 4465);
+    ("ammp", "94b2960564b68820a7c8529375b6f732", 5294);
+    ("art", "381a828daced8d253a23ef1a32711643", 3267);
+    ("equake", "6efb7a12105f4245e13a9fd0993ec4a6", 3869) ]
+
+let test_save_text_pinned () =
+  List.iter
+    (fun (name, md5, len) ->
+      let w = Srp_workloads.Registry.find name in
+      let text = Alias_profile.save (Srp_driver.Pipeline.train_profile w) in
+      Alcotest.(check (pair string int))
+        (name ^ " train profile text")
+        (md5, len)
+        (Digest.to_hex (Digest.string text), String.length text))
+    saved_train_profiles
+
 let suite =
   suite
   @ [ Alcotest.test_case "profile save/load roundtrip" `Quick
         test_profile_roundtrip;
+      Alcotest.test_case "saved text pinned on kernel train profiles" `Quick
+        test_save_text_pinned;
       QCheck_alcotest.to_alcotest prop_save_load_save;
       QCheck_alcotest.to_alcotest prop_load_preserves_queries;
       Alcotest.test_case "v1 profile migration" `Quick test_v1_migration;

@@ -14,7 +14,7 @@ module Experiments = Srp_driver.Experiments
 
 (* The IR interpreter's run of [src] on [input]: the exit code and
    output every build of it must reproduce, and its alias profile. *)
-let interp_reference ?(input = []) src =
+let interp_reference ?(input = Workload.input []) src =
   let prog = Srp_frontend.Lower.compile_source src in
   Workload.apply_input prog input;
   Srp_profile.Interp.run_program prog
@@ -24,12 +24,12 @@ let interp_reference ?(input = []) src =
    level x ablation sweep share every stage they agree on. *)
 let machine_run ~cache ?(ablations = []) src (level, profile) =
   let w =
-    { Workload.name = "random"; description = ""; source = src; train = [];
-      ref_ = [] }
+    { Workload.name = "random"; description = ""; source = src;
+      train = Workload.input []; ref_ = Workload.input [] }
   in
   let r =
     Pipeline.run ~fuel:50_000_000
-      (Pipeline.compile ~cache ?profile ~ablations ~input:[] w level)
+      (Pipeline.compile ~cache ?profile ~ablations ~input:w.Workload.ref_ w level)
   in
   (r.Pipeline.exit_code, r.Pipeline.output)
 

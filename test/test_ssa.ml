@@ -506,7 +506,8 @@ int main() {
 let test_cascade_recovery_composes () =
   let config = Config.alat_cascade ~profile:(train two_field_cascade_src) in
   let prog = Lower.compile_source two_field_cascade_src in
-  Srp_ir.Program.set_global_init prog "sel" (Srp_ir.Program.Init_ints [| 5L |]);
+  Srp_ir.Program.set_global_init prog "sel"
+    Srp_ir.Program.(Init_ints (Payload.of_array [| 5L |]));
   let _, expected, _ = Srp_profile.Interp.run_program (Srp_ir.Program.clone prog) in
   let promoted = check_batch_is_sequential "two-field cascade" config prog in
   let recoveries = ref [] in

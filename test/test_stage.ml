@@ -214,13 +214,16 @@ type desc = {
 let sources =
   [| "int main() { return 1; }"; "int main() { return 2; }" |]
 
+(* bindings of the distinct ref inputs; each job wraps its own input value,
+   so equal keys come from equal content, not from one shared digest *)
 let inputs = [| []; [ ("input_len", Srp_workloads.Input_gen.scalar_int 7) ] |]
 
 let job_of_desc ?(arrange = Fun.id) (d : desc) : Serve.job =
   { Serve.j_id = Srp_obs.Json.Null;
     j_w =
       { Workload.name = "qcheck"; description = "";
-        source = sources.(d.d_source); train = []; ref_ = inputs.(d.d_input) };
+        source = sources.(d.d_source); train = Workload.input [];
+        ref_ = Workload.input inputs.(d.d_input) };
     j_level = List.nth Pipeline.all_levels d.d_level;
     j_ablations =
       arrange
@@ -283,11 +286,12 @@ let test_stage_keys () =
     [ Stage.Key.lower ~source:"a"; Stage.Key.lower ~source:"b" ];
   let lk = Stage.Key.lower ~source:"a" in
   distinct "apply"
-    [ Stage.Key.apply ~lower_key:lk [];
+    [ Stage.Key.apply ~lower_key:lk (Workload.input []);
       Stage.Key.apply ~lower_key:lk
-        [ ("x", Srp_workloads.Input_gen.scalar_int 1) ];
-      Stage.Key.apply ~lower_key:(Stage.Key.lower ~source:"b") [] ];
-  let ak = Stage.Key.apply ~lower_key:lk [] in
+        (Workload.input [ ("x", Srp_workloads.Input_gen.scalar_int 1) ]);
+      Stage.Key.apply ~lower_key:(Stage.Key.lower ~source:"b")
+        (Workload.input []) ];
+  let ak = Stage.Key.apply ~lower_key:lk (Workload.input []) in
   distinct "promote"
     (List.map
        (fun c -> Stage.Key.promote ~applied_key:ak ~config:c)
@@ -456,6 +460,153 @@ let test_inflight_dedup () =
   Alcotest.(check int) "every racer accounted" racers
     (s.Stage.hits + s.Stage.misses)
 
+(* --- input content keys --- *)
+
+module Input_gen = Srp_workloads.Input_gen
+module Payload = Srp_ir.Program.Payload
+
+let some_bindings () =
+  [ ("input_len", Input_gen.scalar_int 300);
+    ("data", Input_gen.ints ~seed:7 ~n:4096 ~lo:0 ~hi:15);
+    ("weights", Input_gen.floats ~seed:8 ~n:512 ~lo:(-1.0) ~hi:1.0) ]
+
+let input_keys (i : Workload.input) =
+  let w =
+    { Workload.name = "keys"; description = ""; source = "int main() { return 0; }";
+      train = i; ref_ = i }
+  in
+  ( Stage.Key.apply ~lower_key:(Stage.Key.lower ~source:w.Workload.source) i,
+    Serve.job_key
+      { Serve.j_id = Json.Null; j_w = w; j_level = Pipeline.Alat;
+        j_ablations = []; j_fuel = None } )
+
+(* Keys follow content: two inputs built apart from equal bindings key the
+   same, however their payloads are shared; one word changed, in an int
+   or a float payload, keys differently at the apply stage and as a job. *)
+let test_input_content_keys () =
+  let keys = input_keys (Workload.input (some_bindings ())) in
+  Alcotest.(check (pair string string)) "separately built, equal content"
+    keys (input_keys (Workload.input (some_bindings ())));
+  let data = Input_gen.ints ~seed:7 ~n:4096 ~lo:0 ~hi:15 in
+  Alcotest.(check (pair string string)) "one payload bound twice"
+    (input_keys
+       (Workload.input
+          [ ("a", Input_gen.ints ~seed:7 ~n:4096 ~lo:0 ~hi:15);
+            ("b", Input_gen.ints ~seed:7 ~n:4096 ~lo:0 ~hi:15) ]))
+    (input_keys (Workload.input [ ("a", data); ("b", data) ]));
+  let with_word_changed name =
+    List.map
+      (fun (n, init) ->
+        if n <> name then (n, init)
+        else
+          match init with
+          | Srp_ir.Program.Init_ints vs ->
+            let a = Array.init (Payload.length vs) (Payload.get vs) in
+            a.(100) <- Int64.add a.(100) 1L;
+            (n, Srp_ir.Program.Init_ints (Payload.of_array a))
+          | Srp_ir.Program.Init_floats vs ->
+            let a = Array.init (Payload.length vs) (Payload.get vs) in
+            a.(100) <- a.(100) +. 1.0;
+            (n, Srp_ir.Program.Init_floats (Payload.of_array a))
+          | Srp_ir.Program.Init_zero -> Alcotest.fail "no words to change")
+      (some_bindings ())
+  in
+  List.iter
+    (fun name ->
+      let k', j' = input_keys (Workload.input (with_word_changed name)) in
+      Alcotest.(check bool) (name ^ ": apply key differs") true
+        (k' <> fst keys);
+      Alcotest.(check bool) (name ^ ": job key differs") true (j' <> snd keys))
+    [ "data"; "weights" ]
+
+(* The payload constructor copies: writing the array it was built from
+   afterwards changes neither the payload nor the input's key. *)
+let test_payload_copied () =
+  let a = Array.make 8 3L in
+  let payload = Payload.of_array a in
+  let i = Workload.input [ ("x", Srp_ir.Program.Init_ints payload) ] in
+  let before = Workload.digest i in
+  a.(0) <- 4L;
+  Alcotest.(check int64) "payload unchanged" 3L (Payload.get payload 0);
+  let fresh = Payload.of_array (Array.make 8 3L) in
+  Alcotest.(check string) "digest as for the original words" before
+    (Workload.digest (Workload.input [ ("x", Srp_ir.Program.Init_ints fresh) ]))
+
+(* Every pool domain asks for one input's key at once: one value comes
+   back, physically the same string, and nothing raises. *)
+let test_input_digest_race () =
+  let i =
+    Workload.input [ ("data", Input_gen.ints ~seed:9 ~n:200_000 ~lo:0 ~hi:1_000_000) ]
+  in
+  let results = Experiments.pool_map ~ntasks:8 (fun _ -> Workload.digest i) in
+  let digests =
+    Array.map
+      (function
+        | Ok d -> d
+        | Error e -> Alcotest.failf "digest raised %s" (Printexc.to_string e))
+      results
+  in
+  Array.iter
+    (fun d -> Alcotest.(check bool) "one value" true (d == digests.(0)))
+    digests;
+  Alcotest.(check string) "the content key" digests.(0)
+    (Workload.digest
+       (Workload.input
+          [ ("data", Input_gen.ints ~seed:9 ~n:200_000 ~lo:0 ~hi:1_000_000) ]))
+
+(* --- Program.clone --- *)
+
+(* A clone shares the read-only payloads and copies everything mutable:
+   the globals list, the function table and each function, [func_order],
+   the id generators and the symbols (kept shared within the copy). *)
+let test_clone_shares_payloads () =
+  let w = Srp_workloads.Registry.find "gzip" in
+  let src = Srp_frontend.Lower.compile_source w.Workload.source in
+  Workload.apply_input src w.Workload.train;
+  let c = Srp_ir.Program.clone src in
+  let module P = Srp_ir.Program in
+  let payloads = ref 0 in
+  List.iter2
+    (fun (s, init) (s', init') ->
+      Alcotest.(check bool) "symbol copied" true (s != s');
+      Alcotest.(check int) "same symbol id" (Srp_ir.Symbol.id s)
+        (Srp_ir.Symbol.id s');
+      match (init, init') with
+      | P.Init_ints a, P.Init_ints a' ->
+        incr payloads;
+        Alcotest.(check bool) "int payload shared" true (a == a')
+      | P.Init_floats a, P.Init_floats a' ->
+        incr payloads;
+        Alcotest.(check bool) "float payload shared" true (a == a')
+      | P.Init_zero, P.Init_zero -> ()
+      | _ -> Alcotest.fail "initializer kind changed")
+    (P.globals src) (P.globals c);
+  Alcotest.(check bool) "some payloads" true (!payloads >= 3);
+  Alcotest.(check bool) "globals ref fresh" true (src.P.globals != c.P.globals);
+  Alcotest.(check bool) "function table fresh" true (src.P.funcs != c.P.funcs);
+  Alcotest.(check bool) "func_order fresh" true
+    (src.P.func_order != c.P.func_order);
+  Alcotest.(check (list string)) "func_order equal" src.P.func_order
+    c.P.func_order;
+  Alcotest.(check bool) "symbol generator fresh" true
+    (src.P.sym_gen != c.P.sym_gen);
+  Alcotest.(check bool) "site generator fresh" true
+    (src.P.site_gen != c.P.site_gen);
+  List.iter2
+    (fun f f' -> Alcotest.(check bool) "function copied" true (f != f'))
+    (P.funcs src) (P.funcs c);
+  (* symbol sharing is kept inside the copy: the globals list and the
+     whole-program symbol list name one record per id *)
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun s -> Hashtbl.replace by_id (Srp_ir.Symbol.id s) s)
+    (P.all_symbols c);
+  List.iter
+    (fun (s, _) ->
+      Alcotest.(check bool) "one record per symbol in the copy" true
+        (Hashtbl.find by_id (Srp_ir.Symbol.id s) == s))
+    (P.globals c)
+
 (* --- apply-input independence (the copy-on-write regression) --- *)
 
 (* Two builds of one workload with different inputs, from one cached
@@ -476,7 +627,33 @@ let test_apply_input_independence () =
   Alcotest.(check string) "first input reproducible after second"
     a1.Pipeline.output a2.Pipeline.output;
   Alcotest.(check bool) "train build artifact shared, not rebuilt" true
-    (a1.Pipeline.compiled.Pipeline.ir == a2.Pipeline.compiled.Pipeline.ir)
+    (a1.Pipeline.compiled.Pipeline.ir == a2.Pipeline.compiled.Pipeline.ir);
+  (* the stages' own edits, made on clones, leave the source artifacts'
+     bytes alone, though clone and source share the payloads *)
+  let marshalled p = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+  let lowered = Srp_frontend.Lower.compile_source w.Workload.source in
+  let lowered_before = marshalled lowered in
+  let applied = Srp_ir.Program.clone lowered in
+  Workload.apply_input applied w.Workload.ref_;
+  Srp_ir.Program.set_global_init applied "input_len" (Input_gen.scalar_int 5);
+  Alcotest.(check string) "lowered intact after apply and set_global_init"
+    lowered_before (marshalled lowered);
+  let applied_before = marshalled applied in
+  let promoted = Srp_ir.Program.clone applied in
+  let config =
+    Option.get
+      (Pipeline.config_of_level Pipeline.Alat
+         (Some (Pipeline.train_profile ~cache w)))
+  in
+  ignore
+    (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn promoted)
+       promoted);
+  Alcotest.(check bool) "promotion edited the clone" true
+    (marshalled promoted <> applied_before);
+  Alcotest.(check string) "applied intact after promotion" applied_before
+    (marshalled applied);
+  Alcotest.(check string) "lowered still intact" lowered_before
+    (marshalled lowered)
 
 let suite =
   List.map
@@ -499,6 +676,14 @@ let suite =
       QCheck_alcotest.to_alcotest key_canonical;
       Alcotest.test_case "stage keys invalidate per input" `Quick
         test_stage_keys;
+      Alcotest.test_case "input keys follow content" `Quick
+        test_input_content_keys;
+      Alcotest.test_case "input payloads copied on construction" `Quick
+        test_payload_copied;
+      Alcotest.test_case "input digest raced from every pool domain" `Quick
+        test_input_digest_race;
+      Alcotest.test_case "clone shares payloads, copies the rest" `Quick
+        test_clone_shares_payloads;
       Alcotest.test_case "identical builds share artifacts" `Quick
         test_artifact_sharing;
       Alcotest.test_case "alat run lowers each source once" `Quick
